@@ -1,14 +1,17 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra: the one Gaussian elimination, and Q entry points.
 
-Everything here works on lists of lists of Fraction (or int; values are
-coerced).  Matrices are small (rank of a root system, number of group
-elements in a class sum), so dense Gaussian elimination is fine and keeps
-results exact.
+``echelon`` row-reduces over any exact field, given only the reciprocal
+of its elements; ``kernel_basis`` and ``one_solution`` are derived from
+it.  Q (here), Q(zeta_m) (``cyclotomic``) and Q(v) (``laurent``) all
+eliminate through them.  The Q entry points work on lists of lists of
+Fraction (or int; values are coerced).  Matrices are small (rank of a
+root system, number of group elements in a class sum), so dense
+elimination is fine and keeps results exact.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Vec = tuple[Q, ...]
 
@@ -21,10 +24,6 @@ def vec_add(u: Sequence[Q], v: Sequence[Q]) -> Vec:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Sequence[Q], v: Sequence[Q]) -> Vec:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c, v: Sequence[Q]) -> Vec:
     c = Q(c)
     return tuple(c * a for a in v)
@@ -34,39 +33,35 @@ def dot(u: Sequence[Q], v: Sequence[Q]) -> Q:
     return sum((a * b for a, b in zip(u, v, strict=True)), Q(0))
 
 
-def mat_vec(m: Sequence[Sequence[Q]], v: Sequence[Q]) -> Vec:
-    return tuple(dot(row, v) for row in m)
-
-
-def mat_mul(a: Sequence[Sequence[Q]], b: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    bt = list(zip(*b))
-    return [[dot(row, col) for col in bt] for row in a]
-
-
-def identity(n: int) -> list[list[Q]]:
-    return [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-
-
 def transpose(m: Sequence[Sequence[Q]]) -> list[list[Q]]:
     return [list(col) for col in zip(*m)]
 
 
-def _echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
-    """Row-reduce in place; return (reduced rows, pivot column indices)."""
+def echelon(rows: Iterable[Sequence], inv: Callable) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of a copy of ``rows`` over any exact field.
+
+    Returns (reduced rows, pivot column indices).  Entries are tested for
+    zero by truthiness and ``inv`` gives the reciprocal of a nonzero
+    entry; that is all the routine knows of the field.  The pivot of a
+    column is the first row at or below the current one with a nonzero
+    entry there, so bases read off the result are deterministic.
+    Elimination stops once every row holds a pivot.
+    """
+    rows = [list(r) for r in rows]
     if not rows:
         return rows, []
     ncols = len(rows[0])
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Q(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        scale = inv(rows[r][c])
+        rows[r] = [x * scale for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
+            if i != r and rows[i][c]:
                 f = rows[i][c]
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -76,50 +71,56 @@ def _echelon(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
     return rows, pivots
 
 
+def kernel_basis(rows: Sequence[Sequence], zero, one, inv: Callable) -> list[list]:
+    """Basis of the right kernel {v : rows @ v = 0}, one vector per
+    non-pivot column, over the field given by ``zero``, ``one``, ``inv``."""
+    red, pivots = echelon(rows, inv)
+    ncols = len(rows[0]) if rows else 0
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][fc]
+        basis.append(v)
+    return basis
+
+
+def one_solution(rows: Sequence[Sequence], b: Sequence, zero, inv: Callable) -> list | None:
+    """One solution of rows @ x = b (free variables zero), or None if
+    the system is inconsistent; ``rows`` must be nonempty."""
+    ncols = len(rows[0])
+    red, pivots = echelon([list(row) + [bi] for row, bi in zip(rows, b, strict=True)], inv)
+    if ncols in pivots:  # pivot in the augmented column
+        return None
+    x = [zero] * ncols
+    for r, pc in enumerate(pivots):
+        x[pc] = red[r][ncols]
+    return x
+
+
+def _q_inv(x: Q) -> Q:
+    return Q(1) / x
+
+
+def _qrows(m: Sequence[Sequence]) -> list[list[Q]]:
+    return [[Q(x) for x in row] for row in m]
+
+
 def mat_rank(m: Sequence[Sequence]) -> int:
-    rows = [[Q(x) for x in row] for row in m]
-    _, pivots = _echelon(rows)
-    return len(pivots)
+    return len(echelon(_qrows(m), _q_inv)[1])
 
 
 def nullspace(m: Sequence[Sequence]) -> list[Vec]:
     """Basis of {v : m @ v = 0}, exact."""
-    if not m:
-        return []
-    ncols = len(m[0])
-    rows = [[Q(x) for x in row] for row in m]
-    rows, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: list[Vec] = []
-    for fc in free:
-        v = [Q(0)] * ncols
-        v[fc] = Q(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        basis.append(tuple(v))
-    return basis
+    return [tuple(v) for v in kernel_basis(_qrows(m), Q(0), Q(1), _q_inv)]
 
 
 def solve(m: Sequence[Sequence], b: Sequence) -> Vec | None:
     """One exact solution of m @ x = b, or None if inconsistent."""
     if not m:
         return ()
-    ncols = len(m[0])
-    rows = [[Q(x) for x in row] + [Q(bi)] for row, bi in zip(m, b, strict=True)]
-    rows, pivots = _echelon(rows)
-    if ncols in pivots:  # pivot in the augmented column
-        return None
-    x = [Q(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
-    return tuple(x)
-
-
-def inv_matrix(m: Sequence[Sequence]) -> list[list[Q]]:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
-    n = len(m)
-    rows = [[Q(x) for x in row] + ident_row for row, ident_row in zip(m, identity(n))]
-    rows, pivots = _echelon(rows)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in rows]
+    x = one_solution(_qrows(m), qvec(b), Q(0), _q_inv)
+    return None if x is None else tuple(x)

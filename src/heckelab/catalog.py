@@ -16,7 +16,6 @@ matrices as row-major lists of cyclotomic coefficient vectors.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
@@ -451,11 +450,6 @@ def evaluate_entry(model: FiniteGroupModel) -> EntryResult:
                        commutativity_check(model))
 
 
-def evaluate_catalog(models: list[FiniteGroupModel], jobs: int = 1
-                     ) -> list[EntryResult]:
-    """Evaluate entries independently; result order follows the input
-    order regardless of completion order."""
-    if jobs <= 1:
-        return [evaluate_entry(m) for m in models]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(evaluate_entry, models))
+def evaluate_catalog(models: list[FiniteGroupModel]) -> list[EntryResult]:
+    """Evaluate entries independently, in input order."""
+    return [evaluate_entry(m) for m in models]

@@ -240,7 +240,6 @@ class RunConfig:
     require_exhaustive: bool = False
     catalog: str = "builtin"
     check: str = "all"
-    jobs: int = 1
     quick: bool = False
     emit_catalog: str | None = None
     output_format: str = "text"
@@ -635,7 +634,10 @@ def _run_spade_check(config: RunConfig) -> VerificationReport:
     if r <= 0:
         raise CLIError("--r must be positive")
     n = datum.ambient_rank
-    K = from_filtration(filtration_profile(datum, x, r))
+    try:
+        K = from_filtration(filtration_profile(datum, x, r))
+    except ValueError as exc:
+        raise CLIError(str(exc)) from exc
     if config.partition is not None:
         flat = sorted(i for b in config.partition for i in b)
         if flat != list(range(n)):
@@ -708,7 +710,7 @@ def _run_clifford(config: RunConfig) -> VerificationReport:
     models = load_models(config.catalog)
     if config.quick:
         models = [m for m in models if m.group.order <= 32]
-    results = evaluate_catalog(models, jobs=config.jobs)
+    results = evaluate_catalog(models)
     checks = _clifford_checks(results, config.check)
     data = {
         "catalog": config.catalog,
@@ -889,8 +891,7 @@ def _run_verify_all(config: RunConfig) -> VerificationReport:
         partition=((0,), (1, 2)))))
 
     absorb("clifford", _run_clifford(RunConfig(
-        "clifford", catalog="builtin", check="all", jobs=config.jobs,
-        quick=config.quick)))
+        "clifford", catalog="builtin", check="all", quick=config.quick)))
 
     absorb("torus-center", _run_torus_center(RunConfig(
         "torus-center", datum="gl2", field_size=3, radius=1, check="all")))
@@ -929,14 +930,6 @@ def run(config: RunConfig) -> VerificationReport:
     elapsed = time.perf_counter() - start
     return VerificationReport(report.suite, report.checks, report.data,
                               elapsed)
-
-
-def _default_jobs() -> int:
-    raw = os.environ.get("HCK_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -998,8 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'builtin' or a catalog JSON file")
     p.add_argument("--check", default="all",
                    choices=("all", "transfer", "center", "commutativity"))
-    p.add_argument("--jobs", type=int, default=_default_jobs(),
-                   help="parallel entry evaluation (default: HCK_JOBS or 1)")
     p.add_argument("--quick", action="store_true",
                    help="only entries with group order <= 32")
     p.add_argument("--emit-catalog", default=None, metavar="PATH",
@@ -1028,7 +1019,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-all",
                        help="run a fixed fast configuration of every suite")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--quick", action="store_true",
                    help="skip the largest catalog entries")
     add_format(p)
@@ -1057,8 +1047,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         kw["catalog"] = args.catalog
     if hasattr(args, "check"):
         kw["check"] = args.check
-    if hasattr(args, "jobs"):
-        kw["jobs"] = max(1, args.jobs)
     if hasattr(args, "quick"):
         kw["quick"] = args.quick
     if getattr(args, "emit_catalog", None) is not None:

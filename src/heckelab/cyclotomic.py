@@ -3,17 +3,22 @@
 Elements are stored in the power basis 1, x, ..., x^(phi(m)-1) modulo
 the m-th cyclotomic polynomial, with Fraction coefficients, so equality
 is literal tuple equality and nothing is ever rounded.  The conductor
-is fixed per element; mixing conductors requires an explicit promote().
+is a positive integer fixed per element; elements of different
+conductors do not mix.
 
-Also provides Gaussian elimination over the field (rank, nullspace,
-solve) for the intertwiner and isotypic computations in the
-character-theory modules.
+Also provides linear algebra over the field (rank, nullspace, solve,
+column space, inverse) for the intertwiner and isotypic computations in
+the character-theory modules.  It eliminates with the field-generic
+``_linalg.echelon``, supplying only the field's zero, one and ``Cyc.inv``.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Sequence
+
+from . import _linalg
+from .laurent import _poly_divmod
 
 
 def _poly_mul(a: tuple, b: tuple) -> tuple:
@@ -26,37 +31,20 @@ def _poly_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def _poly_divmod(a: Sequence, b: Sequence) -> tuple[tuple, tuple]:
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    q = [0] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        if not a[-1]:
-            a.pop()
-            continue
-        coef = Q(a[-1], 1) / lead
-        pos = len(a) - 1 - db
-        q[pos] = coef
-        for i, y in enumerate(b):
-            a[pos + i] -= coef * y
-        a.pop()
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return tuple(q), tuple(a)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of Phi_m, low degree first."""
+    if m < 1:
+        raise ValueError(f"conductor must be a positive integer, got {m}")
     if m == 1:
         return (-1, 1)
-    num = tuple([-1] + [0] * (m - 1) + [1])  # x^m - 1
+    num = [Q(-1)] + [Q(0)] * (m - 1) + [Q(1)]  # x^m - 1
     den = (1,)
     for d in range(1, m):
         if m % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
     q, r = _poly_divmod(num, den)
-    assert not any(r)
+    assert not r
     return tuple(int(c) for c in q)
 
 
@@ -120,7 +108,7 @@ class Cyc:
     # ring ops ---------------------------------------------------------
     def _check(self, other: "Cyc"):
         if self.m != other.m:
-            raise ValueError("conductor mismatch; promote() first")
+            raise ValueError(f"conductor mismatch: {self.m} and {other.m}")
 
     def __add__(self, other: "Cyc") -> "Cyc":
         self._check(other)
@@ -208,7 +196,6 @@ class Cyc:
     def inv(self) -> "Cyc":
         if not self:
             raise ZeroDivisionError("cyclotomic zero has no inverse")
-        from ._linalg import solve
         phi = len(self.c)
         table = _power_table(self.m)
         cols = []
@@ -223,20 +210,9 @@ class Cyc:
             cols.append(col)
         mat = tuple(tuple(cols[j][i] for j in range(phi)) for i in range(phi))
         e = tuple([Q(1)] + [Q(0)] * (phi - 1))
-        sol = solve(mat, e)
+        sol = _linalg.solve(mat, e)
         assert sol is not None
         return Cyc(self.m, sol)
-
-    def promote(self, M: int) -> "Cyc":
-        """Embed into Q(zeta_M) for m | M via zeta_m = zeta_M^(M/m)."""
-        if M % self.m != 0:
-            raise ValueError("target conductor must be a multiple")
-        step = M // self.m
-        out = Cyc.zero(M)
-        for j, a in enumerate(self.c):
-            if a:
-                out = out + Cyc.zeta(M, j * step) * a
-        return out
 
 
 def roots_of_unity(m: int) -> list[Cyc]:
@@ -250,9 +226,6 @@ def roots_of_unity(m: int) -> list[Cyc]:
 # ---------------------------------------------------------------------------
 # linear algebra over the field
 # ---------------------------------------------------------------------------
-
-CMat = list
-
 
 def cyc_matmul(a, b):
     rows, mid, cols = len(a), len(b), len(b[0])
@@ -285,33 +258,8 @@ def cyc_trace(a) -> Cyc:
     return out
 
 
-def _cyc_echelon(rows):
-    rows = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inv()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
 def cyc_rank(rows) -> int:
-    if not rows:
-        return 0
-    return len(_cyc_echelon(rows)[1])
+    return len(_linalg.echelon(rows, Cyc.inv)[1])
 
 
 def cyc_nullspace(rows):
@@ -319,46 +267,26 @@ def cyc_nullspace(rows):
     if not rows:
         return []
     m = rows[0][0].m
-    ncols = len(rows[0])
-    red, pivots = _cyc_echelon(rows)
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [Cyc.zero(m)] * ncols
-        vec[f] = Cyc.one(m)
-        for r, p in enumerate(pivots):
-            vec[p] = -red[r][f]
-        basis.append(vec)
-    return basis
+    return _linalg.kernel_basis(rows, Cyc.zero(m), Cyc.one(m), Cyc.inv)
 
 
 def cyc_solve(rows, rhs):
     """One solution of A x = b over the field, or None."""
     if not rows:
         return None
-    m = rows[0][0].m
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    red, pivots = _cyc_echelon(aug)
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    sol = [Cyc.zero(m)] * ncols
-    for r, p in enumerate(pivots):
-        sol[p] = red[r][ncols]
-    return sol
+    return _linalg.one_solution(rows, rhs, Cyc.zero(rows[0][0].m), Cyc.inv)
 
 
 def cyc_column_space(rows):
     """Basis of the column span: the pivot columns of the matrix."""
-    _, pivots = _cyc_echelon([list(r) for r in rows])
+    _, pivots = _linalg.echelon(rows, Cyc.inv)
     return [[rows[i][p] for i in range(len(rows))] for p in pivots]
 
 
 def cyc_inv_matrix(a):
     n = len(a)
-    m = a[0][0].m
-    ident = cyc_identity(n, m)
-    red, pivots = _cyc_echelon([list(r) + ident[i] for i, r in enumerate(a)])
+    ident = cyc_identity(n, a[0][0].m)
+    red, pivots = _linalg.echelon([list(r) + ident[i] for i, r in enumerate(a)], Cyc.inv)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
@@ -367,8 +295,7 @@ def cyc_inv_matrix(a):
 def cyc_solve_matrix(a, b):
     """X with A X = B, for A of full column rank; raises if inconsistent."""
     nc = len(a[0])
-    aug = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    red, pivots = _cyc_echelon(aug)
+    red, pivots = _linalg.echelon([list(ra) + list(rb) for ra, rb in zip(a, b)], Cyc.inv)
     if pivots != list(range(nc)):
         raise ValueError("coefficient matrix is rank deficient")
     for row in red[nc:]:

@@ -69,9 +69,6 @@ class FiniteGroup:
             out = out * o // gcd(out, o)
         return out
 
-    def index_of(self, coord) -> int:
-        return self.coords.index(coord)
-
     # subgroup machinery -------------------------------------------------
     def closure(self, gens: Iterable[int]) -> tuple[int, ...]:
         seen = {0}
@@ -115,10 +112,6 @@ class FiniteGroup:
         s = set(subset)
         amb = range(self.order) if ambient is None else ambient
         return all(self.conj(g, x) in s for g in amb for x in s)
-
-    def centralizes(self, subset: Iterable[int]) -> bool:
-        s = list(subset)
-        return all(self.mul(a, b) == self.mul(b, a) for a in s for b in s)
 
     def conjugacy_classes(self, subset: Sequence[int] | None = None
                           ) -> list[tuple[int, ...]]:

@@ -3,12 +3,16 @@
 LaurentScalar is a sparse Laurent polynomial over Q in a formal v whose
 square plays the role of the residue cardinality q; half-integral
 normalizations live here as odd v-powers.  RatFunc is its fraction
-field, canonical by gcd reduction, used for exact kernel computations.
+field, canonical by gcd reduction, used for exact kernel computations:
+``rat_rank`` eliminates with the field-generic ``_linalg.echelon``.  The
+polynomial division here also serves ``cyclotomic``.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from typing import Sequence
+
+from . import _linalg
 
 
 class LaurentScalar:
@@ -173,6 +177,9 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def __bool__(self) -> bool:
+        return not self.num.is_zero
+
     def __add__(self, other: "RatFunc") -> "RatFunc":
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
@@ -204,26 +211,10 @@ class RatFunc:
         return f"({self.num!r})/({self.den!r})"
 
 
+def _rat_inv(x: RatFunc) -> RatFunc:
+    return RatFunc.one() / x
+
+
 def rat_rank(rows: list[list[RatFunc]]) -> int:
     """Row rank by exact Gauss elimination over the fraction field."""
-    if not rows:
-        return 0
-    mat = [list(r) for r in rows]
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(mat))
-                      if not mat[r][col].is_zero), None)
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = RatFunc.one() / mat[rank][col]
-        mat[rank] = [x * inv for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and not mat[r][col].is_zero:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
+    return len(_linalg.echelon(rows, _rat_inv)[1])

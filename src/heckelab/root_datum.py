@@ -289,6 +289,8 @@ def _generate_root_pairs(simple_pairs: list[tuple[IVec, IVec]]
 def datum_from_cartan(mat: Sequence[Sequence[int]], central_rank: int = 0,
                       label: str | None = None) -> RootDatum:
     validate_cartan(mat)
+    if central_rank < 0:
+        raise ValueError(f"central_rank must be >= 0, got {central_rank}")
     n = len(mat)
     ambient = n + central_rank
     simple_pairs = []
@@ -472,17 +474,6 @@ class WeylGroup:
 
     def act_cocharacter(self, w: WeylElement, lam: Sequence) -> tuple:
         return _imat_vec(w.cochar_mat, lam)
-
-    def reflection_for_root(self, root: IVec) -> WeylElement:
-        """The reflection attached to any root, as a group element."""
-        k = self.datum.root_index(root)
-        a = self.datum.roots[k]
-        av = self.datum.coroots[k]
-        n = self.datum.ambient_rank
-        char = tuple(tuple((1 if r == c else 0) - a[r] * av[c] for c in range(n))
-                     for r in range(n))
-        cochar = tuple(zip(*char))
-        return self._by_mat[cochar]
 
     def word_element(self, word: Iterable[int]) -> WeylElement:
         acc = self.identity

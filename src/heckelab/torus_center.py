@@ -111,6 +111,8 @@ def enumerate_characters(datum: RootDatum, q: int, n: int = 1
     as an extension point."""
     if n != 1:
         raise NotImplementedError("depth above one is not supported")
+    if not _is_prime_power(q):
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
     rank = datum.ambient_rank
     return [ResidueCharacter(c, q, 1)
             for c in itertools.product(range(q - 1), repeat=rank)]

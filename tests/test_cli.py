@@ -20,7 +20,6 @@ from heckelab.cli import (
     RunConfig,
     VerificationReport,
     _clifford_checks,
-    _default_jobs,
     _standard_partitions,
     _theta_blocks,
     load_datum,
@@ -157,13 +156,6 @@ def test_render_text_shows_witness_for_failures():
 def test_run_rejects_unknown_subcommand():
     with pytest.raises(CLIError, match="subcommand"):
         run(RunConfig("frobnicate"))
-
-
-def test_default_jobs_env(monkeypatch):
-    monkeypatch.setenv("HCK_JOBS", "3")
-    assert _default_jobs() == 3
-    monkeypatch.setenv("HCK_JOBS", "nope")
-    assert _default_jobs() == 1
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +395,35 @@ def test_torus_center_caps_and_validation(capsys):
                  "--radius", "1"]) == 2  # not a prime power
     assert main(["torus-center", "--datum", "gl2", "--q", "3",
                  "--radius", "-1"]) == 2
+
+
+# ---------------------------------------------------------------------------
+# malformed input
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv,needle", [
+    (["torus-center", "--datum", "gl2", "--q", "1", "--radius", "1"],
+     "prime power"),
+    (["torus-center", "--datum", "gl2", "--q", "0", "--radius", "1"],
+     "prime power"),
+    (["spade-check", "--datum", "gl3", "--x", "5,0,0", "--r", "1"],
+     "negative bound"),
+    (["rootdatum", "--datum", "{datum}"], "central_rank"),
+    (["clifford", "--catalog", "{catalog}"], "bad catalog entry: conductor"),
+])
+def test_malformed_input_exits_2_with_one_line(argv, needle, tmp_path, capsys):
+    from heckelab.catalog import catalog_to_json
+    datum = tmp_path / "datum.json"
+    datum.write_text('{"cartan": [[2]], "central_rank": -1}')
+    payload = catalog_to_json(QUICK_MODELS[:1])
+    payload["entries"][0]["conductor"] = 0
+    catalog = tmp_path / "catalog.json"
+    catalog.write_text(json.dumps(payload))
+    argv = [a.format(datum=datum, catalog=catalog) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and needle in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -359,13 +359,10 @@ def test_permutation_group_input():
 # evaluation driver
 # ---------------------------------------------------------------------------
 
-def test_evaluate_catalog_order_and_jobs():
+def test_evaluate_catalog_order():
     light = [MODELS[n] for n in
              ("d8_rho2", "q8_rho2", "skip_c4", "c8_faithful", "he3_n9")]
-    seq = evaluate_catalog(light, jobs=1)
-    par = evaluate_catalog(light, jobs=3)
-    assert [r.name for r in seq] == [m.name for m in light]
-    assert [r.to_dict() for r in seq] == [r.to_dict() for r in par]
+    assert [r.name for r in evaluate_catalog(light)] == [m.name for m in light]
 
 
 def test_entry_result_to_dict_shape():

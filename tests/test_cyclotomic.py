@@ -45,6 +45,13 @@ def test_wrong_coefficient_length_rejected():
         Cyc(4, [Q(1)])
 
 
+def test_nonpositive_conductor_rejected():
+    for make in (lambda: Cyc(0, [Q(1)]), lambda: Cyc.zero(0),
+                 lambda: Cyc.zeta(-3)):
+        with pytest.raises(ValueError, match="conductor"):
+            make()
+
+
 def test_zeta_powers_and_reduction():
     z = Cyc.zeta(4)
     assert z * z == Cyc.rational(4, -1)

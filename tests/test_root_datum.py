@@ -117,6 +117,8 @@ def test_cartan_matrix_shapes():
         cartan_matrix("E", 8)
     with pytest.raises(ValueError):
         datum_from_cartan([[2, 1], [1, 2]])
+    with pytest.raises(ValueError, match="central_rank"):
+        datum_from_cartan([[2]], central_rank=-1)
 
 
 def test_weyl_cap_enforced():

@@ -62,6 +62,13 @@ def test_depth_two_unsupported():
         enumerate_characters(GL2, 3, n=2)
 
 
+def test_character_enumeration_needs_prime_power():
+    # q - 1 = 0 would enumerate no characters and an empty center
+    for q in (1, 0, 6):
+        with pytest.raises(ValueError, match="prime power"):
+            enumerate_characters(GL2, q)
+
+
 def test_identity_acts_trivially():
     group = WeylGroup(GL2)
     pair = ((3, -1), ResidueCharacter((1, 2), 4))
