@@ -24,6 +24,7 @@ from .clifford_lab import (
     CliffordReport,
     CommutativityReport,
     FiniteGroupModel,
+    ModelAnalysis,
     TransferReport,
     center_dimension_check,
     clifford_report,
@@ -310,21 +311,9 @@ def _rep_from_json(group: FiniteGroup, data: dict, cond: int
                                           mats, cond)
 
 
-def _generators_of(model: FiniteGroupModel, rep: Representation
-                   ) -> list[int]:
-    g = model.group
-    gens: list[int] = []
-    span: tuple[int, ...] = (0,)
-    for x in rep.domain:
-        if x not in span:
-            gens.append(x)
-            span = g.closure(gens)
-    return gens
-
-
 def model_to_json(model: FiniteGroupModel) -> dict:
-    gens_t = _generators_of(model, model.rho_tilde)
-    gens_r = _generators_of(model, model.rho)
+    gens_t = model.group.generators(model.rho_tilde.domain)
+    gens_r = model.group.generators(model.rho.domain)
     return {
         "name": model.name,
         "group": {"table": [list(r) for r in model.group.table],
@@ -437,7 +426,8 @@ class EntryResult:
 
 def evaluate_entry(model: FiniteGroupModel) -> EntryResult:
     model.validate()
-    cr = clifford_report(model)
+    analysis = ModelAnalysis(model)
+    cr = clifford_report(model, analysis)
     if cr.stabilizer is not None:
         n_int, n_st, n_dag = len(cr.inertia), len(cr.stabilizer), len(cr.dagger)
         if n_int != cr.multiplicity * n_st or n_st != cr.multiplicity * n_dag:
@@ -445,9 +435,9 @@ def evaluate_entry(model: FiniteGroupModel) -> EntryResult:
                 f"{model.name}: stabilizer indices break the multiplicity "
                 f"ladder ({n_int}, {n_st}, {n_dag}, m={cr.multiplicity})")
     return EntryResult(model.name, cr,
-                       multiplicity_transfer_check(model),
-                       center_dimension_check(model),
-                       commutativity_check(model))
+                       multiplicity_transfer_check(model, analysis),
+                       center_dimension_check(model, analysis),
+                       commutativity_check(model, analysis))
 
 
 def evaluate_catalog(models: list[FiniteGroupModel]) -> list[EntryResult]:

@@ -52,11 +52,13 @@ from .padic_groups import (
     scheme,
 )
 from .root_datum import (
+    MAX_WEYL_ORDER,
     RootDatum,
     WeylGroup,
     cartan_matrix,
     datum_from_cartan,
     datum_general_linear,
+    weyl_order_lower_bound,
 )
 from .torus_center import (
     invariant_dimension,
@@ -168,6 +170,18 @@ def load_datum(source: str) -> RootDatum:
                                  label=str(data.get("label", "custom")))
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(f"{source}: bad datum description: {exc}") from exc
+
+
+def load_weyl_datum(source: str) -> RootDatum:
+    """load_datum for the suites that enumerate the Weyl group: a datum
+    whose Weyl group order provably exceeds the cap is rejected before
+    any element is built."""
+    datum = load_datum(source)
+    bound = weyl_order_lower_bound(datum)
+    if bound > MAX_WEYL_ORDER:
+        raise CLIError(f"{source}: Weyl group order is at least {bound}; "
+                       f"cap is {MAX_WEYL_ORDER}")
+    return datum
 
 
 def load_models(source: str):
@@ -371,7 +385,7 @@ def _escalate_mismatch(datum: RootDatum, group: WeylGroup, x, r,
 # ---------------------------------------------------------------------------
 
 def _run_rootdatum(config: RunConfig) -> VerificationReport:
-    datum = load_datum(config.datum)
+    datum = load_weyl_datum(config.datum)
     group = WeylGroup(datum)
     checks = []
 
@@ -417,7 +431,7 @@ def _run_rootdatum(config: RunConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _run_heart_check(config: RunConfig) -> VerificationReport:
-    datum = load_datum(config.datum)
+    datum = load_weyl_datum(config.datum)
     group = WeylGroup(datum)
     x, r = config.x, config.r
     if x is None or r is None:
@@ -725,7 +739,7 @@ def _run_clifford(config: RunConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _run_torus_center(config: RunConfig) -> VerificationReport:
-    datum = load_datum(config.datum)
+    datum = load_weyl_datum(config.datum)
     q, radius = config.field_size, config.radius
     if q is None or radius is None:
         raise CLIError("torus-center needs --q and --radius")
@@ -803,7 +817,7 @@ def _term_label(lam, w) -> str:
 
 
 def _run_iwahori_center(config: RunConfig) -> VerificationReport:
-    datum = load_datum(config.datum)
+    datum = load_weyl_datum(config.datum)
     radius = config.radius
     if radius is None:
         raise CLIError("iwahori-center needs --radius")

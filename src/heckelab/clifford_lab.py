@@ -8,7 +8,9 @@ multiplicities, twist groups and their common kernel, inertia and
 maximal-stabilizer subgroups, intertwining sets, and runs the three
 model-level checks (multiplicity transfer, center dimension,
 commutativity), each by at least two independent routes where the
-statement being tested is an equality.
+statement being tested is an equality.  The report and the three checks
+of one model share a ModelAnalysis, so the hypothesis check and each
+induced representation are computed once per model.
 
 All arithmetic is exact over a fixed cyclotomic field.  Nothing here
 assumes the statements under test; checks that depend on unverified
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import cached_property
 from typing import Sequence
 
 from .cyclotomic import (
@@ -203,16 +206,6 @@ def _subgroups_between(group: FiniteGroup, lower: Sequence[int],
     return sorted(found, key=lambda s: (-len(s), s))
 
 
-def _greedy_generators(group: FiniteGroup, subset: Sequence[int]) -> list[int]:
-    gens: list[int] = []
-    span = (0,)
-    for x in sorted(subset):
-        if x not in span:
-            gens.append(x)
-            span = group.closure(gens)
-    return gens
-
-
 def _projective_matrix(m_g, mult: int, d: int):
     """The m x m matrix acting on the multiplicity space, recovered from
     the action on the decomposed space via a projective frame lift."""
@@ -305,7 +298,7 @@ def maximal_stabilizer(group: FiniteGroup, sub: Sequence[int],
         raise AssertionError("isotypic dimension mismatch")
 
     # basis of the intertwiner space Hom(constituent, isotypic)
-    gens_h = _greedy_generators(group, sub)
+    gens_h = group.generators(sub)
     rows = []
     for h in gens_h:
         a = iso_mats[h] if k > 1 else rep.matrix(h)
@@ -330,7 +323,7 @@ def maximal_stabilizer(group: FiniteGroup, sub: Sequence[int],
     phi_inv = cyc_inv_matrix(phi)
 
     for cand in _subgroups_between(group, dagger, inertia):
-        gens = [g for g in _greedy_generators(group, cand) if g not in sub]
+        gens = [g for g in group.generators(cand) if g not in sub]
         bmats = [_projective_matrix(
             cyc_matmul(cyc_matmul(phi_inv, iso_mats[g]), phi), m, d)
             for g in gens]
@@ -353,14 +346,14 @@ class CliffordReport:
     twist_order: int
 
 
-def clifford_report(model: FiniteGroupModel) -> CliffordReport:
+def clifford_report(model: FiniteGroupModel,
+                    analysis: ModelAnalysis | None = None) -> CliffordReport:
+    a = analysis or ModelAnalysis(model)
     g = model.group
-    jt = tuple(sorted(model.j_tilde))
     j = model.j
-    rest = restrict_decompose(g, j, model.rho_tilde,
-                              constituent=model.rho.character())
-    tw = twist_group(g, jt, j, model.rho_tilde)
-    inert = inertia_subgroup(g, jt, j, model.rho.character())
+    rest, tw = a.restriction, a.twists
+    inert = inertia_subgroup(g, tuple(sorted(model.j_tilde)), j,
+                             model.rho.character())
     stab = maximal_stabilizer(g, j, model.rho_tilde, model.rho,
                               tw.dagger, inert)
     return CliffordReport(rest.multiplicity, rest.orbit_size, inert, stab,
@@ -444,6 +437,50 @@ def check_hypotheses(model: FiniteGroupModel
     return HypothesisReport(not failures, tuple(failures)), pi
 
 
+class ModelAnalysis:
+    """What clifford_report and the three model-level checks share for
+    one model: the hypothesis verdict with pi = Ind_Jt^G rho_tilde, the
+    restriction and twist reports, and Ind_J^G rho.  Each is computed on
+    first use and kept only as long as this object, so one evaluation
+    builds each induced representation once and runs check_hypotheses
+    once."""
+
+    def __init__(self, model: FiniteGroupModel):
+        self.model = model
+
+    @cached_property
+    def hypotheses(self) -> tuple[HypothesisReport, Representation]:
+        return check_hypotheses(self.model)
+
+    @cached_property
+    def restriction(self) -> RestrictionReport:
+        m = self.model
+        return restrict_decompose(m.group, m.j, m.rho_tilde,
+                                  constituent=m.rho.character())
+
+    @cached_property
+    def twists(self) -> TwistReport:
+        m = self.model
+        return twist_group(m.group, tuple(sorted(m.j_tilde)), m.j,
+                           m.rho_tilde)
+
+    @cached_property
+    def multiplicity_over_normal(self) -> int:
+        """Common multiplicity of the restriction of pi to N."""
+        return common_multiplicity(self.hypotheses[1], self.model.normal)[0]
+
+    @cached_property
+    def induced_from_j(self) -> Representation:
+        m = self.model
+        return induced_representation(m.group, m.j, m.rho)
+
+    @cached_property
+    def induced_constituents(self) -> int:
+        """Number of distinct irreducible constituents of Ind_J^G rho."""
+        return constituent_count(self.induced_from_j,
+                                 range(self.model.group.order))
+
+
 @dataclass(frozen=True)
 class TransferReport:
     status: str   # OK or SKIPPED
@@ -458,14 +495,15 @@ class TransferReport:
         return self.multiplicity_over_normal == self.multiplicity_over_j
 
 
-def multiplicity_transfer_check(model: FiniteGroupModel) -> TransferReport:
-    hyp, pi = check_hypotheses(model)
+def multiplicity_transfer_check(model: FiniteGroupModel,
+                                analysis: ModelAnalysis | None = None
+                                ) -> TransferReport:
+    a = analysis or ModelAnalysis(model)
+    hyp, _ = a.hypotheses
     if not hyp.ok:
         return TransferReport("SKIPPED", hyp.failures, None, None)
-    m_up, _ = common_multiplicity(pi, model.normal)
-    rest = restrict_decompose(model.group, model.j, model.rho_tilde,
-                              constituent=model.rho.character())
-    return TransferReport("OK", (), m_up, rest.multiplicity)
+    return TransferReport("OK", (), a.multiplicity_over_normal,
+                          a.restriction.multiplicity)
 
 
 @dataclass(frozen=True)
@@ -482,17 +520,15 @@ class CenterReport:
         return self.constituent_count == self.dagger_index
 
 
-def center_dimension_check(model: FiniteGroupModel) -> CenterReport:
-    hyp, _ = check_hypotheses(model)
+def center_dimension_check(model: FiniteGroupModel,
+                           analysis: ModelAnalysis | None = None
+                           ) -> CenterReport:
+    a = analysis or ModelAnalysis(model)
+    hyp, _ = a.hypotheses
     if not hyp.ok:
         return CenterReport("SKIPPED", hyp.failures, None, None)
-    g = model.group
-    ind = induced_representation(g, model.j, model.rho)
-    k = constituent_count(ind, range(g.order))
-    tw = twist_group(g, tuple(sorted(model.j_tilde)), model.j,
-                     model.rho_tilde)
-    dagger_index = len(tw.dagger) // len(model.j)
-    return CenterReport("OK", (), k, dagger_index)
+    dagger_index = len(a.twists.dagger) // len(model.j)
+    return CenterReport("OK", (), a.induced_constituents, dagger_index)
 
 
 @dataclass(frozen=True)
@@ -511,22 +547,22 @@ class CommutativityReport:
                 == self.endomorphisms_commute)
 
 
-def commutativity_check(model: FiniteGroupModel) -> CommutativityReport:
-    hyp, pi = check_hypotheses(model)
+def commutativity_check(model: FiniteGroupModel,
+                        analysis: ModelAnalysis | None = None
+                        ) -> CommutativityReport:
+    a = analysis or ModelAnalysis(model)
+    hyp, _ = a.hypotheses
     if not hyp.ok:
         return CommutativityReport("SKIPPED", hyp.failures, None, None, None)
-    g = model.group
-    m_up, _ = common_multiplicity(pi, model.normal)
-    rest = restrict_decompose(g, model.j, model.rho_tilde,
-                              constituent=model.rho.character())
-    ind = induced_representation(g, model.j, model.rho)
-    k = constituent_count(ind, range(g.order))
+    k = a.induced_constituents
+    ind = a.induced_from_j
     chi_ind = ind.character()
     dim_end = inner_product(chi_ind, chi_ind, ind.domain)
     assert dim_end.denominator == 1
-    mackey = mackey_endomorphism_dimension(g, model.j, model.rho.character())
+    mackey = mackey_endomorphism_dimension(model.group, model.j,
+                                           model.rho.character())
     if mackey != int(dim_end):
         raise AssertionError("coset-by-coset and global endomorphism "
                              "dimensions disagree")
-    return CommutativityReport("OK", (), m_up == 1, rest.multiplicity == 1,
-                               mackey == k)
+    return CommutativityReport("OK", (), a.multiplicity_over_normal == 1,
+                               a.restriction.multiplicity == 1, mackey == k)

@@ -1,28 +1,28 @@
 """Small finite groups as explicit multiplication tables.
 
-Elements are integers 0..n-1 with 0 the identity.  Constructors for the
-families used by the character-theory catalog (cyclic, dihedral,
+Elements are integers 0..n-1 with 0 the identity.  Constructors cover
+the families used by the character-theory catalog (cyclic, dihedral,
 generalized quaternion, Heisenberg mod p, direct products, permutation
-closures) attach a coordinate list so callers can locate named
-generators.  Closure and inverses are validated exactly; associativity
-is spot-checked on seeded random triples.
+closures).  Every table is validated exactly and exhaustively: it must
+be a Latin square with identity 0, and associativity is proven by
+Light's test, (x s) y = x (s y) for all x, y and every s in a greedy
+generating set, which implies (x a) y = x (a y) for every product a of
+generators and so for every element.  Inverses are tabulated once.
 """
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from math import gcd
+from operator import itemgetter
 from typing import Iterable, Sequence
-
-ASSOCIATIVITY_SAMPLES = 200
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     label: str = ""
-    coords: tuple = field(default=(), compare=False, repr=False)
+    _inverse: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n = len(self.table)
@@ -35,11 +35,19 @@ class FiniteGroup:
                 raise ValueError("multiplication table is not a Latin square")
         if any(self.table[0][g] != g or self.table[g][0] != g for g in range(n)):
             raise ValueError("element 0 is not an identity")
-        rng = random.Random(7)
-        for _ in range(ASSOCIATIVITY_SAMPLES):
-            a, b, c = (rng.randrange(n) for _ in range(3))
-            if self.mul(self.mul(a, b), c) != self.mul(a, self.mul(b, c)):
-                raise ValueError(f"associativity fails on ({a},{b},{c})")
+        object.__setattr__(self, "_inverse",
+                           tuple(row.index(0) for row in self.table))
+        # Light's test, a whole row at a time: (x s) y = x (s y) for all
+        # y says that row x s equals row x read through row s
+        table = self.table
+        for s in self.generators():
+            through_s = itemgetter(*table[s])
+            for x, row in enumerate(table):
+                if through_s(row) != table[row[s]]:
+                    y = next(y for y in range(n)
+                             if table[row[s]][y] != row[table[s][y]])
+                    raise ValueError(
+                        f"associativity fails on ({x},{s},{y})")
 
     @property
     def order(self) -> int:
@@ -49,11 +57,11 @@ class FiniteGroup:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        return self.table[a].index(0)
+        return self._inverse[a]
 
     def conj(self, g: int, x: int) -> int:
         """g x g^{-1}"""
-        return self.mul(self.mul(g, x), self.inv(g))
+        return self.table[self.table[g][x]][self._inverse[g]]
 
     def element_order(self, a: int) -> int:
         k, cur = 1, a
@@ -84,6 +92,19 @@ class FiniteGroup:
                         nxt.append(y)
             frontier = nxt
         return tuple(sorted(seen))
+
+    def generators(self, subset: Iterable[int] | None = None) -> list[int]:
+        """Greedy generating set of the subset (default: the group): scan
+        it in increasing order and keep each element outside the closure
+        of those kept.  In a group each kept element at least doubles the
+        closure, so at most log2 of the subset's size are kept."""
+        gens: list[int] = []
+        span = {0}
+        for x in (range(self.order) if subset is None else sorted(subset)):
+            if x not in span:
+                gens.append(x)
+                span = set(self.closure(gens))
+        return gens
 
     def generation_tree(self, gens: Sequence[int]) -> list[tuple[int, int, int]]:
         """Spanning tree of the closure: (element, parent, generator)
@@ -166,7 +187,7 @@ class FiniteGroup:
 def _table_from_coords(coords: list, op, label: str) -> FiniteGroup:
     index = {c: i for i, c in enumerate(coords)}
     table = tuple(tuple(index[op(a, b)] for b in coords) for a in coords)
-    return FiniteGroup(table, label, tuple(coords))
+    return FiniteGroup(table, label)
 
 
 def cyclic(n: int) -> FiniteGroup:

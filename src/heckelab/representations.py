@@ -2,17 +2,19 @@
 
 Matrices live over a fixed cyclotomic field; a representation stores a
 full element-to-matrix map, built from generator matrices by spanning
-tree when constructed that way.  Homomorphism property is verified on
-the complete multiplication table for small domains and on a seeded
-sample above the cap.  Character arithmetic (inner products,
-restriction, conjugation, induction) is exact; the number of distinct
-irreducible constituents of a representation is computed by the rank of
-the span of its class-sum images, which needs no character table of
-the ambient group.
+tree when constructed that way.  The homomorphism property is proven,
+not sampled, at every domain order: the domain must be the closure of a
+greedy generating set S (at most log2 of its order elements), the
+identity must map to I, and rho(g) rho(s) = rho(gs) must hold for every
+g in the domain and s in S; induction on the length of h as a word in S
+then gives rho(g) rho(h) = rho(gh) for all g, h.  Character arithmetic
+(inner products, restriction, conjugation, induction) is exact; the
+number of distinct irreducible constituents of a representation is
+computed by the rank of the span of its class-sum images, which needs
+no character table of the ambient group.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import isqrt
@@ -20,9 +22,6 @@ from typing import Mapping, Sequence
 
 from .cyclotomic import Cyc, cyc_identity, cyc_matmul, cyc_rank, cyc_trace
 from .finite_groups import FiniteGroup
-
-_FULL_CHECK_CAP = 64
-_SAMPLED_PAIRS = 500
 
 Char = dict[int, Cyc]
 
@@ -50,12 +49,11 @@ class Representation:
 
     @staticmethod
     def from_matrices(group: FiniteGroup, domain: Sequence[int],
-                      mats: Mapping[int, list], conductor: int,
-                      verify: bool = True) -> "Representation":
+                      mats: Mapping[int, list], conductor: int
+                      ) -> "Representation":
         rep = Representation(group, tuple(sorted(domain)), dict(mats),
                              conductor)
-        if verify:
-            rep._verify()
+        rep._verify()
         return rep
 
     @property
@@ -66,20 +64,24 @@ class Representation:
         return self.matrices[g]
 
     def _verify(self):
-        dom = self.domain
-        if set(dom) != set(self.matrices):
+        dom, mats, group = self.domain, self.matrices, self.group
+        if set(dom) != set(mats):
             raise ValueError("matrix map does not cover the domain")
-        n = len(dom)
-        if n <= _FULL_CHECK_CAP:
-            pairs = [(a, b) for a in dom for b in dom]
-        else:
-            rng = random.Random(11)
-            pairs = [(rng.choice(dom), rng.choice(dom))
-                     for _ in range(_SAMPLED_PAIRS)]
-        for a, b in pairs:
-            if cyc_matmul(self.matrices[a], self.matrices[b]) \
-                    != self.matrices[self.group.mul(a, b)]:
-                raise ValueError(f"matrices are not a homomorphism at ({a},{b})")
+        gens = group.generators(dom)
+        if group.closure(gens) != dom:
+            raise ValueError("domain is not a subgroup")
+        dim = self.dim
+        if any(len(m) != dim or any(len(row) != dim for row in m)
+               for m in mats.values()):
+            raise ValueError("matrices are not all square of one size")
+        if mats[0] != cyc_identity(dim, self.conductor):
+            raise ValueError("matrices are not a homomorphism: the identity "
+                             "does not map to I")
+        for g in dom:
+            for s in gens:
+                if cyc_matmul(mats[g], mats[s]) != mats[group.mul(g, s)]:
+                    raise ValueError(
+                        f"matrices are not a homomorphism at ({g},{s})")
 
     def character(self) -> Char:
         if not self._char:

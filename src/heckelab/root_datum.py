@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from math import factorial, prod
 from typing import Iterable, Sequence
 
 from . import _linalg
@@ -404,15 +405,30 @@ def _imat_vec(m: IMat, v: Sequence) -> tuple:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
 
 
+def weyl_order_lower_bound(datum: RootDatum) -> int:
+    """Product over the Dynkin components of (rank + 1)!.
+
+    This bounds the Weyl group order from below: type A_r has order
+    exactly (r + 1)!, and every other irreducible type of rank r has a
+    larger one (B_r, C_r: 2^r r!; D_r: 2^(r-1) r!; E, F, G likewise)."""
+    return prod(factorial(len(c) + 1) for c in datum.dynkin_components())
+
+
 class WeylGroup:
     """Finite Weyl group of a datum, fully enumerated.
 
-    Enumeration aborts with ValueError if the order would exceed
-    ``MAX_WEYL_ORDER``; the library targets small-rank exact checks, not
-    large-scale Coxeter combinatorics.
+    Construction raises ValueError if the order exceeds
+    ``MAX_WEYL_ORDER``: at once when ``weyl_order_lower_bound`` already
+    does, otherwise as soon as the enumeration passes the cap.  The
+    library targets small-rank exact checks, not large-scale Coxeter
+    combinatorics.
     """
 
     def __init__(self, datum: RootDatum, max_order: int = MAX_WEYL_ORDER):
+        bound = weyl_order_lower_bound(datum)
+        if bound > max_order:
+            raise ValueError(f"Weyl group order is at least {bound}, "
+                             f"above the cap {max_order}")
         self.datum = datum
         n = datum.ambient_rank
         self._simple_char: list[IMat] = []

@@ -7,9 +7,12 @@ the torus tests; everything else checks report structure, error
 handling, and the exit-code contract.
 """
 import json
+import math
 import subprocess
 import sys
+import time
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +26,7 @@ from heckelab.cli import (
     _standard_partitions,
     _theta_blocks,
     load_datum,
+    load_weyl_datum,
     main,
     parse_index_list,
     parse_partition,
@@ -31,7 +35,9 @@ from heckelab.cli import (
     render_report,
     run,
 )
+from heckelab.root_datum import weyl_order_lower_bound
 
+GOLDEN = Path(__file__).parent / "golden"
 WALL_VERDICT = "G_{x,1} ∉ K^♥(S,G)"
 
 
@@ -118,6 +124,27 @@ def test_load_datum_reports_json_location(tmp_path):
     p.write_text("{\n  oops\n}")
     with pytest.raises(CLIError, match="line 2"):
         load_datum(str(p))
+
+
+@pytest.mark.parametrize("n", [8, 40])
+def test_oversized_datum_rejected_before_enumeration(n, tmp_path, capsys):
+    path = tmp_path / f"gl{n}.json"
+    path.write_text(f'{{"general_linear": {n}}}')
+    start = time.perf_counter()
+    assert main(["rootdatum", "--datum", str(path)]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    bound = math.factorial(n)
+    assert f"at least {bound}; cap is 10080" in captured.err
+
+
+def test_gl7_datum_still_loads(tmp_path):
+    path = tmp_path / "gl7.json"
+    path.write_text('{"general_linear": 7}')
+    datum = load_weyl_datum(str(path))
+    assert datum.label == "GL7" and weyl_order_lower_bound(datum) == 5040
 
 
 def test_load_datum_bad_description(tmp_path):
@@ -314,6 +341,17 @@ def test_clifford_quick_table(capsys):
     by_name = {e["name"]: e for e in payload["data"]["entries"]}
     assert by_name["d8_rho2"]["multiplicity"] == 1
     assert by_name["he3_z"]["multiplicity"] == 3
+
+
+@pytest.mark.parametrize("golden,extra", [("clifford", []),
+                                          ("clifford_quick", ["--quick"])])
+def test_clifford_matches_golden(golden, extra, capsys):
+    # the reports, apart from wall_time_s, are fixed byte for byte
+    code, payload = run_json(["clifford", *extra], capsys)
+    assert code == 0
+    payload.pop("wall_time_s")
+    text = (GOLDEN / f"{golden}.json").read_text()
+    assert json.dumps(payload, indent=2, ensure_ascii=False) + "\n" == text
 
 
 def test_clifford_component_modes():

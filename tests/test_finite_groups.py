@@ -37,6 +37,34 @@ def test_rejects_non_latin_square():
         FiniteGroup(((0, 0), (1, 1)))
 
 
+def test_rejects_nonassociative_latin_square():
+    # a loop of order 5 (Latin square, identity 0) with 1*1 = 0 but
+    # (1*2)*1 = 4 != 2 = 1*(2*1): not a group
+    with pytest.raises(ValueError, match="associativity"):
+        FiniteGroup(((0, 1, 2, 3, 4), (1, 0, 3, 4, 2), (2, 4, 0, 1, 3),
+                     (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)))
+
+
+def test_greedy_generators():
+    assert D8.generators() == [1, 4]
+    assert Q8.generators() == [1, 4]
+    assert D8.generators((0, 2, 4, 6)) == [2, 4]
+    for g in (D8, Q8, HE3, direct_product(Q8, dihedral(4)),
+              direct_product(cyclic(2), cyclic(2))):
+        gens = g.generators()
+        assert g.closure(gens) == tuple(range(g.order))
+        assert 2 ** len(gens) <= g.order
+        assert all(x not in g.closure(gens[:i]) for i, x in enumerate(gens))
+
+
+def test_inverse_table():
+    for g in (D8, Q8, HE3):
+        assert [g.inv(x) for x in range(g.order)] == \
+            [row.index(0) for row in g.table]
+        assert all(g.conj(h, x) == g.mul(g.mul(h, x), g.inv(h))
+                   for h in range(g.order) for x in range(g.order))
+
+
 def test_rejects_shifted_identity():
     # Latin square whose row 0 is not the identity map
     with pytest.raises(ValueError, match="identity"):

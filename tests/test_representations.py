@@ -68,6 +68,38 @@ def test_bad_homomorphism_rejected():
                                         _cm(4, [[0, 1], [1, 1]])], 4)
 
 
+def test_zero_map_rejected():
+    zero = {g: _cm(4, [[0]]) for g in range(D8.order)}
+    with pytest.raises(ValueError, match="homomorphism"):
+        Representation.from_matrices(D8, range(D8.order), zero, 4)
+
+
+def test_map_wrong_at_one_element_rejected():
+    # the faithful two-dimensional representation of D16, then the same
+    # map with one matrix negated, at each element in turn
+    d16 = dihedral(8)
+    z8 = Cyc.zeta(8)
+    rot = [[z8, Cyc.zero(8)], [Cyc.zero(8), z8.galois(7)]]
+    rep = Representation.from_generators(
+        d16, [1, 8], [rot, [[Cyc.zero(8), Cyc.one(8)],
+                            [Cyc.one(8), Cyc.zero(8)]]], 8)
+    Representation.from_matrices(d16, rep.domain, rep.matrices, 8)
+    for g in rep.domain:
+        mats = dict(rep.matrices)
+        mats[g] = [[-x for x in row] for row in mats[g]]
+        with pytest.raises(ValueError, match="homomorphism"):
+            Representation.from_matrices(d16, rep.domain, mats, 8)
+
+
+def test_malformed_matrix_maps_rejected():
+    mats = {g: _cm(4, [[1]]) for g in (0, 1)}
+    with pytest.raises(ValueError, match="subgroup"):
+        Representation.from_matrices(D8, (0, 1), mats, 4)
+    mats = {0: _cm(4, [[1, 0], [0, 1]]), 2: _cm(4, [[1, 0]])}
+    with pytest.raises(ValueError, match="square"):
+        Representation.from_matrices(D8, (0, 2), mats, 4)
+
+
 def test_irreducibility():
     rep = _d8_two_dim()
     assert is_irreducible(rep)

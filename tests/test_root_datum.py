@@ -14,6 +14,7 @@ from heckelab.root_datum import (
     datum_from_config,
     datum_general_linear,
     datum_to_dict,
+    weyl_order_lower_bound,
 )
 
 # groups are immutable; build each configuration once
@@ -125,6 +126,25 @@ def test_weyl_cap_enforced():
     datum = setup("B3")[0]
     with pytest.raises(ValueError):
         WeylGroup(datum, max_order=7)
+
+
+@pytest.mark.parametrize("key", sorted(WEYL_ORDERS))
+def test_weyl_order_lower_bound(key):
+    # product of (rank + 1)! over the Dynkin components; exact in type A
+    datum, group = setup(key)
+    bound = weyl_order_lower_bound(datum)
+    assert bound <= len(group)
+    if key in ("A1", "A2", "GL2", "GL3", "A1Z1", "A1A1"):
+        assert bound == len(group)
+
+
+def test_weyl_cap_enforced_before_enumeration():
+    assert weyl_order_lower_bound(datum_general_linear(8)) == 40320
+    with pytest.raises(ValueError, match="at least 40320"):
+        WeylGroup(datum_general_linear(8))
+    # B3 has order 48 and bound 4! = 24
+    with pytest.raises(ValueError, match="at least 24"):
+        WeylGroup(setup("B3")[0], max_order=23)
 
 
 # -- coset decomposition ----------------------------------------------------
