@@ -10,19 +10,10 @@ block recovers the same dominant-orbit count.
 import argparse
 
 from heckelab.iwahori_hecke import satake_check
-from heckelab.root_datum import (
-    cartan_matrix,
-    datum_from_cartan,
-    datum_general_linear,
-)
+from heckelab.root_datum import REGISTRY, WeylGroup, datum_from_config
 from heckelab.torus_center import invariant_dimension, orbits
 
-DATA = {
-    "A1": datum_from_cartan(cartan_matrix("A", 1), label="A1"),
-    "A2": datum_from_cartan(cartan_matrix("A", 2), label="A2"),
-    "GL2": datum_general_linear(2),
-    "B2": datum_from_cartan(cartan_matrix("B", 2), label="B2"),
-}
+NAMES = ("a1", "a2", "gl2", "b2")
 
 
 def main() -> None:
@@ -30,23 +21,26 @@ def main() -> None:
     ap.add_argument("--max-radius", type=int, default=2)
     ap.add_argument("--q", type=int, nargs="+", default=[2, 3])
     args = ap.parse_args()
+    groups = [WeylGroup(datum_from_config(REGISTRY[name])) for name in NAMES]
 
     print(f"{'datum':6} {'radius':6} {'center dim':10} {'dominant orbits'}")
-    for name, datum in DATA.items():
+    for group in groups:
+        name = group.datum.label
         for radius in range(args.max_radius + 1):
-            rep = satake_check(datum, radius)
+            rep = satake_check(group, radius)
             status = "" if rep.ok else "  <- FAILED"
             print(f"{name:6} {radius:6d} {rep.center_dimension:10d} "
                   f"{len(rep.representatives):d}{status}")
 
     print(f"\n{'datum':6} {'q':3} {'radius':6} {'invariant dim':13} "
           f"{'orbits':6} {'trivial-character orbits'}")
-    for name, datum in DATA.items():
+    for group in groups:
+        name = group.datum.label
         for q in args.q:
             for radius in range(args.max_radius + 1):
-                orbs = orbits(datum, q, radius)
+                orbs = orbits(group, q, radius)
                 trivial = sum(1 for o in orbs if o.orbit[0][1].is_trivial)
-                dim = invariant_dimension(datum, q, radius)
+                dim = invariant_dimension(group, q, radius)
                 print(f"{name:6} {q:3d} {radius:6d} {dim:13d} "
                       f"{len(orbs):6d} {trivial:d}")
 

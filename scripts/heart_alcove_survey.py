@@ -17,20 +17,9 @@ from heckelab.apartment import (
     heart_condition1_check,
     key_inequality_report,
 )
-from heckelab.root_datum import (
-    WeylGroup,
-    cartan_matrix,
-    datum_from_cartan,
-    datum_general_linear,
-)
+from heckelab.root_datum import REGISTRY, WeylGroup, datum_from_config
 
-DATA = {
-    "A1": datum_from_cartan(cartan_matrix("A", 1), label="A1"),
-    "A2": datum_from_cartan(cartan_matrix("A", 2), label="A2"),
-    "GL2": datum_general_linear(2),
-    "GL3": datum_general_linear(3),
-    "B2": datum_from_cartan(cartan_matrix("B", 2), label="B2"),
-}
+NAMES = ("a1", "a2", "gl2", "gl3", "b2")
 
 
 def main() -> None:
@@ -47,7 +36,9 @@ def main() -> None:
     grand_key = 0
     key_checks = 0
     non_negative = 0
-    for name, datum in DATA.items():
+    for key in NAMES:
+        datum = datum_from_config(REGISTRY[key])
+        name = datum.label
         group = WeylGroup(datum)
         m = datum.semisimple_rank
         subsets = [tuple(c) for k in range(m + 1)

@@ -9,9 +9,13 @@ exits 0 exactly when no check failed, 2 on configuration errors.
 
 Input schemas (also documented in the README):
   datum        registry name (a1, a2, a3, b2, b3, c2, c3, g2, gl1,
-               gl2, gl3, gl4) or a JSON file, either
+               gl2, gl3, gl4) or a JSON file, in the one schema that
+               root_datum.datum_from_config reads: either
                {"cartan": [[2,-1],[-1,2]], "central_rank": 0,
-                "label": "A2"} or {"general_linear": 3}
+                "label": "A2"} (central_rank and label optional) or
+               {"general_linear": 3}; every number an integer, no
+               other key.  A datum whose Weyl group order is above
+               the cap of 10080 is an input error.
   x            comma-separated rationals, e.g. "1/2,0,0"
   theta        comma-separated 0-based simple-root indices, e.g. "1"
   partition    0-based row blocks separated by "|", e.g. "0|1,2"
@@ -34,10 +38,9 @@ from .apartment import (
     classify_point,
     filtration_profile,
     heart_condition1_check,
-    in_base_alcove_closure,
 )
 from .catalog import build_catalog, evaluate_catalog, read_catalog, write_catalog
-from .iwahori_hecke import BernsteinAlgebra, satake_check
+from .iwahori_hecke import satake_check
 from .padic_groups import (
     block_of,
     brute_point_count,
@@ -49,16 +52,13 @@ from .padic_groups import (
     iwahori_scheme,
     log_volume,
     point_count,
-    scheme,
 )
 from .root_datum import (
-    MAX_WEYL_ORDER,
+    REGISTRY,
     RootDatum,
     WeylGroup,
-    cartan_matrix,
-    datum_from_cartan,
+    datum_from_config,
     datum_general_linear,
-    weyl_order_lower_bound,
 )
 from .torus_center import (
     invariant_dimension,
@@ -132,56 +132,36 @@ def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
 # datum registry and file loading
 # ---------------------------------------------------------------------------
 
-def _registry() -> dict[str, Callable[[], RootDatum]]:
-    reg: dict[str, Callable[[], RootDatum]] = {
-        "gl1": lambda: datum_from_cartan([], central_rank=1, label="GL1"),
-        "gl2": lambda: datum_general_linear(2),
-        "gl3": lambda: datum_general_linear(3),
-        "gl4": lambda: datum_general_linear(4),
-    }
-    for kind, rank in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
-                       ("C", 2), ("C", 3), ("G", 2)):
-        name = f"{kind.lower()}{rank}"
-        reg[name] = (lambda k=kind, n=rank:
-                     datum_from_cartan(cartan_matrix(k, n), label=f"{k}{n}"))
-    return reg
-
-
 def load_datum(source: str) -> RootDatum:
-    reg = _registry()
-    key = source.lower()
-    if key in reg:
-        return reg[key]()
-    if not os.path.exists(source):
-        names = ", ".join(sorted(reg))
-        raise CLIError(f"unknown datum {source!r}; registry names are {names}, "
-                       f"or pass a JSON file path")
+    """The datum named in the registry, or described by a JSON file."""
+    cfg = REGISTRY.get(source.lower())
+    if cfg is None:
+        if not os.path.exists(source):
+            names = ", ".join(sorted(REGISTRY))
+            raise CLIError(f"unknown datum {source!r}; registry names are "
+                           f"{names}, or pass a JSON file path")
+        try:
+            with open(source) as fh:
+                cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise CLIError(f"{source}: invalid JSON at line {exc.lineno} "
+                           f"column {exc.colno}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise CLIError(f"{source}: cannot read datum file: {exc}") from exc
     try:
-        with open(source) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise CLIError(f"{source}: invalid JSON at line {exc.lineno} "
-                       f"column {exc.colno}") from exc
-    try:
-        if "general_linear" in data:
-            return datum_general_linear(int(data["general_linear"]))
-        return datum_from_cartan(data["cartan"],
-                                 central_rank=int(data.get("central_rank", 0)),
-                                 label=str(data.get("label", "custom")))
-    except (KeyError, TypeError, ValueError) as exc:
+        return datum_from_config(cfg)
+    except ValueError as exc:
         raise CLIError(f"{source}: bad datum description: {exc}") from exc
 
 
-def load_weyl_datum(source: str) -> RootDatum:
-    """load_datum for the suites that enumerate the Weyl group: a datum
-    whose Weyl group order provably exceeds the cap is rejected before
-    any element is built."""
+def load_group(source: str) -> WeylGroup:
+    """The Weyl group of the datum at ``source``, built once for the
+    whole run; a group above the order cap is an input error."""
     datum = load_datum(source)
-    bound = weyl_order_lower_bound(datum)
-    if bound > MAX_WEYL_ORDER:
-        raise CLIError(f"{source}: Weyl group order is at least {bound}; "
-                       f"cap is {MAX_WEYL_ORDER}")
-    return datum
+    try:
+        return WeylGroup(datum)
+    except ValueError as exc:
+        raise CLIError(f"{source}: {exc}") from exc
 
 
 def load_models(source: str):
@@ -329,12 +309,13 @@ def _weyl_word(w) -> list[int]:
     return list(w.word)
 
 
-def _escalate_mismatch(datum: RootDatum, group: WeylGroup, x, r,
-                       theta: Sequence[int], witnesses) -> dict:
+def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
+                       witnesses) -> dict:
     """Upgrade a threshold mismatch to a volume obstruction: build the
     integral models at x and at the mismatching Weyl image, cut to the
     theta Levi blocks, and compare block volumes.  DISTINCT_VOLUME on
     any block proves the Levi intersections are not Levi-conjugate."""
+    datum = group.datum
     if not datum.label.startswith("GL"):
         return {"status": SKIPPED,
                 "reason": "no integral matrix model for this datum"}
@@ -385,8 +366,8 @@ def _escalate_mismatch(datum: RootDatum, group: WeylGroup, x, r,
 # ---------------------------------------------------------------------------
 
 def _run_rootdatum(config: RunConfig) -> VerificationReport:
-    datum = load_weyl_datum(config.datum)
-    group = WeylGroup(datum)
+    group = load_group(config.datum)
+    datum = group.datum
     checks = []
 
     bad_pairs = [k for k in range(len(datum.roots))
@@ -431,8 +412,8 @@ def _run_rootdatum(config: RunConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _run_heart_check(config: RunConfig) -> VerificationReport:
-    datum = load_weyl_datum(config.datum)
-    group = WeylGroup(datum)
+    group = load_group(config.datum)
+    datum = group.datum
     x, r = config.x, config.r
     if x is None or r is None:
         raise CLIError("heart-check needs --x and --r")
@@ -473,7 +454,7 @@ def _run_heart_check(config: RunConfig) -> VerificationReport:
                 "threshold_at_x": w.threshold_at_x,
                 "threshold_at_image": w.threshold_at_image,
             } for w in verdict.witnesses],
-            "escalation": _escalate_mismatch(datum, group, x, r, theta,
+            "escalation": _escalate_mismatch(group, x, r, theta,
                                              verdict.witnesses),
         }
         checks.append(CheckRecord(name, FAIL, witness))
@@ -739,7 +720,8 @@ def _run_clifford(config: RunConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _run_torus_center(config: RunConfig) -> VerificationReport:
-    datum = load_weyl_datum(config.datum)
+    group = load_group(config.datum)
+    datum = group.datum
     q, radius = config.field_size, config.radius
     if q is None or radius is None:
         raise CLIError("torus-center needs --q and --radius")
@@ -755,7 +737,7 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
                        f"{MAX_TORUS_KERNEL_PAIRS} pairs ({pairs} requested); "
                        f"rerun with --check roc")
     try:
-        orbit_list = orbits(datum, q, radius)
+        orbit_list = orbits(group, q, radius)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
 
@@ -769,10 +751,10 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
             "size": len(osum.orbit),
             "members": [{"coweight": list(lam), "character": list(ch.components)}
                         for lam, ch in osum.orbit],
-            "stabilizer_order": len(stabilizer_Wchi(datum, chi0)),
+            "stabilizer_order": len(stabilizer_Wchi(group, chi0)),
         }
         if config.check in ("roc", "all"):
-            rep = roc_decomposition_check(datum, q, osum)
+            rep = roc_decomposition_check(group, osum)
             row["blocks"] = {
                 "characters": [list(c.components)
                                for c in rep.block_characters],
@@ -794,7 +776,7 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
     }
     if config.check in ("dimension", "all"):
         try:
-            dim = invariant_dimension(datum, q, radius)
+            dim = invariant_dimension(group, q, radius)
             checks.append(CheckRecord("invariant-dimension-three-way", PASS))
             data["dimension"] = dim
         except AssertionError as exc:
@@ -817,7 +799,8 @@ def _term_label(lam, w) -> str:
 
 
 def _run_iwahori_center(config: RunConfig) -> VerificationReport:
-    datum = load_weyl_datum(config.datum)
+    group = load_group(config.datum)
+    datum = group.datum
     radius = config.radius
     if radius is None:
         raise CLIError("iwahori-center needs --radius")
@@ -827,8 +810,7 @@ def _run_iwahori_center(config: RunConfig) -> VerificationReport:
     if labels > MAX_HECKE_LABELS:
         raise CLIError(f"requested truncation spans about {labels} lattice "
                        f"labels; cap is {MAX_HECKE_LABELS}")
-    report = satake_check(datum, radius)
-    algebra = BernsteinAlgebra(datum)
+    report = satake_check(group, radius)
 
     checks = [CheckRecord(
         "orbit-sums-central-and-independent",
@@ -842,8 +824,7 @@ def _run_iwahori_center(config: RunConfig) -> VerificationReport:
                              "orbit_count": len(report.representatives)}))
 
     basis = []
-    for mu in report.representatives:
-        z = algebra.central_element(mu)
+    for mu, z in zip(report.representatives, report.central_elements):
         terms = [{"coweight": list(lam), "word": _weyl_word(w),
                   "coefficient": repr(z.coefficient(lam, w))}
                  for lam, w in z.support]

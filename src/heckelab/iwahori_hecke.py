@@ -75,13 +75,14 @@ class HeckeElement:
 
 
 class BernsteinAlgebra:
-    """Multiplication engine over a fixed datum: finite-word products,
-    lattice labels, the commutation rewriting, and centrality checks."""
+    """Multiplication engine over the datum of a fixed Weyl group:
+    finite-word products, lattice labels, the commutation rewriting,
+    and centrality checks."""
 
-    def __init__(self, datum: RootDatum):
-        self.datum = datum
-        self.group = WeylGroup(datum)
-        self.rank = datum.ambient_rank
+    def __init__(self, group: WeylGroup):
+        self.group = group
+        self.datum = group.datum
+        self.rank = group.datum.ambient_rank
         self._zero = (0,) * self.rank
         self._commute_cache: dict = {}
 
@@ -261,19 +262,21 @@ def dominant_decomposition(datum: RootDatum, lam) -> tuple[Coweight, Coweight]:
 class SatakeReport:
     """Truncated-center verification: every orbit sum is central, their
     supports partition the orbit-closed label set, and the commutant of
-    the generators inside the lattice span has exactly their dimension."""
+    the generators inside the lattice span has exactly their dimension.
+    ``central_elements`` holds the orbit sum of each representative."""
     ok: bool
     failures: tuple[str, ...]
     center_dimension: int
     representatives: tuple[Coweight, ...]
     orbits: tuple[tuple[Coweight, ...], ...]
+    central_elements: tuple[HeckeElement, ...]
 
 
-def satake_check(datum: RootDatum, radius: int) -> SatakeReport:
+def satake_check(group: WeylGroup, radius: int) -> SatakeReport:
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    alg = BernsteinAlgebra(datum)
-    group = alg.group
+    alg = BernsteinAlgebra(group)
+    datum = group.datum
 
     orbit_map: dict[Coweight, tuple[Coweight, ...]] = {}
     labels: set[Coweight] = set()
@@ -286,8 +289,8 @@ def satake_check(datum: RootDatum, radius: int) -> SatakeReport:
     reps = sorted(orbit_map)
     failures: list[str] = []
 
-    for rep in reps:
-        z = alg.central_element(rep)
+    central = tuple(alg.central_element(rep) for rep in reps)
+    for rep, z in zip(reps, central):
         if tuple(sorted(lam for lam, _w in z.c)) != orbit_map[rep]:
             failures.append(f"support of the orbit sum of {rep} is wrong")
         if not alg.is_central(z):
@@ -324,4 +327,4 @@ def satake_check(datum: RootDatum, radius: int) -> SatakeReport:
         failures.append(f"truncated center has dimension {kdim}, "
                         f"expected {len(reps)}")
     return SatakeReport(not failures, tuple(failures), kdim, tuple(reps),
-                        tuple(orbit_map[r] for r in reps))
+                        tuple(orbit_map[r] for r in reps), central)

@@ -15,6 +15,10 @@ are built in:
   the same vectors in the dual lattice, which is the coordinate system
   the worked matrix examples use.
 
+``datum_from_config`` is the one reader of a datum description (a
+Cartan matrix or a general-linear size, as a JSON-style dict), and
+``REGISTRY`` names the built-in data in that same form.
+
 The Weyl group is enumerated once by breadth-first search.  Elements are
 canonicalized by their integer action matrix on cocharacters and carry a
 shortlex-minimal reduced word in the simple reflections.
@@ -325,41 +329,59 @@ def datum_general_linear(n: int) -> RootDatum:
     return RootDatum(n, roots, coroots, simple, f"GL{n}")
 
 
+def _integer(value, what: str) -> int:
+    # bool is an int subclass; floats and numeric strings are refused too
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def datum_from_config(cfg: dict) -> RootDatum:
-    """Build a datum from a plain JSON-style dict.
+    """Build a datum from its JSON description, in one of two shapes::
 
-    Accepted shapes::
+        {"cartan": [[2, -1], [-1, 2]], "central_rank": 0, "label": "A2"}
+        {"general_linear": 3}
 
-        {"type": "A"|"B"|"C"|"D"|"G", "n": r, "central_rank": k}
-        {"type": "GL", "n": n}
-        {"cartan": [[...], ...], "central_rank": k}
+    ``central_rank`` defaults to 0 and ``label`` to "custom".  Every
+    number must be an integer (not a float, string or boolean), and no
+    other key is accepted.  Raises ValueError on anything else.
     """
-    if "cartan" in cfg:
-        return datum_from_cartan(cfg["cartan"], int(cfg.get("central_rank", 0)))
-    kind = cfg.get("type")
-    if kind is None:
-        raise ValueError("config needs a 'type' or 'cartan' entry")
-    n = int(cfg["n"])
-    central = int(cfg.get("central_rank", 0))
-    if kind == "GL":
-        if central:
-            raise ValueError("the general-linear realization fixes its own center")
-        return datum_general_linear(n)
-    label = f"{kind}{n}"
-    if central:
-        label += f"+Z{central}"
-    return datum_from_cartan(cartan_matrix(kind, n), central, label)
+    if not isinstance(cfg, dict):
+        raise ValueError("a datum description must be a JSON object")
+    if "general_linear" in cfg:
+        allowed = {"general_linear"}
+    elif "cartan" in cfg:
+        allowed = {"cartan", "central_rank", "label"}
+    else:
+        raise ValueError("a datum description needs a 'cartan' or "
+                         "'general_linear' entry")
+    extra = sorted(set(cfg) - allowed)
+    if extra:
+        raise ValueError(f"unexpected keys {extra}")
+    if "general_linear" in cfg:
+        return datum_general_linear(_integer(cfg["general_linear"],
+                                             "general_linear"))
+    mat = cfg["cartan"]
+    if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
+        raise ValueError("cartan must be a list of rows")
+    mat = [[_integer(x, "every Cartan entry") for x in row] for row in mat]
+    central = _integer(cfg.get("central_rank", 0), "central_rank")
+    label = cfg.get("label", "custom")
+    if not isinstance(label, str):
+        raise ValueError(f"label must be a string, got {label!r}")
+    return datum_from_cartan(mat, central, label)
 
 
-def datum_to_dict(datum: RootDatum) -> dict:
-    return {
-        "label": datum.label,
-        "ambient_rank": datum.ambient_rank,
-        "roots": [list(a) for a in datum.roots],
-        "coroots": [list(a) for a in datum.coroots],
-        "simple_indices": list(datum.simple),
-        "positive_indices": datum.positive_roots(),
-    }
+# The registry names the command line accepts, as descriptions in the
+# schema above.
+REGISTRY: dict[str, dict] = {
+    **{f"{kind.lower()}{rank}": {"cartan": cartan_matrix(kind, rank),
+                                 "label": f"{kind}{rank}"}
+       for kind, rank in (("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3),
+                          ("C", 2), ("C", 3), ("G", 2))},
+    "gl1": {"cartan": [], "central_rank": 1, "label": "GL1"},
+    **{f"gl{n}": {"general_linear": n} for n in (2, 3, 4)},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +449,8 @@ class WeylGroup:
     def __init__(self, datum: RootDatum, max_order: int = MAX_WEYL_ORDER):
         bound = weyl_order_lower_bound(datum)
         if bound > max_order:
-            raise ValueError(f"Weyl group order is at least {bound}, "
-                             f"above the cap {max_order}")
+            raise ValueError(f"Weyl group order is at least {bound}; "
+                             f"cap is {max_order}")
         self.datum = datum
         n = datum.ambient_rank
         self._simple_char: list[IMat] = []
@@ -458,17 +480,17 @@ class WeylGroup:
                     new.append(elt)
                     if len(self._by_mat) > max_order:
                         raise ValueError(
-                            f"Weyl group larger than cap {max_order}")
+                            f"Weyl group order is at least "
+                            f"{len(self._by_mat)}; cap is {max_order}")
             order.extend(new)
             frontier = new
         self.elements: list[WeylElement] = order
 
-        self._inverse: dict[IMat, WeylElement] = {}
-        for w in self.elements:
-            acc = self.identity
-            for i in reversed(w.word):
-                acc = self.mul(acc, self.simple_reflection(i))
-            self._inverse[w.cochar_mat] = acc
+        # the character action is the transpose-inverse of the
+        # cocharacter action, so w^-1 acts on cocharacters by char_mat^T
+        self._inverse: dict[IMat, WeylElement] = {
+            w.cochar_mat: self._by_mat[tuple(zip(*w.char_mat))]
+            for w in self.elements}
 
     def __len__(self) -> int:
         return len(self.elements)

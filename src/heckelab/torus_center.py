@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence
 
-from .cyclotomic import Cyc, cyc_rank
+from . import _linalg
 from .root_datum import RootDatum, WeylElement, WeylGroup
 
 
@@ -45,13 +45,10 @@ class ResidueCharacter:
     generator of the residue unit group.  Depth one only."""
     components: tuple[int, ...]
     q: int
-    n: int = 1
 
     def __post_init__(self) -> None:
         if not _is_prime_power(self.q):
             raise ValueError("q must be a prime power >= 2")
-        if self.n < 1:
-            raise ValueError("depth must be a positive integer")
         object.__setattr__(self, "components",
                            tuple(c % (self.q - 1) for c in self.components))
 
@@ -101,20 +98,16 @@ def weyl_act_pair(w: WeylElement, pair: Pair) -> Pair:
     lam, chi = pair
     moved = _matvec(w.cochar_mat, lam)
     comps = _matvec(w.char_mat, chi.components)
-    return moved, ResidueCharacter(comps, chi.q, chi.n)
+    return moved, ResidueCharacter(comps, chi.q)
 
 
-def enumerate_characters(datum: RootDatum, q: int, n: int = 1
-                         ) -> list[ResidueCharacter]:
+def enumerate_characters(datum: RootDatum, q: int) -> list[ResidueCharacter]:
     """All (q-1)^rank residue characters, in lexicographic exponent
-    order.  Depth n > 1 would need finer unit filtrations and is left
-    as an extension point."""
-    if n != 1:
-        raise NotImplementedError("depth above one is not supported")
+    order."""
     if not _is_prime_power(q):
         raise ValueError(f"q must be a prime power >= 2, got {q}")
     rank = datum.ambient_rank
-    return [ResidueCharacter(c, q, 1)
+    return [ResidueCharacter(c, q)
             for c in itertools.product(range(q - 1), repeat=rank)]
 
 
@@ -136,13 +129,13 @@ def _full_orbit(group: WeylGroup, pair: Pair) -> set[Pair]:
     return seen
 
 
-def orbits(datum: RootDatum, q: int, radius: int) -> list[OrbitSum]:
+def orbits(group: WeylGroup, q: int, radius: int) -> list[OrbitSum]:
     """All orbits meeting the sup-norm box of the given radius.  Each
     orbit is completed even past the box: truncation selects which
     orbits appear, it never clips one."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    group = WeylGroup(datum)
+    datum = group.datum
     chars = enumerate_characters(datum, q)
     gens = [group.simple_reflection(i) for i in range(len(datum.simple))]
     out: list[OrbitSum] = []
@@ -163,7 +156,10 @@ def orbits(datum: RootDatum, q: int, radius: int) -> list[OrbitSum]:
     return out
 
 
-def _stabilizer(group: WeylGroup, chi: ResidueCharacter) -> list[WeylElement]:
+def stabilizer_Wchi(group: WeylGroup, chi: ResidueCharacter
+                    ) -> list[WeylElement]:
+    """Subgroup of the finite Weyl group fixing the residue character;
+    closure under composition is asserted."""
     zero = (0,) * len(chi.components)
     out = [w for w in group.elements
            if weyl_act_pair(w, (zero, chi))[1] == chi]
@@ -172,13 +168,6 @@ def _stabilizer(group: WeylGroup, chi: ResidueCharacter) -> list[WeylElement]:
         for b in out:
             assert group.mul(a, b) in members, "stabilizer is not closed"
     return out
-
-
-def stabilizer_Wchi(datum: RootDatum, chi: ResidueCharacter
-                    ) -> list[WeylElement]:
-    """Subgroup of the finite Weyl group fixing the residue character;
-    closure under composition is asserted."""
-    return _stabilizer(WeylGroup(datum), chi)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +185,7 @@ class RocReport:
     block_sizes: tuple[int, ...]
 
 
-def roc_decomposition_check(datum: RootDatum, q: int, osum: OrbitSum
-                            ) -> RocReport:
-    group = WeylGroup(datum)
+def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
     members = set(osum.orbit)
     if not members:
         raise ValueError("empty orbit")
@@ -214,14 +201,14 @@ def roc_decomposition_check(datum: RootDatum, q: int, osum: OrbitSum
         blocks.setdefault(chi, set()).add(lam)
 
     # the characters that appear must form one orbit of the group
-    zero = (0,) * datum.ambient_rank
+    zero = (0,) * group.datum.ambient_rank
     char_orbit = {p[1] for p in _full_orbit(group, (zero, osum.orbit[0][1]))}
     if set(blocks) != char_orbit:
         failures.append("character blocks do not form a single group orbit")
 
     for chi in sorted(blocks, key=lambda c: c.components):
         lams = blocks[chi]
-        stab = _stabilizer(group, chi)
+        stab = stabilizer_Wchi(group, chi)
         seed = min(lams)
         reached = {_matvec(w.cochar_mat, seed) for w in stab}
         if reached != lams:
@@ -249,32 +236,30 @@ def roc_decomposition_check(datum: RootDatum, q: int, osum: OrbitSum
 # dimension of the truncated invariant space, three independent ways
 # ---------------------------------------------------------------------------
 
-def invariant_dimension(datum: RootDatum, q: int, radius: int) -> int:
+def invariant_dimension(group: WeylGroup, q: int, radius: int) -> int:
     """Number of orbits meeting the truncation box.  Cross-checked
     against the kernel dimension of the stacked (w - 1) actions on the
     orbit-closed monomial span, and against the Burnside average of
     fixed pairs; the three counts must agree exactly."""
-    orbs = orbits(datum, q, radius)
+    orbs = orbits(group, q, radius)
     count = len(orbs)
 
-    group = WeylGroup(datum)
     basis = sorted({p for o in orbs for p in o.orbit}, key=_pair_key)
     index = {p: i for i, p in enumerate(basis)}
     npairs = len(basis)
 
-    one, zero = Cyc.one(1), Cyc.zero(1)
-    rows: list[list[Cyc]] = []
-    for i in range(len(datum.simple)):
+    rows: list[list[int]] = []
+    for i in range(len(group.datum.simple)):
         s = group.simple_reflection(i)
         for src, p in enumerate(basis):
             dst = index[weyl_act_pair(s, p)]
             if dst == src:
                 continue
-            row = [zero] * npairs
-            row[dst] = one
-            row[src] = -one
+            row = [0] * npairs
+            row[dst] = 1
+            row[src] = -1
             rows.append(row)
-    kernel_dim = npairs - (cyc_rank(rows) if rows else 0)
+    kernel_dim = npairs - _linalg.mat_rank(rows)
 
     fixed_total = sum(1 for w in group.elements for p in basis
                       if weyl_act_pair(w, p) == p)

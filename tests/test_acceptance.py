@@ -50,6 +50,8 @@ SMALL_RANK_DATA = {
     "GL3": datum_general_linear(3),
     "B2": datum_from_cartan(cartan_matrix("B", 2), label="B2"),
 }
+SMALL_RANK_GROUPS = {name: WeylGroup(datum)
+                     for name, datum in SMALL_RANK_DATA.items()}
 
 
 def _emit(n: int, ok: bool, detail: str) -> None:
@@ -64,7 +66,7 @@ def _theta_subsets(datum):
 
 @lru_cache(maxsize=None)
 def _satake(name: str, radius: int):
-    return satake_check(SMALL_RANK_DATA[name], radius)
+    return satake_check(SMALL_RANK_GROUPS[name], radius)
 
 
 def test_criterion_1_wall_point_counterexample():
@@ -151,7 +153,7 @@ def test_criterion_2_heart_condition_interior_sweep():
     problems = []
     obstructed_samples = []
     for name, datum in SMALL_RANK_DATA.items():
-        group = WeylGroup(datum)
+        group = SMALL_RANK_GROUPS[name]
         subsets = _theta_subsets(datum)
         for x in alcove_interior_points(datum, 6):
             for theta in subsets:
@@ -333,22 +335,22 @@ def test_criterion_5_residue_orbit_decomposition():
     # sum decomposes blockwise as claimed, and three independent
     # invariant-dimension computations agree with the orbit count
     frozen = {(2, 0): 1, (2, 2): 15, (3, 1): 21, (3, 2): 55, (4, 2): 120}
-    datum = datum_general_linear(2)
+    group = WeylGroup(datum_general_linear(2))
     problems = []
     orbit_checks = 0
     dims = {}
     for q in (2, 3, 4):
         for radius in (0, 1, 2):
-            orbs = orbits(datum, q, radius)
+            orbs = orbits(group, q, radius)
             for osum in orbs:
                 orbit_checks += 1
-                rep = roc_decomposition_check(datum, q, osum)
+                rep = roc_decomposition_check(group, osum)
                 if not rep.ok:
                     problems.append(
                         f"q={q} R={radius} orbit of "
                         f"{osum.orbit[0]}: {rep.failures}")
             try:
-                dim = invariant_dimension(datum, q, radius)
+                dim = invariant_dimension(group, q, radius)
             except AssertionError as exc:
                 problems.append(f"q={q} R={radius}: {exc}")
                 continue
@@ -379,8 +381,7 @@ def test_criterion_6_truncated_center():
     problems = []
     dims = {}
     for name in ("A1", "GL2"):
-        datum = SMALL_RANK_DATA[name]
-        alg = BernsteinAlgebra(datum)
+        alg = BernsteinAlgebra(SMALL_RANK_GROUPS[name])
         one = alg.theta((0,) * alg.rank)
         t = alg.t_element(0)
         # single generator, so the braid relations are vacuous here
@@ -445,7 +446,7 @@ def test_criterion_7_cross_module_coherence():
         for radius in (0, 1, 2):
             trivial = {
                 frozenset(lam for lam, _chi in osum.orbit)
-                for osum in orbits(SMALL_RANK_DATA[name], 3, radius)
+                for osum in orbits(SMALL_RANK_GROUPS[name], 3, radius)
                 if osum.orbit[0][1].is_trivial}
             supports = {frozenset(o) for o in _satake(name, radius).orbits}
             if trivial != supports:

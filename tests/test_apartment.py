@@ -7,21 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab import apartment as ap
-from heckelab.root_datum import WeylGroup, datum_from_config
+from heckelab.root_datum import REGISTRY, WeylGroup, datum_from_config
 
 _CACHE: dict[str, tuple] = {}
 
 
 def setup(key: str):
     if key not in _CACHE:
-        cfgs = {
-            "A1": {"type": "A", "n": 1},
-            "A2": {"type": "A", "n": 2},
-            "B2": {"type": "B", "n": 2},
-            "GL2": {"type": "GL", "n": 2},
-            "GL3": {"type": "GL", "n": 3},
-        }
-        datum = datum_from_config(cfgs[key])
+        datum = datum_from_config(REGISTRY[key.lower()])
         _CACHE[key] = (datum, WeylGroup(datum))
     return _CACHE[key]
 

@@ -22,11 +22,12 @@ from heckelab.cli import (
     CLIError,
     RunConfig,
     VerificationReport,
+    _RUNNERS,
     _clifford_checks,
     _standard_partitions,
     _theta_blocks,
     load_datum,
-    load_weyl_datum,
+    load_group,
     main,
     parse_index_list,
     parse_partition,
@@ -35,7 +36,7 @@ from heckelab.cli import (
     render_report,
     run,
 )
-from heckelab.root_datum import weyl_order_lower_bound
+from heckelab.root_datum import REGISTRY, WeylGroup, cartan_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
 WALL_VERDICT = "G_{x,1} ∉ K^♥(S,G)"
@@ -141,10 +142,11 @@ def test_oversized_datum_rejected_before_enumeration(n, tmp_path, capsys):
 
 
 def test_gl7_datum_still_loads(tmp_path):
+    # bound 7! = 5040 is under the cap, and so is the order
     path = tmp_path / "gl7.json"
     path.write_text('{"general_linear": 7}')
-    datum = load_weyl_datum(str(path))
-    assert datum.label == "GL7" and weyl_order_lower_bound(datum) == 5040
+    group = load_group(str(path))
+    assert group.datum.label == "GL7" and len(group) == 5040
 
 
 def test_load_datum_bad_description(tmp_path):
@@ -343,15 +345,37 @@ def test_clifford_quick_table(capsys):
     assert by_name["he3_z"]["multiplicity"] == 3
 
 
-@pytest.mark.parametrize("golden,extra", [("clifford", []),
-                                          ("clifford_quick", ["--quick"])])
-def test_clifford_matches_golden(golden, extra, capsys):
+def assert_matches_golden(golden, argv, capsys):
     # the reports, apart from wall_time_s, are fixed byte for byte
-    code, payload = run_json(["clifford", *extra], capsys)
+    code, payload = run_json(argv, capsys)
     assert code == 0
     payload.pop("wall_time_s")
     text = (GOLDEN / f"{golden}.json").read_text()
     assert json.dumps(payload, indent=2, ensure_ascii=False) + "\n" == text
+
+
+@pytest.mark.parametrize("golden,extra", [("clifford", []),
+                                          ("clifford_quick", ["--quick"])])
+def test_clifford_matches_golden(golden, extra, capsys):
+    assert_matches_golden(golden, ["clifford", *extra], capsys)
+
+
+GOLDEN_RUNS = {
+    **{f"rootdatum_{name}": ["rootdatum", "--datum", name]
+       for name in REGISTRY},
+    **{f"torus_center_{name}_q3_r1": ["torus-center", "--datum", name,
+                                      "--q", "3", "--radius", "1"]
+       for name in ("gl2", "gl3")},
+    "iwahori_center_a1_r2": ["iwahori-center", "--datum", "a1",
+                             "--radius", "2"],
+    "iwahori_center_gl2_r1": ["iwahori-center", "--datum", "gl2",
+                              "--radius", "1"],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
+def test_report_matches_golden(golden, capsys):
+    assert_matches_golden(golden, GOLDEN_RUNS[golden], capsys)
 
 
 def test_clifford_component_modes():
@@ -439,6 +463,21 @@ def test_torus_center_caps_and_validation(capsys):
 # malformed input
 # ---------------------------------------------------------------------------
 
+# datum files by placeholder name; B6 passes the (rank + 1)! bound
+# (5040) but its order, 46080, overflows the cap during enumeration
+DATUM_FILES = {
+    "datum": '{"cartan": [[2]], "central_rank": -1}',
+    "gl_float": '{"general_linear": 2.7}',
+    "gl_string": '{"general_linear": "3"}',
+    "central_float": '{"cartan": [[2]], "central_rank": 1.5}',
+    "central_bool": '{"cartan": [[2]], "central_rank": true}',
+    "cartan_float": '{"cartan": [[2.0]]}',
+    "not_object": '[2]',
+    "extra_key": '{"general_linear": 3, "label": "GL3"}',
+    "b6": json.dumps({"cartan": cartan_matrix("B", 6)}),
+}
+
+
 @pytest.mark.parametrize("argv,needle", [
     (["torus-center", "--datum", "gl2", "--q", "1", "--radius", "1"],
      "prime power"),
@@ -448,16 +487,34 @@ def test_torus_center_caps_and_validation(capsys):
      "negative bound"),
     (["rootdatum", "--datum", "{datum}"], "central_rank"),
     (["clifford", "--catalog", "{catalog}"], "bad catalog entry: conductor"),
+    (["rootdatum", "--datum", "{gl_float}"],
+     "general_linear must be an integer, got 2.7"),
+    (["spade-check", "--datum", "{gl_string}", "--x", "0,0,0", "--r", "1"],
+     "general_linear must be an integer, got '3'"),
+    (["rootdatum", "--datum", "{central_float}"],
+     "central_rank must be an integer, got 1.5"),
+    (["rootdatum", "--datum", "{central_bool}"],
+     "central_rank must be an integer, got True"),
+    (["rootdatum", "--datum", "{cartan_float}"],
+     "every Cartan entry must be an integer, got 2.0"),
+    (["rootdatum", "--datum", "{not_object}"], "must be a JSON object"),
+    (["rootdatum", "--datum", "{extra_key}"], "unexpected keys ['label']"),
+    (["rootdatum", "--datum", "{b6}"],
+     "Weyl group order is at least 10081; cap is 10080"),
+    (["rootdatum", "--datum", "{directory}"], "cannot read datum file"),
 ])
 def test_malformed_input_exits_2_with_one_line(argv, needle, tmp_path, capsys):
     from heckelab.catalog import catalog_to_json
-    datum = tmp_path / "datum.json"
-    datum.write_text('{"cartan": [[2]], "central_rank": -1}')
+    paths = {}
+    for name, text in DATUM_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(text)
     payload = catalog_to_json(QUICK_MODELS[:1])
     payload["entries"][0]["conductor"] = 0
     catalog = tmp_path / "catalog.json"
     catalog.write_text(json.dumps(payload))
-    argv = [a.format(datum=datum, catalog=catalog) for a in argv]
+    argv = [a.format(catalog=catalog, directory=tmp_path, **paths)
+            for a in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -510,6 +567,39 @@ def test_verify_all_quick(capsys):
     prefixes = {name.split(":")[0] for name in st}
     assert prefixes == {"counterexample", "heart-check", "spade-check",
                         "clifford", "torus-center", "iwahori-center"}
+
+
+# one small call of every subcommand but verify-all, which runs several;
+# a subcommand missing here fails the test below with a KeyError
+SMALL_RUNS = {
+    "rootdatum": ["rootdatum", "--datum", "a2"],
+    "heart-check": ["heart-check", "--datum", "gl3", "--x", "2/3,1/3,0",
+                    "--r", "1"],
+    "counterexample": ["counterexample"],
+    "spade-check": ["spade-check", "--datum", "gl2", "--x", "1/2,0",
+                    "--r", "1"],
+    "clifford": ["clifford", "--quick"],
+    "torus-center": ["torus-center", "--datum", "gl2", "--q", "3",
+                     "--radius", "1"],
+    "iwahori-center": ["iwahori-center", "--datum", "a1", "--radius", "1"],
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(set(_RUNNERS) - {"verify-all"}))
+def test_each_run_builds_at_most_one_weyl_group(subcommand, monkeypatch,
+                                                capsys):
+    built = []
+    init = WeylGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WeylGroup, "__init__", counting_init)
+    assert main(SMALL_RUNS[subcommand]) == 0
+    capsys.readouterr()
+    expected = 0 if subcommand in ("spade-check", "clifford") else 1
+    assert len(built) == expected
 
 
 def test_json_output_idempotent(capsys):

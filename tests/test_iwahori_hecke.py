@@ -15,16 +15,17 @@ from heckelab.iwahori_hecke import (
 )
 from heckelab.laurent import LaurentScalar
 from heckelab.root_datum import (
+    WeylGroup,
     cartan_matrix,
     datum_from_cartan,
     datum_general_linear,
 )
 
-A1 = datum_from_cartan(cartan_matrix("A", 1))
-A2 = datum_from_cartan(cartan_matrix("A", 2))
-B2 = datum_from_cartan(cartan_matrix("B", 2))
-GL2 = datum_general_linear(2)
-GL3 = datum_general_linear(3)
+A1 = WeylGroup(datum_from_cartan(cartan_matrix("A", 1)))
+A2 = WeylGroup(datum_from_cartan(cartan_matrix("A", 2)))
+B2 = WeylGroup(datum_from_cartan(cartan_matrix("B", 2)))
+GL2 = WeylGroup(datum_general_linear(2))
+GL3 = WeylGroup(datum_general_linear(3))
 
 Q_MINUS_1 = LaurentScalar({2: Q(1), 0: Q(-1)})
 
@@ -188,7 +189,7 @@ def test_is_central_oracles():
     ("B2", 1, 4),
 ])
 def test_satake_dimensions(name, radius, dim):
-    rep = satake_check(alg_for(name).datum, radius)
+    rep = satake_check(alg_for(name).group, radius)
     assert rep.ok, rep.failures
     assert rep.center_dimension == dim
     assert len(rep.representatives) == dim

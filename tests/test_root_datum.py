@@ -7,13 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab.root_datum import (
+    REGISTRY,
     WeylGroup,
     cartan_matrix,
     coset_split_minimal,
     datum_from_cartan,
     datum_from_config,
     datum_general_linear,
-    datum_to_dict,
     weyl_order_lower_bound,
 )
 
@@ -24,18 +24,10 @@ _CACHE: dict[str, tuple] = {}
 def setup(key: str):
     if key not in _CACHE:
         cfgs = {
-            "A1": {"type": "A", "n": 1},
-            "A2": {"type": "A", "n": 2},
-            "B2": {"type": "B", "n": 2},
-            "B3": {"type": "B", "n": 3},
-            "C3": {"type": "C", "n": 3},
-            "G2": {"type": "G", "n": 2},
-            "GL2": {"type": "GL", "n": 2},
-            "GL3": {"type": "GL", "n": 3},
-            "A1Z1": {"type": "A", "n": 1, "central_rank": 1},
+            "A1Z1": {"cartan": [[2]], "central_rank": 1},
             "A1A1": {"cartan": [[2, 0], [0, 2]]},
         }
-        datum = datum_from_config(cfgs[key])
+        datum = datum_from_config(cfgs.get(key) or REGISTRY[key.lower()])
         _CACHE[key] = (datum, WeylGroup(datum))
     return _CACHE[key]
 
@@ -229,17 +221,9 @@ def test_barycenter_is_alcove_interior():
             assert 0 < val < 1
 
 
-def test_datum_to_dict_keys():
-    datum = setup("B2")[0]
-    d = datum_to_dict(datum)
-    assert d["ambient_rank"] == 2
-    assert len(d["roots"]) == len(d["coroots"]) == 8
-    assert len(d["positive_indices"]) == 4
-
-
 def test_general_linear_rejects_central_override():
-    with pytest.raises(ValueError):
-        datum_from_config({"type": "GL", "n": 3, "central_rank": 1})
+    with pytest.raises(ValueError, match="unexpected keys"):
+        datum_from_config({"general_linear": 3, "central_rank": 1})
     with pytest.raises(ValueError):
         datum_general_linear(1)
 

@@ -22,24 +22,24 @@ from heckelab.torus_center import (
     weyl_act_pair,
 )
 
-GL2 = datum_general_linear(2)
-GL3 = datum_general_linear(3)
-GL1 = datum_from_cartan([], central_rank=1, label="GL1")
-A1 = datum_from_cartan(cartan_matrix("A", 1))
-A2 = datum_from_cartan(cartan_matrix("A", 2))
-B2 = datum_from_cartan(cartan_matrix("B", 2))
+GL2 = WeylGroup(datum_general_linear(2))
+GL3 = WeylGroup(datum_general_linear(3))
+GL1 = WeylGroup(datum_from_cartan([], central_rank=1, label="GL1"))
+A1 = WeylGroup(datum_from_cartan(cartan_matrix("A", 1)))
+A2 = WeylGroup(datum_from_cartan(cartan_matrix("A", 2)))
+B2 = WeylGroup(datum_from_cartan(cartan_matrix("B", 2)))
 
 
 def test_character_counts():
-    assert len(enumerate_characters(GL2, 3)) == 4
-    assert len(enumerate_characters(GL1, 5)) == 4
-    assert len(enumerate_characters(GL2, 2)) == 1
-    assert len(enumerate_characters(GL3, 2)) == 1
-    assert len(enumerate_characters(A2, 4)) == 9
+    assert len(enumerate_characters(GL2.datum, 3)) == 4
+    assert len(enumerate_characters(GL1.datum, 5)) == 4
+    assert len(enumerate_characters(GL2.datum, 2)) == 1
+    assert len(enumerate_characters(GL3.datum, 2)) == 1
+    assert len(enumerate_characters(A2.datum, 4)) == 9
 
 
 def test_characters_duplicate_free_and_ordered():
-    chars = enumerate_characters(GL2, 4)
+    chars = enumerate_characters(GL2.datum, 4)
     comps = [c.components for c in chars]
     assert len(set(comps)) == len(comps)
     assert comps == sorted(comps)
@@ -50,42 +50,33 @@ def test_character_validation():
         ResidueCharacter((0, 0), 6)
     with pytest.raises(ValueError, match="prime power"):
         ResidueCharacter((0,), 1)
-    with pytest.raises(ValueError, match="depth"):
-        ResidueCharacter((0,), 3, n=0)
     assert ResidueCharacter((5, -1), 3).components == (1, 1)
     assert ResidueCharacter((7, 12), 2).is_trivial
     assert not ResidueCharacter((1, 0), 3).is_trivial
-
-
-def test_depth_two_unsupported():
-    with pytest.raises(NotImplementedError):
-        enumerate_characters(GL2, 3, n=2)
 
 
 def test_character_enumeration_needs_prime_power():
     # q - 1 = 0 would enumerate no characters and an empty center
     for q in (1, 0, 6):
         with pytest.raises(ValueError, match="prime power"):
-            enumerate_characters(GL2, q)
+            enumerate_characters(GL2.datum, q)
 
 
 def test_identity_acts_trivially():
-    group = WeylGroup(GL2)
     pair = ((3, -1), ResidueCharacter((1, 2), 4))
-    assert weyl_act_pair(group.identity, pair) == pair
+    assert weyl_act_pair(GL2.identity, pair) == pair
 
 
 def test_swap_example():
-    s = WeylGroup(GL2).simple_reflection(0)
+    s = GL2.simple_reflection(0)
     moved = weyl_act_pair(s, ((1, 0), ResidueCharacter((1, 2), 4)))
     assert moved == ((0, 1), ResidueCharacter((2, 1), 4))
 
 
-@pytest.mark.parametrize("datum", [A1, A2, GL2, GL3, B2],
+@pytest.mark.parametrize("group", [A1, A2, GL2, GL3, B2],
                          ids=["A1", "A2", "GL2", "GL3", "B2"])
-def test_action_laws_over_whole_group(datum):
-    group = WeylGroup(datum)
-    rank = datum.ambient_rank
+def test_action_laws_over_whole_group(group):
+    rank = group.datum.ambient_rank
     pairs = [((1,) + (0,) * (rank - 1), ResidueCharacter((1,) * rank, 3)),
              (tuple(range(1, rank + 1)), ResidueCharacter((0,) * rank, 3))]
     for w1 in group.elements:
@@ -127,7 +118,7 @@ def test_orbits_partition_the_box():
         assert tuple((m.coweight, m.character) for m in o.element) == o.orbit
     box = {(l1, l2) for l1 in (-1, 0, 1) for l2 in (-1, 0, 1)}
     for lam in box:
-        for chi in enumerate_characters(GL2, 3):
+        for chi in enumerate_characters(GL2.datum, 3):
             assert (lam, chi) in seen
 
 
@@ -146,7 +137,7 @@ def test_stabilizer_oracles():
 
 
 def test_roc_singleton_passes():
-    rep = roc_decomposition_check(GL2, 2, orbits(GL2, 2, 0)[0])
+    rep = roc_decomposition_check(GL2, orbits(GL2, 2, 0)[0])
     assert rep.ok and rep.failures == ()
     assert rep.block_sizes == (1,)
 
@@ -154,7 +145,7 @@ def test_roc_singleton_passes():
 def test_roc_gl2_full_sweep():
     for q in (2, 3, 4):
         for o in orbits(GL2, q, 2):
-            rep = roc_decomposition_check(GL2, q, o)
+            rep = roc_decomposition_check(GL2, o)
             assert rep.ok, (q, rep.failures)
             assert sum(rep.block_sizes) == len(o.orbit)
             assert len(rep.block_characters) == len(
@@ -163,7 +154,7 @@ def test_roc_gl2_full_sweep():
 
 def test_roc_gl3_trivial_character_only():
     for o in orbits(GL3, 2, 1):
-        rep = roc_decomposition_check(GL3, 2, o)
+        rep = roc_decomposition_check(GL3, o)
         assert rep.ok
         assert rep.block_characters == (ResidueCharacter((0, 0, 0), 2),)
         assert rep.block_sizes == (len(o.orbit),)
@@ -174,16 +165,16 @@ def test_roc_block_structure_oracles():
         return next(o for o in orbits(GL2, q, radius) if pair in o.orbit)
 
     rep = roc_decomposition_check(
-        GL2, 3, orbit_of(((1, 0), ResidueCharacter((1, 0), 3)), 3))
+        GL2, orbit_of(((1, 0), ResidueCharacter((1, 0), 3)), 3))
     assert [c.components for c in rep.block_characters] == [(0, 1), (1, 0)]
     assert rep.block_sizes == (1, 1)
 
     rep = roc_decomposition_check(
-        GL2, 3, orbit_of(((1, 0), ResidueCharacter((0, 0), 3)), 3))
+        GL2, orbit_of(((1, 0), ResidueCharacter((0, 0), 3)), 3))
     assert rep.block_sizes == (2,)
 
     rep = roc_decomposition_check(
-        GL2, 3, orbit_of(((1, -1), ResidueCharacter((1, 1), 3)), 3))
+        GL2, orbit_of(((1, -1), ResidueCharacter((1, 1), 3)), 3))
     assert [c.components for c in rep.block_characters] == [(1, 1)]
     assert rep.block_sizes == (2,)
 
@@ -193,14 +184,14 @@ def test_roc_rejects_non_orbit():
     clipped = OrbitSum(two.orbit[:1],
                        (MonomialElement(*two.orbit[0]),))
     with pytest.raises(ValueError, match="not a single orbit"):
-        roc_decomposition_check(GL2, 3, clipped)
+        roc_decomposition_check(GL2, clipped)
     with pytest.raises(ValueError, match="empty"):
-        roc_decomposition_check(GL2, 3, OrbitSum((), ()))
+        roc_decomposition_check(GL2, OrbitSum((), ()))
 
 
 # three-way dimension values, frozen from independent hand counts where
 # feasible (GL2 values also follow from the Burnside formula by hand)
-@pytest.mark.parametrize("datum,q,radius,expect", [
+@pytest.mark.parametrize("group,q,radius,expect", [
     (GL2, 2, 0, 1),
     (GL2, 3, 1, 21),
     (GL2, 3, 2, 55),
@@ -212,8 +203,8 @@ def test_roc_rejects_non_orbit():
     (GL1, 5, 1, 12),
 ], ids=["gl2-q2-r0", "gl2-q3-r1", "gl2-q3-r2", "gl2-q2-r2", "gl2-q4-r2",
         "a1-q2-r2", "a2-q2-r2", "a2-q3-r1", "gl1-q5-r1"])
-def test_invariant_dimension_oracles(datum, q, radius, expect):
-    assert invariant_dimension(datum, q, radius) == expect
+def test_invariant_dimension_oracles(group, q, radius, expect):
+    assert invariant_dimension(group, q, radius) == expect
 
 
 def test_gl2_burnside_by_hand():
@@ -223,8 +214,7 @@ def test_gl2_burnside_by_hand():
 
 
 def test_a2_orbits_escape_the_box_but_stay_closed():
-    group = WeylGroup(A2)
-    gens = [group.simple_reflection(i) for i in range(2)]
+    gens = [A2.simple_reflection(i) for i in range(2)]
     escaped = 0
     for o in orbits(A2, 2, 2):
         members = set(o.orbit)
@@ -239,9 +229,8 @@ def test_a2_orbits_escape_the_box_but_stay_closed():
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(["gl2-3", "a2-2", "b2-2"]), st.data())
 def test_orbit_sums_are_invariant(tag, data):
-    datum, q = {"gl2-3": (GL2, 3), "a2-2": (A2, 2),
+    group, q = {"gl2-3": (GL2, 3), "a2-2": (A2, 2),
                 "b2-2": (B2, 2)}[tag]
-    group = WeylGroup(datum)
-    o = data.draw(st.sampled_from(orbits(datum, q, 1)))
+    o = data.draw(st.sampled_from(orbits(group, q, 1)))
     w = data.draw(st.sampled_from(group.elements))
     assert {weyl_act_pair(w, p) for p in o.orbit} == set(o.orbit)
