@@ -40,7 +40,7 @@ def main() -> None:
             for radius in range(args.max_radius + 1):
                 orbs = orbits(group, q, radius)
                 trivial = sum(1 for o in orbs if o.orbit[0][1].is_trivial)
-                dim = invariant_dimension(group, q, radius)
+                dim = invariant_dimension(group, orbs)
                 print(f"{name:6} {q:3d} {radius:6d} {dim:13d} "
                       f"{len(orbs):6d} {trivial:d}")
 

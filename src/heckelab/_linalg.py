@@ -4,14 +4,15 @@
 of its elements; ``kernel_basis`` and ``one_solution`` are derived from
 it.  Q (here), Q(zeta_m) (``cyclotomic``) and Q(v) (``laurent``) all
 eliminate through them.  The Q entry points work on lists of lists of
-Fraction (or int; values are coerced).  Matrices are small (rank of a
-root system, number of group elements in a class sum), so dense
-elimination is fine and keeps results exact.
+Fraction (or int; values are coerced).  The large matrices (the Satake
+commutator matrix over Q(v), the torus rows e_dst - e_src) hold a few
+nonzero entries per row, so ``echelon`` keeps rows as {column: entry}
+dicts of nonzero entries and never touches a zero.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Vec = tuple[Q, ...]
 
@@ -37,37 +38,66 @@ def transpose(m: Sequence[Sequence[Q]]) -> list[list[Q]]:
     return [list(col) for col in zip(*m)]
 
 
-def echelon(rows: Iterable[Sequence], inv: Callable) -> tuple[list[list], list[int]]:
+def _items(row: Sequence | Mapping) -> Iterable[tuple[int, object]]:
+    return row.items() if isinstance(row, Mapping) else enumerate(row)
+
+
+def echelon(rows: Iterable[Sequence | Mapping], inv: Callable
+            ) -> tuple[list[dict], list[int]]:
     """Reduced row echelon form of a copy of ``rows`` over any exact field.
 
-    Returns (reduced rows, pivot column indices).  Entries are tested for
-    zero by truthiness and ``inv`` gives the reciprocal of a nonzero
-    entry; that is all the routine knows of the field.  The pivot of a
-    column is the first row at or below the current one with a nonzero
-    entry there, so bases read off the result are deterministic.
-    Elimination stops once every row holds a pivot.
+    A row is a dense sequence or a {column: entry} mapping.  Returns
+    (reduced rows as {column: nonzero entry} dicts, pivot column
+    indices).  Entries are tested for zero by truthiness and ``inv``
+    gives the reciprocal of a nonzero entry; that is all the routine
+    knows of the field.  The pivot of a column is the first row at or
+    below the current one with a nonzero entry there, so bases read off
+    the result are deterministic.  Elimination stops once every row
+    holds a pivot.
     """
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+    rows = [{c: x for c, x in _items(row) if x} for row in rows]
+    # holders[c]: positions of the rows with a nonzero entry in column c;
+    # fill-in only reaches columns some row already holds
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
     pivots: list[int] = []
     r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        scale = inv(rows[r][c])
-        rows[r] = [x * scale for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    for c in sorted(holders):
         if r == len(rows):
             break
+        pivot = min((i for i in holders[c] if i >= r), default=None)
+        if pivot is None:
+            continue
+        if pivot != r:
+            for k in rows[r].keys() ^ rows[pivot].keys():
+                moved = holders[k]
+                if k in rows[r]:
+                    moved.discard(r)
+                    moved.add(pivot)
+                else:
+                    moved.discard(pivot)
+                    moved.add(r)
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+        scale = inv(rows[r][c])
+        prow = rows[r] = {k: x * scale for k, x in rows[r].items()}
+        for i in list(holders[c]):
+            if i == r:
+                continue
+            row = rows[i]
+            f = row[c]
+            for k, y in prow.items():
+                x = row.get(k)
+                x = -(f * y) if x is None else x - f * y
+                if x:
+                    row[k] = x
+                    holders[k].add(i)
+                else:
+                    row.pop(k, None)
+                    holders[k].discard(i)
+        pivots.append(c)
+        r += 1
     return rows, pivots
 
 
@@ -83,7 +113,7 @@ def kernel_basis(rows: Sequence[Sequence], zero, one, inv: Callable) -> list[lis
         v = [zero] * ncols
         v[fc] = one
         for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+            v[pc] = -red[r].get(fc, zero)
         basis.append(v)
     return basis
 
@@ -97,7 +127,7 @@ def one_solution(rows: Sequence[Sequence], b: Sequence, zero, inv: Callable) -> 
         return None
     x = [zero] * ncols
     for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
+        x[pc] = red[r].get(ncols, zero)
     return x
 
 
@@ -105,11 +135,14 @@ def _q_inv(x: Q) -> Q:
     return Q(1) / x
 
 
-def _qrows(m: Sequence[Sequence]) -> list[list[Q]]:
-    return [[Q(x) for x in row] for row in m]
+def _qrows(m: Sequence[Sequence | Mapping]) -> list[list[Q] | dict[int, Q]]:
+    """Rows of ``m`` with Fraction entries; {column: entry} rows stay dicts."""
+    return [{c: Q(x) for c, x in row.items()} if isinstance(row, Mapping)
+            else [Q(x) for x in row] for row in m]
 
 
-def mat_rank(m: Sequence[Sequence]) -> int:
+def mat_rank(m: Sequence[Sequence | Mapping]) -> int:
+    """Rank over Q of dense or {column: entry} rows."""
     return len(echelon(_qrows(m), _q_inv)[1])
 
 

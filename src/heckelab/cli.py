@@ -40,7 +40,7 @@ from .apartment import (
     heart_condition1_check,
 )
 from .catalog import build_catalog, evaluate_catalog, read_catalog, write_catalog
-from .iwahori_hecke import satake_check
+from .iwahori_hecke import label_orbits, satake_check
 from .padic_groups import (
     block_of,
     brute_point_count,
@@ -74,8 +74,13 @@ SKIPPED = "SKIPPED"
 # enumeration guards: requests above these sizes are refused up front
 # with an explicit cap error instead of grinding or exhausting memory
 MAX_TORUS_PAIRS = 50_000
-MAX_TORUS_KERNEL_PAIRS = 1_200
-MAX_HECKE_LABELS = 350
+# orbit-closed labels of an iwahori-center truncation: the columns of its
+# Satake matrix.  For data of rank >= 2 the cap keeps a run within about
+# 20 s on a shared 2-vCPU x86-64 host (CPython 3.11): gl4 R=2 (625
+# labels) 7.7 s, b3 R=2 (725) 11.6 s, c3 R=2 (725) 14.4 s, g2 R=7 (673)
+# 18.1 s.  It does not bound a1 at a large radius, whose commutators grow
+# with the radius: a1 R=200 (401 labels) takes 27.8 s
+MAX_HECKE_LABELS = 750
 MAX_CATALOG_GROUP_ORDER = 4_096
 
 
@@ -732,10 +737,6 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
     if pairs > MAX_TORUS_PAIRS:
         raise CLIError(f"requested truncation enumerates about {pairs} "
                        f"lattice-character pairs; cap is {MAX_TORUS_PAIRS}")
-    if config.check in ("dimension", "all") and pairs > MAX_TORUS_KERNEL_PAIRS:
-        raise CLIError(f"the kernel dimension route handles at most "
-                       f"{MAX_TORUS_KERNEL_PAIRS} pairs ({pairs} requested); "
-                       f"rerun with --check roc")
     try:
         orbit_list = orbits(group, q, radius)
     except ValueError as exc:
@@ -776,7 +777,7 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
     }
     if config.check in ("dimension", "all"):
         try:
-            dim = invariant_dimension(group, q, radius)
+            dim = invariant_dimension(group, orbit_list)
             checks.append(CheckRecord("invariant-dimension-three-way", PASS))
             data["dimension"] = dim
         except AssertionError as exc:
@@ -806,10 +807,15 @@ def _run_iwahori_center(config: RunConfig) -> VerificationReport:
         raise CLIError("iwahori-center needs --radius")
     if radius < 0:
         raise CLIError("--radius must be >= 0")
+    # the box is a subset of its orbit closure: refuse a large box before
+    # enumerating any orbit
     labels = (2 * radius + 1) ** datum.ambient_rank
+    if labels <= MAX_HECKE_LABELS:
+        labels = sum(map(len, label_orbits(group, radius,
+                                           MAX_HECKE_LABELS).values()))
     if labels > MAX_HECKE_LABELS:
-        raise CLIError(f"requested truncation spans about {labels} lattice "
-                       f"labels; cap is {MAX_HECKE_LABELS}")
+        raise CLIError(f"requested truncation spans at least {labels} "
+                       f"orbit-closed lattice labels; cap is {MAX_HECKE_LABELS}")
     report = satake_check(group, radius)
 
     checks = [CheckRecord(

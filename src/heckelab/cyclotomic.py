@@ -285,20 +285,21 @@ def cyc_column_space(rows):
 
 def cyc_inv_matrix(a):
     n = len(a)
+    zero = Cyc.zero(a[0][0].m)
     ident = cyc_identity(n, a[0][0].m)
     red, pivots = _linalg.echelon([list(r) + ident[i] for i, r in enumerate(a)], Cyc.inv)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[row.get(c, zero) for c in range(n, 2 * n)] for row in red]
 
 
 def cyc_solve_matrix(a, b):
     """X with A X = B, for A of full column rank; raises if inconsistent."""
-    nc = len(a[0])
+    nc, width = len(a[0]), len(a[0]) + len(b[0])
+    zero = Cyc.zero(a[0][0].m)
     red, pivots = _linalg.echelon([list(ra) + list(rb) for ra, rb in zip(a, b)], Cyc.inv)
     if pivots != list(range(nc)):
         raise ValueError("coefficient matrix is rank deficient")
-    for row in red[nc:]:
-        if any(row):
-            raise ValueError("inconsistent system")
-    return [row[nc:] for row in red[:nc]]
+    if any(red[nc:]):  # a nonzero row left below the pivots
+        raise ValueError("inconsistent system")
+    return [[row.get(c, zero) for c in range(nc, width)] for row in red[:nc]]

@@ -272,20 +272,34 @@ class SatakeReport:
     central_elements: tuple[HeckeElement, ...]
 
 
+def label_orbits(group: WeylGroup, radius: int, cap: int | None = None
+                 ) -> dict[Coweight, tuple[Coweight, ...]]:
+    """W-orbits of the coweights in the box [-radius, radius]^rank, keyed
+    by dominant representative; their union is the orbit-closed label
+    set.  With ``cap``, stop as soon as more than ``cap`` labels are
+    found, so an oversized truncation is refused without enumerating it."""
+    orbit_map: dict[Coweight, tuple[Coweight, ...]] = {}
+    labels: set[Coweight] = set()
+    for lam in itertools.product(range(-radius, radius + 1),
+                                 repeat=group.datum.ambient_rank):
+        if lam in labels:
+            continue
+        orb = tuple(sorted(group.orbit_cocharacter(lam)))
+        orbit_map[group.dominant_in_orbit(lam)] = orb
+        labels |= set(orb)
+        if cap is not None and len(labels) > cap:
+            break
+    return orbit_map
+
+
 def satake_check(group: WeylGroup, radius: int) -> SatakeReport:
     if radius < 0:
         raise ValueError("radius must be >= 0")
     alg = BernsteinAlgebra(group)
     datum = group.datum
 
-    orbit_map: dict[Coweight, tuple[Coweight, ...]] = {}
-    labels: set[Coweight] = set()
-    for lam in itertools.product(range(-radius, radius + 1), repeat=alg.rank):
-        if lam in labels:
-            continue
-        orb = tuple(sorted(group.orbit_cocharacter(lam)))
-        orbit_map[group.dominant_in_orbit(lam)] = orb
-        labels |= set(orb)
+    orbit_map = label_orbits(group, radius)
+    labels = {lam for orb in orbit_map.values() for lam in orb}
     reps = sorted(orbit_map)
     failures: list[str] = []
 
@@ -301,16 +315,15 @@ def satake_check(group: WeylGroup, radius: int) -> SatakeReport:
 
     basis = sorted(labels)
     col = {lam: i for i, lam in enumerate(basis)}
-    rows_map: dict[tuple[int, Label], list[LaurentScalar]] = {}
+    rows_map: dict[tuple[int, Label], dict[int, RatFunc]] = {}
     for i in range(len(datum.simple)):
         g = alg.t_element(i)
         for lam in basis:
             th = alg.theta(lam)
             comm = alg.bernstein_multiply(th, g) - alg.bernstein_multiply(g, th)
             for lab, scal in comm.c.items():
-                row = rows_map.setdefault(
-                    (i, lab), [LaurentScalar.zero()] * len(basis))
-                row[col[lam]] = scal
+                rows_map.setdefault((i, lab), {})[col[lam]] = \
+                    RatFunc.from_laurent(scal)
     # lattice generators commute with every lattice label exactly
     for j in range(alg.rank):
         gen = alg.theta(tuple(int(k == j) for k in range(alg.rank)))
@@ -320,9 +333,7 @@ def satake_check(group: WeylGroup, radius: int) -> SatakeReport:
                 failures.append("lattice generators fail to commute")
                 break
 
-    rows = [[RatFunc.from_laurent(x) for x in row]
-            for row in rows_map.values()]
-    kdim = len(basis) - rat_rank(rows)
+    kdim = len(basis) - rat_rank(list(rows_map.values()))
     if kdim != len(reps):
         failures.append(f"truncated center has dimension {kdim}, "
                         f"expected {len(reps)}")

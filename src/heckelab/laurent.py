@@ -215,6 +215,7 @@ def _rat_inv(x: RatFunc) -> RatFunc:
     return RatFunc.one() / x
 
 
-def rat_rank(rows: list[list[RatFunc]]) -> int:
-    """Row rank by exact Gauss elimination over the fraction field."""
+def rat_rank(rows: list[list[RatFunc] | dict[int, RatFunc]]) -> int:
+    """Row rank by exact Gauss elimination over the fraction field, of
+    dense or {column: entry} rows."""
     return len(_linalg.echelon(rows, _rat_inv)[1])

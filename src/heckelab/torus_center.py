@@ -236,29 +236,25 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
 # dimension of the truncated invariant space, three independent ways
 # ---------------------------------------------------------------------------
 
-def invariant_dimension(group: WeylGroup, q: int, radius: int) -> int:
-    """Number of orbits meeting the truncation box.  Cross-checked
-    against the kernel dimension of the stacked (w - 1) actions on the
-    orbit-closed monomial span, and against the Burnside average of
-    fixed pairs; the three counts must agree exactly."""
-    orbs = orbits(group, q, radius)
+def invariant_dimension(group: WeylGroup, orbs: Sequence[OrbitSum]) -> int:
+    """Dimension of the truncated invariant space: the number of
+    ``orbs``, the orbits of a truncation box as ``orbits`` returns them.
+    Cross-checked against the kernel dimension of the stacked (w - 1)
+    actions on the orbit-closed monomial span, and against the Burnside
+    average of fixed pairs; the three counts must agree exactly."""
     count = len(orbs)
 
     basis = sorted({p for o in orbs for p in o.orbit}, key=_pair_key)
     index = {p: i for i, p in enumerate(basis)}
     npairs = len(basis)
 
-    rows: list[list[int]] = []
+    rows: list[dict[int, int]] = []
     for i in range(len(group.datum.simple)):
         s = group.simple_reflection(i)
         for src, p in enumerate(basis):
             dst = index[weyl_act_pair(s, p)]
-            if dst == src:
-                continue
-            row = [0] * npairs
-            row[dst] = 1
-            row[src] = -1
-            rows.append(row)
+            if dst != src:
+                rows.append({dst: 1, src: -1})
     kernel_dim = npairs - _linalg.mat_rank(rows)
 
     fixed_total = sum(1 for w in group.elements for p in basis

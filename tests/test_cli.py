@@ -18,6 +18,7 @@ import pytest
 
 from heckelab.catalog import build_catalog, evaluate_catalog
 from heckelab.cli import (
+    MAX_HECKE_LABELS,
     CheckRecord,
     CLIError,
     RunConfig,
@@ -36,6 +37,7 @@ from heckelab.cli import (
     render_report,
     run,
 )
+from heckelab.iwahori_hecke import label_orbits
 from heckelab.root_datum import REGISTRY, WeylGroup, cartan_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -366,10 +368,11 @@ GOLDEN_RUNS = {
     **{f"torus_center_{name}_q3_r1": ["torus-center", "--datum", name,
                                       "--q", "3", "--radius", "1"]
        for name in ("gl2", "gl3")},
-    "iwahori_center_a1_r2": ["iwahori-center", "--datum", "a1",
-                             "--radius", "2"],
-    "iwahori_center_gl2_r1": ["iwahori-center", "--datum", "gl2",
-                              "--radius", "1"],
+    "torus_center_gl3_q4_r1": ["torus-center", "--datum", "gl3",
+                               "--q", "4", "--radius", "1"],
+    **{f"iwahori_center_{name}_r{radius}": ["iwahori-center", "--datum", name,
+                                            "--radius", str(radius)]
+       for name, radius in (("a1", 2), ("gl2", 1), ("b3", 1), ("a3", 2))},
 }
 
 
@@ -446,11 +449,11 @@ def test_torus_center_roc_only_skips_dimension(capsys):
 def test_torus_center_caps_and_validation(capsys):
     assert main(["torus-center", "--datum", "gl3", "--q", "7",
                  "--radius", "5"]) == 2
-    # kernel route refused above its cap, orbit route still available
-    assert main(["torus-center", "--datum", "gl2", "--q", "8",
-                 "--radius", "2"]) == 2
-    err = capsys.readouterr().err
-    assert "--check roc" in err
+    # both routes run up to the enumeration cap
+    code, payload = run_json(["torus-center", "--datum", "gl2", "--q", "8",
+                              "--radius", "2"], capsys)
+    assert code == 0
+    assert payload["data"]["dimension"] == payload["data"]["orbit_count"]
     assert main(["torus-center", "--datum", "gl2", "--q", "8",
                  "--radius", "2", "--check", "roc"]) == 0
     assert main(["torus-center", "--datum", "gl2", "--q", "6",
@@ -550,9 +553,40 @@ def test_iwahori_center_rank_two(capsys):
     assert all(t["coefficient"] == "1" for t in swap["terms"])
 
 
-def test_iwahori_center_caps_and_validation():
-    assert main(["iwahori-center", "--datum", "gl4", "--radius", "2"]) == 2
+def test_iwahori_center_caps_and_validation(capsys):
+    # the cap counts orbit-closed labels, not the box: gl4 R=2 closes to
+    # 625 labels and is admitted; b3 R=3 has a 343-label box that closes
+    # to 2023 and is refused
+    gl4 = load_group("gl4")
+    closed = label_orbits(gl4, 2, MAX_HECKE_LABELS)
+    assert sum(map(len, closed.values())) == 625 <= MAX_HECKE_LABELS
+    assert main(["iwahori-center", "--datum", "b3", "--radius", "3"]) == 2
+    assert "orbit-closed lattice labels; cap is 750" in capsys.readouterr().err
+    # gl1 has no roots, so its labels are the box: admitted up to the cap,
+    # refused one step past it before any orbit is enumerated
+    code, payload = run_json(
+        ["iwahori-center", "--datum", "gl1", "--radius", "374"], capsys)
+    assert code == 0 and payload["data"]["center_dimension"] == 749
+    assert main(["iwahori-center", "--datum", "gl1", "--radius", "375"]) == 2
+    assert "at least 751 orbit-closed" in capsys.readouterr().err
     assert main(["iwahori-center", "--datum", "a1", "--radius", "-1"]) == 2
+
+
+# F4 at R=1: an 81-label box whose orbit closure holds 5089 labels
+F4_CARTAN = [[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]]
+
+
+def test_iwahori_center_refuses_a_small_box_with_a_large_closure(
+        tmp_path, capsys):
+    path = tmp_path / "f4.json"
+    path.write_text(json.dumps({"cartan": F4_CARTAN}))
+    start = time.perf_counter()
+    assert main(["iwahori-center", "--datum", str(path), "--radius", "1"]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "orbit-closed lattice labels; cap is 750" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -204,13 +204,13 @@ def test_roc_rejects_non_orbit():
 ], ids=["gl2-q2-r0", "gl2-q3-r1", "gl2-q3-r2", "gl2-q2-r2", "gl2-q4-r2",
         "a1-q2-r2", "a2-q2-r2", "a2-q3-r1", "gl1-q5-r1"])
 def test_invariant_dimension_oracles(group, q, radius, expect):
-    assert invariant_dimension(group, q, radius) == expect
+    assert invariant_dimension(group, orbits(group, q, radius)) == expect
 
 
 def test_gl2_burnside_by_hand():
     # box 5x5 coweights, 4 characters: identity fixes 100 pairs, the
     # swap fixes 5 diagonal coweights x 2 symmetric characters
-    assert invariant_dimension(GL2, 3, 2) == (100 + 10) // 2
+    assert invariant_dimension(GL2, orbits(GL2, 3, 2)) == (100 + 10) // 2
 
 
 def test_a2_orbits_escape_the_box_but_stay_closed():
