@@ -82,6 +82,12 @@ MAX_TORUS_PAIRS = 50_000
 # with the radius: a1 R=200 (401 labels) takes 27.8 s
 MAX_HECKE_LABELS = 750
 MAX_CATALOG_GROUP_ORDER = 4_096
+# spade-check work, n^2 (n + partitions) for rank n.  It admits GL8 over
+# all 127 partitions and GL21 with one, each about 0.6 s on a shared
+# 2-vCPU host.  Rank <= 21 keeps every printed point count, at most
+# (p^N)^(n^2) with n (p^N - 1)^2 < 2^63, under CPython's 4300-digit
+# limit on int-to-str conversion
+MAX_SPADE_WORK = 10_000
 
 
 class CLIError(Exception):
@@ -289,10 +295,6 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 # shared math plumbing
 # ---------------------------------------------------------------------------
 
-def _bounds_list(K) -> list[list[int | None]]:
-    return [list(row) for row in K.bounds]
-
-
 def _point_str(x: Sequence[Q]) -> list[str]:
     return [str(Q(c)) for c in x]
 
@@ -308,10 +310,6 @@ def _theta_blocks(n: int, theta: Sequence[int]) -> tuple[tuple[int, ...], ...]:
         else:
             blocks.append([i])
     return tuple(tuple(b) for b in blocks)
-
-
-def _weyl_word(w) -> list[int]:
-    return list(w.word)
 
 
 def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
@@ -339,7 +337,7 @@ def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
         try:
             moved = from_filtration(filtration_profile(datum, image, r))
         except ValueError as exc:
-            per_image.append({"weyl_word": _weyl_word(w), "status": SKIPPED,
+            per_image.append({"weyl_word": list(w.word), "status": SKIPPED,
                               "reason": str(exc)})
             continue
         moved_levi = intersect_levi(moved, blocks)
@@ -351,9 +349,9 @@ def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
             if verdict == "DISTINCT_VOLUME":
                 proven = True
         per_image.append({
-            "weyl_word": _weyl_word(w),
-            "levi_intersection_at_x": _bounds_list(base_levi),
-            "levi_intersection_at_image": _bounds_list(moved_levi),
+            "weyl_word": list(w.word),
+            "levi_intersection_at_x": base_levi.to_lists(),
+            "levi_intersection_at_image": moved_levi.to_lists(),
             "blocks": block_verdicts,
         })
     out = {
@@ -454,7 +452,7 @@ def _run_heart_check(config: RunConfig) -> VerificationReport:
         witness = {
             "status": verdict.status,
             "mismatches": [{
-                "weyl_word": _weyl_word(w.w2),
+                "weyl_word": list(w.w2.word),
                 "root": list(w.root),
                 "threshold_at_x": w.threshold_at_x,
                 "threshold_at_image": w.threshold_at_image,
@@ -500,7 +498,7 @@ def _run_counterexample(config: RunConfig) -> VerificationReport:
         "filtration-group-matrix",
         PASS if base.bounds == _EXPECTED_GROUP else FAIL,
         None if base.bounds == _EXPECTED_GROUP
-        else {"computed": _bounds_list(base)}))
+        else {"computed": base.to_lists()}))
 
     # route 1: permutation conjugation; route 2: reflected point
     swapped = conjugate_by_permutation(base, (1, 0, 2))
@@ -511,13 +509,13 @@ def _run_counterexample(config: RunConfig) -> VerificationReport:
     checks.append(CheckRecord(
         "conjugation-route-agreement",
         PASS if agree else FAIL,
-        None if agree else {"permutation_route": _bounds_list(swapped),
-                            "reflection_route": _bounds_list(reflected)}))
+        None if agree else {"permutation_route": swapped.to_lists(),
+                            "reflection_route": reflected.to_lists()}))
     checks.append(CheckRecord(
         "conjugated-group-matrix",
         PASS if swapped.bounds == _EXPECTED_CONJ else FAIL,
         None if swapped.bounds == _EXPECTED_CONJ
-        else {"computed": _bounds_list(swapped)}))
+        else {"computed": swapped.to_lists()}))
 
     levi = intersect_levi(base, blocks)
     conj_levi = intersect_levi(swapped, blocks)
@@ -525,12 +523,12 @@ def _run_counterexample(config: RunConfig) -> VerificationReport:
         "levi-intersection-matrix",
         PASS if levi.bounds == _EXPECTED_LEVI else FAIL,
         None if levi.bounds == _EXPECTED_LEVI
-        else {"computed": _bounds_list(levi)}))
+        else {"computed": levi.to_lists()}))
     checks.append(CheckRecord(
         "conjugated-levi-intersection-matrix",
         PASS if conj_levi.bounds == _EXPECTED_CONJ_LEVI else FAIL,
         None if conj_levi.bounds == _EXPECTED_CONJ_LEVI
-        else {"computed": _bounds_list(conj_levi)}))
+        else {"computed": conj_levi.to_lists()}))
 
     # the 2x2 blocks: principal congruence group vs pro-unipotent radical
     principal = block_of(levi, (1, 2))
@@ -585,13 +583,13 @@ def _run_counterexample(config: RunConfig) -> VerificationReport:
         "x": _point_str(x),
         "r": str(r),
         "theta": list(theta),
-        "reflection_word": _weyl_word(s0),
+        "reflection_word": list(s0.word),
         "permutation": [1, 0, 2],
         "matrices": {
-            "filtration_group": _bounds_list(base),
-            "conjugated_group": _bounds_list(swapped),
-            "levi_intersection": _bounds_list(levi),
-            "conjugated_levi_intersection": _bounds_list(conj_levi),
+            "filtration_group": base.to_lists(),
+            "conjugated_group": swapped.to_lists(),
+            "levi_intersection": levi.to_lists(),
+            "conjugated_levi_intersection": conj_levi.to_lists(),
         },
         "indices": {
             "principal_congruence_in_iwahori": str(vol_k),
@@ -622,10 +620,19 @@ def _standard_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _run_spade_check(config: RunConfig) -> VerificationReport:
-    datum = load_datum(config.datum)
     x, r = config.x, config.r
     if x is None or r is None:
         raise CLIError("spade-check needs --x and --r")
+    # --x has one coordinate per row, so the work is bounded before the
+    # datum, whose roots alone take O(n^3) to build, is loaded
+    n = len(x)
+    count = 1 if config.partition is not None else 2 ** (n - 1) - 1
+    if n * n * (n + count) > MAX_SPADE_WORK:
+        over = ("one partition" if config.partition is not None
+                else f"all 2^{n - 1} - 1 partitions")
+        raise CLIError(f"spade-check of rank {n} over {over} exceeds the "
+                       f"work cap n^2 (n + partitions) <= {MAX_SPADE_WORK}")
+    datum = load_datum(config.datum)
     if not datum.label.startswith("GL"):
         raise CLIError("spade-check needs a general-linear datum "
                        "(integral matrix model required)")
@@ -633,7 +640,6 @@ def _run_spade_check(config: RunConfig) -> VerificationReport:
         raise CLIError(f"--x needs {datum.ambient_rank} coordinates")
     if r <= 0:
         raise CLIError("--r must be positive")
-    n = datum.ambient_rank
     try:
         K = from_filtration(filtration_profile(datum, x, r))
     except ValueError as exc:
@@ -666,7 +672,7 @@ def _run_spade_check(config: RunConfig) -> VerificationReport:
         "datum": datum.label,
         "x": _point_str(x),
         "r": str(r),
-        "bounds": _bounds_list(K),
+        "bounds": K.to_lists(),
         "convention": config.convention,
         "partitions": rows,
     }
@@ -831,7 +837,7 @@ def _run_iwahori_center(config: RunConfig) -> VerificationReport:
 
     basis = []
     for mu, z in zip(report.representatives, report.central_elements):
-        terms = [{"coweight": list(lam), "word": _weyl_word(w),
+        terms = [{"coweight": list(lam), "word": list(w.word),
                   "coefficient": repr(z.coefficient(lam, w))}
                  for lam, w in z.support]
         basis.append({"label": f"z({','.join(str(c) for c in mu)})",

@@ -20,14 +20,18 @@ to permutation conjugation keep volume; distinct volume is a proof of
 non-conjugacy over the field (Haar measure is conjugation invariant),
 which is the obstruction that finishes the wall-point example.
 
-Brute-force checks enumerate the corresponding subgroup of matrices
-over Z/p^N with numpy and verify Iwahori factorization by literal set
-equality; above the element cap the analytic count comparison stands
-alone and is flagged, never silently trusted.
+Points are counted by one per-entry rule (_entry_exponents).  Brute
+force enumerates matrices over Z/p^N in numpy int64, and
+iwahori_factorization_check proves the factorization by block-LDU
+uniqueness; above the element cap, or outside the int64 precondition,
+the analytic count comparison stands alone and is flagged, never
+silently trusted.
 """
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence
@@ -146,22 +150,19 @@ def conjugate_by_permutation(K: ValuationGroupScheme,
                    for i in range(n)])
 
 
-def _check_blocks(n: int, blocks: Sequence[Sequence[int]]) -> list[list[int]]:
-    flat = [i for b in blocks for i in b]
-    if flat != list(range(n)):
+def _block_owner(n: int, blocks: Sequence[Sequence[int]]) -> list[int]:
+    """The block index of each row, for blocks that partition 0..n-1 in
+    order."""
+    if [i for b in blocks for i in b] != list(range(n)):
         raise ValueError("blocks must partition 0..n-1 in order")
-    return [list(b) for b in blocks]
+    return [k for k, b in enumerate(blocks) for _ in b]
 
 
 def intersect_levi(K: ValuationGroupScheme,
                    blocks: Sequence[Sequence[int]]) -> ValuationGroupScheme:
     """Block-diagonal part: bounds kept inside each block, all other
     entries frozen to zero."""
-    bl = _check_blocks(K.size, blocks)
-    owner = {}
-    for b_idx, b in enumerate(bl):
-        for i in b:
-            owner[i] = b_idx
+    owner = _block_owner(K.size, blocks)
     n = K.size
     return scheme([[K.bounds[i][j] if owner[i] == owner[j] else None
                     for j in range(n)] for i in range(n)])
@@ -170,6 +171,44 @@ def intersect_levi(K: ValuationGroupScheme,
 def block_of(K: ValuationGroupScheme, block: Sequence[int]) -> ValuationGroupScheme:
     """The bound matrix restricted to one block, as a smaller scheme."""
     return scheme([[K.bounds[i][j] for j in block] for i in block])
+
+
+# ---------------------------------------------------------------------------
+# Entry constraints: the one per-entry rule for counting and enumerating
+# ---------------------------------------------------------------------------
+
+# ("val", m) | ("cong", m) | ("unit",) | ("one",) | ("zero",)
+Constraint = tuple
+
+
+def _entry_constraint(K: ValuationGroupScheme, i: int, j: int) -> Constraint:
+    m = K.bounds[i][j]
+    if m is None:
+        return ("zero",)
+    if i == j:
+        return ("unit",) if m == 0 else ("cong", m)
+    return ("val", m)
+
+
+def _constraints(K: ValuationGroupScheme) -> list[list[Constraint]]:
+    return [[_entry_constraint(K, i, j) for j in range(K.size)]
+            for i in range(K.size)]
+
+
+def _entry_exponents(c: Constraint, N: int) -> tuple[int, int]:
+    """The residues mod p^N meeting c number p^a (p-1)^b; returns (a, b)."""
+    kind = c[0]
+    if kind in ("zero", "one"):
+        return 0, 0
+    if kind == "unit":
+        return N - 1, 1
+    return N - c[1], 0
+
+
+def _grid_exponents(constraints: list[list[Constraint]],
+                    N: int) -> tuple[int, int]:
+    exps = [_entry_exponents(c, N) for row in constraints for c in row]
+    return sum(a for a, _ in exps), sum(b for _, b in exps)
 
 
 # ---------------------------------------------------------------------------
@@ -202,19 +241,7 @@ def count_exponents(K: ValuationGroupScheme, N: int) -> tuple[int, int]:
     """Point count of K over O/p^N is p^a (p-1)^b; returns (a, b)."""
     if N < max(1, K.max_finite_bound()):
         raise ValueError("N too small for the bounds")
-    a = 0
-    b = 0
-    for i in range(K.size):
-        for j in range(K.size):
-            m = K.bounds[i][j]
-            if m is None:
-                continue
-            if i == j and m == 0:
-                a += N - 1
-                b += 1
-            else:
-                a += N - m
-    return a, b
+    return _grid_exponents(_constraints(K), N)
 
 
 def point_count(K: ValuationGroupScheme, p: int, N: int) -> int:
@@ -268,20 +295,6 @@ def conjugacy_obstruction(K1: ValuationGroupScheme,
 # Brute-force enumeration over Z/p^N
 # ---------------------------------------------------------------------------
 
-# entry constraints for enumeration: ("val", m) | ("cong", m) |
-# ("unit",) | ("one",) | ("zero",)
-Constraint = tuple
-
-
-def _entry_constraint(K: ValuationGroupScheme, i: int, j: int) -> Constraint:
-    m = K.bounds[i][j]
-    if m is None:
-        return ("zero",)
-    if i == j:
-        return ("unit",) if m == 0 else ("cong", m)
-    return ("val", m)
-
-
 def _constraint_values(c: Constraint, p: int, N: int) -> np.ndarray:
     mod = p ** N
     kind = c[0]
@@ -294,15 +307,6 @@ def _constraint_values(c: Constraint, p: int, N: int) -> np.ndarray:
     m = c[1]
     vals = np.arange(0, mod, p ** m, dtype=np.int64)
     return vals + 1 if kind == "cong" else vals
-
-
-def _constraint_count(c: Constraint, p: int, N: int) -> int:
-    kind = c[0]
-    if kind in ("zero", "one"):
-        return 1
-    if kind == "unit":
-        return p ** (N - 1) * (p - 1)
-    return p ** (N - c[1])
 
 
 def _constraint_mask(c: Constraint, entries: np.ndarray, p: int, N: int) -> np.ndarray:
@@ -350,22 +354,9 @@ def _member_mask(K: ValuationGroupScheme, mats: np.ndarray, p: int,
     return ok
 
 
-def _encode(mats: np.ndarray, mod: int) -> np.ndarray:
-    n = mats.shape[1]
-    code = np.zeros(len(mats), dtype=np.uint64)
-    base = np.uint64(1)
-    for i in range(n):
-        for j in range(n):
-            code += mats[:, i, j].astype(np.uint64) * base
-            base *= np.uint64(mod)
-    return code
-
-
 def group_elements(K: ValuationGroupScheme, p: int, N: int,
                    cap: int = DEFAULT_BRUTE_CAP) -> np.ndarray | None:
-    constraints = [[_entry_constraint(K, i, j) for j in range(K.size)]
-                   for i in range(K.size)]
-    return _enumerate(constraints, p, N, cap)
+    return _enumerate(_constraints(K), p, N, cap)
 
 
 def brute_point_count(K: ValuationGroupScheme, p: int, N: int,
@@ -382,38 +373,48 @@ def _factor_constraints(K: ValuationGroupScheme, blocks: Sequence[Sequence[int]]
                         part: str) -> list[list[Constraint]]:
     """Constraints for K cut down to one factor of the decomposition:
     'levi' (block diagonal), 'upper' or 'lower' (block unipotent)."""
-    bl = _check_blocks(K.size, blocks)
-    owner = {}
-    for b_idx, b in enumerate(bl):
-        for i in b:
-            owner[i] = b_idx
+    owner = _block_owner(K.size, blocks)
+    kept = {"levi": operator.eq, "upper": operator.lt,
+            "lower": operator.gt}[part]
     n = K.size
-    out: list[list[Constraint]] = [[("zero",)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            same = owner[i] == owner[j]
-            if part == "levi":
-                out[i][j] = _entry_constraint(K, i, j) if same else ("zero",)
-            else:
-                if i == j:
-                    out[i][j] = ("one",)
-                elif same:
-                    out[i][j] = ("zero",)
-                elif part == "upper" and owner[i] < owner[j]:
-                    out[i][j] = _entry_constraint(K, i, j)
-                elif part == "lower" and owner[i] > owner[j]:
-                    out[i][j] = _entry_constraint(K, i, j)
-                else:
-                    out[i][j] = ("zero",)
+    out: list[list[Constraint]] = [
+        [_entry_constraint(K, i, j) if kept(owner[i], owner[j]) else ("zero",)
+         for j in range(n)] for i in range(n)]
+    if part != "levi":
+        for i in range(n):
+            out[i][i] = ("one",)
     return out
 
 
-def _constraints_count(constraints: list[list[Constraint]], p: int, N: int) -> int:
-    total = 1
-    for row in constraints:
-        for c in row:
-            total *= _constraint_count(c, p, N)
-    return total
+def _levi_invertible(levi: np.ndarray, blocks: Sequence[Sequence[int]],
+                     p: int) -> bool:
+    """Whether every diagonal block of every matrix in levi is invertible
+    mod p, shown with integers only: m v is nonzero mod p for every
+    nonzero v in F_p^k, k the block size."""
+    for block in map(list, blocks):
+        nonzero = list(itertools.product(range(p), repeat=len(block)))[1:]
+        vecs = np.array(nonzero, dtype=np.int64).T
+        chunk = max(1, 1_000_000 // vecs.size)
+        for start in range(0, len(levi), chunk):
+            sub = levi[start:start + chunk][:, block][:, :, block] % p
+            images = sub @ vecs % p
+            if (images == 0).all(axis=1).any():
+                return False
+    return True
+
+
+def _products_in(K: ValuationGroupScheme, lo: np.ndarray, mid: np.ndarray,
+                 hi: np.ndarray, p: int, N: int) -> bool:
+    """Whether every product l m u lies in K, checked one by one."""
+    mod = p ** N
+    n = K.size
+    pairs = (lo[:, None] @ mid[None]).reshape(-1, n, n) % mod
+    chunk = max(1, 500_000 // len(hi))
+    for start in range(0, len(pairs), chunk):
+        prods = pairs[start:start + chunk, None] @ hi[None]
+        if not _member_mask(K, prods.reshape(-1, n, n) % mod, p, N).all():
+            return False
+    return True
 
 
 UNVERIFIED = "UNVERIFIED_EXHAUSTIVELY"
@@ -427,9 +428,8 @@ class FactorizationReport:
 
     @property
     def passed(self) -> bool:
-        if not self.analytic_match:
-            return False
-        return all(v is not False for _, v in self.exhaustive)
+        return self.analytic_match and all(v is not False
+                                           for _, v in self.exhaustive)
 
     @property
     def fully_verified(self) -> bool:
@@ -443,11 +443,22 @@ def iwahori_factorization_check(K: ValuationGroupScheme,
                                 cap: int = DEFAULT_BRUTE_CAP
                                 ) -> FactorizationReport:
     """Does K factor as (K cap N^-)(K cap M)(K cap N) for the block
-    parabolic?  The analytic check compares symbolic point counts; the
-    brute-force check multiplies the three enumerated factor sets over
-    Z/p^N (N = largest bound + 1) and demands the product be exactly
-    the point set of K.  Above the cap the brute force is skipped and
-    flagged."""
+    parabolic?  The analytic check compares the point-count exponents
+    (a, b) of the three factors, summed, with those of K.
+
+    The exhaustive check, over Z/p^N with N = largest bound + 1, rests
+    on block-LDU uniqueness: if l m u = l' m' u' with l, l' block lower
+    unipotent, u, u' block upper unipotent and m, m' block diagonal and
+    invertible, then l'^-1 l m = m' u' u^-1 is both block lower and
+    block upper triangular, so m = m', l = l' and u = u'.  Once every
+    enumerated Levi element is shown invertible mod p, the products
+    are |lo| |mid| |hi| distinct matrices; each product is tested for
+    membership in K, and the count is compared with the point count of
+    K, so equality proves the product set is the point set of K.
+
+    A prime is left unverified (verdict None, flagged) when the int64
+    precondition n (p^N - 1)^2 < 2^63 fails or K has more than cap
+    points."""
     if convention not in ("upper", "lower"):
         raise ValueError("convention must be 'upper' or 'lower'")
     first, last = ("lower", "upper") if convention == "upper" else ("upper", "lower")
@@ -455,46 +466,30 @@ def iwahori_factorization_check(K: ValuationGroupScheme,
              for part in (first, "levi", last)]
 
     N = K.max_finite_bound() + 1
-    # evaluating the symbolic counts at two primes pins the monomials
-    analytic = all(
-        math.prod(_constraints_count(cs, p, N) for cs in parts)
-        == point_count(K, p, N)
-        for p in (2, 3))
+    # exponents add entry by entry: the three grids count as one
+    analytic = (_grid_exponents([row for cs in parts for row in cs], N)
+                == count_exponents(K, N))
 
     exhaustive: list[tuple[int, bool | None]] = []
     flags: list[str] = []
     for p in primes:
-        mod = p ** N
+        # the one precondition of the int64 arithmetic: a product of two
+        # matrices with entries in [0, p^N) stays below 2^63
+        if K.size * (p ** N - 1) ** 2 >= 2 ** 63:
+            exhaustive.append((p, None))
+            flags.append(f"{UNVERIFIED}(p={p}, n*(p^N-1)^2 >= 2^63)")
+            continue
         expected = point_count(K, p, N)
         if expected > cap:
             exhaustive.append((p, None))
             flags.append(f"{UNVERIFIED}(p={p}, expected={expected})")
             continue
-        sets = [_enumerate(cs, p, N, cap) for cs in parts]
-        if any(s is None for s in sets):
-            exhaustive.append((p, None))
-            flags.append(f"{UNVERIFIED}(p={p}, factor too large)")
-            continue
-        lo, mid, hi = sets
-        if len(lo) * len(mid) > cap:
-            exhaustive.append((p, None))
-            flags.append(f"{UNVERIFIED}(p={p}, pair set too large)")
-            continue
-        pairs = np.einsum("aij,bjk->abik", lo, mid).reshape(-1, K.size, K.size) % mod
-        codes = []
-        all_member = True
-        chunk = max(1, 500_000 // max(1, len(hi)))
-        for start in range(0, len(pairs), chunk):
-            pc = pairs[start:start + chunk]
-            prods = np.einsum("aij,bjk->abik", pc, hi).reshape(-1, K.size, K.size) % mod
-            member = _member_mask(K, prods, p, N)
-            if not member.all():
-                all_member = False
-                break
-            codes.append(_encode(prods, mod))
-        if not all_member:
+        sets = [_enumerate(cs, p, N, expected) for cs in parts]
+        if (any(s is None for s in sets)
+                or math.prod(map(len, sets)) != expected):
             exhaustive.append((p, False))
             continue
-        distinct = len(np.unique(np.concatenate(codes)))
-        exhaustive.append((p, distinct == expected))
+        lo, mid, hi = sets
+        exhaustive.append((p, _levi_invertible(mid, blocks, p)
+                           and _products_in(K, lo, mid, hi, p, N)))
     return FactorizationReport(analytic, tuple(exhaustive), tuple(flags))

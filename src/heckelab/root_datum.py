@@ -162,13 +162,6 @@ class RootDatum:
 
     # -- reflections ----------------------------------------------------
 
-    def reflect_character(self, pair_index: int, x: Sequence[Q]) -> tuple[Q, ...]:
-        """x - <x, coroot> root, for the pair at ``pair_index``."""
-        a = self.roots[pair_index]
-        av = self.coroots[pair_index]
-        c = self.pairing(x, av)
-        return tuple(Q(xi) - c * ai for xi, ai in zip(x, a))
-
     def reflect_cocharacter(self, pair_index: int, lam: Sequence[Q]) -> tuple[Q, ...]:
         """lam - <root, lam> coroot, for the pair at ``pair_index``."""
         a = self.roots[pair_index]

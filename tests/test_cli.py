@@ -8,6 +8,7 @@ handling, and the exit-code contract.
 """
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -40,7 +41,8 @@ from heckelab.cli import (
 from heckelab.iwahori_hecke import label_orbits
 from heckelab.root_datum import REGISTRY, WeylGroup, cartan_matrix
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
 WALL_VERDICT = "G_{x,1} ∉ K^♥(S,G)"
 
 
@@ -319,6 +321,55 @@ def test_spade_check_all_partitions_rank_three(capsys):
     assert len(payload["checks"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["--datum", "gl4", "--x", "0,0,0,0", "--r", "4"],
+    *(["--datum", "gl2", "--x", "0,0", "--r", r] for r in ("20", "30", "40"))])
+def test_spade_check_deep_filtrations_exit_0_cleanly(argv):
+    # GL4 at depth 4 has 2^16 points at p = 2, each a 4 x 4 matrix mod
+    # 2^5; GL2 at depth 20 to 40 has entries mod 2^21 to 3^41, where int64
+    # products overflow.  No prime may be refuted, or pass unflagged
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckelab.cli", "spade-check", *argv,
+         "--format", "json"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0 and proc.stderr == ""
+    rows = json.loads(proc.stdout)["data"]["partitions"]
+    for row in rows:
+        for p, verdict in row["exhaustive"]:
+            assert verdict is True or any(
+                f.startswith(f"UNVERIFIED_EXHAUSTIVELY(p={p},")
+                for f in row["flags"])
+    if argv[1] == "gl4":
+        assert len(rows) == 7
+        assert all(row["exhaustive"][0] == [2, True] for row in rows)
+
+
+def test_spade_check_work_cap(tmp_path, capsys):
+    # the cap is read off --x before the datum is built: GL200 over its
+    # 2^199 - 1 default partitions is refused at once
+    files = {}
+    for n in (8, 9, 21, 22, 200):
+        files[n] = tmp_path / f"gl{n}.json"
+        files[n].write_text(f'{{"general_linear": {n}}}')
+
+    def argv(n, one_partition):
+        out = ["spade-check", "--datum", str(files[n]),
+               "--x", ",".join(["0"] * n), "--r", "1"]
+        if one_partition:
+            out += ["--partition", "0|" + ",".join(map(str, range(1, n)))]
+        return out
+
+    start = time.perf_counter()
+    assert main(argv(200, False)) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "all 2^199 - 1 partitions exceeds the work cap" in captured.err
+    assert main(argv(22, True)) == 2 and main(argv(9, False)) == 2
+    assert main(argv(21, True)) == 0 and main(argv(8, False)) == 0
+
+
 def test_spade_check_validation():
     assert main(["spade-check", "--datum", "a2", "--x", "1/2,0",
                  "--r", "1"]) == 2  # needs a matrix model
@@ -347,10 +398,10 @@ def test_clifford_quick_table(capsys):
     assert by_name["he3_z"]["multiplicity"] == 3
 
 
-def assert_matches_golden(golden, argv, capsys):
+def assert_matches_golden(golden, argv, capsys, exit_code=0):
     # the reports, apart from wall_time_s, are fixed byte for byte
     code, payload = run_json(argv, capsys)
-    assert code == 0
+    assert code == exit_code
     payload.pop("wall_time_s")
     text = (GOLDEN / f"{golden}.json").read_text()
     assert json.dumps(payload, indent=2, ensure_ascii=False) + "\n" == text
@@ -373,12 +424,57 @@ GOLDEN_RUNS = {
     **{f"iwahori_center_{name}_r{radius}": ["iwahori-center", "--datum", name,
                                             "--radius", str(radius)]
        for name, radius in (("a1", 2), ("gl2", 1), ("b3", 1), ("a3", 2))},
+    "counterexample": ["counterexample"],
+    "verify_all_quick": ["verify-all", "--quick"],
+    # the heart-check and spade-check calls of the filtration benchmark,
+    # named by datum, point and depth with "-" for "/"
+    "heart_check_gl3_x1-2_0_0_r1_theta1":
+        ["heart-check", "--datum", "gl3", "--x", "1/2,0,0", "--r", "1",
+         "--theta", "1"],
+    "heart_check_gl3_x2-3_1-3_0_r1":
+        ["heart-check", "--datum", "gl3", "--x", "2/3,1/3,0", "--r", "1"],
+    "heart_check_gl4_x3-4_1-2_1-4_0_r3-2":
+        ["heart-check", "--datum", "gl4", "--x", "3/4,1/2,1/4,0",
+         "--r", "3/2"],
+    "heart_check_b3_x1-4_1-8_1-16_r3-2":
+        ["heart-check", "--datum", "b3", "--x", "1/4,1/8,1/16",
+         "--r", "3/2"],
+    "spade_check_gl2_x1-2_0_r1":
+        ["spade-check", "--datum", "gl2", "--x", "1/2,0", "--r", "1"],
+    "spade_check_gl3_x1-2_1-3_0_r1-2":
+        ["spade-check", "--datum", "gl3", "--x", "1/2,1/3,0", "--r", "1/2"],
+    "spade_check_gl3_x2-3_1-3_0_r1-2":
+        ["spade-check", "--datum", "gl3", "--x", "2/3,1/3,0", "--r", "1/2"],
+    "spade_check_gl3_x1-2_0_0_r1":
+        ["spade-check", "--datum", "gl3", "--x", "1/2,0,0", "--r", "1"],
+    "spade_check_gl4_x3-4_1-2_1-4_0_r1-2":
+        ["spade-check", "--datum", "gl4", "--x", "3/4,1/2,1/4,0",
+         "--r", "1/2"],
 }
+
+# heart-check exits 1 on these three: a condition-1 check fails (at the
+# gl3 and gl4 points with a DISTINCT_VOLUME obstruction, at the b3 point
+# with no integral matrix model to escalate to)
+GOLDEN_EXIT = {"heart_check_gl3_x1-2_0_0_r1_theta1": 1,
+               "heart_check_gl4_x3-4_1-2_1-4_0_r3-2": 1,
+               "heart_check_b3_x1-4_1-8_1-16_r3-2": 1}
 
 
 @pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
 def test_report_matches_golden(golden, capsys):
-    assert_matches_golden(golden, GOLDEN_RUNS[golden], capsys)
+    assert_matches_golden(golden, GOLDEN_RUNS[golden], capsys,
+                          GOLDEN_EXIT.get(golden, 0))
+
+
+@pytest.mark.parametrize("script", ["center_dimension_table",
+                                    "gl3_wall_point_demo"])
+def test_script_stdout_matches_golden(script):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{script}.py")],
+        capture_output=True, text=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (GOLDEN / f"{script}.txt").read_text()
 
 
 def test_clifford_component_modes():
@@ -478,6 +574,7 @@ DATUM_FILES = {
     "not_object": '[2]',
     "extra_key": '{"general_linear": 3, "label": "GL3"}',
     "b6": json.dumps({"cartan": cartan_matrix("B", 6)}),
+    "gl100": '{"general_linear": 100}',
 }
 
 
@@ -505,6 +602,9 @@ DATUM_FILES = {
     (["rootdatum", "--datum", "{b6}"],
      "Weyl group order is at least 10081; cap is 10080"),
     (["rootdatum", "--datum", "{directory}"], "cannot read datum file"),
+    (["spade-check", "--datum", "{gl100}", "--x", ",".join(["0"] * 100),
+      "--r", "1", "--partition", "0|" + ",".join(map(str, range(1, 100)))],
+     "spade-check of rank 100 over one partition exceeds the work cap"),
 ])
 def test_malformed_input_exits_2_with_one_line(argv, needle, tmp_path, capsys):
     from heckelab.catalog import catalog_to_json

@@ -45,6 +45,13 @@ def test_rejects_nonassociative_latin_square():
                      (3, 2, 4, 0, 1), (4, 3, 1, 2, 0)))
 
 
+def test_rejects_latin_rows_with_a_repeated_column():
+    # every row is a permutation and 0 is an identity, but column 1
+    # reads 1, 2, 1: Light's test refutes (1*1)*1 = 1*(1*1)
+    with pytest.raises(ValueError, match="associativity"):
+        FiniteGroup(((0, 1, 2), (1, 2, 0), (2, 1, 0)))
+
+
 def test_greedy_generators():
     assert D8.generators() == [1, 4]
     assert Q8.generators() == [1, 4]

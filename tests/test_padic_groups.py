@@ -4,10 +4,13 @@ Numeric oracles: point counts over Z/p^N computed by literal
 enumeration with numpy, and indices in GL_2 computed as exact ratios of
 those counts for p in {2, 3}; the symbolic machinery must reproduce
 them.  The wall-point bound matrices are frozen from a hand evaluation
-of ceil(r - a(x)) entry by entry.
+of ceil(r - a(x)) entry by entry.  The exhaustive factorization route
+(block-LDU uniqueness) is checked against an exact count of distinct
+products, with factors cut out of the enumerated group itself.
 """
 from fractions import Fraction as Q
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +18,7 @@ from heckelab.apartment import base_alcove_closure_grid, filtration_profile
 from heckelab.padic_groups import (
     FactorizationReport,
     ValuationGroupScheme,
+    _levi_invertible,
     block_of,
     brute_point_count,
     conjugacy_obstruction,
@@ -294,6 +298,117 @@ def test_factorization_gl3_flags_oversized_brute_force():
     assert dict(rep.exhaustive)[2] is None
     assert any("UNVERIFIED_EXHAUSTIVELY" in f for f in rep.flags)
     assert not rep.fully_verified
+
+
+def _distinct_rows(mats):
+    # each matrix as one opaque row of its entries' bytes, in the least
+    # unsigned type that holds them: equal rows are equal matrices, and
+    # no two entries share a code
+    flat = mats.reshape(len(mats), -1).astype(np.min_scalar_type(mats.max()))
+    return np.unique(flat.view(np.dtype((np.void, flat.strides[0]))))
+
+
+def _distinct_product_verdict(K, blocks, convention, p):
+    """Literal set equality, counted exactly: the factors are the block
+    lower unipotent, block diagonal and block upper unipotent elements
+    of K's own point set, and their products must be exactly that set."""
+    N = K.max_finite_bound() + 1
+    mod, n = p ** N, K.size
+    elems = group_elements(K, p, N)
+    owner = [b for b, block in enumerate(blocks) for _ in block]
+    below = np.array([[owner[i] > owner[j] for j in range(n)]
+                      for i in range(n)])
+    above, within = below.T, ~(below | below.T)
+    eye = np.eye(n, dtype=np.int64)
+
+    def unipotent(zero_part):
+        return elems[(elems[:, zero_part] == 0).all(axis=1)
+                     & (elems[:, within] == eye[within]).all(axis=1)]
+
+    lo, hi = unipotent(above), unipotent(below)
+    if convention == "lower":
+        lo, hi = hi, lo
+    mid = elems[(elems[:, ~within] == 0).all(axis=1)]
+    pairs = (lo[:, None] @ mid[None]).reshape(-1, n, n) % mod
+    prods = (pairs[:, None] @ hi[None]).reshape(-1, n, n) % mod
+    return np.array_equal(_distinct_rows(prods), _distinct_rows(elems))
+
+
+CRITERION_3_CASES = [
+    (from_filtration(filtration_profile(datum, x, r)), blocks)
+    for datum, partitions in (
+        (GL2, [((0,), (1,))]),
+        (GL3, [((0,), (1,), (2,)), ((0,), (1, 2)), ((0, 1), (2,))]))
+    for x in base_alcove_closure_grid(datum, 2)
+    for r in (Q(1, 2), Q(1))
+    for blocks in partitions]
+
+
+def test_uniqueness_route_agrees_with_distinct_count_on_criterion_3_grid():
+    compared = 0
+    for K, blocks in CRITERION_3_CASES:
+        rep = iwahori_factorization_check(K, blocks)
+        for p, verdict in rep.exhaustive:
+            if verdict is not None:
+                assert verdict is _distinct_product_verdict(K, blocks,
+                                                            "upper", p)
+                compared += 1
+    assert len(CRITERION_3_CASES) == 42 and compared == 60
+
+
+def test_lower_convention_agrees_with_distinct_count():
+    for K, blocks in CRITERION_3_CASES[::7]:
+        rep = iwahori_factorization_check(K, blocks, convention="lower",
+                                          cap=300_000)
+        for p, verdict in rep.exhaustive:
+            if verdict is not None:
+                assert verdict is _distinct_product_verdict(K, blocks,
+                                                            "lower", p)
+
+
+# x = 0 at depth 4 in GL4: at p = 2 every partition's product set has
+# 2^16 points, 4 x 4 matrices mod 2^5, 80 bits of entries each
+GL4_DEPTH4 = from_filtration(filtration_profile(datum_general_linear(4),
+                                                (0, 0, 0, 0), Q(4)))
+GL4_PARTITIONS = [((0,), (1, 2, 3)), ((0, 1), (2, 3)), ((0, 1, 2), (3,)),
+                  ((0,), (1,), (2, 3)), ((0,), (1, 2), (3,)),
+                  ((0, 1), (2,), (3,)), ((0,), (1,), (2,), (3,))]
+
+
+@pytest.mark.parametrize("blocks", GL4_PARTITIONS)
+def test_gl4_depth4_factorization_verified_at_2(blocks):
+    rep = iwahori_factorization_check(GL4_DEPTH4, blocks)
+    assert rep.exhaustive[0] == (2, True) and rep.passed
+    assert _distinct_product_verdict(GL4_DEPTH4, blocks, "upper", 2)
+
+
+@pytest.mark.parametrize("r", [20, 30, 40])
+def test_deep_gl2_never_false_and_flags_int64_overflow(r):
+    # entries mod p^N with n (p^N - 1)^2 >= 2^63 would overflow int64
+    # products: those primes are flagged unverified, never refuted
+    K = from_filtration(filtration_profile(GL2, (0, 0), Q(r)))
+    rep = iwahori_factorization_check(K, [(0,), (1,)])
+    assert rep.passed
+    for p, verdict in rep.exhaustive:
+        if verdict is None:
+            assert f"UNVERIFIED_EXHAUSTIVELY(p={p}, n*(p^N-1)^2 >= 2^63)" \
+                in rep.flags
+        else:
+            assert verdict is True
+            assert _distinct_product_verdict(K, [(0,), (1,)], "upper", p)
+    assert [p for p, v in rep.exhaustive if v] == ([2] if r < 40 else [])
+
+
+def test_levi_invertibility_check_catches_a_singular_block():
+    blocks = [(0,), (1, 2)]
+    levi = group_elements(intersect_levi(WALL, blocks), 3, 2)
+    assert _levi_invertible(levi, blocks, 3)
+    singular = levi.copy()
+    singular[5, 1:, 1:] = [[1, 3], [3, 0]]     # second row zero mod 3
+    assert not _levi_invertible(singular, blocks, 3)
+    singular[5, 1:, 1:] = [[1, 0], [0, 1]]
+    singular[7, 0, 0] = 6                      # a 1x1 block divisible by 3
+    assert not _levi_invertible(singular, blocks, 3)
 
 
 def test_factorization_rejects_bad_convention():
