@@ -40,7 +40,7 @@ from fractions import Fraction as Q
 from typing import Iterable, Sequence
 
 from . import _linalg
-from .root_datum import IVec, RootDatum, WeylElement, WeylGroup, coset_split_minimal
+from .root_datum import IVec, RootDatum, WeylElement, WeylGroup
 
 ApartmentPoint = tuple[Q, ...]
 
@@ -122,12 +122,6 @@ def levi_root_indices(datum: RootDatum, theta: Sequence[int]) -> list[int]:
     return out
 
 
-def minimal_coset_representatives(group: WeylGroup,
-                                  theta: Sequence[int]) -> list[WeylElement]:
-    reps = {coset_split_minimal(group, w, theta)[1] for w in group.elements}
-    return sorted(reps, key=lambda w: (w.length, w.word))
-
-
 # ---------------------------------------------------------------------------
 # Condition-(1) equality certificate
 # ---------------------------------------------------------------------------
@@ -160,7 +154,7 @@ def heart_condition1_check(datum: RootDatum, group: WeylGroup, x: Sequence,
     theta = tuple(sorted(theta))
     levi = levi_root_indices(datum, theta)
     witnesses: list[HeartWitness] = []
-    for v in minimal_coset_representatives(group, theta):
+    for v in group.minimal_coset_representatives(theta):
         image = group.act_cocharacter(v, x)
         for k in levi:
             a = datum.roots[k]
@@ -193,7 +187,7 @@ def key_inequality_report(datum: RootDatum, group: WeylGroup, x: Sequence,
     pos_levi = [k for k in levi_root_indices(datum, theta)
                 if datum.is_positive_root(datum.roots[k])]
     out: list[KeyInequalityRecord] = []
-    for v in minimal_coset_representatives(group, theta):
+    for v in group.minimal_coset_representatives(theta):
         vinv = group.inv(v)
         for k in pos_levi:
             a = datum.roots[k]

@@ -309,6 +309,17 @@ def _constraint_values(c: Constraint, p: int, N: int) -> np.ndarray:
     return vals + 1 if kind == "cong" else vals
 
 
+def _value_count(c: Constraint, p: int, N: int) -> int:
+    """len(_constraint_values(c, p, N)), without building the values."""
+    mod = p ** N
+    kind = c[0]
+    if kind in ("zero", "one"):
+        return 1
+    if kind == "unit":
+        return mod - -(-mod // p)       # all residues but the multiples of p
+    return -(-mod // p ** c[1])         # ceil(mod / p^m) steps of p^m
+
+
 def _constraint_mask(c: Constraint, entries: np.ndarray, p: int, N: int) -> np.ndarray:
     kind = c[0]
     if kind == "zero":
@@ -326,15 +337,17 @@ def _constraint_mask(c: Constraint, entries: np.ndarray, p: int, N: int) -> np.n
 def _enumerate(constraints: list[list[Constraint]], p: int, N: int,
                cap: int) -> np.ndarray | None:
     """All matrices over Z/p^N meeting the entry constraints, or None
-    if there are more than cap of them."""
+    if there are more than cap of them; the cap is checked on the counts
+    before any value array is built."""
     n = len(constraints)
+    total = 1
+    for row in constraints:
+        for c in row:
+            total *= _value_count(c, p, N)
+            if total > cap:
+                return None
     cells = [(i, j, _constraint_values(constraints[i][j], p, N))
              for i in range(n) for j in range(n)]
-    total = 1
-    for _, _, vals in cells:
-        total *= len(vals)
-        if total > cap:
-            return None
     out = np.zeros((total, n, n), dtype=np.int64)
     stride = total
     idx = np.arange(total)

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import factorial, prod
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import _linalg
@@ -190,14 +191,23 @@ class RootDatum:
             out.append(sol)
         return out
 
+    def simple_pairings(self) -> list[list[int]]:
+        """The Cartan matrix of the simple pairs, in integers: entry
+        [i][j] pairs simple root j with simple coroot i."""
+        # walk each simple root's nonzero coordinates only: on GL_n a
+        # simple root has two of n
+        supports = [[(k, x) for k, x in enumerate(a) if x]
+                    for a in self.simple_roots()]
+        return [[sum(x * av[k] for k, x in sup) for sup in supports]
+                for av in self.simple_coroots()]
+
     def dynkin_components(self) -> list[list[int]]:
         """Connected components of the Dynkin diagram, as lists of
         positions into ``simple``."""
         m = self.semisimple_rank
         seen: set[int] = set()
         comps: list[list[int]] = []
-        simples = self.simple_roots()
-        cosimples = self.simple_coroots()
+        cartan = self.simple_pairings()
         for start in range(m):
             if start in seen:
                 continue
@@ -207,7 +217,7 @@ class RootDatum:
             while stack:
                 i = stack.pop()
                 for j in range(m):
-                    if j not in seen and self.pairing(simples[j], cosimples[i]) != 0:
+                    if j not in seen and cartan[i][j] != 0:
                         seen.add(j)
                         comp.append(j)
                         stack.append(j)
@@ -413,20 +423,78 @@ def _imat_identity(n: int) -> IMat:
 
 def _imat_mul(a: IMat, b: IMat) -> IMat:
     bt = list(zip(*b))
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def _imat_vec(m: IMat, v: Sequence) -> tuple:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in m)
+    return tuple(sum(map(mul, row, v)) for row in m)
+
+
+# Weyl group orders of E6, E7 and E8 by the arm lengths of their branch
+# node (Humphreys, Reflection Groups and Coxeter Groups, 1990, ch. 2)
+_E_ORDERS = {(1, 2, 2): 51840, (1, 2, 3): 2903040, (1, 2, 4): 696729600}
+
+
+def _irreducible_order(cartan: list[list[int]], comp: list[int]) -> int | None:
+    """Weyl group order of one connected Dynkin diagram, read off its
+    type, or None when the diagram is of no finite type.
+
+    Only the bond of each edge (the product of its two Cartan entries:
+    1, 2 or 3 for a single, double or triple edge) matters, so B_n and
+    C_n are not told apart; both have order 2^n n!."""
+    n = len(comp)
+    adj: dict[int, list[int]] = {i: [] for i in comp}
+    bonds = []
+    for i in comp:
+        for j in comp:
+            if i < j and cartan[i][j]:
+                adj[i].append(j)
+                adj[j].append(i)
+                bonds.append((cartan[i][j] * cartan[j][i], i, j))
+    # a connected diagram is a tree exactly when it has n - 1 edges
+    if len(bonds) != n - 1 or any(b > 3 for b, _, _ in bonds):
+        return None
+    multiple = [(b, i, j) for b, i, j in bonds if b > 1]
+    branches = [i for i in comp if len(adj[i]) > 2]
+    if not branches:
+        if not multiple:
+            return factorial(n + 1)                     # A_n
+        if len(multiple) > 1:
+            return None
+        b, i, j = multiple[0]
+        if b == 3:
+            return 12 if n == 2 else None               # G2
+        if len(adj[i]) == 1 or len(adj[j]) == 1:
+            return 2 ** n * factorial(n)                # B_n, C_n
+        return 1152 if n == 4 else None                 # F4
+    if multiple or len(branches) > 1 or len(adj[branches[0]]) > 3:
+        return None
+    arms = []
+    for k in adj[branches[0]]:
+        prev, length = branches[0], 1
+        while len(adj[k]) == 2:
+            prev, k = k, next(x for x in adj[k] if x != prev)
+            length += 1
+        arms.append(length)
+    arms.sort()
+    if arms[:2] == [1, 1]:
+        return 2 ** (n - 1) * factorial(n)              # D_n
+    return _E_ORDERS.get(tuple(arms))
 
 
 def weyl_order_lower_bound(datum: RootDatum) -> int:
-    """Product over the Dynkin components of (rank + 1)!.
+    """Product over the Dynkin components of each component's Weyl
+    group order.
 
-    This bounds the Weyl group order from below: type A_r has order
-    exactly (r + 1)!, and every other irreducible type of rank r has a
-    larger one (B_r, C_r: 2^r r!; D_r: 2^(r-1) r!; E, F, G likewise)."""
-    return prod(factorial(len(c) + 1) for c in datum.dynkin_components())
+    A component of finite type contributes its exact order: (n+1)!,
+    2^n n!, 2^(n-1) n!, 12, 1152, 51840, 2903040 and 696729600 for A_n,
+    B_n/C_n, D_n, G2, F4, E6, E7 and E8.  A component of no finite type
+    has an infinite Weyl group and contributes (rank + 1)!, a bound the
+    enumeration cap of ``WeylGroup`` then backs up.  So the product is
+    the exact order whenever the group is finite."""
+    cartan = datum.simple_pairings()
+    return prod(_irreducible_order(cartan, c) or factorial(len(c) + 1)
+                for c in datum.dynkin_components())
 
 
 class WeylGroup:
@@ -437,6 +505,12 @@ class WeylGroup:
     does, otherwise as soon as the enumeration passes the cap.  The
     library targets small-rank exact checks, not large-scale Coxeter
     combinatorics.
+
+    A run builds one group, so the sets derived from it are memoised on
+    the instance, each filled on first use and held as a tuple: the
+    standard parabolic subgroups and the minimal coset representatives,
+    keyed by the sorted simple subset, and the character stabilizers,
+    keyed by the reduced exponent tuple and its modulus.
     """
 
     def __init__(self, datum: RootDatum, max_order: int = MAX_WEYL_ORDER):
@@ -484,6 +558,9 @@ class WeylGroup:
         self._inverse: dict[IMat, WeylElement] = {
             w.cochar_mat: self._by_mat[tuple(zip(*w.char_mat))]
             for w in self.elements}
+        self._parabolic: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
+        self._coset_reps: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
+        self._stabilizers: dict[tuple[IVec, int], tuple[WeylElement, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -512,22 +589,91 @@ class WeylGroup:
             acc = self.mul(acc, self.simple_reflection(i))
         return acc
 
-    def subgroup_elements(self, simple_subset: Iterable[int]) -> list[WeylElement]:
+    def subgroup_elements(self, simple_subset: Iterable[int]
+                          ) -> tuple[WeylElement, ...]:
         """All elements of the standard parabolic subgroup generated by
-        the simple reflections at the given positions."""
-        gens = [self.simple_reflection(i) for i in simple_subset]
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for w in frontier:
-                for g in gens:
-                    nxt = self.mul(w, g)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        new.append(nxt)
-            frontier = new
-        return sorted(seen, key=lambda w: (w.length, w.word))
+        the simple reflections at the given positions, by length and
+        then word; memoised."""
+        key = tuple(sorted(set(simple_subset)))
+        if key not in self._parabolic:
+            gens = [self.simple_reflection(i) for i in key]
+            seen = {self.identity}
+            frontier = [self.identity]
+            while frontier:
+                new = []
+                for w in frontier:
+                    for g in gens:
+                        nxt = self.mul(w, g)
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            new.append(nxt)
+                frontier = new
+            self._parabolic[key] = tuple(sorted(seen, key=_length_word))
+        return self._parabolic[key]
+
+    def minimal_coset_representatives(self, theta: Iterable[int]
+                                      ) -> tuple[WeylElement, ...]:
+        """The minimal representatives ``v`` of the cosets ``W_theta v``
+        (``coset_split_minimal`` of every element), by length and then
+        word; memoised.  The minimal representative of a coset is
+        unique, so the order of ``theta`` does not matter."""
+        key = tuple(sorted(set(theta)))
+        if key not in self._coset_reps:
+            reps = {coset_split_minimal(self, w, key)[1] for w in self.elements}
+            self._coset_reps[key] = tuple(sorted(reps, key=_length_word))
+        return self._coset_reps[key]
+
+    def character_stabilizer(self, components: Sequence[int], modulus: int
+                             ) -> tuple[WeylElement, ...]:
+        """Elements whose character action fixes the exponent tuple mod
+        ``modulus``, in enumeration order; memoised.  Closure is proven
+        by ``is_subgroup`` when the set is first built."""
+        comps = tuple(c % modulus for c in components)
+        key = (comps, modulus)
+        if key not in self._stabilizers:
+            images = ((w, _imat_vec(w.char_mat, comps)) for w in self.elements)
+            stab = tuple(w for w, img in images
+                         if tuple(c % modulus for c in img) == comps)
+            if not self.is_subgroup(stab):
+                raise AssertionError("stabilizer is not closed")
+            self._stabilizers[key] = stab
+        return self._stabilizers[key]
+
+    def is_subgroup(self, subset: Iterable[WeylElement]) -> bool:
+        """Whether ``subset`` is a subgroup, proven on a greedy generating
+        set S with |subset| * |S| products instead of |subset|^2.
+
+        Walk the subset in order and add to S each member that the span
+        (the closure of {e} under right multiplication by S) does not yet
+        hold, extending the span as S grows.  A product outside the
+        subset disproves closure at once.  Otherwise every member is in
+        the span, which lies inside the subset, so the subset is the
+        monoid generated by S.  In a finite group each g has g^k = e for
+        some k >= 1, so g^-1 = g^(k-1) is in that monoid too: the subset
+        is a subgroup."""
+        members = list(subset)
+        inside = set(members)
+        if self.identity not in inside:
+            return False
+        span = {self.identity}
+        gens: list[WeylElement] = []
+        for g in members:
+            if g in span:
+                continue
+            gens.append(g)
+            # old span elements still lack the product with g; new ones
+            # need every generator
+            pending = [(w, (g,)) for w in span]
+            while pending:
+                w, by = pending.pop()
+                for s in by:
+                    nxt = self.mul(w, s)
+                    if nxt not in inside:
+                        return False
+                    if nxt not in span:
+                        span.add(nxt)
+                        pending.append((nxt, gens))
+        return True
 
     def orbit_cocharacter(self, lam: Sequence) -> set[tuple]:
         lam = tuple(lam)
@@ -550,6 +696,10 @@ class WeylGroup:
         if len(doms) != 1:
             raise AssertionError("orbit must contain exactly one dominant point")
         return doms[0]
+
+
+def _length_word(w: WeylElement) -> tuple[int, tuple[int, ...]]:
+    return w.length, w.word
 
 
 def coset_split_minimal(group: WeylGroup, w: WeylElement,

@@ -12,15 +12,18 @@ routes.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import Sequence
 
 from . import _linalg
-from .root_datum import RootDatum, WeylElement, WeylGroup
+from .root_datum import RootDatum, WeylElement, WeylGroup, _imat_vec
 
 
+# pure, and asked again for every character the Weyl action builds
+@functools.cache
 def _is_prime_power(q: int) -> bool:
     if q < 2:
         return False
@@ -28,10 +31,6 @@ def _is_prime_power(q: int) -> bool:
     while q % p == 0:
         q //= p
     return q == 1
-
-
-def _matvec(mat: Sequence[Sequence[int]], vec: Sequence[int]) -> tuple[int, ...]:
-    return tuple(sum(row[c] * vec[c] for c in range(len(vec))) for row in mat)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +95,8 @@ def weyl_act_pair(w: WeylElement, pair: Pair) -> Pair:
     matrix is the transpose-inverse of the cocharacter action, so this
     is precomposition of the character with the inverse element."""
     lam, chi = pair
-    moved = _matvec(w.cochar_mat, lam)
-    comps = _matvec(w.char_mat, chi.components)
+    moved = _imat_vec(w.cochar_mat, lam)
+    comps = _imat_vec(w.char_mat, chi.components)
     return moved, ResidueCharacter(comps, chi.q)
 
 
@@ -157,17 +156,19 @@ def orbits(group: WeylGroup, q: int, radius: int) -> list[OrbitSum]:
 
 
 def stabilizer_Wchi(group: WeylGroup, chi: ResidueCharacter
-                    ) -> list[WeylElement]:
-    """Subgroup of the finite Weyl group fixing the residue character;
-    closure under composition is asserted."""
-    zero = (0,) * len(chi.components)
-    out = [w for w in group.elements
-           if weyl_act_pair(w, (zero, chi))[1] == chi]
-    members = set(out)
-    for a in out:
-        for b in out:
-            assert group.mul(a, b) in members, "stabilizer is not closed"
-    return out
+                    ) -> tuple[WeylElement, ...]:
+    """Subgroup W_chi of the finite Weyl group fixing the residue
+    character, in enumeration order.
+
+    It is the group's memoised ``character_stabilizer`` of the exponent
+    tuple mod q - 1, so each character's stabilizer is built once per
+    group.  When first built it is proven a subgroup on a greedy
+    generating set S (``WeylGroup.is_subgroup``): closing {e} under
+    right multiplication by S stays inside the set and reaches all of
+    it, so the set is the monoid generated by S, hence a subgroup.  A
+    set that is not closed fails that test and raises "stabilizer is not
+    closed"."""
+    return group.character_stabilizer(chi.components, chi.q - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +211,7 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
         lams = blocks[chi]
         stab = stabilizer_Wchi(group, chi)
         seed = min(lams)
-        reached = {_matvec(w.cochar_mat, seed) for w in stab}
+        reached = {group.act_cocharacter(w, seed) for w in stab}
         if reached != lams:
             failures.append(
                 f"block {chi.components}: stabilizer orbit of {seed} has "

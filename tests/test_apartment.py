@@ -218,7 +218,7 @@ def test_translation_witness_exists_at_depth_regular_interior_points(key):
             if not ap.depth_regular_point(datum, x, r):
                 continue
             for theta in all_subsets(datum):
-                for v in ap.minimal_coset_representatives(group, theta):
+                for v in group.minimal_coset_representatives(theta):
                     w = ap.levi_profile_translation_witness(
                         datum, group, x, r, theta, v)
                     assert w is not None, (x, theta, v, r)

@@ -1,0 +1,70 @@
+"""The perfbench recorder's parsing and bookkeeping, on canned perfbench
+stdout; no benchmark is spawned."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+MACHINE = {"commit": "abc123", "source_sha256": "00ff", "python": "3.11.7",
+           "cpu": "some cpu", "nproc": 2, "calibration_s": 0.31}
+
+
+def canned_stdout(wall, failed=0):
+    result = {"correct": failed == 0, "attempted": 16, "failed": failed,
+              "metrics": {"wall_s": {"value": wall, "unit": "s"},
+                          "peak_rss_mb": {"value": 35.0, "unit": "MB"}}}
+    return "\n".join([
+        "machine: " + json.dumps(MACHINE),
+        "workload torus, seed 1, trace 0",
+        "  4 pass(es) of 4 invocation(s), 4 set-up interpreter(s)",
+        f"  wall_s       {wall:12.4f} s   (median of 4 passes)",
+        f"  fail_ratio         0.0000 1   ({failed} failed of 16 attempted)",
+        json.dumps(result),
+        ""])
+
+
+def test_parse_run_keeps_machine_and_result_lines():
+    run = bench_record.parse_run(canned_stdout(2.5))
+    assert run["machine"] == MACHINE
+    assert run["result"]["metrics"]["wall_s"] == {"value": 2.5, "unit": "s"}
+    assert run["result"]["attempted"] == 16
+
+
+@pytest.mark.parametrize("stdout", [
+    "workload torus\n{\"metrics\": {}}\n",                   # no machine line
+    "machine: " + json.dumps(MACHINE) + "\nTraceback\n",     # no JSON at end
+    "machine: " + json.dumps(MACHINE) + "\n[1, 2]\n",        # not a result
+])
+def test_parse_run_refuses_truncated_output(stdout):
+    with pytest.raises(ValueError):
+        bench_record.parse_run(stdout)
+
+
+def test_seeds_and_alternating_order():
+    assert bench_record.parse_seeds("1-3") == [1, 2, 3]
+    assert bench_record.parse_seeds("2,5-6") == [2, 5, 6]
+    assert bench_record.run_order(["parent", "change"], [1, 2, 3]) == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
+        (3, "parent"), (3, "change")]
+    assert bench_record.run_order(["change"], [1, 2]) == [
+        (1, "change"), (2, "change")]
+
+
+def test_summary_takes_medians_per_checkout():
+    records = []
+    for name, walls in (("parent", [4.0, 5.0, 4.5]), ("change", [3.0, 2.0, 2.5])):
+        for seed, wall in enumerate(walls, 1):
+            records.append({"checkout": name, "workload": "torus", "seed": seed,
+                            "trace": 0, **bench_record.parse_run(
+                                canned_stdout(wall, failed=seed == 3))})
+    summary = bench_record.summarize(records)["torus trace 0"]
+    assert summary["parent"]["median"]["wall_s"] == 4.5
+    assert summary["change"]["median"]["wall_s"] == 2.5
+    assert summary["change"]["runs"] == 3 and summary["change"]["failed"] == 1
+    assert summary["parent"]["seeds"] == [1, 2, 3]

@@ -131,7 +131,7 @@ def test_load_datum_reports_json_location(tmp_path):
         load_datum(str(p))
 
 
-@pytest.mark.parametrize("n", [8, 40])
+@pytest.mark.parametrize("n", [8, 40, 120])
 def test_oversized_datum_rejected_before_enumeration(n, tmp_path, capsys):
     path = tmp_path / f"gl{n}.json"
     path.write_text(f'{{"general_linear": {n}}}')
@@ -421,6 +421,14 @@ GOLDEN_RUNS = {
        for name in ("gl2", "gl3")},
     "torus_center_gl3_q4_r1": ["torus-center", "--datum", "gl3",
                                "--q", "4", "--radius", "1"],
+    # the other torus-center calls of the torus benchmark
+    "torus_center_gl2_q7_r2": ["torus-center", "--datum", "gl2",
+                               "--q", "7", "--radius", "2"],
+    "torus_center_g2_q3_r2": ["torus-center", "--datum", "g2",
+                              "--q", "3", "--radius", "2"],
+    "torus_center_gl4_q3_r1_roc": ["torus-center", "--datum", "gl4",
+                                   "--q", "3", "--radius", "1",
+                                   "--check", "roc"],
     **{f"iwahori_center_{name}_r{radius}": ["iwahori-center", "--datum", name,
                                             "--radius", str(radius)]
        for name, radius in (("a1", 2), ("gl2", 1), ("b3", 1), ("a3", 2))},
@@ -562,8 +570,8 @@ def test_torus_center_caps_and_validation(capsys):
 # malformed input
 # ---------------------------------------------------------------------------
 
-# datum files by placeholder name; B6 passes the (rank + 1)! bound
-# (5040) but its order, 46080, overflows the cap during enumeration
+# datum files by placeholder name; B6 is refused from its type, whose
+# Weyl group order 46080 is over the cap, before enumeration
 DATUM_FILES = {
     "datum": '{"cartan": [[2]], "central_rank": -1}',
     "gl_float": '{"general_linear": 2.7}',
@@ -600,7 +608,7 @@ DATUM_FILES = {
     (["rootdatum", "--datum", "{not_object}"], "must be a JSON object"),
     (["rootdatum", "--datum", "{extra_key}"], "unexpected keys ['label']"),
     (["rootdatum", "--datum", "{b6}"],
-     "Weyl group order is at least 10081; cap is 10080"),
+     "Weyl group order is at least 46080; cap is 10080"),
     (["rootdatum", "--datum", "{directory}"], "cannot read datum file"),
     (["spade-check", "--datum", "{gl100}", "--x", ",".join(["0"] * 100),
       "--r", "1", "--partition", "0|" + ",".join(map(str, range(1, 100)))],

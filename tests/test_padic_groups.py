@@ -8,6 +8,7 @@ of ceil(r - a(x)) entry by entry.  The exhaustive factorization route
 (block-LDU uniqueness) is checked against an exact count of distinct
 products, with factors cut out of the enumerated group itself.
 """
+import time
 from fractions import Fraction as Q
 
 import numpy as np
@@ -182,6 +183,20 @@ def test_block_extraction():
 def test_point_count_formula_matches_enumeration(K, p, N, expected):
     assert point_count(K, p, N) == expected
     assert brute_point_count(K, p, N) == expected
+
+
+def test_enumeration_cap_checked_before_any_array_is_built():
+    # 2^N unit-diagonal residues per diagonal entry: building them first
+    # took a Python loop over range(2^N), a quarter of a second at N = 20
+    start = time.perf_counter()
+    assert brute_point_count(I2, 2, 22, cap=10) is None
+    assert time.perf_counter() - start < 0.05
+    # at and under the cap the enumeration is unchanged
+    for K, p, N in [(I2, 2, 3), (K1, 3, 2), (I1, 2, 4), (WALL, 2, 2)]:
+        count = point_count(K, p, N)
+        assert brute_point_count(K, p, N, cap=count) == count
+        assert brute_point_count(K, p, N, cap=count - 1) is None
+        assert len(group_elements(K, p, N, cap=count)) == count
 
 
 def test_point_count_rejects_small_level():

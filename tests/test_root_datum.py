@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from heckelab.root_datum import (
     REGISTRY,
+    RootDatum,
     WeylGroup,
     cartan_matrix,
     coset_split_minimal,
@@ -120,23 +123,97 @@ def test_weyl_cap_enforced():
         WeylGroup(datum, max_order=7)
 
 
+# literal Cartan matrices with their Weyl group orders (A4, B4, C4, D4,
+# D5, F4); E6, E7 and E8 come from their Dynkin diagrams below
+LITERAL_CARTAN = {
+    "A4": ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+           120),
+    "B4": ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -2, 2]],
+           384),
+    "C4": ([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+           384),
+    "D4": ([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+           192),
+    "D5": ([[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+            [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]], 1920),
+    "F4": ([[2, -1, 0, 0], [-1, 2, -2, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+           1152),
+}
+
+
+def simply_laced_cartan(n, edges):
+    mat = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        mat[i][j] = mat[j][i] = -1
+    return mat
+
+
+def e_cartan(n):
+    # Bourbaki numbering from 0: the path 0-2-3-...-(n-1), and node 1
+    # on node 3
+    return simply_laced_cartan(
+        n, [(0, 2), (1, 3)] + [(k, k + 1) for k in range(2, n - 1)])
+
+
 @pytest.mark.parametrize("key", sorted(WEYL_ORDERS))
 def test_weyl_order_lower_bound(key):
-    # product of (rank + 1)! over the Dynkin components; exact in type A
+    # the product of the components' exact orders
     datum, group = setup(key)
-    bound = weyl_order_lower_bound(datum)
-    assert bound <= len(group)
-    if key in ("A1", "A2", "GL2", "GL3", "A1Z1", "A1A1"):
-        assert bound == len(group)
+    assert weyl_order_lower_bound(datum) == len(group)
+
+
+@pytest.mark.parametrize("name", sorted(LITERAL_CARTAN))
+def test_weyl_order_lower_bound_is_exact_on_literal_types(name):
+    mat, order = LITERAL_CARTAN[name]
+    datum = datum_from_cartan(mat)
+    assert weyl_order_lower_bound(datum) == len(WeylGroup(datum)) == order
+
+
+@pytest.mark.parametrize("n,order", [(6, 51840), (7, 2903040),
+                                     (8, 696729600)])
+def test_type_e_refused_at_once(n, order):
+    datum = datum_from_cartan(e_cartan(n))
+    assert weyl_order_lower_bound(datum) == order
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"at least {order}; cap is 10080"):
+        WeylGroup(datum)
+    assert time.perf_counter() - start < 0.5
+
+
+def test_weyl_order_lower_bound_of_no_finite_type():
+    # a triangle (affine A2) and a path of five with a double bond in
+    # the middle have infinite Weyl groups; each keeps (rank + 1)!.  The
+    # bound reads only the simple pairs, so a datum of those suffices.
+    def simple_pairs_only(mat):
+        n = len(mat)
+        basis = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return RootDatum(n, basis, tuple(map(tuple, mat)), tuple(range(n)))
+
+    triangle = simply_laced_cartan(3, [(0, 1), (1, 2), (0, 2)])
+    assert weyl_order_lower_bound(simple_pairs_only(triangle)) == 24
+    path = simply_laced_cartan(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    path[2][1] = -2
+    assert weyl_order_lower_bound(simple_pairs_only(path)) == 720
+    # the same path with the double bond at its end is B5
+    path[2][1], path[4][3] = -1, -2
+    assert weyl_order_lower_bound(simple_pairs_only(path)) == 2 ** 5 * 120
 
 
 def test_weyl_cap_enforced_before_enumeration():
     assert weyl_order_lower_bound(datum_general_linear(8)) == 40320
     with pytest.raises(ValueError, match="at least 40320"):
         WeylGroup(datum_general_linear(8))
-    # B3 has order 48 and bound 4! = 24
-    with pytest.raises(ValueError, match="at least 24"):
+    # B3 has order 48, refused from its type before enumeration
+    with pytest.raises(ValueError, match="at least 48; cap is 23"):
         WeylGroup(setup("B3")[0], max_order=23)
+
+
+def test_enumeration_backstop_still_caps(monkeypatch):
+    # with no bound from the type, enumeration stops past the cap
+    import heckelab.root_datum as rd
+    monkeypatch.setattr(rd, "weyl_order_lower_bound", lambda datum: 1)
+    with pytest.raises(ValueError, match="at least 48; cap is 47"):
+        WeylGroup(setup("B3")[0], max_order=47)
 
 
 # -- coset decomposition ----------------------------------------------------
@@ -173,6 +250,67 @@ def test_coset_split_properties(key, theta):
             assert datum.is_positive_root(img)
         minimal_reps.add(v)
     assert len(minimal_reps) == len(group) // len(sub)
+
+
+# -- memoised derived sets and the closure proof ----------------------------
+
+def _fresh_parabolic(group, theta):
+    gens = [group.simple_reflection(i) for i in theta]
+    seen, frontier = {group.identity}, [group.identity]
+    while frontier:
+        frontier = [group.mul(w, g) for w in frontier for g in gens]
+        frontier = [w for w in set(frontier) if w not in seen]
+        seen.update(frontier)
+    return seen
+
+
+def _by_length_word(elements):
+    return tuple(sorted(elements, key=lambda w: (w.length, w.word)))
+
+
+def test_memoised_parabolic_sets_match_a_fresh_computation():
+    # every theta of B3, also unsorted, against a group built anew
+    datum = setup("B3")[0]
+    group = WeylGroup(datum)
+    for size in range(4):
+        for theta in itertools.combinations(range(3), size):
+            reps = _by_length_word(
+                {coset_split_minimal(group, w, theta)[1]
+                 for w in group.elements})
+            sub = _by_length_word(_fresh_parabolic(group, theta))
+            for order in itertools.permutations(theta):
+                assert group.minimal_coset_representatives(order) == reps
+                assert group.subgroup_elements(list(order)) == sub
+            assert len(reps) * len(sub) == len(group)
+            # a second call hands back the memoised tuple itself
+            assert (group.minimal_coset_representatives(theta)
+                    is group.minimal_coset_representatives(theta[::-1]))
+            assert group.subgroup_elements(theta) is group.subgroup_elements(
+                theta[::-1])
+
+
+def test_closure_proof_rejects_a_non_subgroup():
+    _, group = setup("A2")
+    e, s0, s1 = (group.identity, group.simple_reflection(0),
+                 group.simple_reflection(1))
+    assert not group.is_subgroup([e, s0, s1])
+    assert group.is_subgroup([s0, e])  # {e, s0} has order 2
+    assert not group.is_subgroup([s0])  # no identity
+    rotation = group.mul(s0, s1)
+    assert not group.is_subgroup([e, rotation])  # rotation^2 is missing
+    assert group.is_subgroup([e, rotation, group.mul(rotation, rotation)])
+    assert group.is_subgroup(group.elements)
+
+
+@pytest.mark.parametrize("key", sorted(WEYL_ORDERS))
+def test_closure_proof_accepts_every_parabolic_subgroup(key):
+    datum, group = setup(key)
+    m = datum.semisimple_rank
+    for size in range(m + 1):
+        for theta in itertools.combinations(range(m), size):
+            sub = group.subgroup_elements(theta)
+            assert group.is_subgroup(sub)
+            assert group.is_subgroup(sub[::-1])
 
 
 # -- orbits, dominance, geometry -------------------------------------------

@@ -136,6 +136,21 @@ def test_stabilizer_oracles():
     assert len(stabilizer_Wchi(GL3, ResidueCharacter((1, 1, 0), 3))) == 2
 
 
+@pytest.mark.parametrize("group,q", [
+    (GL3, 3), (WeylGroup(datum_from_cartan(cartan_matrix("G", 2))), 3),
+    (GL2, 7)], ids=["gl3-q3", "g2-q3", "gl2-q7"])
+def test_memoised_stabilizer_matches_a_brute_filter(group, q):
+    zero = (0,) * group.datum.ambient_rank
+    for chi in enumerate_characters(group.datum, q):
+        brute = tuple(w for w in group.elements
+                      if weyl_act_pair(w, (zero, chi))[1] == chi)
+        stab = stabilizer_Wchi(group, chi)
+        assert stab == brute
+        # a second call hands back the memoised tuple itself
+        assert stabilizer_Wchi(group, chi) is stab
+        assert stabilizer_Wchi(group, ResidueCharacter(chi.components, q)) is stab
+
+
 def test_roc_singleton_passes():
     rep = roc_decomposition_check(GL2, orbits(GL2, 2, 0)[0])
     assert rep.ok and rep.failures == ()
