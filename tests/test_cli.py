@@ -458,14 +458,25 @@ GOLDEN_RUNS = {
     "spade_check_gl4_x3-4_1-2_1-4_0_r1-2":
         ["spade-check", "--datum", "gl4", "--x", "3/4,1/2,1/4,0",
          "--r", "1/2"],
+    # the escalation branches outside the benchmark: a point too far out
+    # for an integral model, and a mismatch that a translation witness
+    # repairs on a datum with no matrix model
+    "heart_check_gl3_x5_0_0_r1_theta1":
+        ["heart-check", "--datum", "gl3", "--x", "5,0,0", "--r", "1",
+         "--theta", "1"],
+    "heart_check_a2_x1-3_1-3_r1-2":
+        ["heart-check", "--datum", "a2", "--x", "1/3,1/3", "--r", "1/2"],
 }
 
-# heart-check exits 1 on these three: a condition-1 check fails (at the
-# gl3 and gl4 points with a DISTINCT_VOLUME obstruction, at the b3 point
-# with no integral matrix model to escalate to)
+# heart-check exits 1 on these five: a condition-1 check fails (at the
+# gl3 and gl4 points with a DISTINCT_VOLUME obstruction, at the b3 and
+# a2 points with no integral matrix model to escalate to, at gl3
+# x=(5,0,0) with a negative bound in the model at x)
 GOLDEN_EXIT = {"heart_check_gl3_x1-2_0_0_r1_theta1": 1,
                "heart_check_gl4_x3-4_1-2_1-4_0_r3-2": 1,
-               "heart_check_b3_x1-4_1-8_1-16_r3-2": 1}
+               "heart_check_b3_x1-4_1-8_1-16_r3-2": 1,
+               "heart_check_gl3_x5_0_0_r1_theta1": 1,
+               "heart_check_a2_x1-3_1-3_r1-2": 1}
 
 
 @pytest.mark.parametrize("golden", sorted(GOLDEN_RUNS))
