@@ -152,13 +152,13 @@ def heart_condition1_check(datum: RootDatum, group: WeylGroup, x: Sequence,
     x = as_point(x)
     r = Q(r)
     theta = tuple(sorted(theta))
-    levi = levi_root_indices(datum, theta)
+    # the thresholds at x do not depend on the coset factor
+    at_x = [(datum.roots[k], threshold(datum, datum.roots[k], x, r))
+            for k in levi_root_indices(datum, theta)]
     witnesses: list[HeartWitness] = []
     for v in group.minimal_coset_representatives(theta):
         image = group.act_cocharacter(v, x)
-        for k in levi:
-            a = datum.roots[k]
-            t_x = threshold(datum, a, x, r)
+        for a, t_x in at_x:
             t_img = threshold(datum, a, image, r)
             if t_x != t_img:
                 witnesses.append(HeartWitness(theta, v, a, t_x, t_img))
@@ -214,7 +214,7 @@ def _free_coordinate_count(datum: RootDatum) -> int:
     # general-linear data are normalized by setting the last coordinate
     # to zero (root values ignore the central direction); Cartan-style
     # data keep central coordinates at zero as well
-    if datum.label.startswith("GL"):
+    if datum.is_general_linear:
         return datum.ambient_rank - 1
     return datum.semisimple_rank
 

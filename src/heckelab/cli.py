@@ -4,8 +4,12 @@ Each subcommand wraps one library suite, parses all numeric input
 exactly (integers or "p/q" strings, never floats), and prints a report
 in text or JSON form.  Reports share one shape: a suite name, a list
 of named checks with status PASS / FAIL / SKIPPED (FAIL always carries
-a witness payload), optional suite data, and a wall time.  The process
-exits 0 exactly when no check failed, 2 on configuration errors.
+a witness payload; ``CheckRecord.of`` builds each verdict), optional
+suite data, and a wall time.  The process exits 0 exactly when no
+check failed, 2 on configuration errors.  The mathematics stays in the
+library: heart-check escalates a threshold mismatch through
+``padic_groups.compare_levi_volumes``, the comparison that acceptance
+criterion 2 uses too.
 
 Input schemas (also documented in the README):
   datum        registry name (a1, a2, a3, b2, b3, c2, c3, g2, gl1,
@@ -15,7 +19,11 @@ Input schemas (also documented in the README):
                 "label": "A2"} (central_rank and label optional) or
                {"general_linear": 3}; every number an integer, no
                other key.  A datum whose Weyl group order is above
-               the cap of 10080 is an input error.
+               the cap of 10080 is an input error; a general_linear
+               size is refused from n! before any root is built.  The
+               label is free text: a datum is general-linear (and has
+               an integral matrix model) when its roots are exactly
+               the e_i - e_j and its coroots equal its roots.
   x            comma-separated rationals, e.g. "1/2,0,0"
   theta        comma-separated 0-based simple-root indices, e.g. "1"
   partition    0-based row blocks separated by "|", e.g. "0|1,2"
@@ -44,6 +52,7 @@ from .iwahori_hecke import label_orbits, satake_check
 from .padic_groups import (
     block_of,
     brute_point_count,
+    compare_levi_volumes,
     conjugacy_obstruction,
     conjugate_by_permutation,
     from_filtration,
@@ -54,6 +63,7 @@ from .padic_groups import (
     point_count,
 )
 from .root_datum import (
+    MAX_WEYL_ORDER,
     REGISTRY,
     RootDatum,
     WeylGroup,
@@ -143,8 +153,10 @@ def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
 # datum registry and file loading
 # ---------------------------------------------------------------------------
 
-def load_datum(source: str) -> RootDatum:
-    """The datum named in the registry, or described by a JSON file."""
+def load_datum(source: str, max_weyl_order: int | None = None) -> RootDatum:
+    """The datum named in the registry, or described by a JSON file; a
+    general-linear size above ``max_weyl_order`` is refused before any
+    root is built."""
     cfg = REGISTRY.get(source.lower())
     if cfg is None:
         if not os.path.exists(source):
@@ -160,7 +172,7 @@ def load_datum(source: str) -> RootDatum:
         except (OSError, UnicodeDecodeError) as exc:
             raise CLIError(f"{source}: cannot read datum file: {exc}") from exc
     try:
-        return datum_from_config(cfg)
+        return datum_from_config(cfg, max_weyl_order)
     except ValueError as exc:
         raise CLIError(f"{source}: bad datum description: {exc}") from exc
 
@@ -168,7 +180,7 @@ def load_datum(source: str) -> RootDatum:
 def load_group(source: str) -> WeylGroup:
     """The Weyl group of the datum at ``source``, built once for the
     whole run; a group above the order cap is an input error."""
-    datum = load_datum(source)
+    datum = load_datum(source, MAX_WEYL_ORDER)
     try:
         return WeylGroup(datum)
     except ValueError as exc:
@@ -210,6 +222,12 @@ class CheckRecord:
         if self.status == FAIL and self.witness is None:
             raise ValueError("FAIL requires a witness")
 
+    @classmethod
+    def of(cls, name: str, ok: bool, witness: dict | None) -> CheckRecord:
+        """The verdict of one check: PASS with no witness when ok holds,
+        otherwise FAIL carrying the witness."""
+        return cls(name, PASS) if ok else cls(name, FAIL, witness)
+
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -236,7 +254,6 @@ class RunConfig:
     datum: str | None = None
     x: tuple[Q, ...] | None = None
     r: Q | None = None
-    q: str = "symbolic"
     field_size: int | None = None
     radius: int | None = None
     theta: tuple[int, ...] | None = None
@@ -299,60 +316,39 @@ def _point_str(x: Sequence[Q]) -> list[str]:
     return [str(Q(c)) for c in x]
 
 
-def _theta_blocks(n: int, theta: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """Partition of matrix rows 0..n-1 merging i with i+1 for each
-    simple index i in theta (general-linear simple roots are adjacent
-    coordinate differences)."""
-    blocks: list[list[int]] = [[0]]
-    for i in range(1, n):
-        if (i - 1) in theta:
-            blocks[-1].append(i)
-        else:
-            blocks.append([i])
-    return tuple(tuple(b) for b in blocks)
-
-
 def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
                        witnesses) -> dict:
-    """Upgrade a threshold mismatch to a volume obstruction: build the
-    integral models at x and at the mismatching Weyl image, cut to the
-    theta Levi blocks, and compare block volumes.  DISTINCT_VOLUME on
-    any block proves the Levi intersections are not Levi-conjugate."""
+    """Upgrade a threshold mismatch to a volume obstruction: compare the
+    theta-Levi block volumes of the integral models at x and at each
+    mismatching Weyl image.  DISTINCT_VOLUME on any block proves the
+    Levi intersections are not Levi-conjugate.
+
+    Only the model at x can be refused.  On general-linear data a Weyl
+    element permutes the coordinates, so the model at its image of x is
+    the model at x conjugated by a permutation matrix: the same bounds,
+    permuted, and none of them negative when none at x is."""
     datum = group.datum
-    if not datum.label.startswith("GL"):
+    if not datum.is_general_linear:
         return {"status": SKIPPED,
                 "reason": "no integral matrix model for this datum"}
-    blocks = _theta_blocks(datum.ambient_rank, theta)
     try:
         base = from_filtration(filtration_profile(datum, x, r))
     except ValueError as exc:
         return {"status": SKIPPED, "reason": str(exc)}
-    base_levi = intersect_levi(base, blocks)
     per_image = []
     proven = False
-    for w2 in sorted({w.cochar_mat for w in (wit.w2 for wit in witnesses)},
-                     key=str):
-        w = next(wit.w2 for wit in witnesses if wit.w2.cochar_mat == w2)
-        image = group.act_cocharacter(w, x)
-        try:
-            moved = from_filtration(filtration_profile(datum, image, r))
-        except ValueError as exc:
-            per_image.append({"weyl_word": list(w.word), "status": SKIPPED,
-                              "reason": str(exc)})
-            continue
-        moved_levi = intersect_levi(moved, blocks)
-        block_verdicts = []
-        for b in blocks:
-            verdict = conjugacy_obstruction(block_of(base_levi, b),
-                                            block_of(moved_levi, b))
-            block_verdicts.append({"block": list(b), "obstruction": verdict})
-            if verdict == "DISTINCT_VOLUME":
-                proven = True
+    for w in sorted(dict.fromkeys(wit.w2 for wit in witnesses),
+                    key=lambda w: str(w.cochar_mat)):
+        moved = from_filtration(filtration_profile(
+            datum, group.act_cocharacter(w, x), r))
+        levi = compare_levi_volumes(base, moved, theta)
+        proven = proven or levi.status == "DISTINCT_VOLUME"
         per_image.append({
             "weyl_word": list(w.word),
-            "levi_intersection_at_x": base_levi.to_lists(),
-            "levi_intersection_at_image": moved_levi.to_lists(),
-            "blocks": block_verdicts,
+            "levi_intersection_at_x": levi.at_x.to_lists(),
+            "levi_intersection_at_image": levi.at_image.to_lists(),
+            "blocks": [{"block": list(b), "obstruction": v}
+                       for b, v in levi.blocks],
         })
     out = {
         "status": "DISTINCT_VOLUME" if proven else "INCONCLUSIVE",
@@ -375,10 +371,8 @@ def _run_rootdatum(config: RunConfig) -> VerificationReport:
 
     bad_pairs = [k for k in range(len(datum.roots))
                  if datum.pairing(datum.roots[k], datum.coroots[k]) != 2]
-    checks.append(CheckRecord(
-        "root-coroot-pairing-two",
-        PASS if not bad_pairs else FAIL,
-        None if not bad_pairs else {"root_indices": bad_pairs}))
+    checks.append(CheckRecord.of("root-coroot-pairing-two", not bad_pairs,
+                                 {"root_indices": bad_pairs}))
 
     root_set = set(datum.roots)
     broken = []
@@ -387,10 +381,8 @@ def _run_rootdatum(config: RunConfig) -> VerificationReport:
         for a in datum.roots:
             if group.act_character(s, a) not in root_set:
                 broken.append({"simple": i_pos, "root": list(a)})
-    checks.append(CheckRecord(
-        "reflection-closure",
-        PASS if not broken else FAIL,
-        None if not broken else {"escaped": broken}))
+    checks.append(CheckRecord.of("reflection-closure", not broken,
+                                 {"escaped": broken}))
 
     cartan = [[int(datum.pairing(datum.roots[sj], datum.coroots[si]))
                for sj in datum.simple] for si in datum.simple]
@@ -441,14 +433,12 @@ def _run_heart_check(config: RunConfig) -> VerificationReport:
         "r": str(r),
         "point_kind": classify_point(datum, x).kind,
     }
-    proven_all = True
     for theta in subsets:
         verdict = heart_condition1_check(datum, group, x, r, theta)
         name = f"condition-1 theta={list(theta)}"
         if verdict.proven:
             checks.append(CheckRecord(name, PASS))
             continue
-        proven_all = False
         witness = {
             "status": verdict.status,
             "mismatches": [{
@@ -462,10 +452,10 @@ def _run_heart_check(config: RunConfig) -> VerificationReport:
         }
         checks.append(CheckRecord(name, FAIL, witness))
         esc = witness["escalation"]
-        if esc.get("status") == "DISTINCT_VOLUME":
+        if esc["status"] == "DISTINCT_VOLUME":
             data["obstruction"] = "DISTINCT_VOLUME"
             data["verdict"] = esc["verdict"]
-    if proven_all:
+    if all(c.status == PASS for c in checks):
         data["verdict"] = "PROVEN_CONDITION_1"
     return VerificationReport("heart-check", tuple(checks), data)
 
@@ -483,52 +473,37 @@ _EXPECTED_CONJ_LEVI = ((1, None, None), (None, 1, 1), (None, 2, 1))
 
 
 def _run_counterexample(config: RunConfig) -> VerificationReport:
-    if config.q != "symbolic":
-        raise CLIError("--q supports only 'symbolic'")
     datum = datum_general_linear(3)
     group = WeylGroup(datum)
     x = (Q(1, 2), Q(0), Q(0))
     r = Q(1)
     theta = (1,)
     blocks = ((0,), (1, 2))
-    checks = []
 
     base = from_filtration(filtration_profile(datum, x, r))
-    checks.append(CheckRecord(
-        "filtration-group-matrix",
-        PASS if base.bounds == _EXPECTED_GROUP else FAIL,
-        None if base.bounds == _EXPECTED_GROUP
-        else {"computed": base.to_lists()}))
-
     # route 1: permutation conjugation; route 2: reflected point
     swapped = conjugate_by_permutation(base, (1, 0, 2))
     s0 = group.simple_reflection(0)
     reflected = from_filtration(
         filtration_profile(datum, group.act_cocharacter(s0, x), r))
-    agree = swapped.bounds == reflected.bounds
-    checks.append(CheckRecord(
-        "conjugation-route-agreement",
-        PASS if agree else FAIL,
-        None if agree else {"permutation_route": swapped.to_lists(),
-                            "reflection_route": reflected.to_lists()}))
-    checks.append(CheckRecord(
-        "conjugated-group-matrix",
-        PASS if swapped.bounds == _EXPECTED_CONJ else FAIL,
-        None if swapped.bounds == _EXPECTED_CONJ
-        else {"computed": swapped.to_lists()}))
-
     levi = intersect_levi(base, blocks)
     conj_levi = intersect_levi(swapped, blocks)
-    checks.append(CheckRecord(
-        "levi-intersection-matrix",
-        PASS if levi.bounds == _EXPECTED_LEVI else FAIL,
-        None if levi.bounds == _EXPECTED_LEVI
-        else {"computed": levi.to_lists()}))
-    checks.append(CheckRecord(
-        "conjugated-levi-intersection-matrix",
-        PASS if conj_levi.bounds == _EXPECTED_CONJ_LEVI else FAIL,
-        None if conj_levi.bounds == _EXPECTED_CONJ_LEVI
-        else {"computed": conj_levi.to_lists()}))
+
+    def matrix_check(name, K, expected):
+        return CheckRecord.of(name, K.bounds == expected,
+                              {"computed": K.to_lists()})
+
+    checks = [
+        matrix_check("filtration-group-matrix", base, _EXPECTED_GROUP),
+        CheckRecord.of("conjugation-route-agreement",
+                       swapped.bounds == reflected.bounds,
+                       {"permutation_route": swapped.to_lists(),
+                        "reflection_route": reflected.to_lists()}),
+        matrix_check("conjugated-group-matrix", swapped, _EXPECTED_CONJ),
+        matrix_check("levi-intersection-matrix", levi, _EXPECTED_LEVI),
+        matrix_check("conjugated-levi-intersection-matrix", conj_levi,
+                     _EXPECTED_CONJ_LEVI),
+    ]
 
     # the 2x2 blocks: principal congruence group vs pro-unipotent radical
     principal = block_of(levi, (1, 2))
@@ -536,14 +511,12 @@ def _run_counterexample(config: RunConfig) -> VerificationReport:
     iwahori = iwahori_scheme(2)
     vol_k = log_volume(principal, iwahori)
     vol_i = log_volume(pro_unipotent, iwahori)
-    checks.append(CheckRecord(
-        "index-principal-congruence",
-        PASS if str(vol_k) == "q*(q-1)^2" else FAIL,
-        None if str(vol_k) == "q*(q-1)^2" else {"computed": str(vol_k)}))
-    checks.append(CheckRecord(
-        "index-pro-unipotent",
-        PASS if str(vol_i) == "q^2*(q-1)^2" else FAIL,
-        None if str(vol_i) == "q^2*(q-1)^2" else {"computed": str(vol_i)}))
+    checks.append(CheckRecord.of("index-principal-congruence",
+                                 str(vol_k) == "q*(q-1)^2",
+                                 {"computed": str(vol_k)}))
+    checks.append(CheckRecord.of("index-pro-unipotent",
+                                 str(vol_i) == "q^2*(q-1)^2",
+                                 {"computed": str(vol_i)}))
 
     count_rows = []
     for p in (2, 3):
@@ -559,23 +532,17 @@ def _run_counterexample(config: RunConfig) -> VerificationReport:
         row = {"p": p, "iwahori_points": whole,
                "principal_index": ratio_k, "pro_unipotent_index": ratio_i}
         count_rows.append(row)
-        checks.append(CheckRecord(f"point-count-cross-check-p{p}",
-                                  PASS if ok else FAIL,
-                                  None if ok else row))
+        checks.append(CheckRecord.of(f"point-count-cross-check-p{p}", ok, row))
 
     verdict = heart_condition1_check(datum, group, x, r, theta)
-    checks.append(CheckRecord(
-        "threshold-mismatch-reproduced",
-        PASS if verdict.status == "MISMATCH" else FAIL,
-        None if verdict.status == "MISMATCH"
-        else {"status": verdict.status}))
+    checks.append(CheckRecord.of("threshold-mismatch-reproduced",
+                                 verdict.status == "MISMATCH",
+                                 {"status": verdict.status}))
 
     obstruction = conjugacy_obstruction(principal, pro_unipotent)
-    checks.append(CheckRecord(
-        "volume-obstruction",
-        PASS if obstruction == "DISTINCT_VOLUME" else FAIL,
-        None if obstruction == "DISTINCT_VOLUME"
-        else {"obstruction": obstruction}))
+    checks.append(CheckRecord.of("volume-obstruction",
+                                 obstruction == "DISTINCT_VOLUME",
+                                 {"obstruction": obstruction}))
 
     failed = any(c.status == FAIL for c in checks)
     data = {
@@ -633,7 +600,7 @@ def _run_spade_check(config: RunConfig) -> VerificationReport:
         raise CLIError(f"spade-check of rank {n} over {over} exceeds the "
                        f"work cap n^2 (n + partitions) <= {MAX_SPADE_WORK}")
     datum = load_datum(config.datum)
-    if not datum.label.startswith("GL"):
+    if not datum.is_general_linear:
         raise CLIError("spade-check needs a general-linear datum "
                        "(integral matrix model required)")
     if len(x) != datum.ambient_rank:
@@ -665,9 +632,8 @@ def _run_spade_check(config: RunConfig) -> VerificationReport:
             "flags": list(rep.flags),
         }
         rows.append({"partition": [list(b) for b in blocks], **witness})
-        checks.append(CheckRecord(f"factorization blocks={label}",
-                                  PASS if good else FAIL,
-                                  None if good else witness))
+        checks.append(CheckRecord.of(f"factorization blocks={label}", good,
+                                     witness))
     data = {
         "datum": datum.label,
         "x": _point_str(x),
@@ -700,8 +666,7 @@ def _clifford_checks(results, mode: str) -> list[CheckRecord]:
             good = res.commutativity.coincide is True
         else:
             good = res.passed
-        checks.append(CheckRecord(name, PASS if good else FAIL,
-                                  None if good else res.to_dict()))
+        checks.append(CheckRecord.of(name, good, res.to_dict()))
     return checks
 
 
@@ -767,11 +732,10 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
                                for c in rep.block_characters],
                 "sizes": list(rep.block_sizes),
             }
-            checks.append(CheckRecord(
-                f"orbit-{idx}-block-decomposition",
-                PASS if rep.ok else FAIL,
-                None if rep.ok else {"failures": list(rep.failures),
-                                     "representative": row["representative"]}))
+            checks.append(CheckRecord.of(
+                f"orbit-{idx}-block-decomposition", rep.ok,
+                {"failures": list(rep.failures),
+                 "representative": row["representative"]}))
         orbit_rows.append(row)
 
     data = {
@@ -824,16 +788,14 @@ def _run_iwahori_center(config: RunConfig) -> VerificationReport:
                        f"orbit-closed lattice labels; cap is {MAX_HECKE_LABELS}")
     report = satake_check(group, radius)
 
-    checks = [CheckRecord(
-        "orbit-sums-central-and-independent",
-        PASS if report.ok else FAIL,
-        None if report.ok else {"failures": list(report.failures)})]
-    dim_ok = report.center_dimension == len(report.representatives)
-    checks.append(CheckRecord(
-        "center-dimension-matches-orbit-count",
-        PASS if dim_ok else FAIL,
-        None if dim_ok else {"kernel_dimension": report.center_dimension,
-                             "orbit_count": len(report.representatives)}))
+    checks = [
+        CheckRecord.of("orbit-sums-central-and-independent", report.ok,
+                       {"failures": list(report.failures)}),
+        CheckRecord.of("center-dimension-matches-orbit-count",
+                       report.center_dimension == len(report.representatives),
+                       {"kernel_dimension": report.center_dimension,
+                        "orbit_count": len(report.representatives)}),
+    ]
 
     basis = []
     for mu, z in zip(report.representatives, report.central_elements):
@@ -876,20 +838,17 @@ def _run_verify_all(config: RunConfig) -> VerificationReport:
     wall = _run_heart_check(RunConfig(
         "heart-check", datum="gl3", x=(Q(1, 2), Q(0), Q(0)), r=Q(1),
         theta=(1,)))
-    esc_ok = (wall.data.get("obstruction") == "DISTINCT_VOLUME"
-              and "verdict" in wall.data)
-    checks.append(CheckRecord(
+    checks.append(CheckRecord.of(
         "heart-check: wall-point-mismatch-escalates",
-        PASS if esc_ok else FAIL,
-        None if esc_ok else {"data": _jsonable(wall.data)}))
+        wall.data.get("obstruction") == "DISTINCT_VOLUME"
+        and "verdict" in wall.data,
+        {"data": _jsonable(wall.data)}))
 
     interior = _run_heart_check(RunConfig(
         "heart-check", datum="gl3", x=(Q(2, 3), Q(1, 3), Q(0)), r=Q(1)))
-    int_ok = interior.exit_code == 0
-    checks.append(CheckRecord(
-        "heart-check: alcove-interior-point-proven",
-        PASS if int_ok else FAIL,
-        None if int_ok else {"data": _jsonable(interior.data)}))
+    checks.append(CheckRecord.of(
+        "heart-check: alcove-interior-point-proven", interior.exit_code == 0,
+        {"data": _jsonable(interior.data)}))
 
     absorb("spade-check", _run_spade_check(RunConfig(
         "spade-check", datum="gl2", x=(Q(1, 2), Q(0)), r=Q(1))))
@@ -1036,34 +995,17 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     kw: dict[str, Any] = {"subcommand": args.subcommand,
                           "output_format": getattr(args, "format", "text")}
-    if getattr(args, "datum", None) is not None:
-        kw["datum"] = args.datum
-    if getattr(args, "x", None) is not None:
-        kw["x"] = parse_rational_vector(args.x)
-    if getattr(args, "r", None) is not None:
-        kw["r"] = parse_rational(args.r)
-    if getattr(args, "theta", None) is not None:
-        kw["theta"] = parse_index_list(args.theta)
-    if getattr(args, "partition", None) is not None:
-        kw["partition"] = parse_partition(args.partition)
-    if hasattr(args, "convention"):
-        kw["convention"] = args.convention
-    if hasattr(args, "require_exhaustive"):
-        kw["require_exhaustive"] = args.require_exhaustive
-    if hasattr(args, "catalog"):
-        kw["catalog"] = args.catalog
-    if hasattr(args, "check"):
-        kw["check"] = args.check
-    if hasattr(args, "quick"):
-        kw["quick"] = args.quick
-    if getattr(args, "emit_catalog", None) is not None:
-        kw["emit_catalog"] = args.emit_catalog
-    if args.subcommand == "counterexample":
-        kw["q"] = args.q
-    elif hasattr(args, "q"):
+    for name in ("datum", "convention", "require_exhaustive", "catalog",
+                 "check", "quick", "emit_catalog", "radius"):
+        if hasattr(args, name):
+            kw[name] = getattr(args, name)
+    for name, parse in (("x", parse_rational_vector), ("r", parse_rational),
+                        ("theta", parse_index_list),
+                        ("partition", parse_partition)):
+        if getattr(args, name, None) is not None:
+            kw[name] = parse(getattr(args, name))
+    if args.subcommand == "torus-center":
         kw["field_size"] = args.q
-    if hasattr(args, "radius"):
-        kw["radius"] = args.radius
     return RunConfig(**kw)
 
 

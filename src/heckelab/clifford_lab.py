@@ -347,11 +347,10 @@ class CliffordReport:
 
 
 def clifford_report(model: FiniteGroupModel,
-                    analysis: ModelAnalysis | None = None) -> CliffordReport:
-    a = analysis or ModelAnalysis(model)
+                    analysis: ModelAnalysis) -> CliffordReport:
     g = model.group
     j = model.j
-    rest, tw = a.restriction, a.twists
+    rest, tw = analysis.restriction, analysis.twists
     inert = inertia_subgroup(g, tuple(sorted(model.j_tilde)), j,
                              model.rho.character())
     stab = maximal_stabilizer(g, j, model.rho_tilde, model.rho,
@@ -496,14 +495,12 @@ class TransferReport:
 
 
 def multiplicity_transfer_check(model: FiniteGroupModel,
-                                analysis: ModelAnalysis | None = None
-                                ) -> TransferReport:
-    a = analysis or ModelAnalysis(model)
-    hyp, _ = a.hypotheses
+                                analysis: ModelAnalysis) -> TransferReport:
+    hyp, _ = analysis.hypotheses
     if not hyp.ok:
         return TransferReport("SKIPPED", hyp.failures, None, None)
-    return TransferReport("OK", (), a.multiplicity_over_normal,
-                          a.restriction.multiplicity)
+    return TransferReport("OK", (), analysis.multiplicity_over_normal,
+                          analysis.restriction.multiplicity)
 
 
 @dataclass(frozen=True)
@@ -521,14 +518,12 @@ class CenterReport:
 
 
 def center_dimension_check(model: FiniteGroupModel,
-                           analysis: ModelAnalysis | None = None
-                           ) -> CenterReport:
-    a = analysis or ModelAnalysis(model)
-    hyp, _ = a.hypotheses
+                           analysis: ModelAnalysis) -> CenterReport:
+    hyp, _ = analysis.hypotheses
     if not hyp.ok:
         return CenterReport("SKIPPED", hyp.failures, None, None)
-    dagger_index = len(a.twists.dagger) // len(model.j)
-    return CenterReport("OK", (), a.induced_constituents, dagger_index)
+    dagger_index = len(analysis.twists.dagger) // len(model.j)
+    return CenterReport("OK", (), analysis.induced_constituents, dagger_index)
 
 
 @dataclass(frozen=True)
@@ -548,14 +543,12 @@ class CommutativityReport:
 
 
 def commutativity_check(model: FiniteGroupModel,
-                        analysis: ModelAnalysis | None = None
-                        ) -> CommutativityReport:
-    a = analysis or ModelAnalysis(model)
-    hyp, _ = a.hypotheses
+                        analysis: ModelAnalysis) -> CommutativityReport:
+    hyp, _ = analysis.hypotheses
     if not hyp.ok:
         return CommutativityReport("SKIPPED", hyp.failures, None, None, None)
-    k = a.induced_constituents
-    ind = a.induced_from_j
+    k = analysis.induced_constituents
+    ind = analysis.induced_from_j
     chi_ind = ind.character()
     dim_end = inner_product(chi_ind, chi_ind, ind.domain)
     assert dim_end.denominator == 1
@@ -564,5 +557,7 @@ def commutativity_check(model: FiniteGroupModel,
     if mackey != int(dim_end):
         raise AssertionError("coset-by-coset and global endomorphism "
                              "dimensions disagree")
-    return CommutativityReport("OK", (), a.multiplicity_over_normal == 1,
-                               a.restriction.multiplicity == 1, mackey == k)
+    return CommutativityReport("OK", (),
+                               analysis.multiplicity_over_normal == 1,
+                               analysis.restriction.multiplicity == 1,
+                               mackey == k)

@@ -123,7 +123,7 @@ def from_filtration(profile: FiltrationProfile) -> ValuationGroupScheme:
     """Bound matrix of the depth-r filtration group at the profile's
     point, for a general-linear datum (roots e_i - e_j)."""
     datum = profile.datum
-    if not datum.label.startswith("GL"):
+    if not datum.is_general_linear:
         raise ValueError("filtration bridge needs a general-linear datum")
     n = datum.ambient_rank
     diag = math.ceil(profile.depth)
@@ -171,6 +171,19 @@ def intersect_levi(K: ValuationGroupScheme,
 def block_of(K: ValuationGroupScheme, block: Sequence[int]) -> ValuationGroupScheme:
     """The bound matrix restricted to one block, as a smaller scheme."""
     return scheme([[K.bounds[i][j] for j in block] for i in block])
+
+
+def theta_blocks(n: int, theta: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Partition of matrix rows 0..n-1 merging i with i+1 for each
+    simple index i in theta (general-linear simple roots are adjacent
+    coordinate differences)."""
+    blocks: list[list[int]] = [[0]]
+    for i in range(1, n):
+        if (i - 1) in theta:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    return tuple(tuple(b) for b in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +302,31 @@ def conjugacy_obstruction(K1: ValuationGroupScheme,
     if len(verdicts) != 1:
         raise AssertionError("volume comparison depends on N")
     return "DISTINCT_VOLUME" if verdicts.pop() else "INCONCLUSIVE"
+
+
+@dataclass(frozen=True)
+class LeviVolumeComparison:
+    at_x: ValuationGroupScheme       # theta-Levi intersection of the first model
+    at_image: ValuationGroupScheme   # and of the second
+    blocks: tuple[tuple[tuple[int, ...], str], ...]  # (block, obstruction)
+
+    @property
+    def status(self) -> str:
+        return ("DISTINCT_VOLUME" if any(v == "DISTINCT_VOLUME"
+                                         for _, v in self.blocks)
+                else "INCONCLUSIVE")
+
+
+def compare_levi_volumes(K1: ValuationGroupScheme, K2: ValuationGroupScheme,
+                         theta: Sequence[int]) -> LeviVolumeComparison:
+    """Cut both models to their theta-Levi intersections and compare the
+    volumes block by block.  DISTINCT_VOLUME on any block proves the two
+    Levi intersections are not conjugate in the Levi subgroup."""
+    blocks = theta_blocks(K1.size, theta)
+    at_x, at_image = intersect_levi(K1, blocks), intersect_levi(K2, blocks)
+    return LeviVolumeComparison(at_x, at_image, tuple(
+        (b, conjugacy_obstruction(block_of(at_x, b), block_of(at_image, b)))
+        for b in blocks))
 
 
 # ---------------------------------------------------------------------------

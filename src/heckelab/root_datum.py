@@ -161,6 +161,17 @@ class RootDatum:
     def positive_roots(self) -> list[int]:
         return [k for k, a in enumerate(self.roots) if self.is_positive_root(a)]
 
+    @property
+    def is_general_linear(self) -> bool:
+        """Whether this is the GL_n realization, read off the roots (the
+        label is free text): the coroots equal the roots, and the roots
+        are exactly the e_i - e_j of Z^n, n >= 1."""
+        n = self.ambient_rank
+        diffs = [tuple(1 if k == i else (-1 if k == j else 0) for k in range(n))
+                 for i in range(n) for j in range(n) if i != j]
+        return (n >= 1 and self.coroots == self.roots
+                and sorted(self.roots) == sorted(diffs))
+
     # -- reflections ----------------------------------------------------
 
     def reflect_cocharacter(self, pair_index: int, lam: Sequence[Q]) -> tuple[Q, ...]:
@@ -312,11 +323,18 @@ def datum_from_cartan(mat: Sequence[Sequence[int]], central_rank: int = 0,
     return RootDatum(ambient, roots, coroots, simple, label or "cartan")
 
 
-def datum_general_linear(n: int) -> RootDatum:
+def datum_general_linear(n: int, max_weyl_order: int | None = None) -> RootDatum:
     """GL_n realization: characters and cocharacters both Z^n, roots and
-    coroots the difference vectors e_i - e_j."""
+    coroots the difference vectors e_i - e_j.  With ``max_weyl_order``,
+    a size whose Weyl group S_n is larger is refused before any of the
+    n(n - 1) roots is built."""
     if n < 2:
         raise ValueError("general-linear realization needs n >= 2")
+    if max_weyl_order is not None and factorial(min(n, 1000)) > max_weyl_order:
+        # n! outgrows CPython's 4300-digit int-to-str limit at n = 1559
+        order = factorial(n) if n <= 1000 else f"{n}!"
+        raise ValueError(f"Weyl group order is at least {order}; "
+                         f"cap is {max_weyl_order}")
     pairs = []
     for i in range(n):
         for j in range(n):
@@ -339,7 +357,7 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def datum_from_config(cfg: dict) -> RootDatum:
+def datum_from_config(cfg: dict, max_weyl_order: int | None = None) -> RootDatum:
     """Build a datum from its JSON description, in one of two shapes::
 
         {"cartan": [[2, -1], [-1, 2]], "central_rank": 0, "label": "A2"}
@@ -347,7 +365,9 @@ def datum_from_config(cfg: dict) -> RootDatum:
 
     ``central_rank`` defaults to 0 and ``label`` to "custom".  Every
     number must be an integer (not a float, string or boolean), and no
-    other key is accepted.  Raises ValueError on anything else.
+    other key is accepted.  Raises ValueError on anything else, and on a
+    general-linear size above ``max_weyl_order`` (see
+    ``datum_general_linear``).
     """
     if not isinstance(cfg, dict):
         raise ValueError("a datum description must be a JSON object")
@@ -363,7 +383,7 @@ def datum_from_config(cfg: dict) -> RootDatum:
         raise ValueError(f"unexpected keys {extra}")
     if "general_linear" in cfg:
         return datum_general_linear(_integer(cfg["general_linear"],
-                                             "general_linear"))
+                                             "general_linear"), max_weyl_order)
     mat = cfg["cartan"]
     if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
         raise ValueError("cartan must be a list of rows")

@@ -15,7 +15,6 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Sequence
 
 from . import _linalg
@@ -60,18 +59,10 @@ Pair = tuple[tuple[int, ...], ResidueCharacter]
 
 
 @dataclass(frozen=True)
-class MonomialElement:
-    """Basis monomial: a lattice translation times a residue character."""
-    coweight: tuple[int, ...]
-    character: ResidueCharacter
-    coefficient: Q = Q(1)
-
-
-@dataclass(frozen=True)
 class OrbitSum:
-    """A full Weyl orbit of pairs and its unit-coefficient formal sum."""
+    """A full Weyl orbit of pairs, standing for the unit-coefficient sum
+    of its monomials (lattice translation times residue character)."""
     orbit: tuple[Pair, ...]
-    element: tuple[MonomialElement, ...]
 
 
 def _pair_key(pair: Pair):
@@ -80,9 +71,7 @@ def _pair_key(pair: Pair):
 
 
 def _orbit_sum(pairs) -> OrbitSum:
-    orbit = tuple(sorted(pairs, key=_pair_key))
-    return OrbitSum(orbit, tuple(MonomialElement(lam, chi)
-                                 for lam, chi in orbit))
+    return OrbitSum(tuple(sorted(pairs, key=_pair_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +182,6 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
     if _full_orbit(group, osum.orbit[0]) != members:
         raise ValueError("input is not a single orbit")
     failures: list[str] = []
-    if (tuple((m.coweight, m.character) for m in osum.element) != osum.orbit
-            or any(m.coefficient != 1 for m in osum.element)):
-        failures.append("formal sum is not the unit-coefficient orbit sum")
 
     blocks: dict[ResidueCharacter, set[tuple[int, ...]]] = {}
     for lam, chi in members:

@@ -22,7 +22,7 @@ from heckelab.iwahori_hecke import BernsteinAlgebra, satake_check
 from heckelab.laurent import LaurentScalar
 from heckelab.padic_groups import (
     block_of,
-    conjugacy_obstruction,
+    compare_levi_volumes,
     conjugate_by_permutation,
     from_filtration,
     intersect_levi,
@@ -120,17 +120,9 @@ def _gl_volume_verdict(datum, x, image, r, theta) -> str:
     # second route on general-linear data: DISTINCT_VOLUME when some
     # theta-block of the Levi intersections at x and at the image has a
     # different volume, which proves no witness exists
-    n = datum.ambient_rank
-    cuts = [0] + [i + 1 for i in range(n - 1) if i not in theta] + [n]
-    blocks = [tuple(range(lo, hi)) for lo, hi in zip(cuts, cuts[1:])]
-    at_x = intersect_levi(from_filtration(filtration_profile(datum, x, r)),
-                          blocks)
-    at_image = intersect_levi(
-        from_filtration(filtration_profile(datum, image, r)), blocks)
-    distinct = any(
-        conjugacy_obstruction(block_of(at_x, b), block_of(at_image, b))
-        == "DISTINCT_VOLUME" for b in blocks)
-    return "DISTINCT_VOLUME" if distinct else "INCONCLUSIVE"
+    models = [from_filtration(filtration_profile(datum, p, r))
+              for p in (x, image)]
+    return compare_levi_volumes(*models, theta).status
 
 
 def test_criterion_2_heart_condition_interior_sweep():

@@ -27,7 +27,6 @@ from heckelab.cli import (
     _RUNNERS,
     _clifford_checks,
     _standard_partitions,
-    _theta_blocks,
     load_datum,
     load_group,
     main,
@@ -85,12 +84,6 @@ def test_parse_vector_and_indices():
         parse_partition("0||1")
 
 
-def test_theta_blocks_merge_adjacent_rows():
-    assert _theta_blocks(3, (1,)) == ((0,), (1, 2))
-    assert _theta_blocks(3, ()) == ((0,), (1,), (2,))
-    assert _theta_blocks(3, (0, 1)) == ((0, 1, 2),)
-
-
 def test_standard_partitions_cover_rank_three():
     parts = _standard_partitions(3)
     assert ((0,), (1, 2)) in parts
@@ -131,8 +124,8 @@ def test_load_datum_reports_json_location(tmp_path):
         load_datum(str(p))
 
 
-@pytest.mark.parametrize("n", [8, 40, 120])
-def test_oversized_datum_rejected_before_enumeration(n, tmp_path, capsys):
+def refuse_general_linear(n, tmp_path, capsys) -> str:
+    # refused at once from the size, in one line, before any root is built
     path = tmp_path / f"gl{n}.json"
     path.write_text(f'{{"general_linear": {n}}}')
     start = time.perf_counter()
@@ -141,8 +134,19 @@ def test_oversized_datum_rejected_before_enumeration(n, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    bound = math.factorial(n)
-    assert f"at least {bound}; cap is 10080" in captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("n", [8, 40, 120, 300])
+def test_oversized_datum_rejected_before_enumeration(n, tmp_path, capsys):
+    err = refuse_general_linear(n, tmp_path, capsys)
+    assert f"at least {math.factorial(n)}; cap is 10080" in err
+
+
+def test_huge_general_linear_rejected_in_one_line(tmp_path, capsys):
+    # 5000! has more digits than CPython will convert to a string
+    err = refuse_general_linear(5000, tmp_path, capsys)
+    assert "Weyl group order is at least 5000!; cap is 10080" in err
 
 
 def test_gl7_datum_still_loads(tmp_path):
@@ -151,6 +155,11 @@ def test_gl7_datum_still_loads(tmp_path):
     path.write_text('{"general_linear": 7}')
     group = load_group(str(path))
     assert group.datum.label == "GL7" and len(group) == 5040
+
+
+def test_general_linear_recognised_by_roots_not_label():
+    for name in REGISTRY:
+        assert load_datum(name).is_general_linear == name.startswith("gl")
 
 
 def test_load_datum_bad_description(tmp_path):
@@ -169,6 +178,10 @@ def test_check_record_fail_needs_witness():
         CheckRecord("x", "FAIL")
     with pytest.raises(ValueError, match="status"):
         CheckRecord("x", "MAYBE")
+    # the one verdict constructor drops the witness on PASS only
+    assert CheckRecord.of("x", True, {"w": 1}) == CheckRecord("x", "PASS")
+    assert CheckRecord.of("x", False, {"w": 1}) \
+        == CheckRecord("x", "FAIL", {"w": 1})
 
 
 def test_exit_code_contract():
@@ -255,6 +268,27 @@ def test_heart_check_without_matrix_model_skips_escalation(capsys):
     assert esc["status"] == "SKIPPED"
     assert "matrix model" in esc["reason"]
     assert "verdict" not in payload["data"]
+
+
+def test_cartan_datum_labelled_gl_has_no_matrix_model(tmp_path, capsys):
+    # the label is free text: an A2 Cartan datum called GL3 gets no
+    # integral model, where it used to end in a KeyError traceback
+    path = tmp_path / "fake_gl3.json"
+    path.write_text('{"cartan": [[2,-1],[-1,2]], "label": "GL3"}')
+    code, payload = run_json(["heart-check", "--datum", str(path),
+                              "--x", "1/3,1/3", "--r", "1/2"], capsys)
+    assert code == 1 and capsys.readouterr().err == ""
+    escalations = [c["witness"]["escalation"] for c in payload["checks"]
+                   if c["status"] == "FAIL"]
+    assert escalations and all(
+        esc == {"status": "SKIPPED",
+                "reason": "no integral matrix model for this datum"}
+        for esc in escalations)
+    assert main(["spade-check", "--datum", str(path), "--x", "1/2,0",
+                 "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert "general-linear datum" in captured.err
 
 
 def test_heart_check_argument_validation():

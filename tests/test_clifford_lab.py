@@ -24,6 +24,7 @@ from heckelab.catalog import (
 )
 from heckelab.clifford_lab import (
     FiniteGroupModel,
+    ModelAnalysis,
     check_hypotheses,
     clifford_report,
     inertia_subgroup,
@@ -310,7 +311,8 @@ def test_json_roundtrip_preserves_reports():
         back = model_from_json(json.loads(json.dumps(model_to_json(model))))
         assert back.name == model.name
         assert back.normal == model.normal and back.j_tilde == model.j_tilde
-        assert clifford_report(back) == _result(name).clifford
+        assert clifford_report(back, ModelAnalysis(back)) \
+            == _result(name).clifford
 
 
 def test_catalog_roundtrip_names():
@@ -346,7 +348,7 @@ def test_permutation_group_input():
         "rho": {"generators": [1], "matrices": [[[zeta]]]},
     }
     model = model_from_json(data)
-    rep = clifford_report(model)
+    rep = clifford_report(model, ModelAnalysis(model))
     assert rep.multiplicity == 1 and rep.orbit_size == 1
     assert rep.inertia == (0, 1, 2, 3)
     assert rep.stabilizer == (0, 1, 2, 3)

@@ -22,6 +22,7 @@ from heckelab.padic_groups import (
     _levi_invertible,
     block_of,
     brute_point_count,
+    compare_levi_volumes,
     conjugacy_obstruction,
     conjugate_by_permutation,
     contains,
@@ -35,6 +36,7 @@ from heckelab.padic_groups import (
     point_count,
     principal_congruence_scheme,
     scheme,
+    theta_blocks,
 )
 from heckelab.root_datum import datum_from_cartan, datum_general_linear
 
@@ -119,6 +121,10 @@ def test_from_filtration_needs_general_linear_datum():
     prof = filtration_profile(a2, (0, 0), Q(1))
     with pytest.raises(ValueError):
         from_filtration(prof)
+    # the label is free text: an A2 Cartan datum called GL3 is no GL3
+    fake = datum_from_cartan([[2, -1], [-1, 2]], label="GL3")
+    with pytest.raises(ValueError, match="general-linear"):
+        from_filtration(filtration_profile(fake, (0, 0), Q(1)))
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +167,12 @@ def test_intersect_levi_blocks():
 def test_intersect_levi_rejects_scrambled_blocks():
     with pytest.raises(ValueError):
         intersect_levi(WALL, [(0, 2), (1,)])
+
+
+def test_theta_blocks_merge_adjacent_rows():
+    assert theta_blocks(3, (1,)) == ((0,), (1, 2))
+    assert theta_blocks(3, ()) == ((0,), (1,), (2,))
+    assert theta_blocks(3, (0, 1)) == ((0, 1, 2),)
 
 
 def test_block_extraction():
@@ -265,6 +277,22 @@ def test_wall_point_levi_blocks_have_distinct_volume():
     # pro-unipotent radical of the Iwahori, index gap a factor of q
     vol = log_volume(b2, b1)
     assert (vol.q_power, vol.unit_power) == (1, 0)
+
+
+def test_levi_volume_comparison_at_the_wall_point():
+    # theta = {1} cuts rows into 0 | 1,2: the 1x1 blocks agree, the 2x2
+    # blocks are the principal congruence group and the pro-unipotent
+    # radical
+    cmp = compare_levi_volumes(WALL, WALL_SWAP, (1,))
+    assert cmp.at_x.bounds == intersect_levi(WALL, [(0,), (1, 2)]).bounds
+    assert cmp.at_image.bounds == intersect_levi(WALL_SWAP,
+                                                 [(0,), (1, 2)]).bounds
+    assert cmp.blocks == (((0,), "INCONCLUSIVE"),
+                          ((1, 2), "DISTINCT_VOLUME"))
+    assert cmp.status == "DISTINCT_VOLUME"
+    # theta = {0} cuts 0,1 | 2, where the two models agree block by block
+    assert compare_levi_volumes(WALL, WALL_SWAP, (0,)).status \
+        == "INCONCLUSIVE"
 
 
 def test_interior_critical_depth_levi_blocks_distinct():
