@@ -9,7 +9,10 @@ suite data, and a wall time.  The process exits 0 exactly when no
 check failed, 2 on configuration errors.  The mathematics stays in the
 library: heart-check escalates a threshold mismatch through
 ``padic_groups.compare_levi_volumes``, the comparison that acceptance
-criterion 2 uses too.
+criterion 2 uses too.  Only ``root_datum`` is imported with this
+module; each subcommand imports its own suite when it runs, so a
+process loads what its subcommand uses (numpy only with the brute-force
+enumeration of spade-check and counterexample).
 
 Input schemas (also documented in the README):
   datum        registry name (a1, a2, a3, b2, b3, c2, c3, g2, gl1,
@@ -42,26 +45,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Any, Callable, Sequence
 
-from .apartment import (
-    classify_point,
-    filtration_profile,
-    heart_condition1_check,
-)
-from .catalog import build_catalog, evaluate_catalog, read_catalog, write_catalog
-from .iwahori_hecke import label_orbits, satake_check
-from .padic_groups import (
-    block_of,
-    brute_point_count,
-    compare_levi_volumes,
-    conjugacy_obstruction,
-    conjugate_by_permutation,
-    from_filtration,
-    intersect_levi,
-    iwahori_factorization_check,
-    iwahori_scheme,
-    log_volume,
-    point_count,
-)
 from .root_datum import (
     MAX_WEYL_ORDER,
     REGISTRY,
@@ -69,12 +52,6 @@ from .root_datum import (
     WeylGroup,
     datum_from_config,
     datum_general_linear,
-)
-from .torus_center import (
-    invariant_dimension,
-    orbits,
-    roc_decomposition_check,
-    stabilizer_Wchi,
 )
 
 PASS = "PASS"
@@ -84,13 +61,14 @@ SKIPPED = "SKIPPED"
 # enumeration guards: requests above these sizes are refused up front
 # with an explicit cap error instead of grinding or exhausting memory
 MAX_TORUS_PAIRS = 50_000
-# orbit-closed labels of an iwahori-center truncation: the columns of its
-# Satake matrix.  For data of rank >= 2 the cap keeps a run within about
+# weight of an iwahori-center truncation: 1 + sum_i |<lambda, alpha_i>|
+# summed over its orbit-closed labels lambda, the columns of its Satake
+# matrix (iwahori_hecke.label_weight).  The cap keeps a run within about
 # 20 s on a shared 2-vCPU x86-64 host (CPython 3.11): gl4 R=2 (625
-# labels) 7.7 s, b3 R=2 (725) 11.6 s, c3 R=2 (725) 14.4 s, g2 R=7 (673)
-# 18.1 s.  It does not bound a1 at a large radius, whose commutators grow
-# with the radius: a1 R=200 (401 labels) takes 27.8 s
-MAX_HECKE_LABELS = 750
+# labels, weight 3625) 7.7 s, b3 R=2 (725, 7259) 11.6 s, c3 R=2 (725,
+# 7265) 14.4 s, g2 R=7 (673, 14113) 18.1 s, a1 R=120 (241, 14761) 9.9 s.
+# a1 R=200 (401 labels, weight 40601, 27.8 s) is refused
+MAX_HECKE_WEIGHT = 15_000
 MAX_CATALOG_GROUP_ORDER = 4_096
 # spade-check work, n^2 (n + partitions) for rank n.  It admits GL8 over
 # all 127 partitions and GL21 with one, each about 0.6 s on a shared
@@ -188,6 +166,7 @@ def load_group(source: str) -> WeylGroup:
 
 
 def load_models(source: str):
+    from .catalog import build_catalog, read_catalog
     if source == "builtin":
         return build_catalog()
     try:
@@ -327,6 +306,8 @@ def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
     element permutes the coordinates, so the model at its image of x is
     the model at x conjugated by a permutation matrix: the same bounds,
     permuted, and none of them negative when none at x is."""
+    from .apartment import filtration_profile
+    from .padic_groups import compare_levi_volumes, from_filtration
     datum = group.datum
     if not datum.is_general_linear:
         return {"status": SKIPPED,
@@ -407,6 +388,7 @@ def _run_rootdatum(config: RunConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _run_heart_check(config: RunConfig) -> VerificationReport:
+    from .apartment import classify_point, heart_condition1_check
     group = load_group(config.datum)
     datum = group.datum
     x, r = config.x, config.r
@@ -473,6 +455,11 @@ _EXPECTED_CONJ_LEVI = ((1, None, None), (None, 1, 1), (None, 2, 1))
 
 
 def _run_counterexample(config: RunConfig) -> VerificationReport:
+    from .apartment import filtration_profile, heart_condition1_check
+    from .padic_groups import (block_of, brute_point_count,
+                               conjugacy_obstruction, conjugate_by_permutation,
+                               from_filtration, intersect_levi, iwahori_scheme,
+                               log_volume, point_count)
     datum = datum_general_linear(3)
     group = WeylGroup(datum)
     x = (Q(1, 2), Q(0), Q(0))
@@ -587,6 +574,8 @@ def _standard_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _run_spade_check(config: RunConfig) -> VerificationReport:
+    from .apartment import filtration_profile
+    from .padic_groups import from_filtration, iwahori_factorization_check
     x, r = config.x, config.r
     if x is None or r is None:
         raise CLIError("spade-check needs --x and --r")
@@ -671,6 +660,7 @@ def _clifford_checks(results, mode: str) -> list[CheckRecord]:
 
 
 def _run_clifford(config: RunConfig) -> VerificationReport:
+    from .catalog import build_catalog, evaluate_catalog, write_catalog
     if config.emit_catalog is not None:
         write_catalog(config.emit_catalog)
         n = len(build_catalog())
@@ -696,6 +686,8 @@ def _run_clifford(config: RunConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _run_torus_center(config: RunConfig) -> VerificationReport:
+    from .torus_center import (invariant_dimension, orbits,
+                               roc_decomposition_check, stabilizer_Wchi)
     group = load_group(config.datum)
     datum = group.datum
     q, radius = config.field_size, config.radius
@@ -770,6 +762,7 @@ def _term_label(lam, w) -> str:
 
 
 def _run_iwahori_center(config: RunConfig) -> VerificationReport:
+    from .iwahori_hecke import label_orbits, label_weight, satake_check
     group = load_group(config.datum)
     datum = group.datum
     radius = config.radius
@@ -777,15 +770,17 @@ def _run_iwahori_center(config: RunConfig) -> VerificationReport:
         raise CLIError("iwahori-center needs --radius")
     if radius < 0:
         raise CLIError("--radius must be >= 0")
-    # the box is a subset of its orbit closure: refuse a large box before
-    # enumerating any orbit
-    labels = (2 * radius + 1) ** datum.ambient_rank
-    if labels <= MAX_HECKE_LABELS:
-        labels = sum(map(len, label_orbits(group, radius,
-                                           MAX_HECKE_LABELS).values()))
-    if labels > MAX_HECKE_LABELS:
-        raise CLIError(f"requested truncation spans at least {labels} "
-                       f"orbit-closed lattice labels; cap is {MAX_HECKE_LABELS}")
+    # the box is a subset of its orbit closure and each label weighs at
+    # least 1: refuse a large box before enumerating any orbit
+    weight = (2 * radius + 1) ** datum.ambient_rank
+    if weight <= MAX_HECKE_WEIGHT:
+        closed = label_orbits(group, radius, MAX_HECKE_WEIGHT)
+        weight = sum(label_weight(datum, lam)
+                     for orb in closed.values() for lam in orb)
+    if weight > MAX_HECKE_WEIGHT:
+        raise CLIError(f"requested truncation weighs at least {weight} "
+                       f"(1 + sum_i |<lambda, alpha_i>| over its orbit-closed "
+                       f"lattice labels); cap is {MAX_HECKE_WEIGHT}")
     report = satake_check(group, radius)
 
     checks = [

@@ -272,14 +272,24 @@ class SatakeReport:
     central_elements: tuple[HeckeElement, ...]
 
 
+def label_weight(datum: RootDatum, lam: Coweight) -> int:
+    """1 + sum_i |<lam, alpha_i>| over the simple roots alpha_i: the
+    share of satake_check's work that the label lam brings, since the
+    commutator of T_i with theta_lam has about |<lam, alpha_i>| terms."""
+    return 1 + sum(abs(sum(a * c for a, c in zip(datum.roots[i], lam)))
+                   for i in datum.simple)
+
+
 def label_orbits(group: WeylGroup, radius: int, cap: int | None = None
                  ) -> dict[Coweight, tuple[Coweight, ...]]:
     """W-orbits of the coweights in the box [-radius, radius]^rank, keyed
     by dominant representative; their union is the orbit-closed label
-    set.  With ``cap``, stop as soon as more than ``cap`` labels are
-    found, so an oversized truncation is refused without enumerating it."""
+    set.  With ``cap``, stop as soon as the labels found weigh more than
+    ``cap`` in total (``label_weight``), so an oversized truncation is
+    refused without enumerating it."""
     orbit_map: dict[Coweight, tuple[Coweight, ...]] = {}
     labels: set[Coweight] = set()
+    weight = 0
     for lam in itertools.product(range(-radius, radius + 1),
                                  repeat=group.datum.ambient_rank):
         if lam in labels:
@@ -287,8 +297,10 @@ def label_orbits(group: WeylGroup, radius: int, cap: int | None = None
         orb = tuple(sorted(group.orbit_cocharacter(lam)))
         orbit_map[group.dominant_in_orbit(lam)] = orb
         labels |= set(orb)
-        if cap is not None and len(labels) > cap:
-            break
+        if cap is not None:
+            weight += sum(label_weight(group.datum, mu) for mu in orb)
+            if weight > cap:
+                break
     return orbit_map
 
 

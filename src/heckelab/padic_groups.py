@@ -25,7 +25,9 @@ force enumerates matrices over Z/p^N in numpy int64, and
 iwahori_factorization_check proves the factorization by block-LDU
 uniqueness; above the element cap, or outside the int64 precondition,
 the analytic count comparison stands alone and is flagged, never
-silently trusted.
+silently trusted.  numpy is imported only when a brute-force
+enumeration runs (the helpers that build arrays import it themselves),
+so the bound matrices, volumes and Levi comparisons load without it.
 """
 from __future__ import annotations
 
@@ -34,11 +36,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .apartment import FiltrationProfile
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Bound = int | None  # None = entry frozen to 0
 
@@ -334,6 +337,7 @@ def compare_levi_volumes(K1: ValuationGroupScheme, K2: ValuationGroupScheme,
 # ---------------------------------------------------------------------------
 
 def _constraint_values(c: Constraint, p: int, N: int) -> np.ndarray:
+    import numpy as np
     mod = p ** N
     kind = c[0]
     if kind == "zero":
@@ -377,6 +381,7 @@ def _enumerate(constraints: list[list[Constraint]], p: int, N: int,
     """All matrices over Z/p^N meeting the entry constraints, or None
     if there are more than cap of them; the cap is checked on the counts
     before any value array is built."""
+    import numpy as np
     n = len(constraints)
     total = 1
     for row in constraints:
@@ -397,6 +402,7 @@ def _enumerate(constraints: list[list[Constraint]], p: int, N: int,
 
 def _member_mask(K: ValuationGroupScheme, mats: np.ndarray, p: int,
                  N: int) -> np.ndarray:
+    import numpy as np
     ok = np.ones(len(mats), dtype=bool)
     for i in range(K.size):
         for j in range(K.size):
@@ -442,6 +448,7 @@ def _levi_invertible(levi: np.ndarray, blocks: Sequence[Sequence[int]],
     """Whether every diagonal block of every matrix in levi is invertible
     mod p, shown with integers only: m v is nonzero mod p for every
     nonzero v in F_p^k, k the block size."""
+    import numpy as np
     for block in map(list, blocks):
         nonzero = list(itertools.product(range(p), repeat=len(block)))[1:]
         vecs = np.array(nonzero, dtype=np.int64).T

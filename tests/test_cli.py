@@ -19,7 +19,7 @@ import pytest
 
 from heckelab.catalog import build_catalog, evaluate_catalog
 from heckelab.cli import (
-    MAX_HECKE_LABELS,
+    MAX_HECKE_WEIGHT,
     CheckRecord,
     CLIError,
     RunConfig,
@@ -37,7 +37,7 @@ from heckelab.cli import (
     render_report,
     run,
 )
-from heckelab.iwahori_hecke import label_orbits
+from heckelab.iwahori_hecke import label_orbits, label_weight
 from heckelab.root_datum import REGISTRY, WeylGroup, cartan_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -706,22 +706,36 @@ def test_iwahori_center_rank_two(capsys):
     assert all(t["coefficient"] == "1" for t in swap["terms"])
 
 
+def closure_weight(name, radius):
+    """Total label_weight of the orbit-closed labels of a truncation,
+    counted as the CLI counts it (stopping once past the cap)."""
+    group = load_group(name)
+    closed = label_orbits(group, radius, MAX_HECKE_WEIGHT)
+    return sum(label_weight(group.datum, lam)
+               for orb in closed.values() for lam in orb)
+
+
 def test_iwahori_center_caps_and_validation(capsys):
-    # the cap counts orbit-closed labels, not the box: gl4 R=2 closes to
-    # 625 labels and is admitted; b3 R=3 has a 343-label box that closes
-    # to 2023 and is refused
-    gl4 = load_group("gl4")
-    closed = label_orbits(gl4, 2, MAX_HECKE_LABELS)
-    assert sum(map(len, closed.values())) == 625 <= MAX_HECKE_LABELS
+    # the cap weighs orbit-closed labels, not the box: gl4 R=2 closes to
+    # 625 labels of weight 3625 and is admitted; b3 R=3 has a 343-label
+    # box whose closure (2023 labels) weighs more than the cap
+    assert closure_weight("gl4", 2) == 3625
+    assert closure_weight("b3", 3) > MAX_HECKE_WEIGHT
     assert main(["iwahori-center", "--datum", "b3", "--radius", "3"]) == 2
-    assert "orbit-closed lattice labels; cap is 750" in capsys.readouterr().err
-    # gl1 has no roots, so its labels are the box: admitted up to the cap,
-    # refused one step past it before any orbit is enumerated
+    assert ("orbit-closed lattice labels); cap is 15000"
+            in capsys.readouterr().err)
+    # a1's commutators lengthen with the radius: R=120 (241 labels)
+    # weighs 14761 and is admitted, R=200 (401 labels) weighs 40601
+    assert closure_weight("a1", 120) == 14761 <= MAX_HECKE_WEIGHT
+    # gl1 has no roots, so each label weighs 1 and its labels are the
+    # box: admitted up to the cap, refused one step past it before any
+    # orbit is enumerated
+    assert closure_weight("gl1", 7499) == 14999
     code, payload = run_json(
         ["iwahori-center", "--datum", "gl1", "--radius", "374"], capsys)
     assert code == 0 and payload["data"]["center_dimension"] == 749
-    assert main(["iwahori-center", "--datum", "gl1", "--radius", "375"]) == 2
-    assert "at least 751 orbit-closed" in capsys.readouterr().err
+    assert main(["iwahori-center", "--datum", "gl1", "--radius", "7500"]) == 2
+    assert "weighs at least 15001 " in capsys.readouterr().err
     assert main(["iwahori-center", "--datum", "a1", "--radius", "-1"]) == 2
 
 
@@ -739,7 +753,20 @@ def test_iwahori_center_refuses_a_small_box_with_a_large_closure(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1
-    assert "orbit-closed lattice labels; cap is 750" in captured.err
+    assert "orbit-closed lattice labels); cap is 15000" in captured.err
+
+
+def test_iwahori_center_refuses_a1_at_a_large_radius_at_once(capsys):
+    # 401 labels, far fewer than b3 R=2 admits, but a1 R=200 weighs 40601
+    # (it took 28 s under a cap on the label count)
+    start = time.perf_counter()
+    assert main(["iwahori-center", "--datum", "a1", "--radius", "200"]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "weighs at least" in captured.err
+    assert "cap is 15000" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -787,6 +814,54 @@ def test_each_run_builds_at_most_one_weyl_group(subcommand, monkeypatch,
     capsys.readouterr()
     expected = 0 if subcommand in ("spade-check", "clifford") else 1
     assert len(built) == expected
+
+
+# run one CLI call (none without argv) in a fresh interpreter, then
+# print every module it holds
+LOADED_MODULES = """
+import contextlib, io, json, sys
+from heckelab import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(sys.argv[1:])
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def loaded_modules(argv):
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout))
+
+
+# the gl4 heart-check escalates its mismatches through
+# padic_groups.compare_levi_volumes
+NO_NUMPY_RUNS = {
+    **{name: SMALL_RUNS[name] for name in ("rootdatum", "torus-center",
+                                           "iwahori-center", "clifford")},
+    "heart-check": ["heart-check", "--datum", "gl4", "--x",
+                    "3/4,1/2,1/4,0", "--r", "3/2"],
+}
+
+
+def test_importing_the_cli_loads_only_root_datum():
+    loaded = loaded_modules([])
+    assert {m for m in loaded if m.startswith("heckelab")} == {
+        "heckelab", "heckelab.cli", "heckelab.root_datum", "heckelab._linalg"}
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("subcommand", sorted(NO_NUMPY_RUNS))
+def test_subcommand_without_enumeration_loads_no_numpy(subcommand):
+    loaded = loaded_modules(NO_NUMPY_RUNS[subcommand])
+    assert "numpy" not in loaded
+    if subcommand in ("iwahori-center", "torus-center"):
+        assert not loaded & {"heckelab.catalog", "heckelab.clifford_lab",
+                             "heckelab.padic_groups"}
+
+
+def test_spade_check_still_enumerates_with_numpy():
+    assert "numpy" in loaded_modules(SMALL_RUNS["spade-check"])
 
 
 def test_json_output_idempotent(capsys):
