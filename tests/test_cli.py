@@ -725,7 +725,7 @@ def test_iwahori_center_caps_and_validation(capsys):
     assert ("orbit-closed lattice labels); cap is 15000"
             in capsys.readouterr().err)
     # a1's commutators lengthen with the radius: R=120 (241 labels)
-    # weighs 14761 and is admitted, R=200 (401 labels) weighs 40601
+    # weighs 14761 and is admitted (R=200 is refused, see below)
     assert closure_weight("a1", 120) == 14761 <= MAX_HECKE_WEIGHT
     # gl1 has no roots, so each label weighs 1 and its labels are the
     # box: admitted up to the cap, refused one step past it before any
@@ -758,7 +758,6 @@ def test_iwahori_center_refuses_a_small_box_with_a_large_closure(
 
 def test_iwahori_center_refuses_a1_at_a_large_radius_at_once(capsys):
     # 401 labels, far fewer than b3 R=2 admits, but a1 R=200 weighs 40601
-    # (it took 28 s under a cap on the label count)
     start = time.perf_counter()
     assert main(["iwahori-center", "--datum", "a1", "--radius", "200"]) == 2
     assert time.perf_counter() - start < 2
