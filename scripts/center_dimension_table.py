@@ -9,7 +9,7 @@ block recovers the same dominant-orbit count.
 """
 import argparse
 
-from heckelab.iwahori_hecke import satake_check
+from heckelab.iwahori_hecke import label_orbits, satake_check
 from heckelab.root_datum import REGISTRY, WeylGroup, datum_from_config
 from heckelab.torus_center import invariant_dimension, orbits
 
@@ -27,7 +27,7 @@ def main() -> None:
     for group in groups:
         name = group.datum.label
         for radius in range(args.max_radius + 1):
-            rep = satake_check(group, radius)
+            rep = satake_check(group, label_orbits(group, radius))
             status = "" if rep.ok else "  <- FAILED"
             print(f"{name:6} {radius:6d} {rep.center_dimension:10d} "
                   f"{len(rep.representatives):d}{status}")

@@ -781,7 +781,7 @@ def _run_iwahori_center(config: RunConfig) -> VerificationReport:
         raise CLIError(f"requested truncation weighs at least {weight} "
                        f"(1 + sum_i |<lambda, alpha_i>| over its orbit-closed "
                        f"lattice labels); cap is {MAX_HECKE_WEIGHT}")
-    report = satake_check(group, radius)
+    report = satake_check(group, closed)
 
     checks = [
         CheckRecord.of("orbit-sums-central-and-independent", report.ok,

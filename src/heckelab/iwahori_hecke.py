@@ -9,6 +9,14 @@ Scalars are Laurent polynomials in a formal v with v^2 = q, the
 normalization under which a dominant translation label abbreviates the
 length-rescaled translation and a general label is independent of how
 it splits as a difference of dominant ones.
+
+``satake_check`` verifies the truncated center on an orbit-closed set
+of lattice labels.  The commutator matrix M of the finite generators on
+the span of those labels is built once; an orbit sum is central when M
+annihilates it, and the center dimension is proven by the rank of M
+over F_p at a point of v, which bounds its rank over Q(v) from below.
+Elimination over Q(v) (``laurent.rat_rank``) stays the route whenever
+that certificate does not close.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .laurent import LaurentScalar, RatFunc, rat_rank
+from .laurent import FP_POINT, LaurentScalar, RatFunc, rat_rank, specialized_rank
 from .root_datum import RootDatum, WeylElement, WeylGroup
 
 Coweight = tuple[int, ...]
@@ -263,13 +271,16 @@ class SatakeReport:
     """Truncated-center verification: every orbit sum is central, their
     supports partition the orbit-closed label set, and the commutant of
     the generators inside the lattice span has exactly their dimension.
-    ``central_elements`` holds the orbit sum of each representative."""
+    ``central_elements`` holds the orbit sum of each representative;
+    ``rank_route`` names the field whose rank fixed the dimension,
+    "F_p at v=<point>" or "Q(v)"."""
     ok: bool
     failures: tuple[str, ...]
     center_dimension: int
     representatives: tuple[Coweight, ...]
     orbits: tuple[tuple[Coweight, ...], ...]
     central_elements: tuple[HeckeElement, ...]
+    rank_route: str
 
 
 def label_weight(datum: RootDatum, lam: Coweight) -> int:
@@ -287,6 +298,8 @@ def label_orbits(group: WeylGroup, radius: int, cap: int | None = None
     set.  With ``cap``, stop as soon as the labels found weigh more than
     ``cap`` in total (``label_weight``), so an oversized truncation is
     refused without enumerating it."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
     orbit_map: dict[Coweight, tuple[Coweight, ...]] = {}
     labels: set[Coweight] = set()
     weight = 0
@@ -304,50 +317,91 @@ def label_orbits(group: WeylGroup, radius: int, cap: int | None = None
     return orbit_map
 
 
-def satake_check(group: WeylGroup, radius: int) -> SatakeReport:
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    alg = BernsteinAlgebra(group)
-    datum = group.datum
+class CommutatorMatrix:
+    """The matrix M of the finite generators acting on a span of lattice
+    labels: one column per basis label lam, and row (i, label) holding
+    the coefficient at that label of [theta_lam, T_i].  An element z of
+    the span commutes with every T_i exactly when M z = 0."""
 
-    orbit_map = label_orbits(group, radius)
+    def __init__(self, alg: BernsteinAlgebra, basis: list[Coweight]):
+        self.column_of = {lam: k for k, lam in enumerate(basis)}
+        self.rows: dict[tuple[int, Label], dict[int, LaurentScalar]] = {}
+        # columns[k]: the (row, entry) pairs of column k, for M z
+        self.columns: list[list[tuple[tuple[int, Label], LaurentScalar]]] = \
+            [[] for _ in basis]
+        for i in range(len(alg.datum.simple)):
+            g = alg.t_element(i)
+            for k, lam in enumerate(basis):
+                th = alg.theta(lam)
+                comm = alg.bernstein_multiply(th, g) - alg.bernstein_multiply(g, th)
+                for lab, scal in comm.c.items():
+                    self.rows.setdefault((i, lab), {})[k] = scal
+                    self.columns[k].append(((i, lab), scal))
+
+    def annihilates(self, z: HeckeElement) -> bool:
+        """M z = 0, walking only the columns in the support of z, whose
+        labels must all be basis labels with the identity Weyl part."""
+        acc: dict[tuple[int, Label], LaurentScalar] = {}
+        for (lam, _w), c in z.c.items():
+            for key, entry in self.columns[self.column_of[lam]]:
+                acc[key] = acc.get(key, LaurentScalar.zero()) + c * entry
+        return all(x.is_zero for x in acc.values())
+
+
+def satake_check(group: WeylGroup,
+                 orbit_map: dict[Coweight, tuple[Coweight, ...]]
+                 ) -> SatakeReport:
+    """Verify the truncated center on the orbit-closed label set of
+    ``orbit_map`` (as ``label_orbits`` returns it).
+
+    Centrality of an orbit sum is M z = 0 for the commutator matrix M,
+    given that the lattice generators commute with every basis label;
+    an orbit sum off that ground goes through ``is_central``.  The
+    dimension is proven without elimination over Q(v) when every check
+    passed and the rank of M over F_p at v = FP_POINT equals
+    |basis| - #orbits: the disjoint central orbit sums bound the kernel
+    from below, and the specialized rank bounds the rank from below.
+    Otherwise ``rat_rank`` computes the rank over Q(v)."""
+    alg = BernsteinAlgebra(group)
     labels = {lam for orb in orbit_map.values() for lam in orb}
     reps = sorted(orbit_map)
-    failures: list[str] = []
-
-    central = tuple(alg.central_element(rep) for rep in reps)
-    for rep, z in zip(reps, central):
-        if tuple(sorted(lam for lam, _w in z.c)) != orbit_map[rep]:
-            failures.append(f"support of the orbit sum of {rep} is wrong")
-        if not alg.is_central(z):
-            failures.append(f"orbit sum of {rep} is not central")
-
-    if sum(len(o) for o in orbit_map.values()) != len(labels):
-        failures.append("orbit supports overlap")
-
     basis = sorted(labels)
-    col = {lam: i for i, lam in enumerate(basis)}
-    rows_map: dict[tuple[int, Label], dict[int, RatFunc]] = {}
-    for i in range(len(datum.simple)):
-        g = alg.t_element(i)
-        for lam in basis:
-            th = alg.theta(lam)
-            comm = alg.bernstein_multiply(th, g) - alg.bernstein_multiply(g, th)
-            for lab, scal in comm.c.items():
-                rows_map.setdefault((i, lab), {})[col[lam]] = \
-                    RatFunc.from_laurent(scal)
+    matrix = CommutatorMatrix(alg, basis)
+
     # lattice generators commute with every lattice label exactly
+    lattice_failures: list[str] = []
     for j in range(alg.rank):
         gen = alg.theta(tuple(int(k == j) for k in range(alg.rank)))
         for lam in basis:
             th = alg.theta(lam)
             if alg.bernstein_multiply(th, gen) != alg.bernstein_multiply(gen, th):
-                failures.append("lattice generators fail to commute")
+                lattice_failures.append("lattice generators fail to commute")
                 break
 
-    kdim = len(basis) - rat_rank(list(rows_map.values()))
+    failures: list[str] = []
+    central = tuple(alg.central_element(rep) for rep in reps)
+    for rep, z in zip(reps, central):
+        if tuple(sorted(lam for lam, _w in z.c)) != orbit_map[rep]:
+            failures.append(f"support of the orbit sum of {rep} is wrong")
+        on_basis = not lattice_failures and all(
+            w == group.identity and lam in matrix.column_of for lam, w in z.c)
+        if not (matrix.annihilates(z) if on_basis else alg.is_central(z)):
+            failures.append(f"orbit sum of {rep} is not central")
+
+    if sum(len(o) for o in orbit_map.values()) != len(labels):
+        failures.append("orbit supports overlap")
+    failures += lattice_failures
+
+    rows = list(matrix.rows.values())
+    rank = None if failures else specialized_rank(rows, FP_POINT)
+    if rank is not None and len(basis) - rank == len(reps):
+        kdim, route = len(reps), f"F_p at v={FP_POINT}"
+    else:
+        kdim = len(basis) - rat_rank(
+            [{k: RatFunc.from_laurent(x) for k, x in row.items()} for row in rows])
+        route = "Q(v)"
     if kdim != len(reps):
         failures.append(f"truncated center has dimension {kdim}, "
                         f"expected {len(reps)}")
     return SatakeReport(not failures, tuple(failures), kdim, tuple(reps),
-                        tuple(orbit_map[r] for r in reps), central)
+                        tuple(orbit_map[r] for r in reps), central, route)

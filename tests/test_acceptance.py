@@ -18,7 +18,7 @@ from heckelab.apartment import (
 )
 from heckelab.catalog import build_catalog, evaluate_catalog
 from heckelab.cli import RunConfig, run
-from heckelab.iwahori_hecke import BernsteinAlgebra, satake_check
+from heckelab.iwahori_hecke import BernsteinAlgebra, label_orbits, satake_check
 from heckelab.laurent import LaurentScalar
 from heckelab.padic_groups import (
     block_of,
@@ -66,7 +66,8 @@ def _theta_subsets(datum):
 
 @lru_cache(maxsize=None)
 def _satake(name: str, radius: int):
-    return satake_check(SMALL_RANK_GROUPS[name], radius)
+    group = SMALL_RANK_GROUPS[name]
+    return satake_check(group, label_orbits(group, radius))
 
 
 def test_criterion_1_wall_point_counterexample():

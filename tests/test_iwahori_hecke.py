@@ -1,5 +1,6 @@
 """Lattice-presentation algebra: finite relations, commutation rules,
 central orbit sums, and the truncated-center dimension check."""
+import dataclasses
 import itertools
 from fractions import Fraction as Q
 
@@ -7,17 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab import iwahori_hecke
 from heckelab.iwahori_hecke import (
     BernsteinAlgebra,
+    CommutatorMatrix,
     HeckeElement,
     dominant_decomposition,
+    label_orbits,
     satake_check,
 )
 from heckelab.laurent import LaurentScalar
 from heckelab.root_datum import (
+    REGISTRY,
     WeylGroup,
     cartan_matrix,
     datum_from_cartan,
+    datum_from_config,
     datum_general_linear,
 )
 
@@ -189,7 +195,8 @@ def test_is_central_oracles():
     ("B2", 1, 4),
 ])
 def test_satake_dimensions(name, radius, dim):
-    rep = satake_check(alg_for(name).group, radius)
+    group = alg_for(name).group
+    rep = satake_check(group, label_orbits(group, radius))
     assert rep.ok, rep.failures
     assert rep.center_dimension == dim
     assert len(rep.representatives) == dim
@@ -198,7 +205,7 @@ def test_satake_dimensions(name, radius, dim):
 
 
 def test_satake_gl2_representatives_frozen():
-    rep = satake_check(GL2, 1)
+    rep = satake_check(GL2, label_orbits(GL2, 1))
     assert rep.representatives == (
         (-1, -1), (0, -1), (0, 0), (1, -1), (1, 0), (1, 1))
     assert rep.orbits[2] == ((0, 0),)
@@ -207,18 +214,108 @@ def test_satake_gl2_representatives_frozen():
 
 def test_satake_rejects_negative_radius():
     with pytest.raises(ValueError, match="radius"):
-        satake_check(GL2, -1)
+        label_orbits(GL2, -1)
 
 
 def test_satake_orbits_match_torus_orbits():
     # the supports of the central elements are exactly the coweight
     # orbits of the torus layer at the trivial residue character
     from heckelab.torus_center import orbits
-    rep = satake_check(GL2, 2)
+    rep = satake_check(GL2, label_orbits(GL2, 2))
     hecke_supports = {frozenset(o) for o in rep.orbits}
     torus_supports = {frozenset(lam for lam, _chi in o.orbit)
                       for o in orbits(GL2, 2, 2)}
     assert hecke_supports == torus_supports
+
+
+def _tampered(z: HeckeElement) -> HeckeElement:
+    # the same support with its first coefficient doubled
+    first = z.support[0]
+    return HeckeElement({**z.c, first: z.c[first] + z.c[first]})
+
+
+@pytest.mark.parametrize("name", ["GL2", "A2", "B2"])
+def test_commutator_matvec_agrees_with_is_central(name):
+    alg = alg_for(name)
+    orbit_map = label_orbits(alg.group, 1)
+    matrix = CommutatorMatrix(
+        alg, sorted(lam for orb in orbit_map.values() for lam in orb))
+    for rep in orbit_map:
+        z = alg.central_element(rep)
+        assert matrix.annihilates(z) and alg.is_central(z)
+        if len(z.c) > 1:
+            bad = _tampered(z)
+            assert not matrix.annihilates(bad) and not alg.is_central(bad)
+    th = alg.theta((1, 0))
+    assert not matrix.annihilates(th) and not alg.is_central(th)
+
+
+@pytest.mark.parametrize("name,radius", [("a3", 1), ("gl3", 2), ("b3", 1)])
+def test_satake_certifies_the_hecke_workload_over_fp(name, radius):
+    group = WeylGroup(datum_from_config(REGISTRY[name]))
+    rep = satake_check(group, label_orbits(group, radius))
+    assert rep.ok, rep.failures
+    assert rep.rank_route == "F_p at v=3"
+    assert rep.center_dimension == len(rep.representatives)
+
+
+def _count_rat_rank(monkeypatch) -> list[int]:
+    calls = [0]
+    real = iwahori_hecke.rat_rank
+
+    def counted(rows):
+        calls[0] += 1
+        return real(rows)
+    monkeypatch.setattr(iwahori_hecke, "rat_rank", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["GL2", "A2"])
+def test_satake_falls_back_to_rat_rank(name, monkeypatch):
+    group = alg_for(name).group
+    orbit_map = label_orbits(group, 1)
+    certified = satake_check(group, orbit_map)
+    assert certified.rank_route == "F_p at v=3"
+    calls = _count_rat_rank(monkeypatch)
+    # v0 = 1 still certifies: the rows of M at labels (mu, s_i) hold
+    # only +-1, whatever v is, and already have the full rank
+    monkeypatch.setattr(iwahori_hecke, "FP_POINT", 1)
+    assert satake_check(group, orbit_map).rank_route == "F_p at v=1"
+    assert calls == [0]
+    # v0 = 0 is no unit: the specialization declines
+    monkeypatch.setattr(iwahori_hecke, "FP_POINT", 0)
+    fallback = satake_check(group, orbit_map)
+    assert calls == [1]
+    assert fallback.rank_route == "Q(v)"
+    assert fallback == dataclasses.replace(certified, rank_route="Q(v)")
+    # a specialization that loses rank leaves the dimension unproven
+    monkeypatch.setattr(iwahori_hecke, "FP_POINT", 3)
+    real = iwahori_hecke.specialized_rank
+    monkeypatch.setattr(iwahori_hecke, "specialized_rank",
+                        lambda rows, v0: real(rows, v0) - 1)
+    fallback = satake_check(group, orbit_map)
+    assert calls == [2]
+    assert fallback == dataclasses.replace(certified, rank_route="Q(v)")
+
+
+def test_satake_failed_checks_take_the_q_v_route(monkeypatch):
+    calls = _count_rat_rank(monkeypatch)
+    # a support that misses part of its orbit
+    orbit_map = dict(label_orbits(GL2, 1))
+    orbit_map[(1, 0)] = ((1, 0),)
+    rep = satake_check(GL2, orbit_map)
+    assert "support of the orbit sum of (1, 0) is wrong" in rep.failures
+    assert rep.rank_route == "Q(v)" and calls == [1]
+    # an orbit sum that is not central
+    real = BernsteinAlgebra.central_element
+    monkeypatch.setattr(
+        BernsteinAlgebra, "central_element",
+        lambda alg, mu: _tampered(real(alg, mu)) if tuple(mu) == (1, 0)
+        else real(alg, mu))
+    rep = satake_check(GL2, label_orbits(GL2, 1))
+    assert rep.failures == ("orbit sum of (1, 0) is not central",)
+    assert rep.rank_route == "Q(v)" and calls == [2]
+    assert rep.center_dimension == 6
 
 
 def test_specialization_coherence():

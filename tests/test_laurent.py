@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.laurent import LaurentScalar, RatFunc, rat_rank
+from heckelab.laurent import (
+    FP_POINT,
+    FP_PRIME,
+    LaurentScalar,
+    RatFunc,
+    rat_rank,
+    specialized_rank,
+)
 
 V = LaurentScalar.v_power
 ONE = LaurentScalar.one()
@@ -107,19 +114,59 @@ def test_field_axioms(an, ad, bn, bd):
         assert a / a == RatFunc.one()
 
 
-def _rf(x: int) -> RatFunc:
-    return RatFunc.from_laurent(LaurentScalar.rational(x))
+def _ls(x: int) -> LaurentScalar:
+    return LaurentScalar.rational(x)
+
+
+# (rows of Laurent scalars, rank over Q(v))
+RANK_ORACLES = [
+    ([], 0),
+    ([[_ls(1), _ls(0)], [_ls(0), _ls(1)]], 2),
+    ([[_ls(1), _ls(2)], [_ls(2), _ls(4)]], 1),
+    ([[_ls(0), _ls(0)]], 0),
+    ([[_ls(1), _ls(2), _ls(3)],
+      [_ls(2), _ls(4), _ls(6)],
+      [_ls(0), _ls(1), _ls(0)]], 2),
+    # rank over the fraction field, not pointwise: v row vs 1 row
+    ([[V(1), V(1)], [ONE, ONE]], 1),
+]
+
+
+def _rat_rows(rows):
+    return [[RatFunc.from_laurent(x) for x in row] for row in rows]
 
 
 def test_rat_rank_oracles():
-    assert rat_rank([]) == 0
-    assert rat_rank([[_rf(1), _rf(0)], [_rf(0), _rf(1)]]) == 2
-    assert rat_rank([[_rf(1), _rf(2)], [_rf(2), _rf(4)]]) == 1
-    assert rat_rank([[_rf(0), _rf(0)]]) == 0
-    assert rat_rank([[_rf(1), _rf(2), _rf(3)],
-                     [_rf(2), _rf(4), _rf(6)],
-                     [_rf(0), _rf(1), _rf(0)]]) == 2
-    # rank over the fraction field, not pointwise: v row vs 1 row
-    v_row = [RatFunc.from_laurent(V(1)), RatFunc.from_laurent(V(1))]
-    one_row = [RatFunc.one(), RatFunc.one()]
-    assert rat_rank([v_row, one_row]) == 1
+    for rows, rank in RANK_ORACLES:
+        assert rat_rank(_rat_rows(rows)) == rank
+
+
+def test_specialized_rank_matches_rat_rank_oracles():
+    for rows, rank in RANK_ORACLES:
+        assert specialized_rank(rows, FP_POINT) == rank
+        sparse = [{c: x for c, x in enumerate(row)} for row in rows]
+        assert specialized_rank(sparse, FP_POINT) == rank
+
+
+def test_specialized_rank_is_only_a_lower_bound():
+    # v - 1 vanishes at v0 = 1: the F_p rank drops below the rank over Q(v)
+    rows = [[V(1) - ONE]]
+    assert specialized_rank(rows, 1) == 0
+    assert rat_rank(_rat_rows(rows)) == 1
+    assert specialized_rank(rows, FP_POINT) == 1
+    # negative powers specialize through the inverse of v0 mod p
+    assert specialized_rank([[V(-1, 3) - ONE]], 3) == 0
+    assert specialized_rank([[V(-1, 3) - ONE]], 2) == 1
+
+
+def test_specialized_rank_declines_rather_than_guess():
+    # p divides a denominator: the residue of the entry is undefined
+    assert specialized_rank([[ONE], [LaurentScalar.rational(Q(1, FP_PRIME))]],
+                            FP_POINT) is None
+    assert specialized_rank([[LaurentScalar.rational(Q(1, 2 * FP_PRIME))]],
+                            FP_POINT) is None
+    assert specialized_rank([[LaurentScalar.rational(Q(FP_PRIME, 2))]],
+                            FP_POINT) == 0
+    # v0 must be a unit mod p
+    for v0 in (0, FP_PRIME, -2 * FP_PRIME):
+        assert specialized_rank([[ONE]], v0) is None
