@@ -379,12 +379,15 @@ def satake_check(group: WeylGroup,
                 break
 
     failures: list[str] = []
+    # the kernel bound counts orbit sums proven to lie in the kernel of M
+    all_in_kernel = True
     central = tuple(alg.central_element(rep) for rep in reps)
     for rep, z in zip(reps, central):
         if tuple(sorted(lam for lam, _w in z.c)) != orbit_map[rep]:
             failures.append(f"support of the orbit sum of {rep} is wrong")
         on_basis = not lattice_failures and all(
             w == group.identity and lam in matrix.column_of for lam, w in z.c)
+        all_in_kernel &= on_basis
         if not (matrix.annihilates(z) if on_basis else alg.is_central(z)):
             failures.append(f"orbit sum of {rep} is not central")
 
@@ -393,7 +396,8 @@ def satake_check(group: WeylGroup,
     failures += lattice_failures
 
     rows = list(matrix.rows.values())
-    rank = None if failures else specialized_rank(rows, FP_POINT)
+    rank = (specialized_rank(rows, FP_POINT)
+            if all_in_kernel and not failures else None)
     if rank is not None and len(basis) - rank == len(reps):
         kdim, route = len(reps), f"F_p at v={FP_POINT}"
     else:
