@@ -2,12 +2,12 @@
 
 ``echelon`` row-reduces over any exact field, given only the reciprocal
 of its elements; ``kernel_basis`` and ``one_solution`` are derived from
-it.  Q (here), Q(zeta_m) (``cyclotomic``), Q(v) and F_p (``laurent``)
-all eliminate through them.  The Q entry points work on lists of lists
-of Fraction (or int; values are coerced).  The large matrices (the Satake
-commutator matrix over F_p or Q(v), the torus rows e_dst - e_src) hold a few
-nonzero entries per row, so ``echelon`` keeps rows as {column: entry}
-dicts of nonzero entries and never touches a zero.
+it.  Q (here), Q(zeta_m) (``cyclotomic``) and Q(v) (``laurent``) all
+eliminate through them.  The Q entry points work on lists of lists of
+Fraction (or int; values are coerced).  The large matrices (the Satake
+commutator matrix, its v-free rows over Q, the torus rows e_dst - e_src)
+hold a few nonzero entries per row, so ``echelon`` keeps rows as
+{column: entry} dicts of nonzero entries and never touches a zero.
 """
 from __future__ import annotations
 

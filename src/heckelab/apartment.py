@@ -267,31 +267,6 @@ def depth_regular_point(datum: RootDatum, x: Sequence, r) -> bool:
                for a in datum.roots)
 
 
-@dataclass(frozen=True)
-class HeartScanEntry:
-    point: ApartmentPoint
-    classification: PointClassification
-    verdicts: tuple[tuple[tuple[int, ...], HeartVerdict], ...]  # (theta, verdict)
-
-
-def heart_scan(datum: RootDatum, group: WeylGroup, r,
-               grid: Sequence[Sequence]) -> list[HeartScanEntry]:
-    """Verdicts for every subset theta at every grid point.  Grid points
-    must lie in the closure of the base alcove."""
-    entries = []
-    m = datum.semisimple_rank
-    subsets = [tuple(c) for size in range(m + 1)
-               for c in itertools.combinations(range(m), size)]
-    for raw in grid:
-        x = as_point(raw)
-        if not in_base_alcove_closure(datum, x):
-            raise ValueError(f"grid point {x} outside the base alcove closure")
-        verdicts = tuple((th, heart_condition1_check(datum, group, x, r, th))
-                         for th in subsets)
-        entries.append(HeartScanEntry(x, classify_point(datum, x), verdicts))
-    return entries
-
-
 # ---------------------------------------------------------------------------
 # Repaired conjugacy statement: translation witnesses
 # ---------------------------------------------------------------------------

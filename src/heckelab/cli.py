@@ -63,11 +63,11 @@ SKIPPED = "SKIPPED"
 MAX_TORUS_PAIRS = 50_000
 # weight of an iwahori-center truncation: 1 + sum_i |<lambda, alpha_i>|
 # summed over its orbit-closed labels lambda, the columns of its Satake
-# matrix (iwahori_hecke.label_weight).  The cap keeps a run within about
-# 20 s on a shared 2-vCPU x86-64 host (CPython 3.11): gl4 R=2 (625
-# labels, weight 3625) 7.7 s, b3 R=2 (725, 7259) 11.6 s, c3 R=2 (725,
-# 7265) 14.4 s, g2 R=7 (673, 14113) 18.1 s, a1 R=120 (241, 14761) 9.9 s.
-# a1 R=200 (401 labels, weight 40601, 27.8 s) is refused
+# matrix (iwahori_hecke.label_weight).  Runs under the cap take about
+# 2 s each as a fresh process on a shared 2-vCPU x86-64 host (CPython
+# 3.11): gl4 R=2 (625 labels, weight 3625) 1.3 s, b3 R=2 (725, 7259)
+# 1.6 s, c3 R=2 (725, 7265) 1.7 s, g2 R=7 (673, 14113) 2.1 s, a1 R=120
+# (241, 14761) 1.5 s.  a1 R=200 (401 labels, weight 40601) is refused
 MAX_HECKE_WEIGHT = 15_000
 MAX_CATALOG_GROUP_ORDER = 4_096
 # spade-check work, n^2 (n + partitions) for rank n.  It admits GL8 over

@@ -13,10 +13,12 @@ it splits as a difference of dominant ones.
 ``satake_check`` verifies the truncated center on an orbit-closed set
 of lattice labels.  The commutator matrix M of the finite generators on
 the span of those labels is built once; an orbit sum is central when M
-annihilates it, and the center dimension is proven by the rank of M
-over F_p at a point of v, which bounds its rank over Q(v) from below.
-Elimination over Q(v) (``laurent.rat_rank``) stays the route whenever
-that certificate does not close.
+annihilates it, and the center dimension is proven by the rank over Q
+of the rows of M whose entries are all free of v.  By the Bernstein
+relation the row of T_i at a label (mu, s_i) is e_mu - e_{s_i mu}, so
+these rows already have full rank.  Elimination over Q(v)
+(``laurent.rat_rank``) stays the route whenever that certificate does
+not close.
 """
 from __future__ import annotations
 
@@ -26,7 +28,8 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction as Q
 
-from .laurent import FP_POINT, LaurentScalar, RatFunc, rat_rank, specialized_rank
+from ._linalg import mat_rank
+from .laurent import LaurentScalar, RatFunc, rat_rank
 from .root_datum import RootDatum, WeylElement, WeylGroup
 
 Coweight = tuple[int, ...]
@@ -272,8 +275,8 @@ class SatakeReport:
     supports partition the orbit-closed label set, and the commutant of
     the generators inside the lattice span has exactly their dimension.
     ``central_elements`` holds the orbit sum of each representative;
-    ``rank_route`` names the field whose rank fixed the dimension,
-    "F_p at v=<point>" or "Q(v)"."""
+    ``rank_route`` names the rank that fixed the dimension, "Q (v-free
+    rows)" or "Q(v)"."""
     ok: bool
     failures: tuple[str, ...]
     center_dimension: int
@@ -358,10 +361,11 @@ def satake_check(group: WeylGroup,
     given that the lattice generators commute with every basis label;
     an orbit sum off that ground goes through ``is_central``.  The
     dimension is proven without elimination over Q(v) when every check
-    passed and the rank of M over F_p at v = FP_POINT equals
+    passed and the rank over Q of the v-free rows of M equals
     |basis| - #orbits: the disjoint central orbit sums bound the kernel
-    from below, and the specialized rank bounds the rank from below.
-    Otherwise ``rat_rank`` computes the rank over Q(v)."""
+    from below, and a minor of those rows is a minor of M, so their rank
+    bounds the rank of M from below.  Otherwise ``rat_rank`` computes
+    the rank over Q(v)."""
     alg = BernsteinAlgebra(group)
     labels = {lam for orb in orbit_map.values() for lam in orb}
     reps = sorted(orbit_map)
@@ -396,10 +400,11 @@ def satake_check(group: WeylGroup,
     failures += lattice_failures
 
     rows = list(matrix.rows.values())
-    rank = (specialized_rank(rows, FP_POINT)
-            if all_in_kernel and not failures else None)
-    if rank is not None and len(basis) - rank == len(reps):
-        kdim, route = len(reps), f"F_p at v={FP_POINT}"
+    free = [{k: x.c[0] for k, x in row.items()} for row in rows
+            if all(x.c.keys() == {0} for x in row.values())]
+    if (all_in_kernel and not failures
+            and len(basis) - mat_rank(free) == len(reps)):
+        kdim, route = len(reps), "Q (v-free rows)"
     else:
         kdim = len(basis) - rat_rank(
             [{k: RatFunc.from_laurent(x) for k, x in row.items()} for row in rows])

@@ -5,14 +5,9 @@ square plays the role of the residue cardinality q; half-integral
 normalizations live here as odd v-powers.  RatFunc is its fraction
 field, canonical by gcd reduction, used for exact kernel computations:
 ``rat_rank`` eliminates with the field-generic ``_linalg.echelon``.  The
-polynomial division here also serves ``cyclotomic``.
-
-``specialized_rank`` is the cheap lower bound on ``rat_rank``: it sends
-v to a point v0 of F_p (p = FP_PRIME) and eliminates the residues, as
-``Fp`` elements, with the same ``echelon``.  A minor that vanishes over
-Q(v) still vanishes after the specialization, so the F_p rank never
-exceeds the rank over Q(v); it may fall short, so it certifies only
-what a matching upper bound closes.
+polynomial division here also serves ``cyclotomic``.  The public
+constructors coerce coefficients to Fraction; the ring operations, whose
+coefficients already are Fractions, build their results without that.
 """
 from __future__ import annotations
 
@@ -51,16 +46,23 @@ class LaurentScalar:
     def q_power(cls, k: int, coeff=1) -> "LaurentScalar":
         return cls({2 * k: Q(coeff)})
 
+    @classmethod
+    def _of(cls, coeffs: dict[int, Q]) -> "LaurentScalar":
+        # coefficients that are already Fractions: only zeros are dropped
+        out = cls.__new__(cls)
+        out.c = {k: x for k, x in coeffs.items() if x}
+        return out
+
     # -- ring structure --------------------------------------------------
 
     def __add__(self, other: "LaurentScalar") -> "LaurentScalar":
         out = dict(self.c)
         for k, x in other.c.items():
-            out[k] = out.get(k, Q(0)) + x
-        return LaurentScalar(out)
+            out[k] = out[k] + x if k in out else x
+        return LaurentScalar._of(out)
 
     def __neg__(self) -> "LaurentScalar":
-        return LaurentScalar({k: -x for k, x in self.c.items()})
+        return LaurentScalar._of({k: -x for k, x in self.c.items()})
 
     def __sub__(self, other: "LaurentScalar") -> "LaurentScalar":
         return self + (-other)
@@ -70,8 +72,8 @@ class LaurentScalar:
         for k1, x1 in self.c.items():
             for k2, x2 in other.c.items():
                 k = k1 + k2
-                out[k] = out.get(k, Q(0)) + x1 * x2
-        return LaurentScalar(out)
+                out[k] = out[k] + x1 * x2 if k in out else x1 * x2
+        return LaurentScalar._of(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentScalar) and self.c == other.c
@@ -226,69 +228,3 @@ def rat_rank(rows: list[list[RatFunc] | dict[int, RatFunc]]) -> int:
     """Row rank by exact Gauss elimination over the fraction field, of
     dense or {column: entry} rows."""
     return len(_linalg.echelon(rows, _rat_inv)[1])
-
-
-# ---------------------------------------------------------------------------
-# specialization: a lower bound on the rank over Q(v), computed over F_p
-# ---------------------------------------------------------------------------
-
-# any prime and any unit v0 give a valid lower bound; a large p makes
-# an accidental drop of rank unlikely
-FP_PRIME = 2**31 - 1
-FP_POINT = 3
-
-
-class Fp:
-    """Residue modulo FP_PRIME, with the operations ``echelon`` uses."""
-    __slots__ = ("x",)
-
-    def __init__(self, x: int) -> None:
-        self.x = x % FP_PRIME
-
-    def __bool__(self) -> bool:
-        return self.x != 0
-
-    def __neg__(self) -> "Fp":
-        return Fp(-self.x)
-
-    def __sub__(self, other: "Fp") -> "Fp":
-        return Fp(self.x - other.x)
-
-    def __mul__(self, other: "Fp") -> "Fp":
-        return Fp(self.x * other.x)
-
-
-def _fp_inv(x: Fp) -> Fp:
-    return Fp(pow(x.x, -1, FP_PRIME))
-
-
-def _specialize(x: LaurentScalar, v0: int) -> int | None:
-    # an integer congruent to x(v0) mod p, or None when p divides a
-    # coefficient denominator
-    total = 0
-    for k, c in x.c.items():
-        if c.denominator % FP_PRIME == 0:
-            return None
-        total += (c.numerator * pow(c.denominator, -1, FP_PRIME)
-                  * pow(v0, k, FP_PRIME))
-    return total
-
-
-def specialized_rank(rows: list[list[LaurentScalar] | dict[int, LaurentScalar]],
-                     v0: int) -> int | None:
-    """Row rank over F_p of dense or {column: entry} rows of Laurent
-    polynomials with v sent to v0, a lower bound on their rank over
-    Q(v).  None when the bound does not hold: v0 is 0 mod p, or p
-    divides the denominator of a coefficient."""
-    if v0 % FP_PRIME == 0:
-        return None
-    fp_rows = []
-    for row in rows:
-        fp_row = {}
-        for c, x in _linalg._items(row):
-            r = _specialize(x, v0)
-            if r is None:
-                return None
-            fp_row[c] = Fp(r)
-        fp_rows.append(fp_row)
-    return len(_linalg.echelon(fp_rows, _fp_inv)[1])

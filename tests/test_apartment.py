@@ -125,11 +125,12 @@ def all_subsets(datum):
 
 
 def test_heart_a2_barycenter_depth_one_all_proven():
-    datum, group = setup("A2")
-    x = datum.base_alcove_barycenter()
-    for theta in all_subsets(datum):
-        verdict = ap.heart_condition1_check(datum, group, x, 1, theta)
-        assert verdict.proven, theta
+    for key in ["A2", "GL3"]:
+        datum, group = setup(key)
+        x = datum.base_alcove_barycenter()
+        for theta in all_subsets(datum):
+            verdict = ap.heart_condition1_check(datum, group, x, 1, theta)
+            assert verdict.proven, (key, theta)
 
 
 def test_heart_special_point_all_proven():
@@ -142,6 +143,8 @@ def test_heart_special_point_all_proven():
 
 def test_heart_gl3_wall_mismatch_with_expected_witness():
     datum, group = setup("GL3")
+    verdict = ap.heart_condition1_check(datum, group, gl3_wall_point(), 1, ())
+    assert verdict.status == "PROVEN_CONDITION_1"
     verdict = ap.heart_condition1_check(datum, group, gl3_wall_point(), 1, (1,))
     assert verdict.status == "MISMATCH"
     s0 = group.simple_reflection(0)
@@ -275,25 +278,6 @@ def test_no_translation_witness_at_gl3_wall():
 
 
 # -- scans and grids ----------------------------------------------------------
-
-def test_heart_scan_barycenter_vs_wall():
-    datum, group = setup("GL3")
-    bary = datum.base_alcove_barycenter()
-    entries = ap.heart_scan(datum, group, 1, [bary])
-    assert all(v.proven for _, v in entries[0].verdicts)
-
-    entries = ap.heart_scan(datum, group, 1, [gl3_wall_point()])
-    statuses = {th: v.status for th, v in entries[0].verdicts}
-    assert statuses[(1,)] == "MISMATCH"
-    assert statuses[()] == "PROVEN_CONDITION_1"
-
-
-def test_heart_scan_empty_and_out_of_range():
-    datum, group = setup("GL3")
-    assert ap.heart_scan(datum, group, 1, []) == []
-    with pytest.raises(ValueError):
-        ap.heart_scan(datum, group, 1, [(5, 0, 0)])
-
 
 def test_alcove_interior_point_counts():
     a1, _ = setup("A1")

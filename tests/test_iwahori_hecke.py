@@ -250,15 +250,6 @@ def test_commutator_matvec_agrees_with_is_central(name):
     assert not matrix.annihilates(th) and not alg.is_central(th)
 
 
-@pytest.mark.parametrize("name,radius", [("a3", 1), ("gl3", 2), ("b3", 1)])
-def test_satake_certifies_the_hecke_workload_over_fp(name, radius):
-    group = WeylGroup(datum_from_config(REGISTRY[name]))
-    rep = satake_check(group, label_orbits(group, radius))
-    assert rep.ok, rep.failures
-    assert rep.rank_route == "F_p at v=3"
-    assert rep.center_dimension == len(rep.representatives)
-
-
 def _count_rat_rank(monkeypatch) -> list[int]:
     calls = [0]
     real = iwahori_hecke.rat_rank
@@ -270,31 +261,52 @@ def _count_rat_rank(monkeypatch) -> list[int]:
     return calls
 
 
+@pytest.mark.parametrize("name,radius",
+                         [(name, 1) for name in sorted(REGISTRY)] + [("gl3", 2)])
+def test_satake_certifies_from_the_v_free_rows(name, radius, monkeypatch):
+    group = WeylGroup(datum_from_config(REGISTRY[name]))
+    built = []
+
+    class Recorded(CommutatorMatrix):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+    monkeypatch.setattr(iwahori_hecke, "CommutatorMatrix", Recorded)
+    calls = _count_rat_rank(monkeypatch)
+    rep = satake_check(group, label_orbits(group, radius))
+    assert rep.ok, rep.failures
+    assert rep.rank_route == "Q (v-free rows)" and calls == [0]
+    assert rep.center_dimension == len(rep.representatives)
+    # the Bernstein relation: the row of T_i at (mu, s_i) is e_mu - e_{s_i mu}
+    # at every basis label mu that s_i moves
+    matrix, = built
+    col = matrix.column_of
+    one = LaurentScalar.one()
+    keys = set()
+    for (i, (mu, w)), row in matrix.rows.items():
+        s = group.simple_reflection(i)
+        if w == s:
+            assert row == {col[mu]: one,
+                           col[group.act_cocharacter(s, mu)]: -one}
+            keys.add((i, mu))
+    assert keys == {(i, mu) for i in range(len(group.datum.simple))
+                    for mu in col
+                    if group.act_cocharacter(group.simple_reflection(i), mu) != mu}
+
+
 @pytest.mark.parametrize("name", ["GL2", "A2"])
 def test_satake_falls_back_to_rat_rank(name, monkeypatch):
     group = alg_for(name).group
     orbit_map = label_orbits(group, 1)
     certified = satake_check(group, orbit_map)
-    assert certified.rank_route == "F_p at v=3"
+    assert certified.rank_route == "Q (v-free rows)"
     calls = _count_rat_rank(monkeypatch)
-    # v0 = 1 still certifies: the rows of M at labels (mu, s_i) hold
-    # only +-1, whatever v is, and already have the full rank
-    monkeypatch.setattr(iwahori_hecke, "FP_POINT", 1)
-    assert satake_check(group, orbit_map).rank_route == "F_p at v=1"
-    assert calls == [0]
-    # v0 = 0 is no unit: the specialization declines
-    monkeypatch.setattr(iwahori_hecke, "FP_POINT", 0)
+    # a v-free rank that falls short leaves the dimension unproven
+    real = iwahori_hecke.mat_rank
+    monkeypatch.setattr(iwahori_hecke, "mat_rank", lambda rows: real(rows) - 1)
     fallback = satake_check(group, orbit_map)
     assert calls == [1]
     assert fallback.rank_route == "Q(v)"
-    assert fallback == dataclasses.replace(certified, rank_route="Q(v)")
-    # a specialization that loses rank leaves the dimension unproven
-    monkeypatch.setattr(iwahori_hecke, "FP_POINT", 3)
-    real = iwahori_hecke.specialized_rank
-    monkeypatch.setattr(iwahori_hecke, "specialized_rank",
-                        lambda rows, v0: real(rows, v0) - 1)
-    fallback = satake_check(group, orbit_map)
-    assert calls == [2]
     assert fallback == dataclasses.replace(certified, rank_route="Q(v)")
 
 

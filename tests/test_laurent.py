@@ -5,14 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heckelab.laurent import (
-    FP_POINT,
-    FP_PRIME,
-    LaurentScalar,
-    RatFunc,
-    rat_rank,
-    specialized_rank,
-)
+from heckelab.laurent import LaurentScalar, RatFunc, rat_rank
 
 V = LaurentScalar.v_power
 ONE = LaurentScalar.one()
@@ -139,34 +132,3 @@ def _rat_rows(rows):
 def test_rat_rank_oracles():
     for rows, rank in RANK_ORACLES:
         assert rat_rank(_rat_rows(rows)) == rank
-
-
-def test_specialized_rank_matches_rat_rank_oracles():
-    for rows, rank in RANK_ORACLES:
-        assert specialized_rank(rows, FP_POINT) == rank
-        sparse = [{c: x for c, x in enumerate(row)} for row in rows]
-        assert specialized_rank(sparse, FP_POINT) == rank
-
-
-def test_specialized_rank_is_only_a_lower_bound():
-    # v - 1 vanishes at v0 = 1: the F_p rank drops below the rank over Q(v)
-    rows = [[V(1) - ONE]]
-    assert specialized_rank(rows, 1) == 0
-    assert rat_rank(_rat_rows(rows)) == 1
-    assert specialized_rank(rows, FP_POINT) == 1
-    # negative powers specialize through the inverse of v0 mod p
-    assert specialized_rank([[V(-1, 3) - ONE]], 3) == 0
-    assert specialized_rank([[V(-1, 3) - ONE]], 2) == 1
-
-
-def test_specialized_rank_declines_rather_than_guess():
-    # p divides a denominator: the residue of the entry is undefined
-    assert specialized_rank([[ONE], [LaurentScalar.rational(Q(1, FP_PRIME))]],
-                            FP_POINT) is None
-    assert specialized_rank([[LaurentScalar.rational(Q(1, 2 * FP_PRIME))]],
-                            FP_POINT) is None
-    assert specialized_rank([[LaurentScalar.rational(Q(FP_PRIME, 2))]],
-                            FP_POINT) == 0
-    # v0 must be a unit mod p
-    for v0 in (0, FP_PRIME, -2 * FP_PRIME):
-        assert specialized_rank([[ONE]], v0) is None

@@ -344,11 +344,14 @@ def test_factorization_gl3_flags_oversized_brute_force():
 
 
 def _distinct_rows(mats):
-    # each matrix as one opaque row of its entries' bytes, in the least
-    # unsigned type that holds them: equal rows are equal matrices, and
-    # no two entries share a code
+    # each matrix as one row of its entries, in the least unsigned type
+    # that holds them, sorted by every entry column; a row that differs
+    # from the one before it starts a new distinct matrix
     flat = mats.reshape(len(mats), -1).astype(np.min_scalar_type(mats.max()))
-    return np.unique(flat.view(np.dtype((np.void, flat.strides[0]))))
+    flat = flat[np.lexsort(flat.T[::-1])]
+    fresh = np.ones(len(flat), dtype=bool)
+    fresh[1:] = (flat[1:] != flat[:-1]).any(axis=1)
+    return flat[fresh]
 
 
 def _distinct_product_verdict(K, blocks, convention, p):
