@@ -3,8 +3,10 @@
 ``echelon`` row-reduces over any exact field, given only the reciprocal
 of its elements; ``kernel_basis`` and ``one_solution`` are derived from
 it.  Q (here), Q(zeta_m) (``cyclotomic``) and Q(v) (``laurent``) all
-eliminate through them.  The Q entry points work on lists of lists of
-Fraction (or int; values are coerced).  The large matrices (the Satake
+eliminate through them.  The Q entry points take int or Fraction
+entries as they are: the two mix exactly under +, - and *, and the one
+division, ``_q_inv``, makes a Fraction, so pivot rows, kernel vectors
+and solutions hold Fractions.  The large matrices (the Satake
 commutator matrix, its v-free rows over Q, the torus rows e_dst - e_src)
 hold a few nonzero entries per row, so ``echelon`` keeps rows as
 {column: entry} dicts of nonzero entries and never touches a zero.
@@ -13,29 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction as Q
 from typing import Callable, Iterable, Mapping, Sequence
-
-Vec = tuple[Q, ...]
-
-
-def qvec(xs: Iterable) -> Vec:
-    return tuple(Q(x) for x in xs)
-
-
-def vec_add(u: Sequence[Q], v: Sequence[Q]) -> Vec:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c, v: Sequence[Q]) -> Vec:
-    c = Q(c)
-    return tuple(c * a for a in v)
-
-
-def dot(u: Sequence[Q], v: Sequence[Q]) -> Q:
-    return sum((a * b for a, b in zip(u, v, strict=True)), Q(0))
-
-
-def transpose(m: Sequence[Sequence[Q]]) -> list[list[Q]]:
-    return [list(col) for col in zip(*m)]
 
 
 def _items(row: Sequence | Mapping) -> Iterable[tuple[int, object]]:
@@ -135,25 +114,19 @@ def _q_inv(x: Q) -> Q:
     return Q(1) / x
 
 
-def _qrows(m: Sequence[Sequence | Mapping]) -> list[list[Q] | dict[int, Q]]:
-    """Rows of ``m`` with Fraction entries; {column: entry} rows stay dicts."""
-    return [{c: Q(x) for c, x in row.items()} if isinstance(row, Mapping)
-            else [Q(x) for x in row] for row in m]
-
-
 def mat_rank(m: Sequence[Sequence | Mapping]) -> int:
     """Rank over Q of dense or {column: entry} rows."""
-    return len(echelon(_qrows(m), _q_inv)[1])
+    return len(echelon(m, _q_inv)[1])
 
 
-def nullspace(m: Sequence[Sequence]) -> list[Vec]:
+def nullspace(m: Sequence[Sequence]) -> list[tuple[Q, ...]]:
     """Basis of {v : m @ v = 0}, exact."""
-    return [tuple(v) for v in kernel_basis(_qrows(m), Q(0), Q(1), _q_inv)]
+    return [tuple(v) for v in kernel_basis(m, Q(0), Q(1), _q_inv)]
 
 
-def solve(m: Sequence[Sequence], b: Sequence) -> Vec | None:
+def solve(m: Sequence[Sequence], b: Sequence) -> tuple[Q, ...] | None:
     """One exact solution of m @ x = b, or None if inconsistent."""
     if not m:
         return ()
-    x = one_solution(_qrows(m), qvec(b), Q(0), _q_inv)
+    x = one_solution(m, b, Q(0), _q_inv)
     return None if x is None else tuple(x)

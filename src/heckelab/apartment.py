@@ -52,7 +52,7 @@ def as_point(coords: Iterable) -> ApartmentPoint:
 
 
 def root_value(datum: RootDatum, root: Sequence[int], x: Sequence) -> Q:
-    return _linalg.dot(_linalg.qvec(root), _linalg.qvec(x))
+    return datum.pairing(root, x)
 
 
 def threshold(datum: RootDatum, root: Sequence[int], x: Sequence, r) -> int:
@@ -251,11 +251,6 @@ def base_alcove_closure_grid(datum: RootDatum, max_denominator: int) -> list[Apa
     return out
 
 
-def in_base_alcove_closure(datum: RootDatum, x: Sequence) -> bool:
-    return all(0 <= root_value(datum, datum.roots[k], x) <= 1
-               for k in datum.positive_roots())
-
-
 def depth_regular_point(datum: RootDatum, x: Sequence, r) -> bool:
     """True when no root value at x is congruent to the depth mod the
     level lattice, i.e. x avoids every depth-r critical hyperplane
@@ -304,7 +299,7 @@ def levi_profile_translation_witness(datum: RootDatum, group: WeylGroup,
         for i in theta:
             a = datum.roots[datum.simple[i]]
             d = target[a] - source[group.act_character(wp_inv, a)]
-            nu = list(_linalg.vec_add(nu, _linalg.vec_scale(d, omegas[i])))
+            nu = [n + d * w for n, w in zip(nu, omegas[i], strict=True)]
         if any(c.denominator != 1 for c in nu):
             continue
         for k in levi:

@@ -64,10 +64,11 @@ MAX_TORUS_PAIRS = 50_000
 # weight of an iwahori-center truncation: 1 + sum_i |<lambda, alpha_i>|
 # summed over its orbit-closed labels lambda, the columns of its Satake
 # matrix (iwahori_hecke.label_weight).  Runs under the cap take about
-# 2 s each as a fresh process on a shared 2-vCPU x86-64 host (CPython
-# 3.11): gl4 R=2 (625 labels, weight 3625) 1.3 s, b3 R=2 (725, 7259)
-# 1.6 s, c3 R=2 (725, 7265) 1.7 s, g2 R=7 (673, 14113) 2.1 s, a1 R=120
-# (241, 14761) 1.5 s.  a1 R=200 (401 labels, weight 40601) is refused
+# 1 s each as a fresh process on a shared 2-vCPU x86-64 host (CPython
+# 3.11): gl4 R=2 (625 labels, weight 3625) 0.8 s, b3 R=2 (725, 7259)
+# 1.0 s, c3 R=2 (725, 7265) 0.9-1.2 s, g2 R=7 (673, 14113) 1.1 s, a1
+# R=120 (241, 14761) 0.8-0.9 s.  a1 R=200 (401 labels, weight 40601) is
+# refused
 MAX_HECKE_WEIGHT = 15_000
 MAX_CATALOG_GROUP_ORDER = 4_096
 # spade-check work, n^2 (n + partitions) for rank n.  It admits GL8 over
@@ -924,8 +925,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("counterexample",
                        help="reproduce the rank-3 wall-point volume "
                             "obstruction end to end")
-    p.add_argument("--q", default="symbolic", choices=("symbolic",),
-                   help="index arithmetic mode (symbolic only)")
     add_format(p)
 
     p = sub.add_parser("spade-check",

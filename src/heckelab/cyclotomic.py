@@ -1,10 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m).
 
 Elements are stored in the power basis 1, x, ..., x^(phi(m)-1) modulo
-the m-th cyclotomic polynomial, with Fraction coefficients, so equality
-is literal tuple equality and nothing is ever rounded.  The conductor
-is a positive integer fixed per element; elements of different
-conductors do not mix.
+the m-th cyclotomic polynomial, with int or Fraction coefficients kept
+as given (an int equals and hashes like the equal Fraction), so
+equality is literal tuple equality and nothing is ever rounded; the
+divisions, ``Cyc.inv`` and ``to_fraction``, yield Fractions.  The
+conductor is a positive integer fixed per element; elements of
+different conductors do not mix.
 
 Also provides linear algebra over the field (rank, nullspace, solve,
 column space, inverse) for the intertwiner and isotypic computations in
@@ -49,19 +51,19 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _power_table(m: int) -> tuple[tuple[Q, ...], ...]:
+def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     """x^j mod Phi_m for j = 0 .. max(m, 2*phi) - 1, as coefficient
     tuples of length phi(m)."""
     phi_poly = cyclotomic_polynomial(m)
     phi = len(phi_poly) - 1
     size = max(m, 2 * phi)
     table = []
-    cur = [Q(0)] * phi
+    cur = [0] * phi
     if phi > 0:
-        cur[0] = Q(1)
+        cur[0] = 1
     for _ in range(size):
         table.append(tuple(cur))
-        nxt = [Q(0)] + cur[:]
+        nxt = [0] + cur[:]
         if nxt[phi]:
             top = nxt[phi]
             nxt = nxt[:phi]
@@ -82,14 +84,14 @@ class Cyc:
         phi = len(cyclotomic_polynomial(m)) - 1
         if len(coeffs) != phi:
             raise ValueError("coefficient vector has wrong length")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", tuple(Q(x) for x in coeffs))
+        self.m = m
+        self.c = tuple(coeffs)
 
     # construction -----------------------------------------------------
     @staticmethod
     def zero(m: int) -> "Cyc":
         phi = len(cyclotomic_polynomial(m)) - 1
-        return Cyc(m, [Q(0)] * phi)
+        return Cyc(m, [0] * phi)
 
     @staticmethod
     def one(m: int) -> "Cyc":
@@ -127,7 +129,7 @@ class Cyc:
         self._check(other)
         table = _power_table(self.m)
         phi = len(self.c)
-        out = [Q(0)] * phi
+        out = [0] * phi
         for i, x in enumerate(self.c):
             if not x:
                 continue
@@ -173,7 +175,7 @@ class Cyc:
             raise ValueError("not a Galois automorphism")
         table = _power_table(self.m)
         phi = len(self.c)
-        out = [Q(0)] * phi
+        out = [0] * phi
         for j, a in enumerate(self.c):
             if not a:
                 continue
@@ -191,7 +193,7 @@ class Cyc:
     def to_fraction(self) -> Q:
         if not self.is_rational():
             raise ValueError(f"not rational: {self!r}")
-        return self.c[0]
+        return Q(self.c[0])
 
     def inv(self) -> "Cyc":
         if not self:
@@ -200,7 +202,7 @@ class Cyc:
         table = _power_table(self.m)
         cols = []
         for j in range(phi):
-            col = [Q(0)] * phi
+            col = [0] * phi
             for i, x in enumerate(self.c):
                 if not x:
                     continue
@@ -209,7 +211,7 @@ class Cyc:
                         col[k] += x * t
             cols.append(col)
         mat = tuple(tuple(cols[j][i] for j in range(phi)) for i in range(phi))
-        e = tuple([Q(1)] + [Q(0)] * (phi - 1))
+        e = (1,) + (0,) * (phi - 1)
         sol = _linalg.solve(mat, e)
         assert sol is not None
         return Cyc(self.m, sol)

@@ -26,7 +26,6 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction as Q
 
 from ._linalg import mat_rank
 from .laurent import LaurentScalar, RatFunc, rat_rank
@@ -35,7 +34,7 @@ from .root_datum import RootDatum, WeylElement, WeylGroup
 Coweight = tuple[int, ...]
 Label = tuple[Coweight, WeylElement]
 
-_Q_MINUS_ONE = LaurentScalar({2: Q(1), 0: Q(-1)})
+_Q_MINUS_ONE = LaurentScalar({2: 1, 0: -1})
 
 
 class HeckeElement:
@@ -49,14 +48,14 @@ class HeckeElement:
     def __add__(self, other: "HeckeElement") -> "HeckeElement":
         out = dict(self.c)
         for k, v in other.c.items():
-            out[k] = out.get(k, LaurentScalar.zero()) + v
+            out[k] = out[k] + v if k in out else v
         return HeckeElement(out)
 
-    def __neg__(self) -> "HeckeElement":
-        return HeckeElement({k: -v for k, v in self.c.items()})
-
     def __sub__(self, other: "HeckeElement") -> "HeckeElement":
-        return self + (-other)
+        out = dict(self.c)
+        for k, v in other.c.items():
+            out[k] = out[k] - v if k in out else -v
+        return HeckeElement(out)
 
     def scale(self, s: LaurentScalar) -> "HeckeElement":
         return HeckeElement({k: v * s for k, v in self.c.items()})

@@ -5,9 +5,11 @@ square plays the role of the residue cardinality q; half-integral
 normalizations live here as odd v-powers.  RatFunc is its fraction
 field, canonical by gcd reduction, used for exact kernel computations:
 ``rat_rank`` eliminates with the field-generic ``_linalg.echelon``.  The
-polynomial division here also serves ``cyclotomic``.  The public
-constructors coerce coefficients to Fraction; the ring operations, whose
-coefficients already are Fractions, build their results without that.
+polynomial division here also serves ``cyclotomic``.  Coefficients are
+ints or Fractions, kept as given: the two mix exactly under +, - and *,
+so the Hecke algebra's scalars stay in Z[v, v^-1].  Division happens
+only in ``_poly_divmod`` and ``_poly_gcd``, on Fraction lists:
+``RatFunc`` reaches them through ``_to_poly``, which makes the lists.
 """
 from __future__ import annotations
 
@@ -21,8 +23,8 @@ class LaurentScalar:
     """Sparse Laurent polynomial in v with exact rational coefficients."""
     __slots__ = ("c",)
 
-    def __init__(self, coeffs: dict[int, Q] | None = None) -> None:
-        self.c = {int(k): Q(x) for k, x in (coeffs or {}).items() if x != 0}
+    def __init__(self, coeffs: dict[int, int | Q] | None = None) -> None:
+        self.c = {k: x for k, x in (coeffs or {}).items() if x}
 
     # -- constructors ---------------------------------------------------
 
@@ -32,26 +34,15 @@ class LaurentScalar:
 
     @classmethod
     def one(cls) -> "LaurentScalar":
-        return cls({0: Q(1)})
-
-    @classmethod
-    def rational(cls, x) -> "LaurentScalar":
-        return cls({0: Q(x)})
+        return cls({0: 1})
 
     @classmethod
     def v_power(cls, k: int, coeff=1) -> "LaurentScalar":
-        return cls({k: Q(coeff)})
+        return cls({k: coeff})
 
     @classmethod
     def q_power(cls, k: int, coeff=1) -> "LaurentScalar":
-        return cls({2 * k: Q(coeff)})
-
-    @classmethod
-    def _of(cls, coeffs: dict[int, Q]) -> "LaurentScalar":
-        # coefficients that are already Fractions: only zeros are dropped
-        out = cls.__new__(cls)
-        out.c = {k: x for k, x in coeffs.items() if x}
-        return out
+        return cls({2 * k: coeff})
 
     # -- ring structure --------------------------------------------------
 
@@ -59,21 +50,21 @@ class LaurentScalar:
         out = dict(self.c)
         for k, x in other.c.items():
             out[k] = out[k] + x if k in out else x
-        return LaurentScalar._of(out)
+        return LaurentScalar(out)
 
     def __neg__(self) -> "LaurentScalar":
-        return LaurentScalar._of({k: -x for k, x in self.c.items()})
+        return LaurentScalar({k: -x for k, x in self.c.items()})
 
     def __sub__(self, other: "LaurentScalar") -> "LaurentScalar":
         return self + (-other)
 
     def __mul__(self, other: "LaurentScalar") -> "LaurentScalar":
-        out: dict[int, Q] = {}
+        out: dict[int, int | Q] = {}
         for k1, x1 in self.c.items():
             for k2, x2 in other.c.items():
                 k = k1 + k2
                 out[k] = out[k] + x1 * x2 if k in out else x1 * x2
-        return LaurentScalar._of(out)
+        return LaurentScalar(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentScalar) and self.c == other.c
@@ -138,7 +129,7 @@ def _to_poly(x: LaurentScalar) -> tuple[int, list[Q]]:
         return 0, []
     lo = min(x.c)
     hi = max(x.c)
-    return lo, [x.c.get(k, Q(0)) for k in range(lo, hi + 1)]
+    return lo, [Q(x.c.get(k, 0)) for k in range(lo, hi + 1)]
 
 
 def _from_poly(shift: int, coeffs: Sequence[Q]) -> LaurentScalar:

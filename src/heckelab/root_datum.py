@@ -129,8 +129,9 @@ class RootDatum:
     def semisimple_rank(self) -> int:
         return len(self.simple)
 
-    def pairing(self, char: Sequence, cochar: Sequence) -> Q:
-        return _linalg.dot(_linalg.qvec(char), _linalg.qvec(cochar))
+    def pairing(self, char: Sequence, cochar: Sequence) -> int | Q:
+        """The dot product; an int when both sides are integral."""
+        return sum(a * b for a, b in zip(char, cochar, strict=True))
 
     def root_index(self, vec: IVec) -> int:
         try:
@@ -148,8 +149,8 @@ class RootDatum:
         """Coefficients of ``vec`` over the simple roots, or None."""
         key = tuple(vec)
         if key not in self._coeff_cache:
-            cols = _linalg.transpose([_linalg.qvec(r) for r in self.simple_roots()])
-            self._coeff_cache[key] = _linalg.solve(cols, _linalg.qvec(key))
+            cols = list(zip(*self.simple_roots()))
+            self._coeff_cache[key] = _linalg.solve(cols, key)
         return self._coeff_cache[key]
 
     def is_positive_root(self, vec: Sequence) -> bool:
@@ -192,10 +193,10 @@ class RootDatum:
         Free coordinates (central directions) are set to zero, so for the
         built-in realizations the result has integer entries.
         """
-        rows = [_linalg.qvec(a) for a in self.simple_roots()]
+        rows = self.simple_roots()
         out = []
         for j in range(len(rows)):
-            rhs = [Q(1) if i == j else Q(0) for i in range(len(rows))]
+            rhs = [int(i == j) for i in range(len(rows))]
             sol = _linalg.solve(rows, rhs)
             if sol is None:
                 raise ValueError("simple roots are linearly dependent")
@@ -262,9 +263,8 @@ class RootDatum:
             marks = self.highest_root_marks(comp)
             acc = [Q(0)] * self.ambient_rank
             for i in comp:
-                acc = list(_linalg.vec_add(acc, _linalg.vec_scale(Q(1) / marks[i], omegas[i])))
-            scale = Q(1, len(comp) + 1)
-            x = list(_linalg.vec_add(x, _linalg.vec_scale(scale, acc)))
+                acc = [s + w / marks[i] for s, w in zip(acc, omegas[i], strict=True)]
+            x = [s + a / (len(comp) + 1) for s, a in zip(x, acc, strict=True)]
         return tuple(x)
 
 

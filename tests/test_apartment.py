@@ -295,8 +295,11 @@ def test_closure_grid_contains_vertices():
     assert (Q(0), Q(0), Q(0)) in grid
     assert (Q(1, 2), Q(0), Q(0)) in grid
     assert (Q(1), Q(0), Q(0)) in grid
-    for x in grid:
-        assert ap.in_base_alcove_closure(datum, x)
+    # GL3 has no interior point of denominator at most 2; at 6 it has
+    # several, and each lies in the closure grid of the same denominators
+    interior = ap.alcove_interior_points(datum, 6)
+    assert interior
+    assert set(interior) < set(ap.base_alcove_closure_grid(datum, 6))
 
 
 # -- properties ---------------------------------------------------------------

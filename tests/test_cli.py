@@ -332,6 +332,14 @@ def test_counterexample_rejects_numeric_q():
         main(["counterexample", "--q", "3"])
 
 
+def test_counterexample_has_no_q_option(capsys):
+    # the index arithmetic is symbolic only, so there is nothing to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["counterexample", "--q", "symbolic"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --q symbolic" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # spade-check
 # ---------------------------------------------------------------------------

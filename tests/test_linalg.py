@@ -46,7 +46,7 @@ def test_rank_nullspace_solve_agree_across_fields(system, m):
     crows = [cyc(r) for r in rows]
     rank = mat_rank(rows)
     assert cyc_rank(crows) == rank
-    assert rat_rank([[RatFunc.from_laurent(LaurentScalar.rational(x))
+    assert rat_rank([[RatFunc.from_laurent(LaurentScalar({0: x}))
                       for x in r] for r in rows]) == rank
 
     basis = nullspace(rows)
@@ -109,7 +109,7 @@ def _sparse_systems(draw):
 _FIELDS = {
     "Q": (Q, lambda x: 1 / x),
     "Q(zeta_12)": (lambda x: Cyc.rational(12, x), Cyc.inv),
-    "Q(v)": (lambda x: RatFunc.from_laurent(LaurentScalar.rational(x)),
+    "Q(v)": (lambda x: RatFunc.from_laurent(LaurentScalar({0: x})),
              lambda x: RatFunc.one() / x),
 }
 
@@ -142,3 +142,75 @@ def test_sparse_and_dense_rows_reduce_alike(system, field):
     if ref is not None:
         assert [sum((Q(a) * ref[c] for c, a in row.items()), Q(0))
                 for row in dicts] == rhs
+
+
+# -- exactness at the division sites -------------------------------------
+# Coefficients are kept as given, so ints reach every division; each
+# site must still answer with Fractions (int / int would be a float,
+# which compares equal to a Fraction and so would pass the oracles).
+
+def _floats(value) -> list:
+    if isinstance(value, float):
+        return [value]
+    if isinstance(value, LaurentScalar):
+        return _floats(value.c)
+    if isinstance(value, RatFunc):
+        return _floats(value.num) + _floats(value.den)
+    if isinstance(value, Cyc):
+        return _floats(value.c)
+    if isinstance(value, dict):
+        return _floats(list(value.values()))
+    if isinstance(value, (list, tuple)):
+        return [f for v in value for f in _floats(v)]
+    return []
+
+
+def test_int_rows_solve_and_reduce_to_fractions():
+    rows = [[2, 1, 0], [0, 3, 1], [2, 4, 1]]
+    assert mat_rank(rows) == 2 and mat_rank([dict(enumerate(r)) for r in rows]) == 2
+    x = solve(rows, [1, 1, 2])
+    assert x == (Q(1, 3), Q(1, 3), 0) and not _floats(x)
+    assert all(type(a) is Q for a in x)
+    basis = nullspace(rows)
+    assert basis == [(Q(1, 6), Q(-1, 3), 1)]
+    assert all(type(a) is Q for v in basis for a in v)
+    assert solve([[2, 4]], [1]) == (Q(1, 2), 0) and solve([[0], [0]], [1, 0]) is None
+
+
+def test_int_laurent_coefficients_divide_exactly():
+    num = LaurentScalar({0: 1, 1: 2})       # 1 + 2v
+    den = LaurentScalar({1: 3, 3: 3})       # 3v + 3v^3
+    f = RatFunc(num, den)
+    assert f.num == LaurentScalar({-1: Q(1, 3), 0: Q(2, 3)})
+    assert f.den == LaurentScalar({0: 1, 2: 1})
+    assert not _floats(f)
+    assert not _floats(RatFunc.one() / f) and not _floats(f * f - f)
+    assert rat_rank([[RatFunc.from_laurent(LaurentScalar({0: 2})), f],
+                     [RatFunc.from_laurent(LaurentScalar({0: 4})), f + f]]) == 1
+
+
+def test_inner_product_of_int_cyc_character_is_a_fraction():
+    from heckelab.representations import inner_product
+    chi = {0: Cyc(1, [1]), 1: Cyc(1, [0])}  # int coefficients, not coerced
+    ip = inner_product(chi, chi, [0, 1])
+    assert ip == Q(1, 2) and type(ip) is Q
+    rho = {0: Cyc(3, [1, 0]), 1: Cyc(3, [0, 1]), 2: Cyc(3, [-1, -1])}
+    one = {g: Cyc(3, [1, 0]) for g in range(3)}
+    assert inner_product(rho, rho, [0, 1, 2]) == 1
+    assert inner_product(rho, one, [0, 1, 2]) == 0
+    assert type(inner_product(rho, one, [0, 1, 2])) is Q
+    assert Cyc(3, [2, 0]).inv() == Cyc(3, [Q(1, 2), 0])
+    assert not _floats(Cyc(3, [2, 0]).inv())
+
+
+def test_coweights_and_barycenters_are_fractions():
+    from heckelab.root_datum import REGISTRY, datum_from_config
+    for name in ("a2", "b3", "c3", "g2", "gl3"):
+        datum = datum_from_config(REGISTRY[name])
+        omegas = datum.fundamental_coweights()
+        assert all(type(a) is Q for w in omegas for a in w)
+        assert [[datum.pairing(datum.roots[i], w) for w in omegas]
+                for i in datum.simple] == [[int(i == j) for j in range(len(omegas))]
+                                           for i in range(len(omegas))]
+        assert all(type(a) is Q for a in datum.base_alcove_barycenter())
+        assert all(type(c) is Q for c in datum.simple_coefficients(datum.roots[0]))

@@ -96,6 +96,8 @@ def test_gl_coroot_pairing_is_two():
     datum = setup("GL3")[0]
     for a, av in zip(datum.roots, datum.coroots):
         assert datum.pairing(a, av) == 2
+    with pytest.raises(ValueError):  # no silent truncation
+        datum.pairing(datum.roots[0], (1, 0))
 
 
 def test_central_padding_kills_roots():
