@@ -23,6 +23,7 @@ from fractions import Fraction as Q
 from functools import cached_property
 from typing import Sequence
 
+from . import _closure
 from .cyclotomic import (
     Cyc,
     cyc_column_space,
@@ -191,18 +192,14 @@ def twist_group(group: FiniteGroup, big: Sequence[int], sub: Sequence[int],
 def _subgroups_between(group: FiniteGroup, lower: Sequence[int],
                        upper: Sequence[int]) -> list[tuple[int, ...]]:
     upper_set = set(upper)
-    base = group.closure(lower)
-    found = {base}
-    frontier = [base]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in upper_set - set(s):
-                t = group.closure(set(s) | {x})
-                if t not in found:
-                    found.add(t)
-                    nxt.append(t)
-        frontier = nxt
+
+    # s is a subgroup, so its generators and x generate the span of s and x
+    def step(s: tuple[int, ...]):
+        gens = group.generators(s)
+        for x in upper_set.difference(s):
+            yield x, group.closure(gens + [x])
+
+    found = _closure.closure([group.closure(lower)], step)
     return sorted(found, key=lambda s: (-len(s), s))
 
 
@@ -393,7 +390,8 @@ def mackey_endomorphism_dimension(group: FiniteGroup, j: Sequence[int],
         meet = sorted(j_set & conj_dom)
         chi_g = {x: chi[group.conj(g, x)] for x in meet}
         total += inner_product(restrict_character(chi, meet), chi_g, meet)
-    assert total.denominator == 1
+    if total.denominator != 1:
+        raise AssertionError("Mackey sum is not an integer")
     return int(total)
 
 
@@ -551,7 +549,8 @@ def commutativity_check(model: FiniteGroupModel,
     ind = analysis.induced_from_j
     chi_ind = ind.character()
     dim_end = inner_product(chi_ind, chi_ind, ind.domain)
-    assert dim_end.denominator == 1
+    if dim_end.denominator != 1:
+        raise AssertionError("endomorphism dimension is not an integer")
     mackey = mackey_endomorphism_dimension(model.group, model.j,
                                            model.rho.character())
     if mackey != int(dim_end):

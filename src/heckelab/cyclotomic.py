@@ -46,7 +46,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         if m % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
     q, r = _poly_divmod(num, den)
-    assert not r
+    if r:
+        raise AssertionError("cyclotomic division left a remainder")
     return tuple(int(c) for c in q)
 
 
@@ -213,7 +214,8 @@ class Cyc:
         mat = tuple(tuple(cols[j][i] for j in range(phi)) for i in range(phi))
         e = (1,) + (0,) * (phi - 1)
         sol = _linalg.solve(mat, e)
-        assert sol is not None
+        if sol is None:
+            raise AssertionError("a nonzero cyclotomic has no inverse")
         return Cyc(self.m, sol)
 
 

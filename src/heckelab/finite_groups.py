@@ -10,6 +10,9 @@ greedy generating set, which implies (x a) y = x (a y) for every product
 a of generators and so for every element.  Each row holds 0, so each
 element has a right inverse, and such a monoid is a group: its columns
 are permutations too.  Inverses are tabulated once.
+
+Subgroup closures, generation trees and permutation groups come from
+the breadth-first ``_closure``, in its order of discovery.
 """
 from __future__ import annotations
 
@@ -18,6 +21,8 @@ from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
+
+from . import _closure
 
 
 @dataclass(frozen=True)
@@ -78,19 +83,12 @@ class FiniteGroup:
 
     # subgroup machinery -------------------------------------------------
     def closure(self, gens: Iterable[int]) -> tuple[int, ...]:
-        seen = {0}
-        frontier = [0]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return tuple(sorted(seen))
+        return tuple(sorted(self._closure_tree(list(gens))))
+
+    def _closure_tree(self, gens: list[int]) -> dict[int, tuple]:
+        table = self.table
+        return _closure.closure(
+            [0], lambda x: zip(gens, map(table[x].__getitem__, gens)))
 
     def generators(self, subset: Iterable[int] | None = None) -> list[int]:
         """Greedy generating set of the subset (default: the group): scan
@@ -108,20 +106,8 @@ class FiniteGroup:
     def generation_tree(self, gens: Sequence[int]) -> list[tuple[int, int, int]]:
         """Spanning tree of the closure: (element, parent, generator)
         triples in BFS order with element = parent * generator."""
-        seen = {0}
-        out = []
-        frontier = [0]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        out.append((y, x, g))
-                        nxt.append(y)
-            frontier = nxt
-        return out
+        return [(y, x, g) for y, (x, g) in self._closure_tree(list(gens)).items()
+                if x is not None]
 
     def is_subgroup(self, subset: Iterable[int]) -> bool:
         s = set(subset)
@@ -253,19 +239,8 @@ def from_permutations(gens: Sequence[Sequence[int]], label: str = "") -> FiniteG
     k = len(gens[0])
     ident = tuple(range(k))
     gens = [tuple(g) for g in gens]
-    seen = {ident}
-    order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for g in gens:
-                y = tuple(x[g[i]] for i in range(k))
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-                    nxt.append(y)
-        frontier = nxt
+    order = list(_closure.closure(
+        [ident], lambda x: ((g, tuple(x[g[i]] for i in range(k))) for g in gens)))
     return _table_from_coords(
         order, lambda a, b: tuple(a[b[i]] for i in range(k)),
         label or f"Perm{len(order)}")
@@ -322,42 +297,23 @@ def quotient_characters(group: FiniteGroup, big: Sequence[int],
         if a in span:
             continue
         gens.append(a)
-        frontier = list(span)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                y = qmul[x, a]
-                if y not in span:
-                    span.add(y)
-                    nxt.append(y)
-            frontier = nxt
+        span = set(_closure.closure(span, lambda x: [(a, qmul[x, a])]))
         if len(span) == len(reps):
             break
 
+    # spans the quotient; each generator hangs off the identity coset
+    tree = list(_closure.closure(
+        [coset_of[0]],
+        lambda x: ((k, qmul[x, g]) for k, g in enumerate(gens))).items())
     chars: list[dict[int, int]] = []
     for assign in itertools.product(range(e), repeat=len(gens)):
-        # extend multiplicatively; reject inconsistent assignments
-        val = {coset_of[0]: 0}
-        frontier = [coset_of[0]]
-        ok = True
-        while frontier and ok:
-            nxt = []
-            for x in frontier:
-                for g, a in zip(gens, assign):
-                    y = qmul[x, g]
-                    v = (val[x] + a) % e
-                    if y in val:
-                        if val[y] != v:
-                            ok = False
-                    else:
-                        val[y] = v
-                        nxt.append(y)
-            frontier = nxt
-        if not ok or len(val) != len(reps):
-            continue
-        # consistency on the full quotient table
+        # values along the tree; the full table decides if they are a character
+        val = {}
+        for y, (x, k) in tree:
+            val[y] = 0 if x is None else (val[x] + assign[k]) % e
         if all((val[qmul[a, b]] - val[a] - val[b]) % e == 0
                for a in reps for b in reps):
             chars.append({g: val[coset_of[g]] for g in big})
-    assert len(chars) == len(reps), "character count must equal quotient order"
+    if len(chars) != len(reps):
+        raise AssertionError("character count must equal quotient order")
     return e, chars

@@ -260,7 +260,8 @@ def dominant_decomposition(datum: RootDatum, lam) -> tuple[Coweight, Coweight]:
     steps = -(-worst // den)  # ceiling division
     lam2 = tuple(steps * x for x in direction)
     lam1 = tuple(a + b for a, b in zip(lam, lam2))
-    assert datum.is_dominant_coweight(lam1) and datum.is_dominant_coweight(lam2)
+    if not (datum.is_dominant_coweight(lam1) and datum.is_dominant_coweight(lam2)):
+        raise AssertionError("dominant decomposition is not dominant")
     return lam1, lam2
 
 

@@ -19,9 +19,10 @@ are built in:
 Cartan matrix or a general-linear size, as a JSON-style dict), and
 ``REGISTRY`` names the built-in data in that same form.
 
-The Weyl group is enumerated once by breadth-first search.  Elements are
-canonicalized by their integer action matrix on cocharacters and carry a
-shortlex-minimal reduced word in the simple reflections.
+The Weyl group is enumerated once by the breadth-first ``_closure``,
+which also builds root systems, parabolic subgroups and orbits.  Elements
+are canonicalized by their integer action matrix on cocharacters and
+carry a shortlex-minimal reduced word in the simple reflections.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from math import factorial, prod
 from operator import mul
 from typing import Iterable, Sequence
 
-from . import _linalg
+from . import _closure, _linalg
 
 IVec = tuple[int, ...]
 
@@ -217,23 +218,12 @@ class RootDatum:
         """Connected components of the Dynkin diagram, as lists of
         positions into ``simple``."""
         m = self.semisimple_rank
-        seen: set[int] = set()
         comps: list[list[int]] = []
         cartan = self.simple_pairings()
         for start in range(m):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                i = stack.pop()
-                for j in range(m):
-                    if j not in seen and cartan[i][j] != 0:
-                        seen.add(j)
-                        comp.append(j)
-                        stack.append(j)
-            comps.append(sorted(comp))
+            if not any(start in comp for comp in comps):
+                comps.append(sorted(_closure.closure(
+                    [start], lambda i: ((j, j) for j in range(m) if cartan[i][j]))))
         return comps
 
     def highest_root_marks(self, component: list[int]) -> dict[int, Q]:
@@ -275,32 +265,26 @@ class RootDatum:
 def _generate_root_pairs(simple_pairs: list[tuple[IVec, IVec]]
                          ) -> tuple[tuple[IVec, ...], tuple[IVec, ...], tuple[int, ...]]:
     """Close the simple pairs under all simple reflections."""
-    def reflect_pair(i: int, pair: tuple[IVec, IVec]) -> tuple[IVec, IVec]:
-        sa, sav = simple_pairs[i]
-        a, av = pair
-        ca = sum(x * y for x, y in zip(a, sav))
-        new_a = tuple(x - ca * y for x, y in zip(a, sa))
-        cv = sum(x * y for x, y in zip(sa, av))
-        new_av = tuple(x - cv * y for x, y in zip(av, sav))
-        return new_a, new_av
+    coroot: dict[IVec, IVec] = dict(simple_pairs)
 
-    found: dict[IVec, IVec] = {a: av for a, av in simple_pairs}
-    queue = list(simple_pairs)
-    while queue:
-        pair = queue.pop()
-        for i in range(len(simple_pairs)):
-            na, nav = reflect_pair(i, pair)
-            if na not in found:
-                found[na] = nav
-                queue.append((na, nav))
-            elif found[na] != nav:
+    def step(a: IVec):
+        av = coroot[a]
+        for i, (sa, sav) in enumerate(simple_pairs):
+            ca = sum(x * y for x, y in zip(a, sav))
+            na = tuple(x - ca * y for x, y in zip(a, sa))
+            cv = sum(x * y for x, y in zip(sa, av))
+            nav = tuple(x - cv * y for x, y in zip(av, sav))
+            if coroot.setdefault(na, nav) != nav:
                 raise ValueError("inconsistent root/coroot closure")
-        if len(found) > 4 * MAX_WEYL_ORDER:
-            raise ValueError("root system too large")
+            yield i, na
+
+    found = _closure.closure(coroot, step, limit=4 * MAX_WEYL_ORDER)
+    if len(found) > 4 * MAX_WEYL_ORDER:
+        raise ValueError("root system too large")
 
     ordering = sorted(found, key=lambda a: (sum(a) < 0, [abs(c) for c in a], a))
     roots = tuple(ordering)
-    coroots = tuple(found[a] for a in ordering)
+    coroots = tuple(coroot[a] for a in ordering)
     simple = tuple(roots.index(a) for a, _ in simple_pairs)
     return roots, coroots, simple
 
@@ -551,27 +535,20 @@ class WeylGroup:
             self._simple_cochar.append(tuple(zip(*char)))
 
         self.identity = WeylElement(_imat_identity(n), _imat_identity(n), ())
-        self._by_mat: dict[IMat, WeylElement] = {self.identity.cochar_mat: self.identity}
-        order = [self.identity]
-        frontier = [self.identity]
-        while frontier:
-            new: list[WeylElement] = []
-            for w in frontier:
-                for i in range(len(self._simple_char)):
-                    cochar = _imat_mul(w.cochar_mat, self._simple_cochar[i])
-                    if cochar in self._by_mat:
-                        continue
-                    char = _imat_mul(w.char_mat, self._simple_char[i])
-                    elt = WeylElement(cochar, char, w.word + (i,))
-                    self._by_mat[cochar] = elt
-                    new.append(elt)
-                    if len(self._by_mat) > max_order:
-                        raise ValueError(
-                            f"Weyl group order is at least "
-                            f"{len(self._by_mat)}; cap is {max_order}")
-            order.extend(new)
-            frontier = new
-        self.elements: list[WeylElement] = order
+        tree = _closure.closure(
+            [self.identity.cochar_mat],
+            lambda m: enumerate(_imat_mul(m, s) for s in self._simple_cochar),
+            limit=max_order)
+        if len(tree) > max_order:
+            raise ValueError(f"Weyl group order is at least {len(tree)}; "
+                             f"cap is {max_order}")
+        # breadth-first order puts each parent before its children
+        self._by_mat: dict[IMat, WeylElement] = {}
+        for cochar, (parent, i) in tree.items():
+            up = self._by_mat.get(parent)
+            self._by_mat[cochar] = self.identity if up is None else WeylElement(
+                cochar, _imat_mul(up.char_mat, self._simple_char[i]), up.word + (i,))
+        self.elements: list[WeylElement] = list(self._by_mat.values())
 
         # the character action is the transpose-inverse of the
         # cocharacter action, so w^-1 acts on cocharacters by char_mat^T
@@ -587,9 +564,6 @@ class WeylGroup:
 
     def simple_reflection(self, i: int) -> WeylElement:
         return self._by_mat[self._simple_cochar[i]]
-
-    def canonical(self, w: WeylElement) -> WeylElement:
-        return self._by_mat[w.cochar_mat]
 
     def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
         return self._by_mat[_imat_mul(a.cochar_mat, b.cochar_mat)]
@@ -617,17 +591,8 @@ class WeylGroup:
         key = tuple(sorted(set(simple_subset)))
         if key not in self._parabolic:
             gens = [self.simple_reflection(i) for i in key]
-            seen = {self.identity}
-            frontier = [self.identity]
-            while frontier:
-                new = []
-                for w in frontier:
-                    for g in gens:
-                        nxt = self.mul(w, g)
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            new.append(nxt)
-                frontier = new
+            seen = _closure.closure(
+                [self.identity], lambda w: ((g, self.mul(w, g)) for g in gens))
             self._parabolic[key] = tuple(sorted(seen, key=_length_word))
         return self._parabolic[key]
 
@@ -696,19 +661,9 @@ class WeylGroup:
         return True
 
     def orbit_cocharacter(self, lam: Sequence) -> set[tuple]:
-        lam = tuple(lam)
-        seen = {lam}
-        frontier = [lam]
-        while frontier:
-            new = []
-            for v in frontier:
-                for i in range(len(self._simple_cochar)):
-                    nxt = _imat_vec(self._simple_cochar[i], v)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        new.append(nxt)
-            frontier = new
-        return seen
+        return set(_closure.closure(
+            [tuple(lam)],
+            lambda v: ((s, _imat_vec(s, v)) for s in self._simple_cochar)))
 
     def dominant_in_orbit(self, lam: Sequence) -> tuple:
         doms = [v for v in self.orbit_cocharacter(lam)

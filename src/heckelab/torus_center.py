@@ -5,10 +5,11 @@ monomials indexed by pairs (coweight, residue character): the coweight
 records a lattice translation, the character a homomorphism from the
 depth-zero residue torus through a fixed generator of the residue
 field's unit group.  The finite Weyl group acts on both factors at
-once; the invariant subalgebra has the orbit sums as a basis.  All
-computations here are exact: integer lattice points, exponent tuples
-mod q - 1, and rational linear algebra for the independent dimension
-routes.
+once; the invariant subalgebra has the orbit sums as a basis, each
+orbit the breadth-first ``_closure`` of a pair under the simple
+reflections.  All computations here are exact: integer lattice points,
+exponent tuples mod q - 1, and rational linear algebra for the
+independent dimension routes.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import _linalg
+from . import _closure, _linalg
 from .root_datum import RootDatum, WeylElement, WeylGroup, _imat_vec
 
 
@@ -102,19 +103,9 @@ def enumerate_characters(datum: RootDatum, q: int) -> list[ResidueCharacter]:
 def _full_orbit(group: WeylGroup, pair: Pair) -> set[Pair]:
     # closure under the simple reflections; orbits are finite, so this
     # terminates even when members leave any given coordinate box
-    seen = {pair}
-    frontier = [pair]
     gens = [group.simple_reflection(i) for i in range(len(group.datum.simple))]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for s in gens:
-                moved = weyl_act_pair(s, p)
-                if moved not in seen:
-                    seen.add(moved)
-                    nxt.append(moved)
-        frontier = nxt
-    return seen
+    return set(_closure.closure(
+        [pair], lambda p: ((s, weyl_act_pair(s, p)) for s in gens)))
 
 
 def orbits(group: WeylGroup, q: int, radius: int) -> list[OrbitSum]:
@@ -138,7 +129,8 @@ def orbits(group: WeylGroup, q: int, radius: int) -> list[OrbitSum]:
             seen |= orb
             for p in orb:
                 for s in gens:
-                    assert weyl_act_pair(s, p) in orb, "orbit not closed"
+                    if weyl_act_pair(s, p) not in orb:
+                        raise AssertionError("orbit not closed")
             out.append(_orbit_sum(orb))
     out.sort(key=lambda o: _pair_key(o.orbit[0]))
     return out

@@ -854,7 +854,8 @@ NO_NUMPY_RUNS = {
 def test_importing_the_cli_loads_only_root_datum():
     loaded = loaded_modules([])
     assert {m for m in loaded if m.startswith("heckelab")} == {
-        "heckelab", "heckelab.cli", "heckelab.root_datum", "heckelab._linalg"}
+        "heckelab", "heckelab.cli", "heckelab.root_datum", "heckelab._linalg",
+        "heckelab._closure"}
     assert "numpy" not in loaded
 
 
