@@ -49,7 +49,7 @@ from .representations import Representation
 # ---------------------------------------------------------------------------
 
 def _cmat(cond: int, rows) -> list:
-    return [[e if isinstance(e, Cyc) else Cyc.rational(cond, Q(e))
+    return [[e if isinstance(e, Cyc) else Cyc.rational(cond, e)
              for e in row] for row in rows]
 
 
@@ -291,8 +291,10 @@ def _coeffs_to_json(value: Cyc) -> list[str]:
 
 
 def _coeffs_from_json(cond: int, coeffs: list[str]) -> Cyc:
-    # the constructor validates the coefficient-vector length
-    return Cyc(cond, [Q(c) for c in coeffs])
+    # the constructor validates the coefficient-vector length; integral
+    # coefficients become ints, like those of the builtin entries
+    values = [Q(c) for c in coeffs]
+    return Cyc(cond, [v.numerator if v.denominator == 1 else v for v in values])
 
 
 def _rep_to_json(rep: Representation, gens: list[int]) -> dict:

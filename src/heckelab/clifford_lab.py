@@ -135,7 +135,7 @@ def restrict_decompose(group: FiniteGroup, sub: Sequence[int],
             total = Cyc.zero(rep.conductor)
             for cc in orbit:
                 total = total + cc[x]
-            if total.scale(m) != chi[x]:
+            if total * m != chi[x]:
                 raise AssertionError("orbit sum does not rebuild the restriction")
         d = constituent[0].to_fraction()
         if rep.dim != k * m * d:
@@ -277,7 +277,7 @@ def maximal_stabilizer(group: FiniteGroup, sub: Sequence[int],
         chi = constituent.character()
         proj = None
         for h in sub:
-            coeff = chi[group.inv(h)].scale(Q(d, len(sub)))
+            coeff = chi[group.inv(h)] * Q(d, len(sub))
             mat = rep.matrix(h)
             term = [[mat[i][j] * coeff for j in range(rep.dim)]
                     for i in range(rep.dim)]

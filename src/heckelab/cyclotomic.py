@@ -3,10 +3,13 @@
 Elements are stored in the power basis 1, x, ..., x^(phi(m)-1) modulo
 the m-th cyclotomic polynomial, with int or Fraction coefficients kept
 as given (an int equals and hashes like the equal Fraction), so
-equality is literal tuple equality and nothing is ever rounded; the
-divisions, ``Cyc.inv`` and ``to_fraction``, yield Fractions.  The
-conductor is a positive integer fixed per element; elements of
-different conductors do not mix.
+equality is literal tuple equality and nothing is ever rounded.  The
+constants are ints: ``Cyc.zero``, ``Cyc.one``, ``Cyc.zeta``,
+``Cyc.rational`` of an int and ``cyc_identity`` build no Fraction, so
+products of integral matrices run on ints.  Only the divisions,
+``Cyc.inv`` and ``to_fraction``, yield Fractions.  The conductor is a
+positive integer fixed per element; elements of different conductors do
+not mix.
 
 Also provides linear algebra over the field (rank, nullspace, solve,
 column space, inverse) for the intertwiner and isotypic computations in
@@ -96,12 +99,12 @@ class Cyc:
 
     @staticmethod
     def one(m: int) -> "Cyc":
-        return Cyc.rational(m, Q(1))
+        return Cyc.rational(m, 1)
 
     @staticmethod
-    def rational(m: int, value) -> "Cyc":
+    def rational(m: int, value: int | Q) -> "Cyc":
         out = list(Cyc.zero(m).c)
-        out[0] = Q(value)
+        out[0] = value
         return Cyc(m, out)
 
     @staticmethod
@@ -144,9 +147,6 @@ class Cyc:
         return Cyc(self.m, out)
 
     __rmul__ = __mul__
-
-    def scale(self, q) -> "Cyc":
-        return Cyc(self.m, [a * Q(q) for a in self.c])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cyc) and self.m == other.m

@@ -46,14 +46,26 @@ class LaurentScalar:
 
     # -- ring structure --------------------------------------------------
 
+    @classmethod
+    def _own(cls, coeffs: dict[int, int | Q]) -> "LaurentScalar":
+        """Wrap a freshly built dict of nonzero coefficients, uncopied."""
+        out = object.__new__(cls)
+        out.c = coeffs
+        return out
+
     def __add__(self, other: "LaurentScalar") -> "LaurentScalar":
         out = dict(self.c)
         for k, x in other.c.items():
-            out[k] = out[k] + x if k in out else x
-        return LaurentScalar(out)
+            if k in out:
+                x = out[k] + x
+                if not x:
+                    del out[k]
+                    continue
+            out[k] = x
+        return LaurentScalar._own(out)
 
     def __neg__(self) -> "LaurentScalar":
-        return LaurentScalar({k: -x for k, x in self.c.items()})
+        return LaurentScalar._own({k: -x for k, x in self.c.items()})
 
     def __sub__(self, other: "LaurentScalar") -> "LaurentScalar":
         return self + (-other)
@@ -64,7 +76,9 @@ class LaurentScalar:
             for k2, x2 in other.c.items():
                 k = k1 + k2
                 out[k] = out[k] + x1 * x2 if k in out else x1 * x2
-        return LaurentScalar(out)
+        for k in [k for k, x in out.items() if not x]:
+            del out[k]
+        return LaurentScalar._own(out)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentScalar) and self.c == other.c

@@ -133,7 +133,7 @@ def induced_character(group: FiniteGroup, sub: Sequence[int], chi: Char,
             y = group.conj(x, g)
             if y in sub_set:
                 acc = acc + chi[y]
-        out[g] = acc.scale(Q(1, len(sub)))
+        out[g] = acc * Q(1, len(sub))
     return out
 
 

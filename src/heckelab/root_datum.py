@@ -217,14 +217,7 @@ class RootDatum:
     def dynkin_components(self) -> list[list[int]]:
         """Connected components of the Dynkin diagram, as lists of
         positions into ``simple``."""
-        m = self.semisimple_rank
-        comps: list[list[int]] = []
-        cartan = self.simple_pairings()
-        for start in range(m):
-            if not any(start in comp for comp in comps):
-                comps.append(sorted(_closure.closure(
-                    [start], lambda i: ((j, j) for j in range(m) if cartan[i][j]))))
-        return comps
+        return _dynkin_components(self.simple_pairings())
 
     def highest_root_marks(self, component: list[int]) -> dict[int, Q]:
         """Simple-root coefficients of the highest root of a component."""
@@ -261,6 +254,17 @@ class RootDatum:
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
+
+def _dynkin_components(cartan: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Connected components of the Dynkin diagram of a Cartan matrix."""
+    m = len(cartan)
+    comps: list[list[int]] = []
+    for start in range(m):
+        if not any(start in comp for comp in comps):
+            comps.append(sorted(_closure.closure(
+                [start], lambda i: ((j, j) for j in range(m) if cartan[i][j]))))
+    return comps
+
 
 def _generate_root_pairs(simple_pairs: list[tuple[IVec, IVec]]
                          ) -> tuple[tuple[IVec, ...], tuple[IVec, ...], tuple[int, ...]]:
@@ -303,6 +307,9 @@ def datum_from_cartan(mat: Sequence[Sequence[int]], central_rank: int = 0,
         simple_pairs.append((root, coroot))
     if not simple_pairs:
         return RootDatum(ambient, (), (), (), label or "torus")
+    # a component of no finite type has infinitely many roots
+    if any(_irreducible_order(mat, c) is None for c in _dynkin_components(mat)):
+        raise ValueError("root system too large")
     roots, coroots, simple = _generate_root_pairs(simple_pairs)
     return RootDatum(ambient, roots, coroots, simple, label or "cartan")
 
@@ -439,7 +446,7 @@ def _imat_vec(m: IMat, v: Sequence) -> tuple:
 _E_ORDERS = {(1, 2, 2): 51840, (1, 2, 3): 2903040, (1, 2, 4): 696729600}
 
 
-def _irreducible_order(cartan: list[list[int]], comp: list[int]) -> int | None:
+def _irreducible_order(cartan: Sequence[Sequence[int]], comp: list[int]) -> int | None:
     """Weyl group order of one connected Dynkin diagram, read off its
     type, or None when the diagram is of no finite type.
 

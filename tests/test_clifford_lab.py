@@ -8,12 +8,14 @@ higher-multiplicity entries are pinned as explicit closures, derived
 independently of the line-fixing search.
 """
 import json
+from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab.catalog import (
+    _coeffs_from_json,
     build_catalog,
     catalog_from_json,
     catalog_to_json,
@@ -216,7 +218,7 @@ def test_restriction_orbit_rebuilds_character():
         total = Cyc.zero(4)
         for cc in rep.orbit:
             total = total + cc[x]
-        assert total.scale(2) == chi[x]
+        assert total * 2 == chi[x]
     keys = {char_key(cc) for cc in rep.orbit}
     assert char_key(model.rho.character()) in keys
 
@@ -320,6 +322,34 @@ def test_catalog_roundtrip_names():
     names = [e["name"] for e in data["entries"]]
     back = catalog_from_json(data)
     assert [m.name for m in back] == names
+
+
+def _integral_fractions(models) -> list:
+    """(entry, element) of every matrix holding an integral Fraction."""
+    bad = []
+    for model in models:
+        for rep in (model.rho_tilde, model.rho):
+            for g in rep.domain:
+                if any(isinstance(c, Q) and c.denominator == 1
+                       for row in rep.matrix(g) for x in row for c in x.c):
+                    bad.append((model.name, g))
+    return bad
+
+
+def test_catalog_matrices_hold_int_coefficients():
+    # builtin and reloaded entries alike: integral coefficients are ints,
+    # so every product in a representation's verification runs on ints
+    models = build_catalog()
+    assert _integral_fractions(models) == []
+    assert _integral_fractions(catalog_from_json(catalog_to_json(models))) == []
+
+
+def test_json_coefficients_are_int_when_integral():
+    value = _coeffs_from_json(4, ["3", "-1"])
+    assert value.c == (3, -1) and all(type(c) is int for c in value.c)
+    value = _coeffs_from_json(4, ["1/2", "0"])
+    assert value.c == (Q(1, 2), 0)
+    assert isinstance(value.c[0], Q) and type(value.c[1]) is int
 
 
 def test_json_rejects_bad_payloads():

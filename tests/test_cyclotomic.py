@@ -91,6 +91,27 @@ def test_rationality_and_fraction_roundtrip():
         z.to_fraction()
 
 
+@pytest.mark.parametrize("m", [1, 3, 4, 8, 12])
+def test_integral_constants_are_int_backed(m):
+    assert all(type(c) is int for c in Cyc.one(m).c)
+    assert all(type(c) is int for c in Cyc.rational(m, -2).c)
+    for row in cyc_identity(3, m):
+        assert all(type(c) is int for x in row for c in x.c)
+
+
+@pytest.mark.parametrize("m", [1, 3, 4, 8, 12])
+def test_divisions_of_int_backed_values_are_exact(m):
+    # an int divided by an int would be a float: the divisions must not be
+    one_inv = Cyc.one(m).inv()
+    assert one_inv == Cyc.one(m)
+    assert all(isinstance(c, (int, Q)) for c in one_inv.c)
+    half = Cyc.rational(m, 2).inv()
+    assert half.c[0] == Q(1, 2) and isinstance(half.c[0], Q)
+    assert all(isinstance(c, (int, Q)) for c in half.c)
+    value = Cyc.rational(m, 3).to_fraction()
+    assert value == 3 and isinstance(value, Q)
+
+
 def test_inverse_oracle():
     # 1 + z = -z^2, so (1 + z)^{-1} = -z^{-2} = -z  (z^3 = 1)
     w = Cyc.zeta(3)

@@ -24,6 +24,9 @@ def test_basic_ring_oracles():
 def test_zero_pruning_and_equality():
     assert LaurentScalar({3: Q(0), 1: Q(2)}) == LaurentScalar({1: Q(2)})
     assert (V(1) - V(1)).is_zero
+    # a sum or product that cancels in one coefficient keeps the others
+    assert ((V(1) + ONE) + V(1, -1)).c == {0: 1}
+    assert ((V(1) + ONE) * (V(1) - ONE)).c == {2: 1, 0: -1}
     assert ZERO.is_zero and not ONE.is_zero
     assert hash(V(2, 3)) == hash(LaurentScalar({2: Q(3)}))
 

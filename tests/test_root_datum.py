@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab import root_datum
 from heckelab.root_datum import (
     REGISTRY,
     RootDatum,
@@ -117,6 +118,32 @@ def test_cartan_matrix_shapes():
         datum_from_cartan([[2, 1], [1, 2]])
     with pytest.raises(ValueError, match="central_rank"):
         datum_from_cartan([[2]], central_rank=-1)
+
+
+def _path_cartan(n: int, double_at: int | None = None) -> list[list[int]]:
+    """Cartan matrix of a path of n nodes, with a double bond between
+    nodes double_at and double_at + 1."""
+    mat = [[2 if i == j else -int(abs(i - j) == 1) for j in range(n)]
+           for i in range(n)]
+    if double_at is not None:
+        mat[double_at + 1][double_at] = -2
+    return mat
+
+
+@pytest.mark.parametrize("mat", [
+    [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],    # affine A2: a triangle
+    _path_cartan(5, double_at=2),               # affine F4
+], ids=["affine_A2", "affine_F4"])
+def test_cartan_of_no_finite_type_is_refused_before_roots(monkeypatch, mat):
+    def enumerate_roots(simple_pairs):
+        raise AssertionError("roots enumerated")
+
+    monkeypatch.setattr(root_datum, "_generate_root_pairs", enumerate_roots)
+    with pytest.raises(ValueError, match="^root system too large$"):
+        datum_from_cartan(mat)
+    # a finite type still reaches the root enumeration
+    with pytest.raises(AssertionError, match="roots enumerated"):
+        datum_from_cartan(_path_cartan(4, double_at=1))    # F4
 
 
 def test_weyl_cap_enforced():
