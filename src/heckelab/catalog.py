@@ -42,6 +42,7 @@ from .finite_groups import (
     quaternion,
 )
 from .representations import Representation
+from .root_datum import _integer
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +292,12 @@ def _coeffs_to_json(value: Cyc) -> list[str]:
 
 
 def _coeffs_from_json(cond: int, coeffs: list[str]) -> Cyc:
+    # coefficients are exact strings such as "-1/2", never JSON numbers;
     # the constructor validates the coefficient-vector length; integral
     # coefficients become ints, like those of the builtin entries
+    if not isinstance(coeffs, list) or not all(isinstance(c, str)
+                                               for c in coeffs):
+        raise ValueError(f"coefficients must be strings, got {coeffs!r}")
     values = [Q(c) for c in coeffs]
     return Cyc(cond, [v.numerator if v.denominator == 1 else v for v in values])
 
@@ -309,8 +314,8 @@ def _rep_from_json(group: FiniteGroup, data: dict, cond: int
                    ) -> Representation:
     mats = [[[_coeffs_from_json(cond, e) for e in row] for row in m]
             for m in data["matrices"]]
-    return Representation.from_generators(group, list(data["generators"]),
-                                          mats, cond)
+    return Representation.from_generators(
+        group, _integers(data["generators"], "generators"), mats, cond)
 
 
 def model_to_json(model: FiniteGroupModel) -> dict:
@@ -328,19 +333,28 @@ def model_to_json(model: FiniteGroupModel) -> dict:
     }
 
 
+def _integers(values: list, what: str) -> tuple[int, ...]:
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list, got {values!r}")
+    return tuple(_integer(v, f"every entry of {what}") for v in values)
+
+
 def model_from_json(data: dict) -> FiniteGroupModel:
     gsrc = data["group"]
     if "table" in gsrc:
-        group = FiniteGroup(tuple(tuple(r) for r in gsrc["table"]),
-                            gsrc.get("label", ""))
+        group = FiniteGroup(
+            tuple(_integers(r, "table") for r in gsrc["table"]),
+            gsrc.get("label", ""))
     elif "permutations" in gsrc:
-        group = from_permutations([tuple(p) for p in gsrc["permutations"]],
-                                  gsrc.get("label", ""))
+        group = from_permutations(
+            [_integers(p, "permutations") for p in gsrc["permutations"]],
+            gsrc.get("label", ""))
     else:
         raise ValueError("group needs a table or permutation generators")
-    cond = int(data["conductor"])
+    cond = _integer(data["conductor"], "conductor")
     model = FiniteGroupModel(
-        data["name"], group, tuple(data["normal"]), tuple(data["j_tilde"]),
+        data["name"], group, _integers(data["normal"], "normal"),
+        _integers(data["j_tilde"], "j_tilde"),
         _rep_from_json(group, data["rho_tilde"], cond),
         _rep_from_json(group, data["rho"], cond))
     model.validate()

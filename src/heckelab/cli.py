@@ -366,8 +366,6 @@ def _run_rootdatum(config: RunConfig) -> VerificationReport:
     checks.append(CheckRecord.of("reflection-closure", not broken,
                                  {"escaped": broken}))
 
-    cartan = [[int(datum.pairing(datum.roots[sj], datum.coroots[si]))
-               for sj in datum.simple] for si in datum.simple]
     data = {
         "label": datum.label,
         "ambient_rank": datum.ambient_rank,
@@ -376,7 +374,7 @@ def _run_rootdatum(config: RunConfig) -> VerificationReport:
         "roots": [list(a) for a in datum.roots],
         "coroots": [list(a) for a in datum.coroots],
         "simple_indices": list(datum.simple),
-        "cartan_matrix": cartan,
+        "cartan_matrix": datum.simple_pairings(),
         "weyl_order": len(group),
         "fundamental_coweights": [[str(c) for c in w]
                                   for w in datum.fundamental_coweights()],

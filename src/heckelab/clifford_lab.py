@@ -9,8 +9,10 @@ maximal-stabilizer subgroups, intertwining sets, and runs the three
 model-level checks (multiplicity transfer, center dimension,
 commutativity), each by at least two independent routes where the
 statement being tested is an equality.  The report and the three checks
-of one model share a ModelAnalysis, so the hypothesis check and each
-induced representation are computed once per model.
+of one model share a ModelAnalysis, which computes each Clifford object
+once: the Jt-orbit of rho and its inertia group (conjugate_orbit), the
+Mackey terms of that orbit over the double cosets of J (mackey_terms),
+the multiplicity of rho in rho_tilde, and each induced representation.
 
 All arithmetic is exact over a fixed cyclotomic field.  Nothing here
 assumes the statements under test; checks that depend on unverified
@@ -40,7 +42,6 @@ from .representations import (
     Representation,
     char_key,
     common_multiplicity,
-    conjugate_character,
     constituent_count,
     induced_representation,
     inner_product,
@@ -101,6 +102,30 @@ class RestrictionReport:
     multiplicity: int
     orbit_size: int
     orbit: tuple | None  # conjugate characters when a constituent is known
+    inertia: tuple[int, ...] | None  # the constituent's inertia subgroup
+
+
+def conjugate_orbit(group: FiniteGroup, big: Sequence[int],
+                    sub: Sequence[int], chi: Char
+                    ) -> tuple[tuple[Char, ...], tuple[int, ...]]:
+    """The distinct conjugates x -> chi(g x g^-1) of a character of sub
+    by the elements g of big, in order of first appearance over sorted
+    big (so chi itself, from the identity 0, comes first), and the
+    inertia subgroup of the g that fix chi.  Orbit-stabilizer is checked:
+    |orbit| * |inertia| = |big|."""
+    big, sub = tuple(sorted(big)), tuple(sorted(sub))
+    fixed = char_key({x: chi[x] for x in sub})
+    seen: dict[tuple, Char] = {}
+    inertia = []
+    for g in big:
+        cc = {x: chi[group.conj(g, x)] for x in sub}
+        key = char_key(cc)
+        seen.setdefault(key, cc)
+        if key == fixed:
+            inertia.append(g)
+    if len(seen) * len(inertia) != len(big):
+        raise AssertionError("orbit size times inertia order is not |big|")
+    return tuple(seen.values()), tuple(inertia)
 
 
 def restrict_decompose(group: FiniteGroup, sub: Sequence[int],
@@ -111,8 +136,9 @@ def restrict_decompose(group: FiniteGroup, sub: Sequence[int],
 
     The multiplicity is computed twice: from the norm of the restricted
     character and from the class-sum rank.  When a known constituent
-    character is passed, the full orbit is assembled and the literal
-    identity  Res = m * (sum of the orbit)  is checked pointwise."""
+    character is passed, its orbit and inertia subgroup are assembled and
+    the literal identity  Res = m * (sum of the orbit)  is checked
+    pointwise."""
     sub = tuple(sorted(sub))
     if not group.is_normal(sub, rep.domain):
         raise ValueError("restriction target must be normal in the domain")
@@ -122,33 +148,21 @@ def restrict_decompose(group: FiniteGroup, sub: Sequence[int],
         raise ValueError(
             f"representation is reducible: <chi,chi> = {norm}")
     m, k = common_multiplicity(rep, sub)
-    orbit = None
-    if constituent is not None:
-        seen: dict[tuple, Char] = {}
-        for g in rep.domain:
-            cc = {x: constituent[group.conj(g, x)] for x in sub}
-            seen.setdefault(char_key(cc), cc)
-        orbit = tuple(seen.values())
-        if len(orbit) != k:
-            raise AssertionError("orbit size disagrees with class-sum count")
-        for x in sub:
-            total = Cyc.zero(rep.conductor)
-            for cc in orbit:
-                total = total + cc[x]
-            if total * m != chi[x]:
-                raise AssertionError("orbit sum does not rebuild the restriction")
-        d = constituent[0].to_fraction()
-        if rep.dim != k * m * d:
-            raise AssertionError("dimension identity fails")
-    return RestrictionReport(m, k, orbit)
-
-
-def inertia_subgroup(group: FiniteGroup, big: Sequence[int],
-                     sub: Sequence[int], chi: Char) -> tuple[int, ...]:
-    """Elements of big whose conjugation fixes the character on sub."""
-    out = [g for g in big
-           if all(chi[group.conj(g, x)] == chi[x] for x in sub)]
-    return tuple(sorted(out))
+    if constituent is None:
+        return RestrictionReport(m, k, None, None)
+    orbit, inertia = conjugate_orbit(group, rep.domain, sub, constituent)
+    if len(orbit) != k:
+        raise AssertionError("orbit size disagrees with class-sum count")
+    for x in sub:
+        total = Cyc.zero(rep.conductor)
+        for cc in orbit:
+            total = total + cc[x]
+        if total * m != chi[x]:
+            raise AssertionError("orbit sum does not rebuild the restriction")
+    d = constituent[0].to_fraction()
+    if rep.dim != k * m * d:
+        raise AssertionError("dimension identity fails")
+    return RestrictionReport(m, k, orbit, inertia)
 
 
 # ---------------------------------------------------------------------------
@@ -256,16 +270,19 @@ def _pairwise_commuting(mats) -> bool:
 def maximal_stabilizer(group: FiniteGroup, sub: Sequence[int],
                        rep: Representation, constituent: Representation,
                        dagger: Sequence[int],
-                       inertia: Sequence[int]) -> tuple[int, ...] | None:
+                       restriction: RestrictionReport
+                       ) -> tuple[int, ...] | None:
     """Largest subgroup between the twist kernel and the inertia group
     that stabilizes an irreducible sub-module of the restriction
-    isomorphic to the given constituent.  Ties break toward the
+    isomorphic to the given constituent, whose restriction report (with
+    its inertia group) is passed in.  Ties break toward the
     lexicographically smallest element tuple.  Returns None if no
     candidate subgroup stabilizes a line over the working field."""
     sub = tuple(sorted(sub))
-    m, k = common_multiplicity(rep, sub)
+    m, k, inertia = (restriction.multiplicity, restriction.orbit_size,
+                     restriction.inertia)
     if m == 1:
-        return tuple(sorted(inertia))
+        return inertia
     cond = rep.conductor
     d = constituent.dim
 
@@ -345,54 +362,40 @@ class CliffordReport:
 
 def clifford_report(model: FiniteGroupModel,
                     analysis: ModelAnalysis) -> CliffordReport:
-    g = model.group
-    j = model.j
     rest, tw = analysis.restriction, analysis.twists
-    inert = inertia_subgroup(g, tuple(sorted(model.j_tilde)), j,
-                             model.rho.character())
-    stab = maximal_stabilizer(g, j, model.rho_tilde, model.rho,
-                              tw.dagger, inert)
-    return CliffordReport(rest.multiplicity, rest.orbit_size, inert, stab,
-                          tw.dagger, tw.order)
+    stab = maximal_stabilizer(model.group, model.j, model.rho_tilde,
+                              model.rho, tw.dagger, rest)
+    return CliffordReport(rest.multiplicity, rest.orbit_size, rest.inertia,
+                          stab, tw.dagger, tw.order)
 
 
 # ---------------------------------------------------------------------------
 # intertwining
 # ---------------------------------------------------------------------------
 
-def intertwining_reps(group: FiniteGroup, j: Sequence[int],
-                      chi: Char) -> list[int]:
-    """Double-coset representatives g with nonzero intertwining between
-    the representation and its g-conjugate on J ∩ J^g."""
+def mackey_terms(group: FiniteGroup, j: Sequence[int],
+                 chars: Sequence[Char]) -> list[tuple[tuple[int, int], ...]]:
+    """For each character chi of J, the Mackey terms (g, dim) over the
+    double-coset representatives g of J in G: dim is the intertwining
+    dimension of chi against its conjugate x -> chi(g x g^-1) on the
+    overlap J ∩ g^-1 J g, nonzero exactly when g intertwines chi.  The
+    terms of chi sum to dim End Ind_J^G chi.  The double cosets and
+    overlaps are walked once for all the characters."""
+    j = tuple(sorted(j))
     j_set = set(j)
-    out = []
-    for g in group.double_coset_reps(tuple(sorted(j))):
-        conj_dom = {group.conj(group.inv(g), x) for x in j_set}
-        meet = sorted(j_set & conj_dom)
-        cond = next(iter(chi.values())).m
-        acc = Cyc.zero(cond)
-        for x in meet:
-            acc = acc + chi[x] * chi[group.conj(g, x)].conjugate()
-        if acc:
-            out.append(g)
-    return out
-
-
-def mackey_endomorphism_dimension(group: FiniteGroup, j: Sequence[int],
-                                  chi: Char) -> int:
-    """dim End of the induced representation, summed double coset by
-    double coset: each coset contributes the intertwining dimension of
-    the representation against its conjugate on the overlap subgroup."""
-    j_set = set(j)
-    total = Q(0)
-    for g in group.double_coset_reps(tuple(sorted(j))):
-        conj_dom = {group.conj(group.inv(g), x) for x in j_set}
-        meet = sorted(j_set & conj_dom)
-        chi_g = {x: chi[group.conj(g, x)] for x in meet}
-        total += inner_product(restrict_character(chi, meet), chi_g, meet)
-    if total.denominator != 1:
-        raise AssertionError("Mackey sum is not an integer")
-    return int(total)
+    terms: list[list[tuple[int, int]]] = [[] for _ in chars]
+    for g in group.double_coset_reps(j):
+        # x lies in the overlap exactly when g x g^-1 lies in J
+        pairs = [(x, y) for x in j for y in (group.conj(g, x),) if y in j_set]
+        for out, chi in zip(terms, chars):
+            acc = Cyc.zero(next(iter(chi.values())).m)
+            for x, y in pairs:
+                acc = acc + chi[x] * chi[y].conjugate()
+            dim = acc.to_fraction() / len(pairs)
+            if dim.denominator != 1:
+                raise AssertionError("Mackey term is not an integer")
+            out.append((g, int(dim)))
+    return [tuple(t) for t in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -405,55 +408,51 @@ class HypothesisReport:
     failures: tuple[str, ...]
 
 
-def check_hypotheses(model: FiniteGroupModel
+def check_hypotheses(model: FiniteGroupModel, analysis: ModelAnalysis
                      ) -> tuple[HypothesisReport, Representation]:
-    g = model.group
-    pi = induced_representation(g, tuple(sorted(model.j_tilde)),
+    """pi = Ind_Jt^G rho_tilde must be irreducible, and no double coset
+    outside Jt may intertwine a constituent in the restriction orbit."""
+    pi = induced_representation(model.group, tuple(sorted(model.j_tilde)),
                                 model.rho_tilde)
     failures = []
-    chi_pi = pi.character()
-    if inner_product(chi_pi, chi_pi, pi.domain) != 1:
+    if not is_irreducible(pi):
         failures.append("induced representation is reducible")
     jt_set = set(model.j_tilde)
-    seen = set()
-    for g0 in sorted(model.j_tilde):
-        cc = {x: model.rho.character()[g.conj(g0, x)] for x in model.j}
-        key = char_key(cc)
-        if key in seen:
-            continue
-        seen.add(key)
-        for rep_g in intertwining_reps(g, model.j, cc):
-            if rep_g not in jt_set:
-                failures.append(
-                    "intertwining of a restriction constituent escapes "
-                    "the inducing subgroup")
-                break
-        else:
-            continue
-        break
+    if any(dim and g not in jt_set
+           for terms in analysis.intertwining for g, dim in terms):
+        failures.append("intertwining of a restriction constituent escapes "
+                        "the inducing subgroup")
     return HypothesisReport(not failures, tuple(failures)), pi
 
 
 class ModelAnalysis:
     """What clifford_report and the three model-level checks share for
     one model: the hypothesis verdict with pi = Ind_Jt^G rho_tilde, the
-    restriction and twist reports, and Ind_J^G rho.  Each is computed on
-    first use and kept only as long as this object, so one evaluation
-    builds each induced representation once and runs check_hypotheses
-    once."""
+    restriction report (multiplicity, orbit and inertia of rho), the
+    Mackey terms of the orbit, the twist report, and Ind_J^G rho.  Each
+    is computed on first use and kept only as long as this object, so
+    one evaluation builds each induced representation once, conjugates
+    rho once and walks the double cosets of J once."""
 
     def __init__(self, model: FiniteGroupModel):
         self.model = model
 
     @cached_property
     def hypotheses(self) -> tuple[HypothesisReport, Representation]:
-        return check_hypotheses(self.model)
+        return check_hypotheses(self.model, self)
 
     @cached_property
     def restriction(self) -> RestrictionReport:
         m = self.model
         return restrict_decompose(m.group, m.j, m.rho_tilde,
                                   constituent=m.rho.character())
+
+    @cached_property
+    def intertwining(self) -> list[tuple[tuple[int, int], ...]]:
+        """Mackey terms of each character in the restriction orbit, in
+        orbit order, so those of rho come first."""
+        m = self.model
+        return mackey_terms(m.group, m.j, self.restriction.orbit)
 
     @cached_property
     def twists(self) -> TwistReport:
@@ -551,8 +550,7 @@ def commutativity_check(model: FiniteGroupModel,
     dim_end = inner_product(chi_ind, chi_ind, ind.domain)
     if dim_end.denominator != 1:
         raise AssertionError("endomorphism dimension is not an integer")
-    mackey = mackey_endomorphism_dimension(model.group, model.j,
-                                           model.rho.character())
+    mackey = sum(dim for _, dim in analysis.intertwining[0])
     if mackey != int(dim_end):
         raise AssertionError("coset-by-coset and global endomorphism "
                              "dimensions disagree")

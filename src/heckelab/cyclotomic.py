@@ -219,14 +219,6 @@ class Cyc:
         return Cyc(self.m, sol)
 
 
-def roots_of_unity(m: int) -> list[Cyc]:
-    """All roots of unity inside Q(zeta_m): zeta^j, and -zeta^j for odd m."""
-    out = [Cyc.zeta(m, j) for j in range(m)]
-    if m % 2 == 1:
-        out += [-x for x in out]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # linear algebra over the field
 # ---------------------------------------------------------------------------

@@ -91,10 +91,6 @@ class ValuationGroupScheme:
     def size(self) -> int:
         return len(self.bounds)
 
-    @property
-    def unit_diagonal(self) -> bool:
-        return any(self.bounds[i][i] == 0 for i in range(self.size))
-
     def max_finite_bound(self) -> int:
         return max((x for row in self.bounds for x in row if x is not None),
                    default=0)
@@ -248,9 +244,6 @@ class VolumeExponent:
 
     def evaluate(self, q: int) -> Q:
         return Q(q) ** self.q_power * Q(q - 1) ** self.unit_power
-
-    def is_one(self) -> bool:
-        return self.q_power == 0 and self.unit_power == 0
 
 
 def count_exponents(K: ValuationGroupScheme, N: int) -> tuple[int, int]:

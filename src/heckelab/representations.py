@@ -103,11 +103,6 @@ def inner_product(chi1: Char, chi2: Char, subset: Sequence[int]) -> Q:
     return acc.to_fraction() / len(subset)
 
 
-def conjugate_character(group: FiniteGroup, chi: Char, g: int) -> Char:
-    """chi^g(x) = chi(g x g^{-1}), defined on g^{-1} (dom) g."""
-    return {group.conj(group.inv(g), x): v for x, v in chi.items()}
-
-
 def restrict_character(chi: Char, subset: Sequence[int]) -> Char:
     return {x: chi[x] for x in subset}
 

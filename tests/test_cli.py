@@ -552,6 +552,9 @@ def test_clifford_catalog_round_trip(tmp_path, capsys):
     names = [e["name"] for e in data["entries"]]
     assert names == [m.name for m in build_catalog()]
     assert len(names) >= 12
+    # the emitted file passes its own --catalog validation and checks
+    assert main(["clifford", "--catalog", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_clifford_catalog_errors(tmp_path):
@@ -559,6 +562,55 @@ def test_clifford_catalog_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     assert main(["clifford", "--catalog", str(bad)]) == 2
+
+
+def _set_coefficient(value):
+    def mutate(entry):
+        entry["rho"]["matrices"][0][0][0] = value
+    return mutate
+
+
+def _set_key(key, value):
+    def mutate(entry):
+        entry[key] = value
+    return mutate
+
+
+def _float_table_entry(entry):
+    entry["group"]["table"][1][0] = float(entry["group"]["table"][1][0])
+
+
+def _float_generator(entry):
+    entry["rho"]["generators"][0] = float(entry["rho"]["generators"][0])
+
+
+@pytest.mark.parametrize("mutate,needle", [
+    (_set_coefficient([0.0, 1.0]), "coefficients must be strings"),
+    (_set_coefficient([False, True]), "coefficients must be strings"),
+    (_set_coefficient([0, 1]), "coefficients must be strings"),
+    (_set_key("conductor", 4.5), "conductor must be an integer, got 4.5"),
+    (_set_key("conductor", True), "conductor must be an integer, got True"),
+    (_set_key("normal", [0, 1.0, 2, 3]), "normal must be an integer"),
+    (_set_key("j_tilde", [0, 1, 2, 3, 4, 5, 6, 7.0]),
+     "j_tilde must be an integer"),
+    (_set_key("group", {"permutations": [[1.0, 2, 3, 0]]}),
+     "permutations must be an integer"),
+    (_float_table_entry, "table must be an integer"),
+    (_float_generator, "generators must be an integer"),
+], ids=["float_coeff", "bool_coeff", "int_coeff", "float_conductor",
+        "bool_conductor", "float_normal", "float_j_tilde",
+        "float_permutation", "float_table", "float_generator"])
+def test_clifford_catalog_json_numbers_exit_2(mutate, needle, tmp_path,
+                                              capsys):
+    from heckelab.catalog import catalog_to_json
+    payload = catalog_to_json(QUICK_MODELS[:1])
+    mutate(payload["entries"][0])
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(payload))
+    assert main(["clifford", "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "bad catalog entry" in captured.err and needle in captured.err
 
 
 def test_clifford_group_order_cap(tmp_path, capsys):

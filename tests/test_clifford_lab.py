@@ -29,15 +29,14 @@ from heckelab.clifford_lab import (
     ModelAnalysis,
     check_hypotheses,
     clifford_report,
-    inertia_subgroup,
-    intertwining_reps,
-    mackey_endomorphism_dimension,
+    conjugate_orbit,
+    mackey_terms,
     maximal_stabilizer,
     restrict_decompose,
     twist_group,
 )
 from heckelab.cyclotomic import Cyc
-from heckelab.finite_groups import cyclic, dihedral
+from heckelab.finite_groups import FiniteGroup, cyclic, dihedral
 from heckelab.representations import (
     Representation,
     char_key,
@@ -198,10 +197,9 @@ def test_frobenius_reciprocity_per_entry():
 
 
 def test_mackey_route_matches_character_norm():
-    for name in ("q8_rho2", "c8_faithful", "he3_sub", "d8_rho2"):
-        model = MODELS[name]
-        dim_end = mackey_endomorphism_dimension(model.group, model.j,
-                                                model.rho.character())
+    for model in MODELS.values():
+        (terms,) = mackey_terms(model.group, model.j, [model.rho.character()])
+        dim_end = sum(dim for _, dim in terms)
         ind = induced_representation(model.group, model.j, model.rho)
         chi = ind.character()
         assert dim_end == inner_product(chi, chi, ind.domain)
@@ -258,26 +256,57 @@ def test_twist_group_on_faithful_character_is_trivial():
 
 def test_inertia_oracle():
     model = MODELS["d8_klein"]
-    inert = inertia_subgroup(model.group, tuple(range(8)), model.j,
-                             model.rho.character())
+    _, inert = conjugate_orbit(model.group, tuple(range(8)), model.j,
+                               model.rho.character())
     assert inert == (0, 2, 4, 6)
+
+
+def test_conjugate_orbit_matches_brute_force():
+    for model in MODELS.values():
+        g, j, chi = model.group, model.j, model.rho.character()
+        big = sorted(model.j_tilde)
+        orbit, inert = conjugate_orbit(g, big, j, chi)
+        moved = [{x: chi[g.conj(h, x)] for x in j} for h in big]
+        assert inert == tuple(h for h, cc in zip(big, moved)
+                              if all(cc[x] == chi[x] for x in j)), model.name
+        first = []
+        for cc in moved:
+            if char_key(cc) not in [char_key(o) for o in first]:
+                first.append(cc)
+        assert [char_key(o) for o in orbit] == [char_key(o) for o in first]
+        assert char_key(orbit[0]) == char_key(chi)
+        assert len(orbit) * len(inert) == len(big)
+
+
+def test_conjugate_orbit_checks_orbit_stabilizer():
+    # the identity and two reflections: both move the faithful character
+    # of the rotations to its complex conjugate, so 2 * 1 != 3
+    model = MODELS["d8_rho2"]
+    with pytest.raises(AssertionError, match="inertia"):
+        conjugate_orbit(model.group, (0, 4, 5), model.j,
+                        model.rho.character())
+
+
+def _intertwining_reps(model):
+    (terms,) = mackey_terms(model.group, model.j, [model.rho.character()])
+    return [g for g, dim in terms if dim]
 
 
 def test_intertwining_set_escapes_for_central_character():
     model = MODELS["skip_d8_center"]
-    reps = intertwining_reps(model.group, model.j, model.rho.character())
+    reps = _intertwining_reps(model)
     assert any(r not in set(model.j_tilde) for r in reps)
 
 
 def test_intertwining_set_stays_inside_for_regular_orbit():
     model = MODELS["c4_in_q8"]
-    reps = intertwining_reps(model.group, model.j, model.rho.character())
+    reps = _intertwining_reps(model)
     assert set(reps) <= set(model.j_tilde)
 
 
 def test_check_hypotheses_reports_pi():
     model = MODELS["he3_sub"]
-    hyp, pi = check_hypotheses(model)
+    hyp, pi = check_hypotheses(model, ModelAnalysis(model))
     assert hyp.ok and hyp.failures == ()
     assert pi.dim == 3
     assert inner_product(pi.character(), pi.character(), pi.domain) == 1
@@ -287,8 +316,37 @@ def test_maximal_stabilizer_m1_shortcut():
     model = MODELS["d16_rho"]
     c = _result("d16_rho").clifford
     stab = maximal_stabilizer(model.group, model.j, model.rho_tilde,
-                              model.rho, c.dagger, c.inertia)
+                              model.rho, c.dagger,
+                              ModelAnalysis(model).restriction)
     assert stab == c.inertia
+
+
+def test_one_evaluation_shares_multiplicity_and_double_cosets(monkeypatch):
+    # on an m = 2 entry the stabilizer search needs (m, k) of the
+    # restriction of rho_tilde to J, and the hypothesis and commutativity
+    # checks both need the double cosets of J: each is computed once
+    import heckelab.clifford_lab as lab
+    model = MODELS["d8q8_mixed"]
+    pairs, walks = [], []
+    multiplicity = lab.common_multiplicity
+    double_cosets = FiniteGroup.double_coset_reps
+
+    def counted_multiplicity(rep, sub):
+        pairs.append((id(rep), tuple(sorted(sub))))
+        return multiplicity(rep, sub)
+
+    def counted_double_cosets(self, j):
+        j = tuple(j)
+        walks.append(j)
+        return double_cosets(self, j)
+
+    monkeypatch.setattr(lab, "common_multiplicity", counted_multiplicity)
+    monkeypatch.setattr(FiniteGroup, "double_coset_reps",
+                        counted_double_cosets)
+    result = evaluate_entry(model)
+    assert result.clifford.multiplicity == 2 and result.passed
+    assert len(pairs) == len(set(pairs)) >= 2
+    assert walks.count(model.j) == 1
 
 
 def test_model_validation_rejects_bad_inputs():

@@ -22,7 +22,6 @@ from heckelab.cyclotomic import (
     cyc_solve_matrix,
     cyc_trace,
     cyclotomic_polynomial,
-    roots_of_unity,
 )
 
 
@@ -120,19 +119,6 @@ def test_inverse_oracle():
     assert val * val.inv() == Cyc.one(3)
     with pytest.raises(ZeroDivisionError):
         Cyc.zero(3).inv()
-
-
-def test_roots_of_unity_counts():
-    assert len(roots_of_unity(4)) == 4
-    assert len(roots_of_unity(3)) == 6   # includes the negatives
-    vals = roots_of_unity(8)
-    assert len(vals) == len(set(vals)) == 8
-    one = Cyc.one(8)
-    for v in vals:
-        acc = one
-        for _ in range(8):
-            acc = acc * v
-        assert acc == one
 
 
 def _qmat(m, rows):

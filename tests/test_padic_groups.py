@@ -19,6 +19,7 @@ from heckelab.apartment import base_alcove_closure_grid, filtration_profile
 from heckelab.padic_groups import (
     FactorizationReport,
     ValuationGroupScheme,
+    VolumeExponent,
     _levi_invertible,
     block_of,
     brute_point_count,
@@ -77,11 +78,6 @@ def test_constructor_rejects_triangle_violation():
     # guarantee 2, so the bound set is not multiplicatively closed
     with pytest.raises(ValueError, match=r"triple \(2,1,0\)"):
         scheme([[1, 0, 0], [1, 1, 0], [3, 1, 1]])
-
-
-def test_unit_diagonal_flag():
-    assert I2.unit_diagonal
-    assert not K1.unit_diagonal
 
 
 def test_iwahori_scheme_shape():
@@ -250,7 +246,7 @@ def test_log_volume_requires_containment():
 
 def test_trivial_index_is_one():
     vol = log_volume(K1, K1)
-    assert vol.is_one() and str(vol) == "1"
+    assert vol == VolumeExponent(0, 0) and str(vol) == "1"
 
 
 def test_equal_groups_volume_inconclusive():

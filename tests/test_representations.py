@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab.clifford_lab import conjugate_orbit
 from heckelab.cyclotomic import Cyc, cyc_trace
 from heckelab.finite_groups import cyclic, dihedral, quaternion
 from heckelab.representations import (
     Representation,
     char_key,
     common_multiplicity,
-    conjugate_character,
     constituent_count,
     induced_character,
     induced_representation,
@@ -117,15 +117,6 @@ def test_irreducibility():
     assert constituent_count(reg, range(8)) == 5
 
 
-def test_conjugate_character_is_action():
-    rep = _d8_two_dim()
-    chi = restrict_character(rep.character(), (0, 1, 2, 3))
-    moved = conjugate_character(D8, chi, 4)
-    assert set(moved) == {0, 1, 2, 3}
-    # conjugating twice by an involution returns the original
-    assert char_key(conjugate_character(D8, moved, 4)) == char_key(chi)
-
-
 def test_induced_character_two_routes():
     # Ind from C4 to D8 of the faithful character
     chi = {0: Cyc.one(4), 1: Cyc.zeta(4),
@@ -214,12 +205,11 @@ def test_characters_are_class_functions(g, x):
     assert chi[D8.conj(g, x)] == chi[x]
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.integers(0, 7))
-def test_conjugation_preserves_inner_products(g):
+def test_conjugation_preserves_inner_products():
     rep = _q8_two_dim()
     chi = restrict_character(rep.character(), (0, 1, 2, 3))
-    moved = conjugate_character(Q8, chi, g)
-    assert set(moved) == {0, 1, 2, 3}
-    assert inner_product(moved, moved, (0, 1, 2, 3)) \
-        == inner_product(chi, chi, (0, 1, 2, 3))
+    orbit, _ = conjugate_orbit(Q8, range(8), (0, 1, 2, 3), chi)
+    for moved in orbit:
+        assert set(moved) == {0, 1, 2, 3}
+        assert inner_product(moved, moved, (0, 1, 2, 3)) \
+            == inner_product(chi, chi, (0, 1, 2, 3))
