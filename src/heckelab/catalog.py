@@ -339,21 +339,28 @@ def _integers(values: list, what: str) -> tuple[int, ...]:
     return tuple(_integer(v, f"every entry of {what}") for v in values)
 
 
+def _string(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def model_from_json(data: dict) -> FiniteGroupModel:
+    name = _string(data["name"], "name")
     gsrc = data["group"]
+    label = _string(gsrc.get("label", ""), "group label")
     if "table" in gsrc:
         group = FiniteGroup(
-            tuple(_integers(r, "table") for r in gsrc["table"]),
-            gsrc.get("label", ""))
+            tuple(_integers(r, "table") for r in gsrc["table"]), label)
     elif "permutations" in gsrc:
         group = from_permutations(
             [_integers(p, "permutations") for p in gsrc["permutations"]],
-            gsrc.get("label", ""))
+            label)
     else:
         raise ValueError("group needs a table or permutation generators")
     cond = _integer(data["conductor"], "conductor")
     model = FiniteGroupModel(
-        data["name"], group, _integers(data["normal"], "normal"),
+        name, group, _integers(data["normal"], "normal"),
         _integers(data["j_tilde"], "j_tilde"),
         _rep_from_json(group, data["rho_tilde"], cond),
         _rep_from_json(group, data["rho"], cond))

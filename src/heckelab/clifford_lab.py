@@ -13,6 +13,9 @@ of one model share a ModelAnalysis, which computes each Clifford object
 once: the Jt-orbit of rho and its inertia group (conjugate_orbit), the
 Mackey terms of that orbit over the double cosets of J (mackey_terms),
 the multiplicity of rho in rho_tilde, and each induced representation.
+The stabilizer search reads the action of an inertia element on the
+multiplicity space Hom_J(rho, rho_tilde) off the left Kronecker factor of
+its matrix B_g (x) A_g on C^m (x) C^d, checked exactly on every entry.
 
 All arithmetic is exact over a fixed cyclotomic field.  Nothing here
 assumes the statements under test; checks that depend on unverified
@@ -29,11 +32,8 @@ from . import _closure
 from .cyclotomic import (
     Cyc,
     cyc_column_space,
-    cyc_identity,
-    cyc_inv_matrix,
     cyc_matmul,
     cyc_nullspace,
-    cyc_solve,
     cyc_solve_matrix,
 )
 from .finite_groups import FiniteGroup, quotient_characters
@@ -217,37 +217,22 @@ def _subgroups_between(group: FiniteGroup, lower: Sequence[int],
     return sorted(found, key=lambda s: (-len(s), s))
 
 
-def _projective_matrix(m_g, mult: int, d: int):
-    """The m x m matrix acting on the multiplicity space, recovered from
-    the action on the decomposed space via a projective frame lift."""
-    cond = m_g[0][0].m
-
-    def act(c: list[Cyc]) -> list[Cyc]:
-        # image of the subspace c (x) C^d, as a multiplicity-space line
-        cols = []
-        for k in range(d):
-            vec = [Cyc.zero(cond)] * (mult * d)
-            for r in range(mult):
-                if c[r]:
-                    vec[r * d + k] = c[r]
-            w = [sum((m_g[i][j] * vec[j] for j in range(mult * d)
-                      if vec[j]), Cyc.zero(cond)) for i in range(mult * d)]
-            for l in range(d):
-                cols.append([w[i * d + l] for i in range(mult)])
-        space = cyc_column_space([list(r) for r in zip(*cols)])
-        if len(space) != 1:
-            raise AssertionError("image is not a single multiplicity line")
-        return space[0]
-
-    basis = cyc_identity(mult, cond)
-    images = [act(basis[i]) for i in range(mult)]
-    w0 = act([Cyc.one(cond)] * mult)
-    coeffs = cyc_solve([list(r) for r in zip(*images)], w0)
-    if coeffs is None or not all(coeffs):
-        raise AssertionError("degenerate projective frame")
-    cols = [[images[i][r] * coeffs[i] for r in range(mult)]
-            for i in range(mult)]
-    return [[cols[j][i] for j in range(mult)] for i in range(mult)]
+def _multiplicity_factor(mat, m: int, d: int):
+    """B up to a scalar, for mat = B (x) A on C^m (x) C^d: the m x m
+    slice b at the offset (k, l) of the first nonzero entry
+    (r0 d + k, s0 d + l), beside the d x d block a at (r0, s0).  Every
+    entry is checked against b[r][s] a[k'][l'] / mat[r0 d + k][s0 d + l],
+    which it equals exactly when mat is a Kronecker product."""
+    i0, j0 = next((i, j) for i, row in enumerate(mat)
+                  for j, x in enumerate(row) if x)
+    (r0, k), (s0, l) = divmod(i0, d), divmod(j0, d)
+    b = [[mat[r * d + k][s * d + l] for s in range(m)] for r in range(m)]
+    a = [row[s0 * d:s0 * d + d] for row in mat[r0 * d:r0 * d + d]]
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if x * mat[i0][j0] != b[i // d][j // d] * a[i % d][j % d]:
+                raise AssertionError("action is not a Kronecker product")
+    return b
 
 
 def _pairwise_commuting(mats) -> bool:
@@ -334,12 +319,12 @@ def maximal_stabilizer(group: FiniteGroup, sub: Sequence[int],
     # change of basis identifying the isotypic space with C^m (x) C^d
     phi = [[hom_basis[i][r * d + l] for i in range(m) for l in range(d)]
            for r in range(dim_iso)]
-    phi_inv = cyc_inv_matrix(phi)
 
+    # phi^-1 iso(g) phi = B_g (x) A_g, B_g acting on the multiplicity space
     for cand in _subgroups_between(group, dagger, inertia):
         gens = [g for g in group.generators(cand) if g not in sub]
-        bmats = [_projective_matrix(
-            cyc_matmul(cyc_matmul(phi_inv, iso_mats[g]), phi), m, d)
+        bmats = [_multiplicity_factor(
+            cyc_solve_matrix(phi, cyc_matmul(iso_mats[g], phi)), m, d)
             for g in gens]
         if _pairwise_commuting(bmats):
             return cand

@@ -12,7 +12,7 @@ positive integer fixed per element; elements of different conductors do
 not mix.
 
 Also provides linear algebra over the field (rank, nullspace, solve,
-column space, inverse) for the intertwiner and isotypic computations in
+column space) for the intertwiner and isotypic computations in
 the character-theory modules.  It eliminates with the field-generic
 ``_linalg.echelon``, supplying only the field's zero, one and ``Cyc.inv``.
 """
@@ -277,16 +277,6 @@ def cyc_column_space(rows):
     """Basis of the column span: the pivot columns of the matrix."""
     _, pivots = _linalg.echelon(rows, Cyc.inv)
     return [[rows[i][p] for i in range(len(rows))] for p in pivots]
-
-
-def cyc_inv_matrix(a):
-    n = len(a)
-    zero = Cyc.zero(a[0][0].m)
-    ident = cyc_identity(n, a[0][0].m)
-    red, pivots = _linalg.echelon([list(r) + ident[i] for i, r in enumerate(a)], Cyc.inv)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [[row.get(c, zero) for c in range(n, 2 * n)] for row in red]
 
 
 def cyc_solve_matrix(a, b):

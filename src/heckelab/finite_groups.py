@@ -74,13 +74,6 @@ class FiniteGroup:
             k += 1
         return k
 
-    def exponent(self, subset: Iterable[int] | None = None) -> int:
-        out = 1
-        for g in (subset if subset is not None else range(self.order)):
-            o = self.element_order(g)
-            out = out * o // gcd(out, o)
-        return out
-
     # subgroup machinery -------------------------------------------------
     def closure(self, gens: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted(self._closure_tree(list(gens))))
@@ -90,18 +83,15 @@ class FiniteGroup:
         return _closure.closure(
             [0], lambda x: zip(gens, map(table[x].__getitem__, gens)))
 
-    def generators(self, subset: Iterable[int] | None = None) -> list[int]:
-        """Greedy generating set of the subset (default: the group): scan
-        it in increasing order and keep each element outside the closure
-        of those kept.  In a group each kept element at least doubles the
-        closure, so at most log2 of the subset's size are kept."""
-        gens: list[int] = []
-        span = {0}
-        for x in (range(self.order) if subset is None else sorted(subset)):
-            if x not in span:
-                gens.append(x)
-                span = set(self.closure(gens))
-        return gens
+    def generators(self, subset: Iterable[int] | None = None
+                   ) -> list[int] | None:
+        """Greedy generating set of the subset (default: the group) in
+        increasing order, or None if it is not a subgroup.  Each kept
+        element at least doubles the closure, so at most log2 of the
+        subset's size are kept."""
+        return _closure.generators(
+            range(self.order) if subset is None else sorted(subset),
+            self.mul, 0)
 
     def generation_tree(self, gens: Sequence[int]) -> list[tuple[int, int, int]]:
         """Spanning tree of the closure: (element, parent, generator)
@@ -110,8 +100,7 @@ class FiniteGroup:
                 if x is not None]
 
     def is_subgroup(self, subset: Iterable[int]) -> bool:
-        s = set(subset)
-        return 0 in s and all(self.mul(a, b) in s for a in s for b in s)
+        return _closure.generators(subset, self.mul, 0) is not None
 
     def is_normal(self, subset: Iterable[int],
                   ambient: Iterable[int] | None = None) -> bool:
@@ -291,15 +280,8 @@ def quotient_characters(group: FiniteGroup, big: Sequence[int],
         e = e * o // gcd(e, o)
 
     # greedy generating set of the quotient
-    gens: list[int] = []
-    span = {coset_of[0]}
-    for a in sorted(reps):
-        if a in span:
-            continue
-        gens.append(a)
-        span = set(_closure.closure(span, lambda x: [(a, qmul[x, a])]))
-        if len(span) == len(reps):
-            break
+    gens = _closure.generators(sorted(reps), lambda a, b: qmul[a, b],
+                               coset_of[0])
 
     # spans the quotient; each generator hangs off the identity coset
     tree = list(_closure.closure(

@@ -23,7 +23,6 @@ not close.
 from __future__ import annotations
 
 import itertools
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -242,27 +241,6 @@ class BernsteinAlgebra:
             gens.append(self.theta(tuple(int(k == j) for k in range(self.rank))))
         return all(self.bernstein_multiply(z, g) == self.bernstein_multiply(g, z)
                    for g in gens)
-
-
-def dominant_decomposition(datum: RootDatum, lam) -> tuple[Coweight, Coweight]:
-    """Split a coweight as a difference of two dominant ones.  The
-    subtrahend is a multiple of an integral strictly dominant direction,
-    large enough to dominate every negative simple pairing."""
-    lam = tuple(int(x) for x in lam)
-    if datum.is_dominant_coweight(lam):
-        return lam, (0,) * len(lam)
-    fund = datum.fundamental_coweights()
-    total = [sum(fw[k] for fw in fund) for k in range(datum.ambient_rank)]
-    den = math.lcm(*(x.denominator for x in total))
-    direction = tuple(int(x * den) for x in total)
-    worst = max(-min(0, int(datum.pairing(datum.roots[k], lam)))
-                for k in datum.simple)
-    steps = -(-worst // den)  # ceiling division
-    lam2 = tuple(steps * x for x in direction)
-    lam1 = tuple(a + b for a, b in zip(lam, lam2))
-    if not (datum.is_dominant_coweight(lam1) and datum.is_dominant_coweight(lam2)):
-        raise AssertionError("dominant decomposition is not dominant")
-    return lam1, lam2
 
 
 # ---------------------------------------------------------------------------

@@ -68,7 +68,7 @@ class Representation:
         if set(dom) != set(mats):
             raise ValueError("matrix map does not cover the domain")
         gens = group.generators(dom)
-        if group.closure(gens) != dom:
+        if gens is None or len(set(dom)) != len(dom):
             raise ValueError("domain is not a subgroup")
         dim = self.dim
         if any(len(m) != dim or any(len(row) != dim for row in m)

@@ -174,14 +174,7 @@ class RootDatum:
         return (n >= 1 and self.coroots == self.roots
                 and sorted(self.roots) == sorted(diffs))
 
-    # -- reflections ----------------------------------------------------
-
-    def reflect_cocharacter(self, pair_index: int, lam: Sequence[Q]) -> tuple[Q, ...]:
-        """lam - <root, lam> coroot, for the pair at ``pair_index``."""
-        a = self.roots[pair_index]
-        av = self.coroots[pair_index]
-        c = self.pairing(a, lam)
-        return tuple(Q(li) - c * vi for li, vi in zip(lam, av))
+    # -- dominance ------------------------------------------------------
 
     def is_dominant_coweight(self, lam: Sequence) -> bool:
         return all(self.pairing(a, lam) >= 0 for a in self.simple_roots())
@@ -632,40 +625,9 @@ class WeylGroup:
         return self._stabilizers[key]
 
     def is_subgroup(self, subset: Iterable[WeylElement]) -> bool:
-        """Whether ``subset`` is a subgroup, proven on a greedy generating
-        set S with |subset| * |S| products instead of |subset|^2.
-
-        Walk the subset in order and add to S each member that the span
-        (the closure of {e} under right multiplication by S) does not yet
-        hold, extending the span as S grows.  A product outside the
-        subset disproves closure at once.  Otherwise every member is in
-        the span, which lies inside the subset, so the subset is the
-        monoid generated by S.  In a finite group each g has g^k = e for
-        some k >= 1, so g^-1 = g^(k-1) is in that monoid too: the subset
-        is a subgroup."""
-        members = list(subset)
-        inside = set(members)
-        if self.identity not in inside:
-            return False
-        span = {self.identity}
-        gens: list[WeylElement] = []
-        for g in members:
-            if g in span:
-                continue
-            gens.append(g)
-            # old span elements still lack the product with g; new ones
-            # need every generator
-            pending = [(w, (g,)) for w in span]
-            while pending:
-                w, by = pending.pop()
-                for s in by:
-                    nxt = self.mul(w, s)
-                    if nxt not in inside:
-                        return False
-                    if nxt not in span:
-                        span.add(nxt)
-                        pending.append((nxt, gens))
-        return True
+        """Whether ``subset`` is a subgroup, proven on a greedy
+        generating set by ``_closure.generators``."""
+        return _closure.generators(subset, self.mul, self.identity) is not None
 
     def orbit_cocharacter(self, lam: Sequence) -> set[tuple]:
         return set(_closure.closure(

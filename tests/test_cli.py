@@ -584,6 +584,12 @@ def _float_generator(entry):
     entry["rho"]["generators"][0] = float(entry["rho"]["generators"][0])
 
 
+def _set_label(value):
+    def mutate(entry):
+        entry["group"]["label"] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate,needle", [
     (_set_coefficient([0.0, 1.0]), "coefficients must be strings"),
     (_set_coefficient([False, True]), "coefficients must be strings"),
@@ -597,9 +603,12 @@ def _float_generator(entry):
      "permutations must be an integer"),
     (_float_table_entry, "table must be an integer"),
     (_float_generator, "generators must be an integer"),
+    (_set_key("name", 5), "name must be a string, got 5"),
+    (_set_label([1]), "group label must be a string, got [1]"),
 ], ids=["float_coeff", "bool_coeff", "int_coeff", "float_conductor",
         "bool_conductor", "float_normal", "float_j_tilde",
-        "float_permutation", "float_table", "float_generator"])
+        "float_permutation", "float_table", "float_generator", "int_name",
+        "list_label"])
 def test_clifford_catalog_json_numbers_exit_2(mutate, needle, tmp_path,
                                               capsys):
     from heckelab.catalog import catalog_to_json

@@ -27,6 +27,7 @@ from heckelab.catalog import (
 from heckelab.clifford_lab import (
     FiniteGroupModel,
     ModelAnalysis,
+    _multiplicity_factor,
     check_hypotheses,
     clifford_report,
     conjugate_orbit,
@@ -319,6 +320,70 @@ def test_maximal_stabilizer_m1_shortcut():
                               model.rho, c.dagger,
                               ModelAnalysis(model).restriction)
     assert stab == c.inertia
+
+
+def _zmat(cond, rows):
+    """Matrix over Q(zeta_cond) from entries (a, k) = a * zeta^k."""
+    return [[Cyc.zeta(cond, k) * a for a, k in row] for row in rows]
+
+
+def _kron(b, a):
+    return [[x * y for x in b_row for y in a_row]
+            for b_row in b for a_row in a]
+
+
+# (conductor, B, A): B acts on C^m, A on C^d
+KRONECKER_CASES = {
+    "z4_d1": (4, [[(1, 1), (1, 0)], [(0, 0), (-1, 0)]], [[(1, 3)]]),
+    "z4_d2": (4, [[(0, 0), (1, 0)], [(1, 0), (2, 1)]],
+              [[(1, 1), (-1, 0)], [(1, 0), (1, 1)]]),
+    "z4_a_row0_zero": (4, [[(1, 0), (1, 1)], [(1, 1), (1, 0)]],
+                       [[(0, 0), (0, 0)], [(1, 1), (1, 0)]]),
+    "z3_m3": (3, [[(1, 1), (0, 0), (1, 0)], [(0, 0), (1, 2), (0, 0)],
+                  [(1, 0), (0, 0), (-1, 1)]],
+              [[(1, 2), (1, 0)], [(1, 0), (1, 1)]]),
+    "z3_m1": (3, [[(2, 1)]], [[(1, 0), (1, 1)], [(0, 0), (1, 2)]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KRONECKER_CASES))
+def test_multiplicity_factor_reads_the_left_kronecker_factor(case):
+    cond, b_src, a_src = KRONECKER_CASES[case]
+    b, a = _zmat(cond, b_src), _zmat(cond, a_src)
+    got = _multiplicity_factor(_kron(b, a), len(b), len(a))
+    # a nonzero scalar multiple of B
+    r, s = next((r, s) for r, row in enumerate(b) for s, x in enumerate(row)
+                if x)
+    c = got[r][s] * b[r][s].inv()
+    assert c
+    assert got == [[c * x for x in row] for row in b]
+
+
+@pytest.mark.parametrize("case", ["z4_d2", "z4_a_row0_zero", "z3_m3"])
+def test_multiplicity_factor_rejects_a_changed_entry(case):
+    # B and A have at least two nonzero entries each, so changing any one
+    # entry of B (x) A leaves no Kronecker product
+    cond, b_src, a_src = KRONECKER_CASES[case]
+    mat = _kron(_zmat(cond, b_src), _zmat(cond, a_src))
+    m, d = len(b_src), len(a_src)
+    for i in range(m * d):
+        for j in range(m * d):
+            bad = [list(row) for row in mat]
+            bad[i][j] = bad[i][j] + Cyc.one(cond)
+            with pytest.raises(AssertionError, match="Kronecker"):
+                _multiplicity_factor(bad, m, d)
+
+
+@pytest.mark.parametrize("name", sorted(n for n, e in EXPECTED.items()
+                                        if e[0] > 1))
+def test_maximal_stabilizer_orders_at_higher_multiplicity(name):
+    model = MODELS[name]
+    analysis = ModelAnalysis(model)
+    stab = maximal_stabilizer(model.group, model.j, model.rho_tilde,
+                              model.rho, analysis.twists.dagger,
+                              analysis.restriction)
+    assert analysis.restriction.multiplicity > 1
+    assert len(stab) == EXPECTED[name][3]
 
 
 def test_one_evaluation_shares_multiplicity_and_double_cosets(monkeypatch):

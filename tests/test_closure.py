@@ -3,8 +3,11 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckelab._closure import closure
+from heckelab.finite_groups import dihedral, heisenberg, quaternion
 from heckelab.root_datum import (
     REGISTRY,
     WeylElement,
@@ -118,3 +121,56 @@ def test_infinite_root_system_is_refused():
     # affine A1: the roots a + k d never close
     with pytest.raises(ValueError, match="^root system too large$"):
         datum_from_cartan([[2, -2], [-2, 2]])
+
+
+SMALL_GROUPS = {"D8": dihedral(4), "Q8": quaternion(8), "He3": heisenberg(3)}
+
+
+def reference_generators(group, subset=None):
+    """The greedy loop ``FiniteGroup.generators`` used before
+    ``_closure.generators``: rebuild the closure after each kept
+    element."""
+    gens: list[int] = []
+    span = {0}
+    for x in (range(group.order) if subset is None else sorted(subset)):
+        if x not in span:
+            gens.append(x)
+            span = set(group.closure(gens))
+    return gens
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
+def test_generators_match_the_rebuild_loop_on_every_subgroup(name):
+    group = SMALL_GROUPS[name]
+    # every subgroup of these groups is generated by two elements
+    subgroups = {group.closure([a, b])
+                 for a in range(group.order) for b in range(group.order)}
+    assert group.generators() == reference_generators(group)
+    for sub in subgroups:
+        assert group.generators(sub) == reference_generators(group, sub)
+        assert group.is_subgroup(sub)
+
+
+@st.composite
+def subsets(draw):
+    name = draw(st.sampled_from(sorted(SMALL_GROUPS)))
+    group = SMALL_GROUPS[name]
+    elements = st.integers(0, group.order - 1)
+    if draw(st.booleans()):
+        subset = set(draw(st.sets(elements)))
+    else:
+        # a subgroup, perhaps with one element toggled
+        subset = set(group.closure(draw(st.lists(elements, max_size=3))))
+        if draw(st.booleans()):
+            subset ^= {draw(elements)}
+    return group, subset
+
+
+@settings(max_examples=200, deadline=None)
+@given(subsets())
+def test_is_subgroup_matches_the_pairwise_definition(drawn):
+    group, subset = drawn
+    pairwise = 0 in subset and all(group.mul(a, b) in subset
+                                   for a in subset for b in subset)
+    assert group.is_subgroup(subset) == pairwise
+    assert (group.generators(subset) is not None) == pairwise

@@ -84,7 +84,6 @@ def test_dihedral_element_orders():
     assert D8.element_order(2) == 2
     for k in range(4, 8):
         assert D8.element_order(k) == 2
-    assert D8.exponent() == 4
 
 
 def test_quaternion_structure():
@@ -97,7 +96,6 @@ def test_quaternion_structure():
 
 def test_heisenberg_center_and_commutator():
     assert HE3.order == 27
-    assert HE3.exponent() == 3
     # [a, b] = z with a = (1,0,0), b = (0,1,0), z = (0,0,1)
     a, b = 9, 3
     comm = HE3.mul(HE3.mul(a, b), HE3.inv(HE3.mul(b, a)))

@@ -13,7 +13,6 @@ from heckelab.iwahori_hecke import (
     BernsteinAlgebra,
     CommutatorMatrix,
     HeckeElement,
-    dominant_decomposition,
     label_orbits,
     satake_check,
 )
@@ -111,22 +110,6 @@ def test_theta_additivity_and_inverse(lam, mu):
         alg.theta(total)
     neg = tuple(-a for a in lam)
     assert alg.bernstein_multiply(alg.theta(lam), alg.theta(neg)) == alg.one()
-
-
-@pytest.mark.parametrize("name", ["GL2", "A2", "B2"])
-def test_dominant_decomposition(name):
-    datum = alg_for(name).datum
-    alg = alg_for(name)
-    rank = datum.ambient_rank
-    for lam in itertools.product(range(-2, 3), repeat=rank):
-        lam1, lam2 = dominant_decomposition(datum, lam)
-        assert datum.is_dominant_coweight(lam1)
-        assert datum.is_dominant_coweight(lam2)
-        assert tuple(a - b for a, b in zip(lam1, lam2)) == lam
-        # the label equals the dominant difference as an element
-        neg = tuple(-x for x in lam2)
-        assert alg.bernstein_multiply(alg.theta(lam1), alg.theta(neg)) == \
-            alg.theta(lam)
 
 
 def test_commutation_rule_oracle():

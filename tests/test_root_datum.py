@@ -402,17 +402,6 @@ KEYS = ["A1", "A2", "B2", "G2", "GL2", "GL3", "A1Z1"]
 
 @settings(max_examples=60, deadline=None)
 @given(key=st.sampled_from(KEYS), data=st.data())
-def test_reflection_involution_on_cocharacters(key, data):
-    datum, _ = setup(key)
-    lam = data.draw(st.tuples(*[st.integers(-4, 4)] * datum.ambient_rank))
-    for k in datum.simple:
-        once = datum.reflect_cocharacter(k, lam)
-        twice = datum.reflect_cocharacter(k, once)
-        assert twice == lam
-
-
-@settings(max_examples=60, deadline=None)
-@given(key=st.sampled_from(KEYS), data=st.data())
 def test_weyl_action_preserves_pairing(key, data):
     datum, group = setup(key)
     w = data.draw(st.sampled_from(group.elements))

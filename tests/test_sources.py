@@ -39,3 +39,52 @@ def test_no_unused_import_in_the_package():
              if (unused := _unused_imports(ast.parse(path.read_text(),
                                                      str(path))))}
     assert not found, found
+
+
+def _unread_private_helpers(trees: dict[str, ast.Module]) -> list[str]:
+    """Private functions and classes (``_name``, dunders excepted) that no
+    Name, Attribute or import alias of the package reads outside their
+    own definition."""
+    defined: dict[str, str] = {}
+    read: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: frozenset, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            name = node.name
+            if name.startswith("_") and not (name.startswith("__")
+                                             and name.endswith("__")):
+                defined.setdefault(name, f"{where}:{node.lineno}")
+            enclosing = enclosing | {name}
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.alias):
+            names = [node.name, node.asname]
+        else:
+            names = []
+        read.update(n for n in names if n and n not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing, where)
+
+    for where, tree in trees.items():
+        visit(tree, frozenset(), where)
+    return sorted(f"{name} ({where})" for name, where in defined.items()
+                  if name not in read)
+
+
+def test_every_private_helper_is_referenced():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    found = _unread_private_helpers(trees)
+    assert not found, found
+
+
+def test_unread_private_helper_is_found():
+    tree = ast.parse(
+        "def _dead(x):\n    return _dead(x - 1) if x else 0\n"
+        "def _used():\n    return 1\n"
+        "class _Kept:\n    def _method(self):\n        return _used()\n"
+        "_Kept()._method()\n")
+    assert _unread_private_helpers({"m.py": tree}) == ["_dead (m.py:1)"]
