@@ -315,7 +315,7 @@ def _rep_from_json(group: FiniteGroup, data: dict, cond: int
     mats = [[[_coeffs_from_json(cond, e) for e in row] for row in m]
             for m in data["matrices"]]
     return Representation.from_generators(
-        group, _integers(data["generators"], "generators"), mats, cond)
+        group, _elements(group, data["generators"], "generators"), mats, cond)
 
 
 def model_to_json(model: FiniteGroupModel) -> dict:
@@ -339,6 +339,14 @@ def _integers(values: list, what: str) -> tuple[int, ...]:
     return tuple(_integer(v, f"every entry of {what}") for v in values)
 
 
+def _elements(group: FiniteGroup, values: list, what: str) -> tuple[int, ...]:
+    out = _integers(values, what)
+    if not all(0 <= g < group.order for g in out):
+        raise ValueError(f"{what} must index the {group.order} group "
+                         f"elements, got {values!r}")
+    return out
+
+
 def _string(value, what: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {value!r}")
@@ -353,15 +361,17 @@ def model_from_json(data: dict) -> FiniteGroupModel:
         group = FiniteGroup(
             tuple(_integers(r, "table") for r in gsrc["table"]), label)
     elif "permutations" in gsrc:
-        group = from_permutations(
-            [_integers(p, "permutations") for p in gsrc["permutations"]],
-            label)
+        perms = [_integers(p, "permutations") for p in gsrc["permutations"]]
+        if not perms or any(sorted(p) != list(range(len(perms[0])))
+                            for p in perms):
+            raise ValueError("permutations must rearrange one set 0..k-1")
+        group = from_permutations(perms, label)
     else:
         raise ValueError("group needs a table or permutation generators")
     cond = _integer(data["conductor"], "conductor")
     model = FiniteGroupModel(
-        name, group, _integers(data["normal"], "normal"),
-        _integers(data["j_tilde"], "j_tilde"),
+        name, group, _elements(group, data["normal"], "normal"),
+        _elements(group, data["j_tilde"], "j_tilde"),
         _rep_from_json(group, data["rho_tilde"], cond),
         _rep_from_json(group, data["rho"], cond))
     model.validate()

@@ -686,7 +686,7 @@ def _run_clifford(config: RunConfig) -> VerificationReport:
 
 def _run_torus_center(config: RunConfig) -> VerificationReport:
     from .torus_center import (invariant_dimension, orbits,
-                               roc_decomposition_check, stabilizer_Wchi)
+                               roc_decomposition_check)
     group = load_group(config.datum)
     datum = group.datum
     q, radius = config.field_size, config.radius
@@ -714,7 +714,8 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
             "size": len(osum.orbit),
             "members": [{"coweight": list(lam), "character": list(ch.components)}
                         for lam, ch in osum.orbit],
-            "stabilizer_order": len(stabilizer_Wchi(group, chi0)),
+            "stabilizer_order": len(group.character_stabilizer(
+                chi0.components, chi0.q - 1)),
         }
         if config.check in ("roc", "all"):
             rep = roc_decomposition_check(group, osum)

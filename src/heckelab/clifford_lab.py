@@ -101,8 +101,8 @@ class FiniteGroupModel:
 class RestrictionReport:
     multiplicity: int
     orbit_size: int
-    orbit: tuple | None  # conjugate characters when a constituent is known
-    inertia: tuple[int, ...] | None  # the constituent's inertia subgroup
+    orbit: tuple  # the constituent's conjugate characters
+    inertia: tuple[int, ...]  # the constituent's inertia subgroup
 
 
 def conjugate_orbit(group: FiniteGroup, big: Sequence[int],
@@ -129,15 +129,15 @@ def conjugate_orbit(group: FiniteGroup, big: Sequence[int],
 
 
 def restrict_decompose(group: FiniteGroup, sub: Sequence[int],
-                       rep: Representation,
-                       constituent: Char | None = None) -> RestrictionReport:
+                       rep: Representation, constituent: Char
+                       ) -> RestrictionReport:
     """Common multiplicity and conjugate orbit of the restriction of an
     irreducible representation to a normal subgroup of its domain.
 
     The multiplicity is computed twice: from the norm of the restricted
-    character and from the class-sum rank.  When a known constituent
-    character is passed, its orbit and inertia subgroup are assembled and
-    the literal identity  Res = m * (sum of the orbit)  is checked
+    character and from the class-sum rank.  The orbit and inertia
+    subgroup of the known constituent character are assembled and the
+    literal identity  Res = m * (sum of the orbit)  is checked
     pointwise."""
     sub = tuple(sorted(sub))
     if not group.is_normal(sub, rep.domain):
@@ -148,8 +148,6 @@ def restrict_decompose(group: FiniteGroup, sub: Sequence[int],
         raise ValueError(
             f"representation is reducible: <chi,chi> = {norm}")
     m, k = common_multiplicity(rep, sub)
-    if constituent is None:
-        return RestrictionReport(m, k, None, None)
     orbit, inertia = conjugate_orbit(group, rep.domain, sub, constituent)
     if len(orbit) != k:
         raise AssertionError("orbit size disagrees with class-sum count")

@@ -20,14 +20,18 @@ to permutation conjugation keep volume; distinct volume is a proof of
 non-conjugacy over the field (Haar measure is conjugation invariant),
 which is the obstruction that finishes the wall-point example.
 
-Points are counted by one per-entry rule (_entry_exponents).  Brute
-force enumerates matrices over Z/p^N in numpy int64, and
-iwahori_factorization_check proves the factorization by block-LDU
-uniqueness; above the element cap, or outside the int64 precondition,
-the analytic count comparison stands alone and is flagged, never
-silently trusted.  numpy is imported only when a brute-force
-enumeration runs (the helpers that build arrays import it themselves),
-so the bound matrices, volumes and Levi comparisons load without it.
+An entry constraint is the units (a diagonal bound 0) or a residue
+class r + p^m O, r = 1 on the diagonal and 0 off it, m infinite for an
+entry frozen to r.  One rule counts its residues mod p^N
+(_entry_exponents), one lists them (_constraint_values) and one tests
+them (_constraint_mask).  Brute force enumerates matrices over Z/p^N in
+numpy int64, and iwahori_factorization_check proves the factorization
+by block-LDU uniqueness; above the element cap, or outside the int64
+precondition, the analytic count comparison stands alone and is
+flagged, never silently trusted.  numpy is imported only when a
+brute-force enumeration runs (the helpers that build arrays import it
+themselves), so the bound matrices, volumes and Levi comparisons load
+without it.
 """
 from __future__ import annotations
 
@@ -186,20 +190,17 @@ def theta_blocks(n: int, theta: Sequence[int]) -> tuple[tuple[int, ...], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Entry constraints: the one per-entry rule for counting and enumerating
+# Entry constraints: a residue class or the units, counted and enumerated
 # ---------------------------------------------------------------------------
 
-# ("val", m) | ("cong", m) | ("unit",) | ("one",) | ("zero",)
-Constraint = tuple
+Constraint = tuple  # ("class", r, m) = r + p^m O, m = _INF frozen; ("unit",)
 
 
 def _entry_constraint(K: ValuationGroupScheme, i: int, j: int) -> Constraint:
     m = K.bounds[i][j]
-    if m is None:
-        return ("zero",)
-    if i == j:
-        return ("unit",) if m == 0 else ("cong", m)
-    return ("val", m)
+    if i == j and m == 0:
+        return ("unit",)
+    return ("class", int(i == j), _b(m))
 
 
 def _constraints(K: ValuationGroupScheme) -> list[list[Constraint]]:
@@ -209,12 +210,9 @@ def _constraints(K: ValuationGroupScheme) -> list[list[Constraint]]:
 
 def _entry_exponents(c: Constraint, N: int) -> tuple[int, int]:
     """The residues mod p^N meeting c number p^a (p-1)^b; returns (a, b)."""
-    kind = c[0]
-    if kind in ("zero", "one"):
-        return 0, 0
-    if kind == "unit":
+    if c[0] == "unit":
         return N - 1, 1
-    return N - c[1], 0
+    return max(N - c[2], 0), 0
 
 
 def _grid_exponents(constraints: list[list[Constraint]],
@@ -331,42 +329,18 @@ def compare_levi_volumes(K1: ValuationGroupScheme, K2: ValuationGroupScheme,
 
 def _constraint_values(c: Constraint, p: int, N: int) -> np.ndarray:
     import numpy as np
-    mod = p ** N
-    kind = c[0]
-    if kind == "zero":
-        return np.array([0], dtype=np.int64)
-    if kind == "one":
-        return np.array([1], dtype=np.int64)
-    if kind == "unit":
-        return np.array([x for x in range(mod) if x % p], dtype=np.int64)
-    m = c[1]
-    vals = np.arange(0, mod, p ** m, dtype=np.int64)
-    return vals + 1 if kind == "cong" else vals
-
-
-def _value_count(c: Constraint, p: int, N: int) -> int:
-    """len(_constraint_values(c, p, N)), without building the values."""
-    mod = p ** N
-    kind = c[0]
-    if kind in ("zero", "one"):
-        return 1
-    if kind == "unit":
-        return mod - -(-mod // p)       # all residues but the multiples of p
-    return -(-mod // p ** c[1])         # ceil(mod / p^m) steps of p^m
+    if c[0] == "unit":
+        return np.array([x for x in range(p ** N) if x % p], dtype=np.int64)
+    _, r, m = c
+    return np.arange(r, p ** N, p ** min(m, N), dtype=np.int64)
 
 
 def _constraint_mask(c: Constraint, entries: np.ndarray, p: int, N: int) -> np.ndarray:
-    kind = c[0]
-    if kind == "zero":
-        return entries == 0
-    if kind == "one":
-        return entries == 1
-    if kind == "unit":
+    if c[0] == "unit":
         return entries % p != 0
-    m = p ** c[1]
-    if kind == "cong":
-        return entries % m == 1 % m
-    return entries % m == 0
+    _, r, m = c
+    q = p ** min(m, N)
+    return entries % q == r % q
 
 
 def _enumerate(constraints: list[list[Constraint]], p: int, N: int,
@@ -376,12 +350,10 @@ def _enumerate(constraints: list[list[Constraint]], p: int, N: int,
     before any value array is built."""
     import numpy as np
     n = len(constraints)
-    total = 1
-    for row in constraints:
-        for c in row:
-            total *= _value_count(c, p, N)
-            if total > cap:
-                return None
+    a, b = _grid_exponents(constraints, N)
+    total = p ** a * (p - 1) ** b
+    if total > cap:
+        return None
     cells = [(i, j, _constraint_values(constraints[i][j], p, N))
              for i in range(n) for j in range(n)]
     out = np.zeros((total, n, n), dtype=np.int64)
@@ -428,11 +400,11 @@ def _factor_constraints(K: ValuationGroupScheme, blocks: Sequence[Sequence[int]]
             "lower": operator.gt}[part]
     n = K.size
     out: list[list[Constraint]] = [
-        [_entry_constraint(K, i, j) if kept(owner[i], owner[j]) else ("zero",)
-         for j in range(n)] for i in range(n)]
+        [_entry_constraint(K, i, j) if kept(owner[i], owner[j])
+         else ("class", 0, _INF) for j in range(n)] for i in range(n)]
     if part != "levi":
         for i in range(n):
-            out[i][i] = ("one",)
+            out[i][i] = ("class", 1, _INF)
     return out
 
 

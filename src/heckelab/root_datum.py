@@ -71,14 +71,6 @@ def cartan_matrix(kind: str, n: int) -> list[list[int]]:
         for i in range(n - 2):
             link(i, i + 1)
         link(n - 2, n - 1, -2, -1)
-    elif kind == "D":
-        if n < 2:
-            raise ValueError("type D needs rank >= 2")
-        for i in range(n - 3):
-            link(i, i + 1)
-        if n >= 3:
-            link(n - 3, n - 2)
-            link(n - 3, n - 1)
     elif kind == "G":
         if n != 2:
             raise ValueError("type G needs rank 2")

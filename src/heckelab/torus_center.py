@@ -136,22 +136,6 @@ def orbits(group: WeylGroup, q: int, radius: int) -> list[OrbitSum]:
     return out
 
 
-def stabilizer_Wchi(group: WeylGroup, chi: ResidueCharacter
-                    ) -> tuple[WeylElement, ...]:
-    """Subgroup W_chi of the finite Weyl group fixing the residue
-    character, in enumeration order.
-
-    It is the group's memoised ``character_stabilizer`` of the exponent
-    tuple mod q - 1, so each character's stabilizer is built once per
-    group.  When first built it is proven a subgroup on a greedy
-    generating set S (``WeylGroup.is_subgroup``): closing {e} under
-    right multiplication by S stays inside the set and reaches all of
-    it, so the set is the monoid generated by S, hence a subgroup.  A
-    set that is not closed fails that test and raises "stabilizer is not
-    closed"."""
-    return group.character_stabilizer(chi.components, chi.q - 1)
-
-
 # ---------------------------------------------------------------------------
 # block decomposition of an orbit sum by residue character
 # ---------------------------------------------------------------------------
@@ -187,7 +171,7 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
 
     for chi in sorted(blocks, key=lambda c: c.components):
         lams = blocks[chi]
-        stab = stabilizer_Wchi(group, chi)
+        stab = group.character_stabilizer(chi.components, chi.q - 1)
         seed = min(lams)
         reached = {group.act_cocharacter(w, seed) for w in stab}
         if reached != lams:

@@ -590,6 +590,12 @@ def _set_label(value):
     return mutate
 
 
+def _set_rho_generators(value):
+    def mutate(entry):
+        entry["rho"]["generators"] = value
+    return mutate
+
+
 @pytest.mark.parametrize("mutate,needle", [
     (_set_coefficient([0.0, 1.0]), "coefficients must be strings"),
     (_set_coefficient([False, True]), "coefficients must be strings"),
@@ -605,10 +611,19 @@ def _set_label(value):
     (_float_generator, "generators must be an integer"),
     (_set_key("name", 5), "name must be a string, got 5"),
     (_set_label([1]), "group label must be a string, got [1]"),
+    (_set_key("normal", [0, 99]), "normal must index the 8 group elements"),
+    (_set_key("normal", [0, -1, 2, 3]), "normal must index the 8 group"),
+    (_set_key("j_tilde", [0, 1, 2, 3, 4, 5, 6, 99]),
+     "j_tilde must index the 8 group elements"),
+    (_set_rho_generators([99]), "generators must index the 8 group"),
+    (_set_key("group", {"permutations": [[5, 0]]}),
+     "permutations must rearrange one set 0..k-1"),
 ], ids=["float_coeff", "bool_coeff", "int_coeff", "float_conductor",
         "bool_conductor", "float_normal", "float_j_tilde",
         "float_permutation", "float_table", "float_generator", "int_name",
-        "list_label"])
+        "list_label", "normal_out_of_range", "normal_negative",
+        "j_tilde_out_of_range", "generator_out_of_range",
+        "permutation_not_onto"])
 def test_clifford_catalog_json_numbers_exit_2(mutate, needle, tmp_path,
                                               capsys):
     from heckelab.catalog import catalog_to_json

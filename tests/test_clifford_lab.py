@@ -230,13 +230,14 @@ def test_restrict_decompose_rejects_reducible():
             for h in range(8)}
     rep = Representation.from_matrices(g, tuple(range(8)), mats, 4)
     with pytest.raises(ValueError, match="reducible"):
-        restrict_decompose(g, (0, 1, 2, 3), rep)
+        restrict_decompose(g, (0, 1, 2, 3), rep, rep.character())
 
 
 def test_restrict_decompose_rejects_non_normal():
     model = MODELS["d8_rho2"]
     with pytest.raises(ValueError, match="normal"):
-        restrict_decompose(model.group, (0, 4), model.rho_tilde)
+        restrict_decompose(model.group, (0, 4), model.rho_tilde,
+                           model.rho.character())
 
 
 def test_twist_group_rejects_small_conductor():

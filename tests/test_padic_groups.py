@@ -17,9 +17,13 @@ from hypothesis import given, settings, strategies as st
 
 from heckelab.apartment import base_alcove_closure_grid, filtration_profile
 from heckelab.padic_groups import (
-    FactorizationReport,
-    ValuationGroupScheme,
+    _INF,
     VolumeExponent,
+    _constraint_mask,
+    _constraint_values,
+    _entry_constraint,
+    _entry_exponents,
+    _factor_constraints,
     _levi_invertible,
     block_of,
     brute_point_count,
@@ -205,6 +209,40 @@ def test_enumeration_cap_checked_before_any_array_is_built():
         assert brute_point_count(K, p, N, cap=count) == count
         assert brute_point_count(K, p, N, cap=count - 1) is None
         assert len(group_elements(K, p, N, cap=count)) == count
+
+
+def _every_entry_constraint():
+    """Each constraint the group and factorization grids use on four
+    schemes, one of them a Levi intersection with frozen entries, and the
+    largest finite bound among them."""
+    split = [(0,), (1, 2)]
+    cases = [(iwahori_scheme(3), [(0,), (1,), (2,)]), (WALL, split),
+             (principal_congruence_scheme(2, 2), [(0,), (1,)]),
+             (intersect_levi(WALL, split), split)]
+    found = set()
+    for K, blocks in cases:
+        found |= {_entry_constraint(K, i, j)
+                  for i in range(K.size) for j in range(K.size)}
+        for part in ("levi", "upper", "lower"):
+            found |= {c for row in _factor_constraints(K, blocks, part)
+                      for c in row}
+    return sorted(found), max(K.max_finite_bound() for K, _ in cases)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_entry_rules_agree_on_every_constraint(p):
+    # the value list, the membership mask and the count exponents are
+    # three readings of one constraint; each must give the same residues
+    constraints, top = _every_entry_constraint()
+    assert {("unit",), ("class", 0, 0), ("class", 0, _INF),
+            ("class", 1, _INF)} <= set(constraints)
+    for c in constraints:
+        for N in range(1, top + 3):
+            values = _constraint_values(c, p, N)
+            mask = _constraint_mask(c, np.arange(p ** N), p, N)
+            assert values.tolist() == np.flatnonzero(mask).tolist(), (c, N)
+            a, b = _entry_exponents(c, N)
+            assert len(values) == p ** a * (p - 1) ** b, (c, N)
 
 
 def test_point_count_rejects_small_level():

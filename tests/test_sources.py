@@ -6,6 +6,7 @@ from pathlib import Path
 import heckelab
 
 PACKAGE = Path(heckelab.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_no_bare_assert_in_the_package():
@@ -34,8 +35,11 @@ def _unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_no_unused_import_in_the_package():
-    found = {path.name: unused
-             for path in sorted(PACKAGE.glob("*.py"))
+    # the scripts and the tests are held to the same rule as the package
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("scripts/*.py")),
+             *sorted(ROOT.glob("tests/*.py"))]
+    assert len(paths) > len(list(PACKAGE.glob("*.py")))
+    found = {f"{path.parent.name}/{path.name}": unused for path in paths
              if (unused := _unused_imports(ast.parse(path.read_text(),
                                                      str(path))))}
     assert not found, found

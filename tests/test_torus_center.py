@@ -17,7 +17,6 @@ from heckelab.torus_center import (
     invariant_dimension,
     orbits,
     roc_decomposition_check,
-    stabilizer_Wchi,
     weyl_act_pair,
 )
 
@@ -125,12 +124,12 @@ def test_negative_radius_rejected():
 
 
 def test_stabilizer_oracles():
-    assert len(stabilizer_Wchi(GL2, ResidueCharacter((0, 0), 3))) == 2
-    assert len(stabilizer_Wchi(GL2, ResidueCharacter((1, 1), 3))) == 2
-    stab = stabilizer_Wchi(GL2, ResidueCharacter((1, 0), 3))
+    assert len(GL2.character_stabilizer((0, 0), 2)) == 2
+    assert len(GL2.character_stabilizer((1, 1), 2)) == 2
+    stab = GL2.character_stabilizer((1, 0), 2)
     assert len(stab) == 1 and stab[0].word == ()
-    assert len(stabilizer_Wchi(GL3, ResidueCharacter((0, 0, 0), 3))) == 6
-    assert len(stabilizer_Wchi(GL3, ResidueCharacter((1, 1, 0), 3))) == 2
+    assert len(GL3.character_stabilizer((0, 0, 0), 2)) == 6
+    assert len(GL3.character_stabilizer((1, 1, 0), 2)) == 2
 
 
 @pytest.mark.parametrize("group,q", [
@@ -141,11 +140,13 @@ def test_memoised_stabilizer_matches_a_brute_filter(group, q):
     for chi in enumerate_characters(group.datum, q):
         brute = tuple(w for w in group.elements
                       if weyl_act_pair(w, (zero, chi))[1] == chi)
-        stab = stabilizer_Wchi(group, chi)
+        stab = group.character_stabilizer(chi.components, q - 1)
         assert stab == brute
-        # a second call hands back the memoised tuple itself
-        assert stabilizer_Wchi(group, chi) is stab
-        assert stabilizer_Wchi(group, ResidueCharacter(chi.components, q)) is stab
+        # a second call hands back the memoised tuple itself, also for
+        # exponents that are not reduced mod q - 1
+        assert group.character_stabilizer(chi.components, q - 1) is stab
+        unreduced = tuple(c + q - 1 for c in chi.components)
+        assert group.character_stabilizer(unreduced, q - 1) is stab
 
 
 def test_roc_singleton_passes():
