@@ -12,22 +12,19 @@ must come out SKIPPED, not wrong).
 Entries serialize to JSON: groups as multiplication tables (permutation
 generators are also accepted on input), subgroups as element lists,
 matrices as row-major lists of cyclotomic coefficient vectors.
+Evaluating an entry gives its record, the JSON object the clifford
+report lists: its Clifford orders, each check's record and its verdict.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import re
 from fractions import Fraction as Q
 
 from .clifford_lab import (
-    CenterReport,
-    CliffordReport,
-    CommutativityReport,
     FiniteGroupModel,
     ModelAnalysis,
-    TransferReport,
     center_dimension_check,
-    clifford_report,
     commutativity_check,
     multiplicity_transfer_check,
 )
@@ -119,29 +116,28 @@ def _q8_n_c4() -> FiniteGroupModel:
                             rho_t, rho)
 
 
-def _he3_z() -> FiniteGroupModel:
-    g = heisenberg(3)
+# the three-dimensional representation of He3 on generators 9 and 3
+def _he3_three_dim(g: FiniteGroup) -> Representation:
     z3 = Cyc.zeta(3)
     shift = _cmat(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     weight = [[Cyc.one(3), Cyc.zero(3), Cyc.zero(3)],
               [Cyc.zero(3), z3, Cyc.zero(3)],
               [Cyc.zero(3), Cyc.zero(3), z3 * z3]]
-    rho_t = _rep(g, [9, 3], [shift, weight], 3)
-    rho = _rep(g, [1], [[[z3]]], 3)
+    return _rep(g, [9, 3], [shift, weight], 3)
+
+
+def _he3_z() -> FiniteGroupModel:
+    g = heisenberg(3)
+    rho = _rep(g, [1], [[[Cyc.zeta(3)]]], 3)
     return FiniteGroupModel("he3_z", g, (0, 1, 2), tuple(range(27)),
-                            rho_t, rho)
+                            _he3_three_dim(g), rho)
 
 
 def _he3_n9() -> FiniteGroupModel:
     g = heisenberg(3)
-    z3 = Cyc.zeta(3)
-    shift = _cmat(3, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
-    weight = [[Cyc.one(3), Cyc.zero(3), Cyc.zero(3)],
-              [Cyc.zero(3), z3, Cyc.zero(3)],
-              [Cyc.zero(3), Cyc.zero(3), z3 * z3]]
-    rho_t = _rep(g, [9, 3], [shift, weight], 3)
+    rho_t = _he3_three_dim(g)
     n = g.closure([9, 1])
-    rho = _rep(g, [9, 1], [[[Cyc.one(3)]], [[z3]]], 3)
+    rho = _rep(g, [9, 1], [[[Cyc.one(3)]], [[Cyc.zeta(3)]]], 3)
     return FiniteGroupModel("he3_n9", g, n, tuple(range(27)), rho_t, rho)
 
 
@@ -169,10 +165,8 @@ def _q16_rho() -> FiniteGroupModel:
 
 def _q8xc3() -> FiniteGroupModel:
     g = direct_product(quaternion(8), cyclic(3))
-    i4 = Cyc.zeta(12, 3)
     z3 = Cyc.zeta(12, 4)
-    a = [[i4, Cyc.zero(12)], [Cyc.zero(12), -i4]]
-    b = _cmat(12, [[0, -1], [1, 0]])
+    a, b = _q8_two_dim(12)
     omega = [[z3, Cyc.zero(12)], [Cyc.zero(12), z3]]
     rho_t = _rep(g, [3, 12, 1], [a, b, omega], 12)
     rho = _rep(g, [6, 1], [[[-Cyc.one(12)]], [[z3]]], 12)
@@ -183,8 +177,7 @@ def _q8xc3() -> FiniteGroupModel:
 def _q8xd8() -> FiniteGroupModel:
     g = direct_product(quaternion(8), dihedral(4))
     i4 = Cyc.zeta(4)
-    a = [[i4, Cyc.zero(4)], [Cyc.zero(4), -i4]]
-    b = _cmat(4, [[0, -1], [1, 0]])
+    a, b = _q8_two_dim()
     scal = [[i4, Cyc.zero(4)], [Cyc.zero(4), i4]]
     j_t = g.closure([8, 32, 1])
     rho_t = _rep(g, [8, 32, 1], [a, b, scal], 4)
@@ -291,13 +284,19 @@ def _coeffs_to_json(value: Cyc) -> list[str]:
     return [str(c) for c in value.c]
 
 
+# an integer or p/q: no decimal point, no exponent, no zero denominator
+_EXACT_RATIONAL = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+
+
 def _coeffs_from_json(cond: int, coeffs: list[str]) -> Cyc:
     # coefficients are exact strings such as "-1/2", never JSON numbers;
     # the constructor validates the coefficient-vector length; integral
     # coefficients become ints, like those of the builtin entries
-    if not isinstance(coeffs, list) or not all(isinstance(c, str)
-                                               for c in coeffs):
-        raise ValueError(f"coefficients must be strings, got {coeffs!r}")
+    if not isinstance(coeffs, list) or not all(
+            isinstance(c, str) and _EXACT_RATIONAL.fullmatch(c)
+            for c in coeffs):
+        raise ValueError(f"coefficients must be strings p/q or integers, "
+                         f"got {coeffs!r}")
     values = [Q(c) for c in coeffs]
     return Cyc(cond, [v.numerator if v.denominator == 1 else v for v in values])
 
@@ -314,13 +313,19 @@ def _rep_from_json(group: FiniteGroup, data: dict, cond: int
                    ) -> Representation:
     mats = [[[_coeffs_from_json(cond, e) for e in row] for row in m]
             for m in data["matrices"]]
-    return Representation.from_generators(
-        group, _elements(group, data["generators"], "generators"), mats, cond)
+    gens = _elements(group, data["generators"], "generators")
+    dim = len(mats[0]) if mats else 0
+    if not dim or len(mats) != len(gens) or any(
+            {len(m), *map(len, m)} != {dim} for m in mats):
+        raise ValueError("a representation needs one square matrix of one "
+                         "positive size per generator")
+    return Representation.from_generators(group, gens, mats, cond)
 
 
 def model_to_json(model: FiniteGroupModel) -> dict:
-    gens_t = model.group.generators(model.rho_tilde.domain)
-    gens_r = model.group.generators(model.rho.domain)
+    # the trivial group has no greedy generator; 0 carries its matrix
+    gens_t = model.group.generators(model.rho_tilde.domain) or [0]
+    gens_r = model.group.generators(model.rho.domain) or [0]
     return {
         "name": model.name,
         "group": {"table": [list(r) for r in model.group.table],
@@ -356,6 +361,8 @@ def _string(value, what: str) -> str:
 def model_from_json(data: dict) -> FiniteGroupModel:
     name = _string(data["name"], "name")
     gsrc = data["group"]
+    if not isinstance(gsrc, dict):
+        raise ValueError("group must be a JSON object")
     label = _string(gsrc.get("label", ""), "group label")
     if "table" in gsrc:
         group = FiniteGroup(
@@ -368,7 +375,11 @@ def model_from_json(data: dict) -> FiniteGroupModel:
         group = from_permutations(perms, label)
     else:
         raise ValueError("group needs a table or permutation generators")
+    # every representation of G is realizable over Q(zeta_e), e | |G|
     cond = _integer(data["conductor"], "conductor")
+    if not 1 <= cond <= group.order:
+        raise ValueError(f"conductor must lie in 1..{group.order}, the "
+                         f"group order, got {cond}")
     model = FiniteGroupModel(
         name, group, _elements(group, data["normal"], "normal"),
         _elements(group, data["j_tilde"], "j_tilde"),
@@ -387,9 +398,12 @@ def catalog_from_json(data: dict) -> list[FiniteGroupModel]:
 
 
 def write_catalog(path: str, models: list[FiniteGroupModel] | None = None
-                  ) -> None:
+                  ) -> int:
+    """Write the catalog (default: the builtin one); return its size."""
+    data = catalog_to_json(models or build_catalog())
     with open(path, "w") as fh:
-        json.dump(catalog_to_json(models or build_catalog()), fh)
+        json.dump(data, fh)
+    return len(data["entries"])
 
 
 def read_catalog(path: str) -> list[FiniteGroupModel]:
@@ -401,78 +415,38 @@ def read_catalog(path: str) -> list[FiniteGroupModel]:
 # evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EntryResult:
-    name: str
-    clifford: CliffordReport
-    transfer: TransferReport
-    center: CenterReport
-    commutativity: CommutativityReport
-
-    @property
-    def skipped(self) -> bool:
-        return self.transfer.status == "SKIPPED"
-
-    @property
-    def passed(self) -> bool:
-        if self.skipped:
-            return True
-        return bool(self.transfer.equal and self.center.equal
-                    and self.commutativity.coincide)
-
-    def to_dict(self) -> dict:
-        c = self.clifford
-        return {
-            "name": self.name,
-            "multiplicity": c.multiplicity,
-            "orbit_size": c.orbit_size,
-            "inertia_order": len(c.inertia),
-            "stabilizer_order":
-                None if c.stabilizer is None else len(c.stabilizer),
-            "dagger_order": len(c.dagger),
-            "twist_order": c.twist_order,
-            "transfer": {
-                "status": self.transfer.status,
-                "failures": list(self.transfer.failures),
-                "over_normal": self.transfer.multiplicity_over_normal,
-                "over_j": self.transfer.multiplicity_over_j,
-                "equal": self.transfer.equal,
-            },
-            "center": {
-                "status": self.center.status,
-                "constituents": self.center.constituent_count,
-                "dagger_index": self.center.dagger_index,
-                "equal": self.center.equal,
-            },
-            "commutativity": {
-                "status": self.commutativity.status,
-                "normal_restriction_free":
-                    self.commutativity.normal_restriction_free,
-                "j_restriction_free": self.commutativity.j_restriction_free,
-                "endomorphisms_commute":
-                    self.commutativity.endomorphisms_commute,
-                "coincide": self.commutativity.coincide,
-            },
-            "passed": self.passed,
-        }
-
-
-def evaluate_entry(model: FiniteGroupModel) -> EntryResult:
+def evaluate_entry(model: FiniteGroupModel) -> dict:
+    """The catalog record of one model; a skipped entry passes."""
     model.validate()
     analysis = ModelAnalysis(model)
-    cr = clifford_report(model, analysis)
-    if cr.stabilizer is not None:
-        n_int, n_st, n_dag = len(cr.inertia), len(cr.stabilizer), len(cr.dagger)
-        if n_int != cr.multiplicity * n_st or n_st != cr.multiplicity * n_dag:
+    rest, tw = analysis.restriction, analysis.twists
+    stab, m = analysis.stabilizer, rest.multiplicity
+    if stab is not None:
+        n_int, n_st, n_dag = len(rest.inertia), len(stab), len(tw.dagger)
+        if n_int != m * n_st or n_st != m * n_dag:
             raise AssertionError(
                 f"{model.name}: stabilizer indices break the multiplicity "
-                f"ladder ({n_int}, {n_st}, {n_dag}, m={cr.multiplicity})")
-    return EntryResult(model.name, cr,
-                       multiplicity_transfer_check(model, analysis),
-                       center_dimension_check(model, analysis),
-                       commutativity_check(model, analysis))
+                f"ladder ({n_int}, {n_st}, {n_dag}, m={m})")
+    transfer = multiplicity_transfer_check(analysis)
+    center = center_dimension_check(analysis)
+    commutativity = commutativity_check(analysis)
+    return {
+        "name": model.name,
+        "multiplicity": m,
+        "orbit_size": rest.orbit_size,
+        "inertia_order": len(rest.inertia),
+        "stabilizer_order": None if stab is None else len(stab),
+        "dagger_order": len(tw.dagger),
+        "twist_order": tw.order,
+        "transfer": transfer,
+        "center": center,
+        "commutativity": commutativity,
+        "passed": transfer["status"] == "SKIPPED" or bool(
+            transfer["equal"] and center["equal"]
+            and commutativity["coincide"]),
+    }
 
 
-def evaluate_catalog(models: list[FiniteGroupModel]) -> list[EntryResult]:
+def evaluate_catalog(models: list[FiniteGroupModel]) -> list[dict]:
     """Evaluate entries independently, in input order."""
     return [evaluate_entry(m) for m in models]

@@ -8,11 +8,13 @@ multiplicities, twist groups and their common kernel, inertia and
 maximal-stabilizer subgroups, intertwining sets, and runs the three
 model-level checks (multiplicity transfer, center dimension,
 commutativity), each by at least two independent routes where the
-statement being tested is an equality.  The report and the three checks
-of one model share a ModelAnalysis, which computes each Clifford object
-once: the Jt-orbit of rho and its inertia group (conjugate_orbit), the
-Mackey terms of that orbit over the double cosets of J (mackey_terms),
-the multiplicity of rho in rho_tilde, and each induced representation.
+statement being tested is an equality.  ModelAnalysis computes each
+Clifford object of one model once: the Jt-orbit of rho and its inertia
+group (conjugate_orbit), the Mackey terms of that orbit over the double
+cosets of J (mackey_terms), the multiplicity of rho in rho_tilde, the
+twist kernel, the maximal stabilizer, the failing hypotheses and each
+induced representation.  Each check reads it and returns its part of
+the model's catalog record, keyed as the JSON report prints it.
 The stabilizer search reads the action of an inertia element on the
 multiplicity space Hom_J(rho, rho_tilde) off the left Kronecker factor of
 its matrix B_g (x) A_g on C^m (x) C^d, checked exactly on every entry.
@@ -330,29 +332,6 @@ def maximal_stabilizer(group: FiniteGroup, sub: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# assembled per-pair report
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CliffordReport:
-    multiplicity: int
-    orbit_size: int
-    inertia: tuple[int, ...]
-    stabilizer: tuple[int, ...] | None
-    dagger: tuple[int, ...]
-    twist_order: int
-
-
-def clifford_report(model: FiniteGroupModel,
-                    analysis: ModelAnalysis) -> CliffordReport:
-    rest, tw = analysis.restriction, analysis.twists
-    stab = maximal_stabilizer(model.group, model.j, model.rho_tilde,
-                              model.rho, tw.dagger, rest)
-    return CliffordReport(rest.multiplicity, rest.orbit_size, rest.inertia,
-                          stab, tw.dagger, tw.order)
-
-
-# ---------------------------------------------------------------------------
 # intertwining
 # ---------------------------------------------------------------------------
 
@@ -385,50 +364,56 @@ def mackey_terms(group: FiniteGroup, j: Sequence[int],
 # model-level checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    ok: bool
-    failures: tuple[str, ...]
-
-
-def check_hypotheses(model: FiniteGroupModel, analysis: ModelAnalysis
-                     ) -> tuple[HypothesisReport, Representation]:
-    """pi = Ind_Jt^G rho_tilde must be irreducible, and no double coset
-    outside Jt may intertwine a constituent in the restriction orbit."""
-    pi = induced_representation(model.group, tuple(sorted(model.j_tilde)),
-                                model.rho_tilde)
+def check_hypotheses(analysis: ModelAnalysis) -> tuple[str, ...]:
+    """The failing hypotheses: pi = Ind_Jt^G rho_tilde is irreducible, and
+    no double coset outside Jt intertwines a restriction constituent."""
     failures = []
-    if not is_irreducible(pi):
+    if not is_irreducible(analysis.induced_from_jt):
         failures.append("induced representation is reducible")
-    jt_set = set(model.j_tilde)
+    jt_set = set(analysis.model.j_tilde)
     if any(dim and g not in jt_set
            for terms in analysis.intertwining for g, dim in terms):
         failures.append("intertwining of a restriction constituent escapes "
                         "the inducing subgroup")
-    return HypothesisReport(not failures, tuple(failures)), pi
+    return tuple(failures)
 
 
 class ModelAnalysis:
-    """What clifford_report and the three model-level checks share for
-    one model: the hypothesis verdict with pi = Ind_Jt^G rho_tilde, the
-    restriction report (multiplicity, orbit and inertia of rho), the
-    Mackey terms of the orbit, the twist report, and Ind_J^G rho.  Each
-    is computed on first use and kept only as long as this object, so
-    one evaluation builds each induced representation once, conjugates
-    rho once and walks the double cosets of J once."""
+    """Every Clifford object of one model, each computed on first use
+    and kept only as long as this object: one evaluation builds each
+    induced representation once, conjugates rho once and walks the
+    double cosets of J once."""
 
     def __init__(self, model: FiniteGroupModel):
         self.model = model
-
-    @cached_property
-    def hypotheses(self) -> tuple[HypothesisReport, Representation]:
-        return check_hypotheses(self.model, self)
 
     @cached_property
     def restriction(self) -> RestrictionReport:
         m = self.model
         return restrict_decompose(m.group, m.j, m.rho_tilde,
                                   constituent=m.rho.character())
+
+    @cached_property
+    def twists(self) -> TwistReport:
+        m = self.model
+        return twist_group(m.group, tuple(sorted(m.j_tilde)), m.j,
+                           m.rho_tilde)
+
+    @cached_property
+    def stabilizer(self) -> tuple[int, ...] | None:
+        m = self.model
+        return maximal_stabilizer(m.group, m.j, m.rho_tilde, m.rho,
+                                  self.twists.dagger, self.restriction)
+
+    @cached_property
+    def induced_from_jt(self) -> Representation:
+        m = self.model
+        return induced_representation(m.group, tuple(sorted(m.j_tilde)),
+                                      m.rho_tilde)
+
+    @cached_property
+    def failures(self) -> tuple[str, ...]:
+        return check_hypotheses(self)
 
     @cached_property
     def intertwining(self) -> list[tuple[tuple[int, int], ...]]:
@@ -438,15 +423,9 @@ class ModelAnalysis:
         return mackey_terms(m.group, m.j, self.restriction.orbit)
 
     @cached_property
-    def twists(self) -> TwistReport:
-        m = self.model
-        return twist_group(m.group, tuple(sorted(m.j_tilde)), m.j,
-                           m.rho_tilde)
-
-    @cached_property
     def multiplicity_over_normal(self) -> int:
         """Common multiplicity of the restriction of pi to N."""
-        return common_multiplicity(self.hypotheses[1], self.model.normal)[0]
+        return common_multiplicity(self.induced_from_jt, self.model.normal)[0]
 
     @cached_property
     def induced_from_j(self) -> Representation:
@@ -460,73 +439,34 @@ class ModelAnalysis:
                                  range(self.model.group.order))
 
 
-@dataclass(frozen=True)
-class TransferReport:
-    status: str   # OK or SKIPPED
-    failures: tuple[str, ...]
-    multiplicity_over_normal: int | None
-    multiplicity_over_j: int | None
-
-    @property
-    def equal(self) -> bool | None:
-        if self.status != "OK":
-            return None
-        return self.multiplicity_over_normal == self.multiplicity_over_j
+def multiplicity_transfer_check(analysis: ModelAnalysis) -> dict:
+    """The common multiplicity of pi over N against that of rho_tilde
+    over J; only this record lists the failing hypotheses."""
+    if analysis.failures:
+        return dict(status="SKIPPED", failures=list(analysis.failures),
+                    over_normal=None, over_j=None, equal=None)
+    a, b = analysis.multiplicity_over_normal, analysis.restriction.multiplicity
+    return dict(status="OK", failures=[], over_normal=a, over_j=b, equal=a == b)
 
 
-def multiplicity_transfer_check(model: FiniteGroupModel,
-                                analysis: ModelAnalysis) -> TransferReport:
-    hyp, _ = analysis.hypotheses
-    if not hyp.ok:
-        return TransferReport("SKIPPED", hyp.failures, None, None)
-    return TransferReport("OK", (), analysis.multiplicity_over_normal,
-                          analysis.restriction.multiplicity)
+def center_dimension_check(analysis: ModelAnalysis) -> dict:
+    """The constituent count of Ind_J^G rho against [J^dagger : J]."""
+    if analysis.failures:
+        return dict(status="SKIPPED", constituents=None, dagger_index=None,
+                    equal=None)
+    k = analysis.induced_constituents
+    index = len(analysis.twists.dagger) // len(analysis.model.j)
+    return dict(status="OK", constituents=k, dagger_index=index,
+                equal=k == index)
 
 
-@dataclass(frozen=True)
-class CenterReport:
-    status: str
-    failures: tuple[str, ...]
-    constituent_count: int | None
-    dagger_index: int | None
-
-    @property
-    def equal(self) -> bool | None:
-        if self.status != "OK":
-            return None
-        return self.constituent_count == self.dagger_index
-
-
-def center_dimension_check(model: FiniteGroupModel,
-                           analysis: ModelAnalysis) -> CenterReport:
-    hyp, _ = analysis.hypotheses
-    if not hyp.ok:
-        return CenterReport("SKIPPED", hyp.failures, None, None)
-    dagger_index = len(analysis.twists.dagger) // len(model.j)
-    return CenterReport("OK", (), analysis.induced_constituents, dagger_index)
-
-
-@dataclass(frozen=True)
-class CommutativityReport:
-    status: str
-    failures: tuple[str, ...]
-    normal_restriction_free: bool | None
-    j_restriction_free: bool | None
-    endomorphisms_commute: bool | None
-
-    @property
-    def coincide(self) -> bool | None:
-        if self.status != "OK":
-            return None
-        return (self.normal_restriction_free == self.j_restriction_free
-                == self.endomorphisms_commute)
-
-
-def commutativity_check(model: FiniteGroupModel,
-                        analysis: ModelAnalysis) -> CommutativityReport:
-    hyp, _ = analysis.hypotheses
-    if not hyp.ok:
-        return CommutativityReport("SKIPPED", hyp.failures, None, None, None)
+def commutativity_check(analysis: ModelAnalysis) -> dict:
+    """pi free over N, rho_tilde free over J, and End Ind_J^G rho
+    commutative (Mackey dimension = constituent count) must coincide."""
+    if analysis.failures:
+        return dict(status="SKIPPED", normal_restriction_free=None,
+                    j_restriction_free=None, endomorphisms_commute=None,
+                    coincide=None)
     k = analysis.induced_constituents
     ind = analysis.induced_from_j
     chi_ind = ind.character()
@@ -537,7 +477,9 @@ def commutativity_check(model: FiniteGroupModel,
     if mackey != int(dim_end):
         raise AssertionError("coset-by-coset and global endomorphism "
                              "dimensions disagree")
-    return CommutativityReport("OK", (),
-                               analysis.multiplicity_over_normal == 1,
-                               analysis.restriction.multiplicity == 1,
-                               mackey == k)
+    n_free = analysis.multiplicity_over_normal == 1
+    j_free = analysis.restriction.multiplicity == 1
+    commute = mackey == k
+    return dict(status="OK", normal_restriction_free=n_free,
+                j_restriction_free=j_free, endomorphisms_commute=commute,
+                coincide=n_free == j_free == commute)

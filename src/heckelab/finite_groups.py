@@ -24,6 +24,15 @@ from typing import Iterable, Sequence
 
 from . import _closure
 
+# a table holds order^2 entries; larger groups are refused up front
+MAX_GROUP_ORDER = 4_096
+
+
+def _check_order(n: int) -> None:
+    if n > MAX_GROUP_ORDER:
+        raise ValueError(f"group order is at least {n}; "
+                         f"cap is {MAX_GROUP_ORDER}")
+
 
 @dataclass(frozen=True)
 class FiniteGroup:
@@ -33,11 +42,13 @@ class FiniteGroup:
 
     def __post_init__(self):
         n = len(self.table)
+        _check_order(n)
         idx = set(range(n))
         for row in self.table:
             if len(row) != n or set(row) != idx:
                 raise ValueError("multiplication table is not a Latin square")
-        if any(self.table[0][g] != g or self.table[g][0] != g for g in range(n)):
+        if not n or any(self.table[0][g] != g or self.table[g][0] != g
+                        for g in range(n)):
             raise ValueError("element 0 is not an identity")
         object.__setattr__(self, "_inverse",
                            tuple(row.index(0) for row in self.table))
@@ -229,7 +240,9 @@ def from_permutations(gens: Sequence[Sequence[int]], label: str = "") -> FiniteG
     ident = tuple(range(k))
     gens = [tuple(g) for g in gens]
     order = list(_closure.closure(
-        [ident], lambda x: ((g, tuple(x[g[i]] for i in range(k))) for g in gens)))
+        [ident], lambda x: ((g, tuple(x[g[i]] for i in range(k))) for g in gens),
+        MAX_GROUP_ORDER))
+    _check_order(len(order))
     return _table_from_coords(
         order, lambda a, b: tuple(a[b[i]] for i in range(k)),
         label or f"Perm{len(order)}")

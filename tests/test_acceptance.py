@@ -291,26 +291,26 @@ def test_criterion_4_clifford_catalog():
     results = evaluate_catalog(models)
     problems = []
     checked = skipped = 0
-    for model, res in zip(models, results):
-        c = res.clifford
-        if model.rho_tilde.dim != c.orbit_size * c.multiplicity * model.rho.dim:
+    for model, rec in zip(models, results):
+        m, n_st = rec["multiplicity"], rec["stabilizer_order"]
+        if model.rho_tilde.dim != rec["orbit_size"] * m * model.rho.dim:
             problems.append(f"{model.name}: restriction dimension")
-        if c.stabilizer is not None:
-            if len(c.inertia) != c.multiplicity * len(c.stabilizer) \
-                    or len(c.stabilizer) != c.multiplicity * len(c.dagger):
+        if n_st is not None:
+            if rec["inertia_order"] != m * n_st \
+                    or n_st != m * rec["dagger_order"]:
                 problems.append(f"{model.name}: index ladder")
-        q, rem = divmod(len(model.j_tilde), len(c.dagger))
-        if rem or c.twist_order != q:
+        q, rem = divmod(len(model.j_tilde), rec["dagger_order"])
+        if rem or rec["twist_order"] != q:
             problems.append(f"{model.name}: twist count")
-        if res.skipped:
+        if rec["transfer"]["status"] == "SKIPPED":
             skipped += 1
             continue
         checked += 1
-        if res.transfer.equal is not True:
+        if rec["transfer"]["equal"] is not True:
             problems.append(f"{model.name}: multiplicity transfer")
-        if res.center.equal is not True:
+        if rec["center"]["equal"] is not True:
             problems.append(f"{model.name}: center dimension")
-        if res.commutativity.coincide is not True:
+        if rec["commutativity"]["coincide"] is not True:
             problems.append(f"{model.name}: commutativity")
     size_ok = len(models) >= 12 and all(m.group.order <= 512 for m in models)
     ok = size_ok and not problems

@@ -6,16 +6,20 @@ dimension counts repeat the independently derived Burnside values from
 the torus tests; everything else checks report structure, error
 handling, and the exit-code contract.
 """
+import io
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Q
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heckelab.catalog import build_catalog, evaluate_catalog
 from heckelab.cli import (
@@ -557,11 +561,22 @@ def test_clifford_catalog_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_clifford_catalog_errors(tmp_path):
-    assert main(["clifford", "--catalog", str(tmp_path / "none.json")]) == 2
+def test_clifford_catalog_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
-    assert main(["clifford", "--catalog", str(bad)]) == 2
+    # an unreadable or unwritable path is one line, not a traceback
+    for argv, needle in [
+            (["--catalog", str(tmp_path / "none.json")],
+             "cannot read catalog file"),
+            (["--catalog", str(bad)], "invalid JSON at line 1"),
+            (["--catalog", str(tmp_path)], "cannot read catalog file"),
+            (["--emit-catalog", str(tmp_path)], "cannot write catalog file"),
+            (["--emit-catalog", str(tmp_path / "missing" / "dir" / "x.json")],
+             "cannot write catalog file")]:
+        assert main(["clifford", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and needle in captured.err
 
 
 def _set_coefficient(value):
@@ -600,6 +615,9 @@ def _set_rho_generators(value):
     (_set_coefficient([0.0, 1.0]), "coefficients must be strings"),
     (_set_coefficient([False, True]), "coefficients must be strings"),
     (_set_coefficient([0, 1]), "coefficients must be strings"),
+    (_set_coefficient(["1/0", "0"]), "coefficients must be strings"),
+    (_set_coefficient(["1e999", "0"]), "coefficients must be strings"),
+    (_set_coefficient(["0.5", "0"]), "coefficients must be strings"),
     (_set_key("conductor", 4.5), "conductor must be an integer, got 4.5"),
     (_set_key("conductor", True), "conductor must be an integer, got True"),
     (_set_key("normal", [0, 1.0, 2, 3]), "normal must be an integer"),
@@ -618,12 +636,22 @@ def _set_rho_generators(value):
     (_set_rho_generators([99]), "generators must index the 8 group"),
     (_set_key("group", {"permutations": [[5, 0]]}),
      "permutations must rearrange one set 0..k-1"),
-], ids=["float_coeff", "bool_coeff", "int_coeff", "float_conductor",
+    (_set_key("group", 5), "bad catalog entry: group must be a JSON object"),
+    (_set_key("group", []), "bad catalog entry: group must be a JSON object"),
+    (_set_key("group", "D8"),
+     "bad catalog entry: group must be a JSON object"),
+    (_set_key("group", {"table": []}), "element 0 is not an identity"),
+    (_set_key("conductor", 9), "conductor must lie in 1..8, the group order"),
+    (_set_key("conductor", 0), "conductor must lie in 1..8"),
+    (_set_key("conductor", -4), "conductor must lie in 1..8"),
+], ids=["float_coeff", "bool_coeff", "int_coeff", "zero_denominator_coeff",
+        "exponent_coeff", "decimal_coeff", "float_conductor",
         "bool_conductor", "float_normal", "float_j_tilde",
         "float_permutation", "float_table", "float_generator", "int_name",
         "list_label", "normal_out_of_range", "normal_negative",
         "j_tilde_out_of_range", "generator_out_of_range",
-        "permutation_not_onto"])
+        "permutation_not_onto", "int_group", "list_group", "string_group", "empty_table",
+        "conductor_above_order", "zero_conductor", "negative_conductor"])
 def test_clifford_catalog_json_numbers_exit_2(mutate, needle, tmp_path,
                                               capsys):
     from heckelab.catalog import catalog_to_json
@@ -637,21 +665,71 @@ def test_clifford_catalog_json_numbers_exit_2(mutate, needle, tmp_path,
     assert "bad catalog entry" in captured.err and needle in captured.err
 
 
-def test_clifford_group_order_cap(tmp_path, capsys):
+def test_clifford_group_order_cap(tmp_path, capsys, monkeypatch):
     # a catalog whose group exceeds the cap is refused up front
     from heckelab.catalog import catalog_to_json
-    import heckelab.cli as cli
+    import heckelab.finite_groups as finite_groups
     big = build_catalog()[:1]
     payload = catalog_to_json(big)
     path = tmp_path / "cat.json"
     path.write_text(json.dumps(payload))
-    old = cli.MAX_CATALOG_GROUP_ORDER
-    cli.MAX_CATALOG_GROUP_ORDER = 4
-    try:
-        assert main(["clifford", "--catalog", str(path)]) == 2
-    finally:
-        cli.MAX_CATALOG_GROUP_ORDER = old
-    capsys.readouterr()
+    monkeypatch.setattr(finite_groups, "MAX_GROUP_ORDER", 4)
+    assert main(["clifford", "--catalog", str(path)]) == 2
+    assert "group order is at least 8; cap is 4" in capsys.readouterr().err
+
+
+def test_clifford_group_order_cap_stops_the_closure(tmp_path, capsys):
+    # S7 (order 5040) from two permutation generators: the closure stops
+    # at cap + 1 elements, before any table or representation is built
+    from heckelab.catalog import catalog_to_json
+    payload = catalog_to_json(QUICK_MODELS[:1])
+    payload["entries"][0]["group"] = {
+        "permutations": [[1, 2, 3, 4, 5, 6, 0], [1, 0, 2, 3, 4, 5, 6]]}
+    path = tmp_path / "s7.json"
+    path.write_text(json.dumps(payload))
+    start = time.perf_counter()
+    assert main(["clifford", "--catalog", str(path)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1
+    assert "group order is at least 4097; cap is 4096" in captured.err
+
+
+# one field of a catalog entry, by path from the entry, that the fuzz
+# test replaces; ("rho", "matrices", 0, 0, 0, 0) is one coefficient
+FUZZ_PATHS = [("name",), ("group",), ("group", "label"), ("group", "table"),
+              ("normal",), ("j_tilde",), ("conductor",),
+              ("rho", "generators"), ("rho", "matrices", 0, 0, 0, 0)]
+
+_json_leaf = st.one_of(st.none(), st.booleans(), st.integers(-3, 64),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.text(max_size=4))
+_json_value = st.one_of(
+    _json_leaf, st.lists(_json_leaf, max_size=4),
+    st.dictionaries(st.text(max_size=4), _json_leaf, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(path=st.sampled_from(FUZZ_PATHS), value=_json_value)
+def test_clifford_catalog_fuzz_never_crashes(path, value, tmp_path_factory):
+    # any one field replaced by a small JSON value: a verdict or one
+    # error line, never a traceback
+    from heckelab.catalog import catalog_to_json
+    payload = catalog_to_json(QUICK_MODELS[:1])
+    *parents, last = path
+    owner = payload["entries"][0]
+    for key in parents:
+        owner = owner[key]
+    owner[last] = value
+    catalog = tmp_path_factory.mktemp("fuzz") / "catalog.json"
+    catalog.write_text(json.dumps(payload))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["clifford", "--catalog", str(catalog)])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 # ---------------------------------------------------------------------------

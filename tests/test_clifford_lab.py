@@ -29,7 +29,6 @@ from heckelab.clifford_lab import (
     ModelAnalysis,
     _multiplicity_factor,
     check_hypotheses,
-    clifford_report,
     conjugate_orbit,
     mackey_terms,
     maximal_stabilizer,
@@ -49,12 +48,29 @@ from heckelab.representations import (
 
 MODELS = {m.name: m for m in build_catalog()}
 _RESULTS: dict = {}
+_ANALYSES: dict = {}
 
 
 def _result(name):
+    """The catalog record of an entry."""
     if name not in _RESULTS:
         _RESULTS[name] = evaluate_entry(MODELS[name])
     return _RESULTS[name]
+
+
+def _analysis(name):
+    """The Clifford objects of an entry, for the sets a record counts."""
+    if name not in _ANALYSES:
+        _ANALYSES[name] = ModelAnalysis(MODELS[name])
+    return _ANALYSES[name]
+
+
+def _facts(analysis):
+    """(multiplicity, orbit size, inertia, stabilizer, twist kernel,
+    twist count) of an analysis."""
+    rest, tw = analysis.restriction, analysis.twists
+    return (rest.multiplicity, rest.orbit_size, rest.inertia,
+            analysis.stabilizer, tw.dagger, tw.order)
 
 
 # name -> (m, k, |inertia|, |stabilizer|, |dagger|, twist count,
@@ -102,36 +118,34 @@ def test_catalog_size_and_order_bound():
 def test_entry_oracle(name):
     m, k, n_int, n_st, n_dag, n_tw, tr, ce, booleans = EXPECTED[name]
     r = _result(name)
-    c = r.clifford
-    assert c.multiplicity == m
-    assert c.orbit_size == k
-    assert len(c.inertia) == n_int
-    assert c.stabilizer is not None and len(c.stabilizer) == n_st
-    assert len(c.dagger) == n_dag
-    assert c.twist_order == n_tw
-    assert r.transfer.status == "OK"
-    assert (r.transfer.multiplicity_over_normal,
-            r.transfer.multiplicity_over_j) == tr
-    assert r.transfer.equal is True
-    assert (r.center.constituent_count, r.center.dagger_index) == ce
-    assert r.center.equal is True
-    comm = r.commutativity
-    assert (comm.normal_restriction_free, comm.j_restriction_free,
-            comm.endomorphisms_commute) == booleans
-    assert comm.coincide is True
-    assert r.passed
+    assert r["multiplicity"] == m
+    assert r["orbit_size"] == k
+    assert r["inertia_order"] == n_int
+    assert r["stabilizer_order"] == n_st
+    assert r["dagger_order"] == n_dag
+    assert r["twist_order"] == n_tw
+    assert r["transfer"]["status"] == "OK"
+    assert (r["transfer"]["over_normal"], r["transfer"]["over_j"]) == tr
+    assert r["transfer"]["equal"] is True
+    assert (r["center"]["constituents"], r["center"]["dagger_index"]) == ce
+    assert r["center"]["equal"] is True
+    comm = r["commutativity"]
+    assert (comm["normal_restriction_free"], comm["j_restriction_free"],
+            comm["endomorphisms_commute"]) == booleans
+    assert comm["coincide"] is True
+    assert r["passed"] is True
 
 
 @pytest.mark.parametrize("name", sorted(SKIP_EXPECTED))
 def test_skipped_entries(name):
     r = _result(name)
-    assert r.transfer.status == "SKIPPED"
-    assert r.center.status == "SKIPPED"
-    assert r.commutativity.status == "SKIPPED"
-    assert r.transfer.failures == SKIP_EXPECTED[name]
-    assert r.transfer.equal is None and r.center.equal is None
-    assert r.commutativity.coincide is None
-    assert r.passed  # a skip is an honest outcome, not a failure
+    assert r["transfer"]["status"] == "SKIPPED"
+    assert r["center"]["status"] == "SKIPPED"
+    assert r["commutativity"]["status"] == "SKIPPED"
+    assert r["transfer"]["failures"] == list(SKIP_EXPECTED[name])
+    assert r["transfer"]["equal"] is None and r["center"]["equal"] is None
+    assert r["commutativity"]["coincide"] is None
+    assert r["passed"] is True  # a skip is an honest outcome, not a failure
 
 
 def test_stabilizer_sets_match_independent_closures():
@@ -148,7 +162,7 @@ def test_stabilizer_sets_match_independent_closures():
     for name, gens in cases.items():
         model = MODELS[name]
         expect = model.group.closure(gens)
-        assert _result(name).clifford.stabilizer == expect, name
+        assert _analysis(name).stabilizer == expect, name
 
 
 def test_stabilizer_index_ladder():
@@ -156,29 +170,30 @@ def test_stabilizer_index_ladder():
     # stabilizer, and twist-kernel orders form a geometric ladder with
     # ratio equal to the common multiplicity
     for name in EXPECTED:
-        c = _result(name).clifford
-        assert len(c.inertia) == c.multiplicity * len(c.stabilizer)
-        assert len(c.stabilizer) == c.multiplicity * len(c.dagger)
+        r = _result(name)
+        assert r["inertia_order"] == r["multiplicity"] * r["stabilizer_order"]
+        assert r["stabilizer_order"] == r["multiplicity"] * r["dagger_order"]
 
 
 def test_dimension_identity():
     # dim(big) = orbit size x multiplicity x dim(constituent)
     for name, m in MODELS.items():
-        c = _result(name).clifford
-        assert m.rho_tilde.dim == c.orbit_size * c.multiplicity * m.rho.dim
+        r = _result(name)
+        assert m.rho_tilde.dim == r["orbit_size"] * r["multiplicity"] * m.rho.dim
 
 
 def test_twist_count_equals_kernel_index():
     for name, m in MODELS.items():
-        c = _result(name).clifford
-        assert c.twist_order * len(c.dagger) == len(m.j_tilde)
+        r = _result(name)
+        assert r["twist_order"] * r["dagger_order"] == len(m.j_tilde)
 
 
 def test_dagger_contains_j_and_sits_in_inertia_ladder():
     for name, m in MODELS.items():
-        c = _result(name).clifford
-        assert set(m.j) <= set(c.dagger) <= set(c.stabilizer or c.dagger)
-        assert set(c.dagger) <= set(c.inertia) <= set(m.j_tilde)
+        a = _analysis(name)
+        dagger, inertia = a.twists.dagger, a.restriction.inertia
+        assert set(m.j) <= set(dagger) <= set(a.stabilizer or dagger)
+        assert set(dagger) <= set(inertia) <= set(m.j_tilde)
 
 
 def test_frobenius_reciprocity_per_entry():
@@ -194,7 +209,7 @@ def test_frobenius_reciprocity_per_entry():
                                  chi_r, model.j)
         ind = induced_character(g, model.j, chi_r, jt)
         ind_side = inner_product(ind, chi_t, jt)
-        assert res_side == ind_side == _result(name).clifford.multiplicity
+        assert res_side == ind_side == _result(name)["multiplicity"]
 
 
 def test_mackey_route_matches_character_norm():
@@ -308,19 +323,20 @@ def test_intertwining_set_stays_inside_for_regular_orbit():
 
 def test_check_hypotheses_reports_pi():
     model = MODELS["he3_sub"]
-    hyp, pi = check_hypotheses(model, ModelAnalysis(model))
-    assert hyp.ok and hyp.failures == ()
+    analysis = ModelAnalysis(model)
+    assert check_hypotheses(analysis) == ()
+    pi = analysis.induced_from_jt
     assert pi.dim == 3
     assert inner_product(pi.character(), pi.character(), pi.domain) == 1
 
 
 def test_maximal_stabilizer_m1_shortcut():
     model = MODELS["d16_rho"]
-    c = _result("d16_rho").clifford
+    analysis = _analysis("d16_rho")
     stab = maximal_stabilizer(model.group, model.j, model.rho_tilde,
-                              model.rho, c.dagger,
-                              ModelAnalysis(model).restriction)
-    assert stab == c.inertia
+                              model.rho, analysis.twists.dagger,
+                              analysis.restriction)
+    assert stab == analysis.restriction.inertia
 
 
 def _zmat(cond, rows):
@@ -410,7 +426,7 @@ def test_one_evaluation_shares_multiplicity_and_double_cosets(monkeypatch):
     monkeypatch.setattr(FiniteGroup, "double_coset_reps",
                         counted_double_cosets)
     result = evaluate_entry(model)
-    assert result.clifford.multiplicity == 2 and result.passed
+    assert result["multiplicity"] == 2 and result["passed"]
     assert len(pairs) == len(set(pairs)) >= 2
     assert walks.count(model.j) == 1
 
@@ -437,8 +453,22 @@ def test_json_roundtrip_preserves_reports():
         back = model_from_json(json.loads(json.dumps(model_to_json(model))))
         assert back.name == model.name
         assert back.normal == model.normal and back.j_tilde == model.j_tilde
-        assert clifford_report(back, ModelAnalysis(back)) \
-            == _result(name).clifford
+        assert _facts(ModelAnalysis(back)) == _facts(_analysis(name))
+        assert evaluate_entry(back) == _result(name)
+
+
+def test_json_roundtrip_of_a_trivial_domain():
+    # J = {0} has no greedy generator: its matrix is written at 0
+    g = cyclic(2)
+    sign = Representation.from_generators(g, [1], [[[Cyc.rational(2, -1)]]],
+                                          2)
+    trivial = Representation.from_generators(g, [0], [[[Cyc.one(2)]]], 2)
+    model = FiniteGroupModel("c2_sign", g, (0,), (0, 1), sign, trivial)
+    data = json.loads(json.dumps(model_to_json(model)))
+    assert data["rho"]["generators"] == [0]
+    back = model_from_json(data)
+    assert back.rho.domain == (0,) and back.rho.dim == 1
+    assert evaluate_entry(back) == evaluate_entry(model)
 
 
 def test_catalog_roundtrip_names():
@@ -502,11 +532,8 @@ def test_permutation_group_input():
         "rho": {"generators": [1], "matrices": [[[zeta]]]},
     }
     model = model_from_json(data)
-    rep = clifford_report(model, ModelAnalysis(model))
-    assert rep.multiplicity == 1 and rep.orbit_size == 1
-    assert rep.inertia == (0, 1, 2, 3)
-    assert rep.stabilizer == (0, 1, 2, 3)
-    assert rep.dagger == (0, 1, 2, 3) and rep.twist_order == 1
+    c4 = (0, 1, 2, 3)
+    assert _facts(ModelAnalysis(model)) == (1, 1, c4, c4, c4, 1)
     chi = model.rho_tilde.character()
     assert chi[1] == Cyc.zeta(4) and chi[2] == -Cyc.one(4)
 
@@ -518,17 +545,30 @@ def test_permutation_group_input():
 def test_evaluate_catalog_order():
     light = [MODELS[n] for n in
              ("d8_rho2", "q8_rho2", "skip_c4", "c8_faithful", "he3_n9")]
-    assert [r.name for r in evaluate_catalog(light)] == [m.name for m in light]
+    assert [r["name"] for r in evaluate_catalog(light)] \
+        == [m.name for m in light]
 
 
-def test_entry_result_to_dict_shape():
-    d = _result("q8_rho2").to_dict()
+def test_entry_record_shape():
+    # the record is the JSON entry itself, its keys in report order
+    d = _result("q8_rho2")
+    assert list(d) == ["name", "multiplicity", "orbit_size", "inertia_order",
+                       "stabilizer_order", "dagger_order", "twist_order",
+                       "transfer", "center", "commutativity", "passed"]
+    assert list(d["transfer"]) == ["status", "failures", "over_normal",
+                                   "over_j", "equal"]
+    assert list(d["center"]) == ["status", "constituents", "dagger_index",
+                                 "equal"]
+    assert list(d["commutativity"]) == [
+        "status", "normal_restriction_free", "j_restriction_free",
+        "endomorphisms_commute", "coincide"]
     assert d["multiplicity"] == 2 and d["stabilizer_order"] == 4
     assert d["transfer"]["status"] == "OK"
     assert d["passed"] is True
-    d = _result("skip_c4").to_dict()
+    d = _result("skip_c4")
     assert d["transfer"]["status"] == "SKIPPED"
     assert d["transfer"]["failures"]
+    assert json.loads(json.dumps(d)) == d
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +609,7 @@ def test_twists_form_a_group(name):
 @given(st.sampled_from(_LIGHT), st.data())
 def test_inertia_is_closed_under_product(name, data):
     model = MODELS[name]
-    c = _result(name).clifford
-    a = data.draw(st.sampled_from(c.inertia))
-    b = data.draw(st.sampled_from(c.inertia))
-    assert model.group.mul(a, b) in set(c.inertia)
+    inertia = _analysis(name).restriction.inertia
+    a = data.draw(st.sampled_from(inertia))
+    b = data.draw(st.sampled_from(inertia))
+    assert model.group.mul(a, b) in set(inertia)

@@ -8,10 +8,15 @@ to a sweep of the package: ``_linalg.nullspace`` has no caller in
 of ``satake_check`` does not close.  Deleting or moving one would break
 the traced benchmark run; this test fails first.
 The probe file is loaded, not imported as a package, and nothing in it
-is patched.
+is patched.  A traced ``clifford`` run, in a child process, must also
+still call each Clifford probe once per catalog entry.
 """
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
@@ -39,3 +44,35 @@ def test_every_probe_resolves():
                if not (callable(f := _resolve(mod, qual))
                        and f.__module__ == f"heckelab.{mod}")]
     assert missing == []
+
+
+# the Clifford probes and the calls a traced run of the builtin catalog
+# makes to each: one per entry, and one catalog build
+CLIFFORD_CALLS = {
+    **{f"clifford_lab.{name}.calls": 19 for name in (
+        "check_hypotheses", "maximal_stabilizer",
+        "multiplicity_transfer_check", "center_dimension_check",
+        "commutativity_check")},
+    "catalog.evaluate_entry.calls": 19,
+    "catalog.build_catalog.calls": 1,
+}
+
+
+def test_traced_clifford_run_reaches_every_clifford_probe():
+    # a refactor that routes around a probed function leaves the name
+    # resolvable but its count at 0; the traced run shows it
+    root = LAYERS.parent.parent
+    read_end, write_end = os.pipe()
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(root / "perfbench" / "child.py"), "trace",
+             "heckelab", "clifford", "--format", "json"],
+            capture_output=True, text=True, cwd=root, pass_fds=(write_end,),
+            env={**os.environ, "PYTHONPATH": str(root / "src"),
+                 "PERFBENCH_TRACE_FD": str(write_end)})
+    finally:
+        os.close(write_end)
+    with os.fdopen(read_end) as fh:
+        summary = json.load(fh)
+    assert proc.returncode == 0, proc.stderr
+    assert {k: summary[k] for k in CLIFFORD_CALLS} == CLIFFORD_CALLS
