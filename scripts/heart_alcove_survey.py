@@ -51,7 +51,7 @@ def main() -> None:
             for theta in subsets:
                 for r in depths:
                     checks += 1
-                    verdict = heart_condition1_check(datum, group, x, r, theta)
+                    verdict = heart_condition1_check(group, x, r, theta)
                     if not verdict.proven:
                         heart_by_depth[str(r)] += 1
                         if shown < args.witnesses:
@@ -61,7 +61,7 @@ def main() -> None:
                                   f"theta={theta}: thresholds "
                                   f"{w.threshold_at_x} vs "
                                   f"{w.threshold_at_image} on root {w.root}")
-                for rec in key_inequality_report(datum, group, x, theta):
+                for rec in key_inequality_report(group, x, theta):
                     key_checks += 1
                     if not rec.inequality_holds:
                         grand_key += 1

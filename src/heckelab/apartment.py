@@ -9,7 +9,8 @@ constructible here.
 
 The depth-r filtration of the root subgroup attached to a root ``a`` at
 a point ``x`` is recorded by its integer threshold, the least level k
-with a(x) + k >= r.  A profile collects the thresholds of all roots.
+with a(x) + k >= r.  ``padic_groups.from_filtration`` reads the bound
+matrix of a general-linear filtration group off these thresholds.
 
 ``heart_condition1_check`` runs the Levi-intersection comparison behind
 the one-alcove positivity argument: decompose every Weyl element across
@@ -61,24 +62,6 @@ def threshold(datum: RootDatum, root: Sequence[int], x: Sequence, r) -> int:
     if r <= 0:
         raise ValueError("depth must be positive")
     return math.ceil(r - root_value(datum, root, x))
-
-
-@dataclass(frozen=True)
-class FiltrationProfile:
-    datum: RootDatum
-    point: ApartmentPoint
-    depth: Q
-    thresholds: tuple[int, ...]  # aligned with datum.roots
-
-    def threshold_of(self, root: Sequence[int]) -> int:
-        return self.thresholds[self.datum.root_index(tuple(root))]
-
-
-def filtration_profile(datum: RootDatum, x: Sequence, r) -> FiltrationProfile:
-    x = as_point(x)
-    r = Q(r)
-    ts = tuple(threshold(datum, a, x, r) for a in datum.roots)
-    return FiltrationProfile(datum, x, r, ts)
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +128,11 @@ class HeartVerdict:
         return self.status == "PROVEN_CONDITION_1"
 
 
-def heart_condition1_check(datum: RootDatum, group: WeylGroup, x: Sequence,
-                           r, theta: Sequence[int]) -> HeartVerdict:
+def heart_condition1_check(group: WeylGroup, x: Sequence, r,
+                           theta: Sequence[int]) -> HeartVerdict:
     """Compare Levi-root thresholds at x and at w2(x) for the minimal
     coset factor w2 of every Weyl element."""
+    datum = group.datum
     x = as_point(x)
     r = Q(r)
     theta = tuple(sorted(theta))
@@ -176,12 +160,13 @@ class KeyInequalityRecord:
     inequality_holds: bool  # 0 <= delta < LEVEL_GAP
 
 
-def key_inequality_report(datum: RootDatum, group: WeylGroup, x: Sequence,
+def key_inequality_report(group: WeylGroup, x: Sequence,
                           theta: Sequence[int]) -> list[KeyInequalityRecord]:
     """Evaluate, for every minimal coset factor and every positive Levi
     root, the positivity-plus-gap inequality that the one-alcove
     argument leans on.  Reported verbatim; see the decision notes for
     where it genuinely fails."""
+    datum = group.datum
     x = as_point(x)
     theta = tuple(sorted(theta))
     pos_levi = [k for k in levi_root_indices(datum, theta)
@@ -202,53 +187,38 @@ def key_inequality_report(datum: RootDatum, group: WeylGroup, x: Sequence,
 # Grids
 # ---------------------------------------------------------------------------
 
-def _coordinate_values(max_denominator: int, closed: bool) -> list[Q]:
-    vals = {Q(k, d) for d in range(1, max_denominator + 1)
-            for k in range(0, d + 1)}
-    if not closed:
-        vals = {v for v in vals if 0 < v < 1}
-    return sorted(vals)
-
-
-def _free_coordinate_count(datum: RootDatum) -> int:
+def _alcove_grid(datum: RootDatum, max_denominator: int,
+                 closed: bool) -> list[ApartmentPoint]:
+    """Grid points whose coordinates are fractions with denominator at
+    most ``max_denominator`` (central coordinates normalized to zero)
+    and whose positive root values lie in [0, 1] when ``closed``, in
+    (0, 1) otherwise."""
+    inside = (lambda v: 0 <= v <= 1) if closed else (lambda v: 0 < v < 1)
+    vals = sorted(v for v in {Q(k, d) for d in range(1, max_denominator + 1)
+                              for k in range(d + 1)} if inside(v))
     # general-linear data are normalized by setting the last coordinate
     # to zero (root values ignore the central direction); Cartan-style
     # data keep central coordinates at zero as well
-    if datum.is_general_linear:
-        return datum.ambient_rank - 1
-    return datum.semisimple_rank
-
-
-def _pad(coords: tuple[Q, ...], datum: RootDatum) -> ApartmentPoint:
-    return coords + (Q(0),) * (datum.ambient_rank - len(coords))
+    free = (datum.ambient_rank - 1 if datum.is_general_linear
+            else datum.semisimple_rank)
+    pad = (Q(0),) * (datum.ambient_rank - free)
+    pos = [datum.roots[k] for k in datum.positive_roots()]
+    out = []
+    for coords in itertools.product(vals, repeat=free):
+        x = coords + pad
+        if all(inside(root_value(datum, a, x)) for a in pos):
+            out.append(x)
+    return out
 
 
 def alcove_interior_points(datum: RootDatum, max_denominator: int) -> list[ApartmentPoint]:
-    """All base-alcove interior points whose coordinates are reduced
-    fractions with denominator at most ``max_denominator`` (central
-    coordinates normalized to zero)."""
-    vals = _coordinate_values(max_denominator, closed=False)
-    free = _free_coordinate_count(datum)
-    pos = [datum.roots[k] for k in datum.positive_roots()]
-    out = []
-    for coords in itertools.product(vals, repeat=free):
-        x = _pad(coords, datum)
-        if all(0 < root_value(datum, a, x) < 1 for a in pos):
-            out.append(x)
-    return out
+    """All base-alcove interior points of the grid (strict inequalities)."""
+    return _alcove_grid(datum, max_denominator, closed=False)
 
 
 def base_alcove_closure_grid(datum: RootDatum, max_denominator: int) -> list[ApartmentPoint]:
-    """Closure analogue of ``alcove_interior_points`` (weak inequalities)."""
-    vals = _coordinate_values(max_denominator, closed=True)
-    free = _free_coordinate_count(datum)
-    pos = [datum.roots[k] for k in datum.positive_roots()]
-    out = []
-    for coords in itertools.product(vals, repeat=free):
-        x = _pad(coords, datum)
-        if all(0 <= root_value(datum, a, x) <= 1 for a in pos):
-            out.append(x)
-    return out
+    """All base-alcove closure points of the grid (weak inequalities)."""
+    return _alcove_grid(datum, max_denominator, closed=True)
 
 
 def depth_regular_point(datum: RootDatum, x: Sequence, r) -> bool:
@@ -266,9 +236,8 @@ def depth_regular_point(datum: RootDatum, x: Sequence, r) -> bool:
 # Repaired conjugacy statement: translation witnesses
 # ---------------------------------------------------------------------------
 
-def levi_profile_translation_witness(datum: RootDatum, group: WeylGroup,
-                                     x: Sequence, r, theta: Sequence[int],
-                                     v: WeylElement
+def levi_profile_translation_witness(group: WeylGroup, x: Sequence, r,
+                                     theta: Sequence[int], v: WeylElement
                                      ) -> tuple[WeylElement, IVec] | None:
     """Search for (w', nu) with w' in the theta-parabolic subgroup and
     nu an integral cocharacter such that conjugating the x-profile by
@@ -279,6 +248,7 @@ def levi_profile_translation_witness(datum: RootDatum, group: WeylGroup,
     Conjugation by a translation shifts the bound of root a by a(nu);
     a Levi Weyl element permutes the Levi bounds.  Returns None when no
     witness exists (which happens at genuine obstruction points)."""
+    datum = group.datum
     x = as_point(x)
     r = Q(r)
     theta = tuple(sorted(theta))

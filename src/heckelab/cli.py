@@ -22,7 +22,8 @@ Input schemas (also documented in the README):
                 "label": "A2"} (central_rank and label optional) or
                {"general_linear": 3}; every number an integer, no
                other key.  A datum whose Weyl group order is above
-               the cap of 10080 is an input error; a general_linear
+               the cap of 10080, or a Cartan description of ambient
+               rank above 128, is an input error; a general_linear
                size is refused from n! before any root is built.  The
                label is free text: a datum is general-linear (and has
                an integral matrix model) when its roots are exactly
@@ -301,22 +302,20 @@ def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
     element permutes the coordinates, so the model at its image of x is
     the model at x conjugated by a permutation matrix: the same bounds,
     permuted, and none of them negative when none at x is."""
-    from .apartment import filtration_profile
     from .padic_groups import compare_levi_volumes, from_filtration
     datum = group.datum
     if not datum.is_general_linear:
         return {"status": SKIPPED,
                 "reason": "no integral matrix model for this datum"}
     try:
-        base = from_filtration(filtration_profile(datum, x, r))
+        base = from_filtration(datum, x, r)
     except ValueError as exc:
         return {"status": SKIPPED, "reason": str(exc)}
     per_image = []
     proven = False
     for w in sorted(dict.fromkeys(wit.w2 for wit in witnesses),
                     key=lambda w: str(w.cochar_mat)):
-        moved = from_filtration(filtration_profile(
-            datum, group.act_cocharacter(w, x), r))
+        moved = from_filtration(datum, group.act_cocharacter(w, x), r)
         levi = compare_levi_volumes(base, moved, theta)
         proven = proven or levi.status == "DISTINCT_VOLUME"
         per_image.append({
@@ -409,7 +408,7 @@ def _run_heart_check(config: RunConfig) -> VerificationReport:
         "point_kind": classify_point(datum, x).kind,
     }
     for theta in subsets:
-        verdict = heart_condition1_check(datum, group, x, r, theta)
+        verdict = heart_condition1_check(group, x, r, theta)
         name = f"condition-1 theta={list(theta)}"
         if verdict.proven:
             checks.append(CheckRecord(name, PASS))
@@ -448,26 +447,24 @@ _EXPECTED_CONJ_LEVI = ((1, None, None), (None, 1, 1), (None, 2, 1))
 
 
 def _run_counterexample(config: RunConfig) -> VerificationReport:
-    from .apartment import filtration_profile, heart_condition1_check
+    from .apartment import heart_condition1_check
     from .padic_groups import (block_of, brute_point_count,
-                               conjugacy_obstruction, conjugate_by_permutation,
-                               from_filtration, intersect_levi, iwahori_scheme,
-                               log_volume, point_count)
+                               compare_levi_volumes, conjugate_by_permutation,
+                               from_filtration, iwahori_scheme, log_volume,
+                               point_count)
     datum = datum_general_linear(3)
     group = WeylGroup(datum)
     x = (Q(1, 2), Q(0), Q(0))
     r = Q(1)
     theta = (1,)
-    blocks = ((0,), (1, 2))
 
-    base = from_filtration(filtration_profile(datum, x, r))
+    base = from_filtration(datum, x, r)
     # route 1: permutation conjugation; route 2: reflected point
     swapped = conjugate_by_permutation(base, (1, 0, 2))
     s0 = group.simple_reflection(0)
-    reflected = from_filtration(
-        filtration_profile(datum, group.act_cocharacter(s0, x), r))
-    levi = intersect_levi(base, blocks)
-    conj_levi = intersect_levi(swapped, blocks)
+    reflected = from_filtration(datum, group.act_cocharacter(s0, x), r)
+    levi_volumes = compare_levi_volumes(base, swapped, theta)
+    levi, conj_levi = levi_volumes.at_x, levi_volumes.at_image
 
     def matrix_check(name, K, expected):
         return CheckRecord.of(name, K.bounds == expected,
@@ -514,12 +511,12 @@ def _run_counterexample(config: RunConfig) -> VerificationReport:
         count_rows.append(row)
         checks.append(CheckRecord.of(f"point-count-cross-check-p{p}", ok, row))
 
-    verdict = heart_condition1_check(datum, group, x, r, theta)
+    verdict = heart_condition1_check(group, x, r, theta)
     checks.append(CheckRecord.of("threshold-mismatch-reproduced",
                                  verdict.status == "MISMATCH",
                                  {"status": verdict.status}))
 
-    obstruction = conjugacy_obstruction(principal, pro_unipotent)
+    obstruction = dict(levi_volumes.blocks)[(1, 2)]
     checks.append(CheckRecord.of("volume-obstruction",
                                  obstruction == "DISTINCT_VOLUME",
                                  {"obstruction": obstruction}))
@@ -567,7 +564,6 @@ def _standard_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
 
 
 def _run_spade_check(config: RunConfig) -> VerificationReport:
-    from .apartment import filtration_profile
     from .padic_groups import from_filtration, iwahori_factorization_check
     x, r = config.x, config.r
     if x is None or r is None:
@@ -590,7 +586,7 @@ def _run_spade_check(config: RunConfig) -> VerificationReport:
     if r <= 0:
         raise CLIError("--r must be positive")
     try:
-        K = from_filtration(filtration_profile(datum, x, r))
+        K = from_filtration(datum, x, r)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     if config.partition is not None:
@@ -690,6 +686,11 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
         raise CLIError("torus-center needs --q and --radius")
     if radius < 0:
         raise CLIError("--radius must be >= 0")
+    # first: the prime-power test of q trial-divides up to q, and the
+    # estimate below is 1 for a rank-0 datum whatever q is
+    if q - 1 > MAX_TORUS_PAIRS:
+        raise CLIError(f"--q {q} has q - 1 = {q - 1} residue characters "
+                       f"per coordinate; cap is {MAX_TORUS_PAIRS}")
     rank = datum.ambient_rank
     pairs = (max(q - 1, 1) ** rank) * ((2 * radius + 1) ** rank)
     if pairs > MAX_TORUS_PAIRS:

@@ -12,7 +12,9 @@ closure conditions that make the bound set an actual subgroup:
     m_ij + m_ji >= max(1, d_i, d_j)  (i != j)
 
 the second encoding that off-diagonal products land inside the diagonal
-congruence condition.
+congruence condition.  ``from_filtration`` builds the matrix of the
+depth-r filtration group at a point x from (datum, x, r) alone: its
+bound (i, j) is the ``apartment.threshold`` of the root e_i - e_j.
 
 Volumes are exact symbolic monomials q^a (q-1)^b, computed from point
 counts over O/p^N and checked to be independent of N.  Equal bounds up
@@ -42,7 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import TYPE_CHECKING, Sequence
 
-from .apartment import FiltrationProfile
+from .apartment import threshold
+from .root_datum import RootDatum
 
 if TYPE_CHECKING:
     import numpy as np
@@ -122,22 +125,19 @@ def principal_congruence_scheme(n: int, level: int) -> ValuationGroupScheme:
 # Bridges and transforms
 # ---------------------------------------------------------------------------
 
-def from_filtration(profile: FiltrationProfile) -> ValuationGroupScheme:
-    """Bound matrix of the depth-r filtration group at the profile's
-    point, for a general-linear datum (roots e_i - e_j)."""
-    datum = profile.datum
+def from_filtration(datum: RootDatum, x: Sequence, r) -> ValuationGroupScheme:
+    """Bound matrix of the depth-r filtration group at the point x, for
+    a general-linear datum: entry (i, j), i != j, is the threshold of
+    the root e_i - e_j, and every diagonal entry is ceil(r)."""
     if not datum.is_general_linear:
         raise ValueError("filtration bridge needs a general-linear datum")
     n = datum.ambient_rank
-    diag = math.ceil(profile.depth)
-    rows: list[list[Bound]] = [[diag] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                root = tuple(1 if k == i else (-1 if k == j else 0)
-                             for k in range(n))
-                rows[i][j] = profile.threshold_of(root)
-    if min(x for row in rows for x in row) < 0:
+    diag = math.ceil(Q(r))
+    # the root e_i - e_j has coordinates (k == i) - (k == j)
+    rows = [[diag if i == j else threshold(
+                datum, [(k == i) - (k == j) for k in range(n)], x, r)
+             for j in range(n)] for i in range(n)]
+    if min(b for row in rows for b in row) < 0:
         raise ValueError("negative bound: the point is too far from the "
                          "base point for a single integral model")
     return scheme(rows)

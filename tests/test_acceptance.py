@@ -9,7 +9,6 @@ from heckelab.apartment import (
     alcove_interior_points,
     base_alcove_closure_grid,
     depth_regular_point,
-    filtration_profile,
     heart_condition1_check,
     key_inequality_report,
     levi_profile_translation_witness,
@@ -121,8 +120,7 @@ def _gl_volume_verdict(datum, x, image, r, theta) -> str:
     # second route on general-linear data: DISTINCT_VOLUME when some
     # theta-block of the Levi intersections at x and at the image has a
     # different volume, which proves no witness exists
-    models = [from_filtration(filtration_profile(datum, p, r))
-              for p in (x, image)]
+    models = [from_filtration(datum, p, r) for p in (x, image)]
     return compare_levi_volumes(*models, theta).status
 
 
@@ -155,7 +153,7 @@ def test_criterion_2_heart_condition_interior_sweep():
                     where = (f"{name} x={tuple(map(str, x))} r={r} "
                              f"theta={theta}")
                     regular = depth_regular_point(datum, x, r)
-                    verdict = heart_condition1_check(datum, group, x, r, theta)
+                    verdict = heart_condition1_check(group, x, r, theta)
                     if r.denominator == 1 and not (regular and verdict.proven):
                         problems.append(
                             f"{where}: integer depth not clean "
@@ -178,7 +176,7 @@ def test_criterion_2_heart_condition_interior_sweep():
                     for v in dict.fromkeys(w.w2 for w in verdict.witnesses):
                         image = group.act_cocharacter(v, x)
                         witness = levi_profile_translation_witness(
-                            datum, group, x, r, theta, v)
+                            group, x, r, theta, v)
                         sums_image = _pair_sums(datum, image, r, theta)
                         if witness is not None:
                             kind = "repaired"
@@ -208,7 +206,7 @@ def test_criterion_2_heart_condition_interior_sweep():
                         verdicts_obstructed += 1
                     else:
                         verdicts_repaired += 1
-                for rec in key_inequality_report(datum, group, x, theta):
+                for rec in key_inequality_report(group, x, theta):
                     key_total += 1
                     if not rec.inequality_holds:
                         key_bad += 1
@@ -260,7 +258,7 @@ def test_criterion_3_iwahori_factorization_grid():
         datum = datum_general_linear(n)
         for x in base_alcove_closure_grid(datum, 2):
             for r in (Q(1, 2), Q(1)):
-                scheme = from_filtration(filtration_profile(datum, x, r))
+                scheme = from_filtration(datum, x, r)
                 for blocks in partitions[n]:
                     total += 1
                     rep = iwahori_factorization_check(scheme, blocks)
@@ -413,12 +411,12 @@ def test_criterion_7_cross_module_coherence():
     group = WeylGroup(datum)
     x = (Q(1, 2), Q(0), Q(0))
     problems = []
-    base = from_filtration(filtration_profile(datum, x, Q(1)))
+    base = from_filtration(datum, x, Q(1))
     if base.bounds != WALL:
         problems.append(f"filtration route gave {base.bounds}")
     swapped = conjugate_by_permutation(base, (1, 0, 2))
-    reflected = from_filtration(filtration_profile(
-        datum, group.act_cocharacter(group.simple_reflection(0), x), Q(1)))
+    reflected = from_filtration(
+        datum, group.act_cocharacter(group.simple_reflection(0), x), Q(1))
     if not (swapped.bounds == reflected.bounds == WALL_SWAP):
         problems.append(
             f"conjugation routes gave {swapped.bounds} and {reflected.bounds}")

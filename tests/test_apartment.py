@@ -76,8 +76,8 @@ def test_gl3_wall_profile_matrix_at_swapped_point():
 def test_profile_at_base_point_all_ones():
     for key in ["A2", "GL3", "B2"]:
         datum, _ = setup(key)
-        prof = ap.filtration_profile(datum, [0] * datum.ambient_rank, 1)
-        assert set(prof.thresholds) == {1}
+        x = [0] * datum.ambient_rank
+        assert {ap.threshold(datum, a, x, 1) for a in datum.roots} == {1}
 
 
 # -- classification -----------------------------------------------------------
@@ -129,7 +129,7 @@ def test_heart_a2_barycenter_depth_one_all_proven():
         datum, group = setup(key)
         x = datum.base_alcove_barycenter()
         for theta in all_subsets(datum):
-            verdict = ap.heart_condition1_check(datum, group, x, 1, theta)
+            verdict = ap.heart_condition1_check(group, x, 1, theta)
             assert verdict.proven, (key, theta)
 
 
@@ -138,14 +138,14 @@ def test_heart_special_point_all_proven():
         datum, group = setup(key)
         x = [0] * datum.ambient_rank
         for theta in all_subsets(datum):
-            assert ap.heart_condition1_check(datum, group, x, 1, theta).proven
+            assert ap.heart_condition1_check(group, x, 1, theta).proven
 
 
 def test_heart_gl3_wall_mismatch_with_expected_witness():
-    datum, group = setup("GL3")
-    verdict = ap.heart_condition1_check(datum, group, gl3_wall_point(), 1, ())
+    _, group = setup("GL3")
+    verdict = ap.heart_condition1_check(group, gl3_wall_point(), 1, ())
     assert verdict.status == "PROVEN_CONDITION_1"
-    verdict = ap.heart_condition1_check(datum, group, gl3_wall_point(), 1, (1,))
+    verdict = ap.heart_condition1_check(group, gl3_wall_point(), 1, (1,))
     assert verdict.status == "MISMATCH"
     s0 = group.simple_reflection(0)
     hits = [w for w in verdict.witnesses
@@ -159,14 +159,14 @@ def test_heart_half_integer_depth_fails_even_at_barycenter():
     # conjugacy: at depth 1/2 it already fails at the barycenter
     datum, group = setup("A2")
     x = datum.base_alcove_barycenter()
-    verdict = ap.heart_condition1_check(datum, group, x, Q(1, 2), (0,))
+    verdict = ap.heart_condition1_check(group, x, Q(1, 2), (0,))
     assert verdict.status == "MISMATCH"
     s1 = group.simple_reflection(1)
     got = {(w.root, w.threshold_at_x, w.threshold_at_image)
            for w in verdict.witnesses if w.w2 == s1}
     assert ((1, 0), 1, 0) in got
     assert ((-1, 0), 1, 2) in got
-    assert ap.heart_condition1_check(datum, group, x, Q(3, 2), (0,)).status == "MISMATCH"
+    assert ap.heart_condition1_check(group, x, Q(3, 2), (0,)).status == "MISMATCH"
 
 
 @pytest.mark.parametrize("key", ["A1", "A2", "B2", "GL2", "GL3"])
@@ -176,7 +176,7 @@ def test_heart_integer_depths_proven_on_interior_grid(key):
     for x in ap.alcove_interior_points(datum, 4):
         for r in (1, 2):
             for theta in all_subsets(datum):
-                verdict = ap.heart_condition1_check(datum, group, x, r, theta)
+                verdict = ap.heart_condition1_check(group, x, r, theta)
                 assert verdict.proven, (x, r, theta)
 
 
@@ -185,8 +185,8 @@ def test_heart_integer_depths_proven_on_interior_grid(key):
 def test_key_inequality_failure_is_reproducible():
     # minimal coset factors can pull a positive Levi root to a root
     # whose difference pairs negatively with interior points
-    datum, group = setup("A2")
-    recs = ap.key_inequality_report(datum, group, (Q(3, 5), Q(1, 5)), (0,))
+    _, group = setup("A2")
+    recs = ap.key_inequality_report(group, (Q(3, 5), Q(1, 5)), (0,))
     bad = [rec for rec in recs if not rec.inequality_holds]
     assert any(rec.w2.word == (1, 0) and rec.root == (1, 0)
                and rec.delta == Q(-2, 5) for rec in bad)
@@ -198,7 +198,7 @@ def test_inequality_alone_does_not_certify_threshold_equality():
     # sufficient certificate at non-integer depths
     datum, group = setup("A2")
     x = datum.base_alcove_barycenter()
-    recs = ap.key_inequality_report(datum, group, x, (0,))
+    recs = ap.key_inequality_report(group, x, (0,))
     s1 = group.simple_reflection(1)
     rec = next(r for r in recs if r.w2 == s1 and r.root == (1, 0))
     assert rec.inequality_holds and rec.delta == Q(1, 3)
@@ -223,7 +223,7 @@ def test_translation_witness_exists_at_depth_regular_interior_points(key):
             for theta in all_subsets(datum):
                 for v in group.minimal_coset_representatives(theta):
                     w = ap.levi_profile_translation_witness(
-                        datum, group, x, r, theta, v)
+                        group, x, r, theta, v)
                     assert w is not None, (x, theta, v, r)
                     checked += 1
     assert checked > 0
@@ -248,7 +248,7 @@ def test_interior_volume_obstruction_at_critical_depth():
     assert not ap.depth_regular_point(datum, x, Q(1, 2))
     v = group.simple_reflection(1)
     assert ap.levi_profile_translation_witness(
-        datum, group, x, Q(1, 2), (0,), v) is None
+        group, x, Q(1, 2), (0,), v) is None
     a, neg = (1, -1, 0), (-1, 1, 0)
     img = group.act_cocharacter(v, x)
     sum_x = (ap.threshold(datum, a, x, Q(1, 2))
@@ -263,17 +263,17 @@ def test_translation_witness_values_at_barycenter_failure():
     x = datum.base_alcove_barycenter()
     s1 = group.simple_reflection(1)
     wp, nu = ap.levi_profile_translation_witness(
-        datum, group, x, Q(1, 2), (0,), s1)
+        group, x, Q(1, 2), (0,), s1)
     assert wp == group.identity
     assert nu == (-1, 0)
 
 
 def test_no_translation_witness_at_gl3_wall():
     # this is exactly where the volume obstruction takes over
-    datum, group = setup("GL3")
+    _, group = setup("GL3")
     s0 = group.simple_reflection(0)
     w = ap.levi_profile_translation_witness(
-        datum, group, gl3_wall_point(), 1, (1,), s0)
+        group, gl3_wall_point(), 1, (1,), s0)
     assert w is None
 
 

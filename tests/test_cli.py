@@ -532,7 +532,7 @@ def test_report_matches_golden(golden, capsys):
 
 
 @pytest.mark.parametrize("script", ["center_dimension_table",
-                                    "gl3_wall_point_demo"])
+                                    "heart_alcove_survey"])
 def test_script_stdout_matches_golden(script):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / f"{script}.py")],
@@ -790,6 +790,8 @@ DATUM_FILES = {
     "extra_key": '{"general_linear": 3, "label": "GL3"}',
     "b6": json.dumps({"cartan": cartan_matrix("B", 6)}),
     "gl100": '{"general_linear": 100}',
+    "torus0": '{"cartan": [], "central_rank": 0}',
+    "wide": '{"cartan": [[2]], "central_rank": 128}',
 }
 
 
@@ -820,6 +822,13 @@ DATUM_FILES = {
     (["spade-check", "--datum", "{gl100}", "--x", ",".join(["0"] * 100),
       "--r", "1", "--partition", "0|" + ",".join(map(str, range(1, 100)))],
      "spade-check of rank 100 over one partition exceeds the work cap"),
+    # a rank-0 datum estimates one pair whatever q is: q is refused before
+    # its prime-power test trial-divides up to a billion
+    (["torus-center", "--datum", "{torus0}", "--q", "1000000007",
+      "--radius", "0"],
+     "--q 1000000007 has q - 1 = 1000000006 residue characters per "
+     "coordinate; cap is 50000"),
+    (["rootdatum", "--datum", "{wide}"], "ambient rank is 129; cap is 128"),
 ])
 def test_malformed_input_exits_2_with_one_line(argv, needle, tmp_path, capsys):
     from heckelab.catalog import catalog_to_json

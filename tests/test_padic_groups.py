@@ -8,6 +8,7 @@ of ceil(r - a(x)) entry by entry.  The exhaustive factorization route
 (block-LDU uniqueness) is checked against an exact count of distinct
 products, with factors cut out of the enumerated group itself.
 """
+import math
 import time
 from fractions import Fraction as Q
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckelab.apartment import base_alcove_closure_grid, filtration_profile
+from heckelab.apartment import base_alcove_closure_grid, threshold
 from heckelab.padic_groups import (
     _INF,
     VolumeExponent,
@@ -94,37 +95,56 @@ def test_iwahori_scheme_shape():
 # ---------------------------------------------------------------------------
 
 def test_from_filtration_wall_point():
-    prof = filtration_profile(GL3, (Q(1, 2), 0, 0), Q(1))
-    assert from_filtration(prof).bounds == WALL.bounds
+    assert from_filtration(GL3, (Q(1, 2), 0, 0), Q(1)).bounds == WALL.bounds
 
 
 def test_from_filtration_swapped_wall_point():
-    prof = filtration_profile(GL3, (0, Q(1, 2), 0), Q(1))
-    assert from_filtration(prof).bounds == WALL_SWAP.bounds
+    assert from_filtration(GL3, (0, Q(1, 2), 0), Q(1)).bounds == WALL_SWAP.bounds
 
 
 def test_from_filtration_half_depth_origin():
-    prof = filtration_profile(GL2, (0, 0), Q(1, 2))
-    assert from_filtration(prof).bounds == ((1, 1), (1, 1))
+    assert from_filtration(GL2, (0, 0), Q(1, 2)).bounds == ((1, 1), (1, 1))
+
+
+@pytest.mark.parametrize("datum", [GL2, GL3], ids=["gl2", "gl3"])
+@pytest.mark.parametrize("r", [Q(1, 2), Q(1), Q(3, 2), Q(2)], ids=str)
+def test_from_filtration_is_the_threshold_matrix(datum, r):
+    # entry (i, j) off the diagonal is the threshold of e_i - e_j, every
+    # diagonal entry is ceil(r), at every point of the closure grid
+    n = datum.ambient_rank
+    for x in base_alcove_closure_grid(datum, 4):
+        expected = tuple(tuple(
+            math.ceil(r) if i == j else threshold(
+                datum, tuple(1 if k == i else (-1 if k == j else 0)
+                             for k in range(n)), x, r)
+            for j in range(n)) for i in range(n))
+        assert from_filtration(datum, x, r).bounds == expected, x
 
 
 def test_from_filtration_rejects_far_away_points():
     # threshold of e1-e2 at (2,0) and depth 1/2 is -1: the group is not
     # contained in the integral points and has no bound-matrix model
-    prof = filtration_profile(GL2, (2, 0), Q(1, 2))
-    with pytest.raises(ValueError, match="negative bound"):
-        from_filtration(prof)
+    with pytest.raises(ValueError, match="^negative bound: the point is too "
+                       "far from the base point for a single integral "
+                       "model$"):
+        from_filtration(GL2, (2, 0), Q(1, 2))
+
+
+@pytest.mark.parametrize("r", [Q(0), Q(-1, 2)], ids=str)
+def test_from_filtration_rejects_nonpositive_depth(r):
+    with pytest.raises(ValueError, match="^depth must be positive$"):
+        from_filtration(GL3, (0, 0, 0), r)
 
 
 def test_from_filtration_needs_general_linear_datum():
+    needle = "^filtration bridge needs a general-linear datum$"
     a2 = datum_from_cartan([[2, -1], [-1, 2]], label="A2")
-    prof = filtration_profile(a2, (0, 0), Q(1))
-    with pytest.raises(ValueError):
-        from_filtration(prof)
+    with pytest.raises(ValueError, match=needle):
+        from_filtration(a2, (0, 0), Q(1))
     # the label is free text: an A2 Cartan datum called GL3 is no GL3
     fake = datum_from_cartan([[2, -1], [-1, 2]], label="GL3")
-    with pytest.raises(ValueError, match="general-linear"):
-        from_filtration(filtration_profile(fake, (0, 0), Q(1)))
+    with pytest.raises(ValueError, match=needle):
+        from_filtration(fake, (0, 0), Q(1))
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +355,8 @@ def test_interior_critical_depth_levi_blocks_distinct():
     # failure mode at non-regular fractional depth
     x = (Q(1, 2), Q(1, 3), Q(0))
     x_img = (Q(1, 2), Q(0), Q(1, 3))
-    K = from_filtration(filtration_profile(GL3, x, Q(1, 2)))
-    Kv = from_filtration(filtration_profile(GL3, x_img, Q(1, 2)))
+    K = from_filtration(GL3, x, Q(1, 2))
+    Kv = from_filtration(GL3, x_img, Q(1, 2))
     part = [(0, 1), (2,)]
     b1 = block_of(intersect_levi(K, part), (0, 1))
     b2 = block_of(intersect_levi(Kv, part), (0, 1))
@@ -415,7 +435,7 @@ def _distinct_product_verdict(K, blocks, convention, p):
 
 
 CRITERION_3_CASES = [
-    (from_filtration(filtration_profile(datum, x, r)), blocks)
+    (from_filtration(datum, x, r), blocks)
     for datum, partitions in (
         (GL2, [((0,), (1,))]),
         (GL3, [((0,), (1,), (2,)), ((0,), (1, 2)), ((0, 1), (2,))]))
@@ -448,8 +468,7 @@ def test_lower_convention_agrees_with_distinct_count():
 
 # x = 0 at depth 4 in GL4: at p = 2 every partition's product set has
 # 2^16 points, 4 x 4 matrices mod 2^5, 80 bits of entries each
-GL4_DEPTH4 = from_filtration(filtration_profile(datum_general_linear(4),
-                                                (0, 0, 0, 0), Q(4)))
+GL4_DEPTH4 = from_filtration(datum_general_linear(4), (0, 0, 0, 0), Q(4))
 GL4_PARTITIONS = [((0,), (1, 2, 3)), ((0, 1), (2, 3)), ((0, 1, 2), (3,)),
                   ((0,), (1,), (2, 3)), ((0,), (1, 2), (3,)),
                   ((0, 1), (2,), (3,)), ((0,), (1,), (2,), (3,))]
@@ -466,7 +485,7 @@ def test_gl4_depth4_factorization_verified_at_2(blocks):
 def test_deep_gl2_never_false_and_flags_int64_overflow(r):
     # entries mod p^N with n (p^N - 1)^2 >= 2^63 would overflow int64
     # products: those primes are flagged unverified, never refuted
-    K = from_filtration(filtration_profile(GL2, (0, 0), Q(r)))
+    K = from_filtration(GL2, (0, 0), Q(r))
     rep = iwahori_factorization_check(K, [(0,), (1,)])
     assert rep.passed
     for p, verdict in rep.exhaustive:
@@ -513,7 +532,7 @@ depths = st.sampled_from([Q(1, 2), Q(1), Q(3, 2), Q(2)])
 
 
 def _gl3_scheme(x, r):
-    return from_filtration(filtration_profile(GL3, x, r))
+    return from_filtration(GL3, x, r)
 
 
 @settings(max_examples=50, deadline=None)

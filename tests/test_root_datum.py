@@ -118,6 +118,10 @@ def test_cartan_matrix_shapes():
         datum_from_cartan([[2, 1], [1, 2]])
     with pytest.raises(ValueError, match="central_rank"):
         datum_from_cartan([[2]], central_rank=-1)
+    # the Cartan size counts toward the capped ambient rank
+    assert datum_from_cartan([[2]], central_rank=127).ambient_rank == 128
+    with pytest.raises(ValueError, match="ambient rank is 129; cap is 128"):
+        datum_from_cartan([[2]], central_rank=128)
 
 
 def _path_cartan(n: int, double_at: int | None = None) -> list[list[int]]:
