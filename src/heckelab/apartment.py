@@ -64,6 +64,13 @@ def threshold(datum: RootDatum, root: Sequence[int], x: Sequence, r) -> int:
     return math.ceil(r - root_value(datum, root, x))
 
 
+def _scaled(values: Sequence[Q]) -> tuple[int, list[int]]:
+    """(D, [D v for v in values]) for D the least common denominator of
+    the values, every entry an int."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
+
+
 # ---------------------------------------------------------------------------
 # Point classification
 # ---------------------------------------------------------------------------
@@ -131,19 +138,30 @@ class HeartVerdict:
 def heart_condition1_check(group: WeylGroup, x: Sequence, r,
                            theta: Sequence[int]) -> HeartVerdict:
     """Compare Levi-root thresholds at x and at w2(x) for the minimal
-    coset factor w2 of every Weyl element."""
+    coset factor w2 of every Weyl element.
+
+    On X = D x and R = D r, D the least common denominator of x and r,
+    the threshold ceil(r - a(x)) is ceil((R - a(X)) / D), read off
+    integer floor division."""
     datum = group.datum
     x = as_point(x)
     r = Q(r)
     theta = tuple(sorted(theta))
+    levi = [datum.roots[k] for k in levi_root_indices(datum, theta)]
+    if levi and r <= 0:
+        raise ValueError("depth must be positive")
+    D, (*X, R) = _scaled((*x, r))
+
+    def level(a: IVec, point: Sequence[int]) -> int:
+        return -((datum.pairing(a, point) - R) // D)
+
     # the thresholds at x do not depend on the coset factor
-    at_x = [(datum.roots[k], threshold(datum, datum.roots[k], x, r))
-            for k in levi_root_indices(datum, theta)]
+    at_x = [(a, level(a, X)) for a in levi]
     witnesses: list[HeartWitness] = []
     for v in group.minimal_coset_representatives(theta):
-        image = group.act_cocharacter(v, x)
+        image = group.act_cocharacter(v, X)
         for a, t_x in at_x:
-            t_img = threshold(datum, a, image, r)
+            t_img = level(a, image)
             if t_x != t_img:
                 witnesses.append(HeartWitness(theta, v, a, t_x, t_img))
     if witnesses:
@@ -165,9 +183,10 @@ def key_inequality_report(group: WeylGroup, x: Sequence,
     """Evaluate, for every minimal coset factor and every positive Levi
     root, the positivity-plus-gap inequality that the one-alcove
     argument leans on.  Reported verbatim; see the decision notes for
-    where it genuinely fails."""
+    where it genuinely fails.  The shifts are evaluated on X = D x, D
+    the least common denominator of x, as the ints D delta."""
     datum = group.datum
-    x = as_point(x)
+    D, X = _scaled(as_point(x))
     theta = tuple(sorted(theta))
     pos_levi = [k for k in levi_root_indices(datum, theta)
                 if datum.is_positive_root(datum.roots[k])]
@@ -177,9 +196,9 @@ def key_inequality_report(group: WeylGroup, x: Sequence,
         for k in pos_levi:
             a = datum.roots[k]
             pulled = group.act_character(vinv, a)
-            delta = root_value(datum, pulled, x) - root_value(datum, a, x)
+            shift = datum.pairing(pulled, X) - datum.pairing(a, X)
             out.append(KeyInequalityRecord(
-                theta, v, a, delta, 0 <= delta < LEVEL_GAP))
+                theta, v, a, Q(shift, D), 0 <= shift < LEVEL_GAP * D))
     return out
 
 

@@ -11,8 +11,8 @@ library: heart-check escalates a threshold mismatch through
 ``padic_groups.compare_levi_volumes``, the comparison that acceptance
 criterion 2 uses too.  Only ``root_datum`` is imported with this
 module; each subcommand imports its own suite when it runs, so a
-process loads what its subcommand uses (numpy only with the brute-force
-enumeration of spade-check and counterexample).
+process loads what its subcommand uses.  Every exhaustive check runs in
+exact Python ints: no subcommand loads numpy.
 
 Input schemas (also documented in the README):
   datum        registry name (a1, a2, a3, b2, b3, c2, c3, g2, gl1,
@@ -73,9 +73,9 @@ MAX_TORUS_PAIRS = 50_000
 MAX_HECKE_WEIGHT = 15_000
 # spade-check work, n^2 (n + partitions) for rank n.  It admits GL8 over
 # all 127 partitions and GL21 with one, each about 0.6 s on a shared
-# 2-vCPU host.  Rank <= 21 keeps every printed point count, at most
-# (p^N)^(n^2) with n (p^N - 1)^2 < 2^63, under CPython's 4300-digit
-# limit on int-to-str conversion
+# 2-vCPU host.  It bounds the rank only: a point count too long to print
+# in decimal under CPython's 4300-digit limit on int-to-str conversion
+# is flagged as a product of prime powers
 MAX_SPADE_WORK = 10_000
 
 

@@ -26,14 +26,13 @@ An entry constraint is the units (a diagonal bound 0) or a residue
 class r + p^m O, r = 1 on the diagonal and 0 off it, m infinite for an
 entry frozen to r.  One rule counts its residues mod p^N
 (_entry_exponents), one lists them (_constraint_values) and one tests
-them (_constraint_mask).  Brute force enumerates matrices over Z/p^N in
-numpy int64, and iwahori_factorization_check proves the factorization
-by block-LDU uniqueness; above the element cap, or outside the int64
-precondition, the analytic count comparison stands alone and is
-flagged, never silently trusted.  numpy is imported only when a
-brute-force enumeration runs (the helpers that build arrays import it
-themselves), so the bound matrices, volumes and Levi comparisons load
-without it.
+a residue (_meets).  A bound group is an entrywise product set, so the
+exhaustive routes work one entry at a time in exact Python ints:
+brute_point_count multiplies the lengths of the entries' value lists,
+and iwahori_factorization_check proves the factorization by block-LDU
+uniqueness and an entrywise sumset test of the products.  Above the
+point cap the analytic count comparison stands alone and is flagged,
+never silently trusted.
 """
 from __future__ import annotations
 
@@ -42,19 +41,19 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .apartment import threshold
 from .root_datum import RootDatum
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Bound = int | None  # None = entry frozen to 0
 
 DEFAULT_BRUTE_CAP = 2_000_000
 
 _INF = 10 ** 6  # stand-in for None in closure arithmetic
+# finite bounds stay below this, so that a sum of two of them, and every
+# level N = largest bound + 1, stays below _INF
+MAX_BOUND = _INF // 2 - 1
 
 
 def _b(x: Bound) -> int:
@@ -75,8 +74,11 @@ class ValuationGroupScheme:
             if d is None or d < 0:
                 raise ValueError(f"diagonal bound ({i},{i}) must be >= 0")
             for j in range(n):
-                if i != j and self.bounds[i][j] is not None and self.bounds[i][j] < 0:
+                m = self.bounds[i][j]
+                if i != j and m is not None and m < 0:
                     raise ValueError(f"bound ({i},{j}) must be >= 0")
+                if m is not None and m > MAX_BOUND:
+                    raise ValueError(f"bound ({i},{j}) must be <= {MAX_BOUND}")
         for i in range(n):
             for j in range(n):
                 if i == j:
@@ -324,67 +326,68 @@ def compare_levi_volumes(K1: ValuationGroupScheme, K2: ValuationGroupScheme,
 
 
 # ---------------------------------------------------------------------------
-# Brute-force enumeration over Z/p^N
+# Exhaustive enumeration over Z/p^N, one entry at a time
 # ---------------------------------------------------------------------------
 
-def _constraint_values(c: Constraint, p: int, N: int) -> np.ndarray:
-    import numpy as np
+def _constraint_values(c: Constraint, p: int, N: int) -> list[int]:
+    """The residues mod p^N meeting c, in increasing order."""
     if c[0] == "unit":
-        return np.array([x for x in range(p ** N) if x % p], dtype=np.int64)
+        return [x for x in range(p ** N) if x % p]
     _, r, m = c
-    return np.arange(r, p ** N, p ** min(m, N), dtype=np.int64)
+    return list(range(r, p ** N, p ** min(m, N)))
 
 
-def _constraint_mask(c: Constraint, entries: np.ndarray, p: int, N: int) -> np.ndarray:
+def _meets(c: Constraint, v: int, p: int, N: int) -> bool:
+    """Whether the residue v mod p^N meets c."""
     if c[0] == "unit":
-        return entries % p != 0
+        return v % p != 0
     _, r, m = c
-    q = p ** min(m, N)
-    return entries % q == r % q
+    return (v - r) % p ** min(m, N) == 0
+
+
+def _count_at_most(p: int, a: int, b: int, cap: int) -> int | None:
+    """The count p^a (p-1)^b, or None when it is above cap.  Since
+    p^a >= 2^a, an exponent a >= cap.bit_length() is refused before any
+    power is built."""
+    if a >= cap.bit_length():
+        return None
+    count = p ** a * (p - 1) ** b
+    return None if count > cap else count
+
+
+# p <= 2^k for k the bit length of p - 1, so p^a (p-1)^b < 2^((a+b) k); a
+# count of at most this many bits has at most 4215 decimal digits, under
+# CPython's default limit of 4300 digits on int-to-str conversion
+_DECIMAL_BITS = 14_000
+
+
+def _count_text(p: int, a: int, b: int) -> str:
+    """The count p^a (p-1)^b in decimal, or as that product of powers
+    when its decimal form could be too long to print."""
+    if (a + b) * (p - 1).bit_length() <= _DECIMAL_BITS:
+        return str(p ** a * (p - 1) ** b)
+    return f"{p}^{a}" + (f"*{p - 1}^{b}" if b and p > 2 else "")
 
 
 def _enumerate(constraints: list[list[Constraint]], p: int, N: int,
-               cap: int) -> np.ndarray | None:
-    """All matrices over Z/p^N meeting the entry constraints, or None
-    if there are more than cap of them; the cap is checked on the counts
-    before any value array is built."""
-    import numpy as np
-    n = len(constraints)
+               cap: int) -> list[list[list[int]]] | None:
+    """The value list of every entry, or None if more than cap matrices
+    over Z/p^N meet the constraints; the cap is checked on the exponents
+    before any list is built.  Each constraint binds its entry alone, so
+    the matrices are exactly the choices of one value per entry."""
     a, b = _grid_exponents(constraints, N)
-    total = p ** a * (p - 1) ** b
-    if total > cap:
+    if _count_at_most(p, a, b, cap) is None:
         return None
-    cells = [(i, j, _constraint_values(constraints[i][j], p, N))
-             for i in range(n) for j in range(n)]
-    out = np.zeros((total, n, n), dtype=np.int64)
-    stride = total
-    idx = np.arange(total)
-    for i, j, vals in cells:
-        stride //= len(vals)
-        out[:, i, j] = vals[(idx // stride) % len(vals)]
-    return out
-
-
-def _member_mask(K: ValuationGroupScheme, mats: np.ndarray, p: int,
-                 N: int) -> np.ndarray:
-    import numpy as np
-    ok = np.ones(len(mats), dtype=bool)
-    for i in range(K.size):
-        for j in range(K.size):
-            ok &= _constraint_mask(_entry_constraint(K, i, j),
-                                   mats[:, i, j], p, N)
-    return ok
-
-
-def group_elements(K: ValuationGroupScheme, p: int, N: int,
-                   cap: int = DEFAULT_BRUTE_CAP) -> np.ndarray | None:
-    return _enumerate(_constraints(K), p, N, cap)
+    return [[_constraint_values(c, p, N) for c in row] for row in constraints]
 
 
 def brute_point_count(K: ValuationGroupScheme, p: int, N: int,
                       cap: int = DEFAULT_BRUTE_CAP) -> int | None:
-    mats = group_elements(K, p, N, cap)
-    return None if mats is None else len(mats)
+    """The number of matrices over Z/p^N in K, as the product of the
+    lengths of its entries' value lists, or None above cap."""
+    values = _enumerate(_constraints(K), p, N, cap)
+    return None if values is None else math.prod(
+        len(v) for row in values for v in row)
 
 
 # ---------------------------------------------------------------------------
@@ -408,35 +411,68 @@ def _factor_constraints(K: ValuationGroupScheme, blocks: Sequence[Sequence[int]]
     return out
 
 
-def _levi_invertible(levi: np.ndarray, blocks: Sequence[Sequence[int]],
-                     p: int) -> bool:
-    """Whether every diagonal block of every matrix in levi is invertible
-    mod p, shown with integers only: m v is nonzero mod p for every
-    nonzero v in F_p^k, k the block size."""
-    import numpy as np
-    for block in map(list, blocks):
-        nonzero = list(itertools.product(range(p), repeat=len(block)))[1:]
-        vecs = np.array(nonzero, dtype=np.int64).T
-        chunk = max(1, 1_000_000 // vecs.size)
-        for start in range(0, len(levi), chunk):
-            sub = levi[start:start + chunk][:, block][:, :, block] % p
-            images = sub @ vecs % p
-            if (images == 0).all(axis=1).any():
-                return False
+def _invertible_mod_p(rows: list[list[int]], p: int) -> bool:
+    """Whether a square integer matrix is invertible mod p, by Gaussian
+    elimination over F_p."""
+    rows = [[x % p for x in row] for row in rows]
+    for c in range(len(rows)):
+        k = next((k for k in range(c, len(rows)) if rows[k][c]), None)
+        if k is None:
+            return False
+        rows[c], rows[k] = rows[k], rows[c]
+        inv = pow(rows[c][c], -1, p)
+        for k in range(c + 1, len(rows)):
+            f = rows[k][c] * inv % p
+            rows[k] = [(x - f * y) % p for x, y in zip(rows[k], rows[c])]
     return True
 
 
-def _products_in(K: ValuationGroupScheme, lo: np.ndarray, mid: np.ndarray,
-                 hi: np.ndarray, p: int, N: int) -> bool:
-    """Whether every product l m u lies in K, checked one by one."""
-    mod = p ** N
-    n = K.size
-    pairs = (lo[:, None] @ mid[None]).reshape(-1, n, n) % mod
-    chunk = max(1, 500_000 // len(hi))
-    for start in range(0, len(pairs), chunk):
-        prods = pairs[start:start + chunk, None] @ hi[None]
-        if not _member_mask(K, prods.reshape(-1, n, n) % mod, p, N).all():
+def _levi_invertible(levi: list[list[list[int]]],
+                     blocks: Sequence[Sequence[int]], p: int) -> bool:
+    """Whether every matrix whose entries are chosen from the value lists
+    ``levi`` has every diagonal block invertible mod p.  A block's
+    residues mod p are every choice of one residue per entry, and each
+    choice is eliminated over F_p."""
+    for block in blocks:
+        k = len(block)
+        cells = [sorted({v % p for v in levi[i][j]})
+                 for i in block for j in block]
+        if not all(_invertible_mod_p([flat[i:i + k]
+                                      for i in range(0, k * k, k)], p)
+                   for flat in itertools.product(*cells)):
             return False
+    return True
+
+
+def _products_in(target: list[list[Constraint]], lo: list[list[list[int]]],
+                 mid: list[list[list[int]]], hi: list[list[list[int]]],
+                 p: int, N: int) -> bool:
+    """Whether every product l m u, one value per entry from each of the
+    three value grids, meets the target constraints; decided one entry
+    at a time (see iwahori_factorization_check)."""
+    q = p ** N
+    n = len(target)
+    terms = [(a, b, mid[a][b]) for a in range(n) for b in range(n)
+             if mid[a][b] != [0]]
+    for i in range(n):
+        for j in range(n):
+            c = target[i][j]
+            cols = list(itertools.product(*(hi[b][j] for b in range(n))))
+            seen = set()
+            for row in itertools.product(*lo[i]):
+                for col in cols:
+                    coeffs = tuple(row[a] * col[b] % q for a, b, _ in terms)
+                    if coeffs in seen:
+                        continue
+                    seen.add(coeffs)
+                    # the values of sum_ab c_ab m_ab: a sumset of c_ab M_ab
+                    sums = {0}
+                    for (_, _, values), k in zip(terms, coeffs):
+                        if k:
+                            step = {k * v % q for v in values}
+                            sums = {(s + t) % q for s in sums for t in step}
+                    if not all(_meets(c, v, p, N) for v in sums):
+                        return False
     return True
 
 
@@ -473,15 +509,29 @@ def iwahori_factorization_check(K: ValuationGroupScheme,
     on block-LDU uniqueness: if l m u = l' m' u' with l, l' block lower
     unipotent, u, u' block upper unipotent and m, m' block diagonal and
     invertible, then l'^-1 l m = m' u' u^-1 is both block lower and
-    block upper triangular, so m = m', l = l' and u = u'.  Once every
-    enumerated Levi element is shown invertible mod p, the products
-    are |lo| |mid| |hi| distinct matrices; each product is tested for
-    membership in K, and the count is compared with the point count of
-    K, so equality proves the product set is the point set of K.
+    block upper triangular, so m = m', l = l' and u = u'.  Each factor
+    set is a product of per-entry value lists, so it has the product of
+    their lengths as its size, and these three sizes must multiply to
+    the point count of K.  Once every Levi element is shown invertible
+    mod p (each block's residues mod p, eliminated over F_p), the
+    products are that many distinct matrices, and it remains to show
+    that each lies in K: then the product set is the point set of K.
 
-    A prime is left unverified (verdict None, flagged) when the int64
-    precondition n (p^N - 1)^2 < 2^63 fails or K has more than cap
-    points."""
+    Membership is decided entry by entry.  Fix row i of l and column j
+    of u; entry (i, j) of l m u is the linear form sum_ab (l_ia u_bj)
+    m_ab in the Levi entries, which range independently over their
+    value lists M_ab, so its values mod p^N are exactly the sumset of
+    the sets (l_ia u_bj) M_ab.  Row i of l and column j of u range
+    independently of each other and of m, so the union of these sumsets
+    over them is exactly the set of values entry (i, j) takes over all
+    triples.  K is an entrywise product set: a matrix lies in K when
+    each entry meets its own constraint, so every product lies in K
+    exactly when every value of every entry meets that entry's
+    constraint.  The test is therefore the same as testing each of the
+    |lo| |mid| |hi| products, with every value an exact int.
+
+    A prime is left unverified (verdict None, flagged) when K has more
+    than cap points."""
     if convention not in ("upper", "lower"):
         raise ValueError("convention must be 'upper' or 'lower'")
     first, last = ("lower", "upper") if convention == "upper" else ("upper", "lower")
@@ -489,30 +539,25 @@ def iwahori_factorization_check(K: ValuationGroupScheme,
              for part in (first, "levi", last)]
 
     N = K.max_finite_bound() + 1
+    a, b = count_exponents(K, N)
     # exponents add entry by entry: the three grids count as one
-    analytic = (_grid_exponents([row for cs in parts for row in cs], N)
-                == count_exponents(K, N))
+    analytic = _grid_exponents([row for cs in parts for row in cs], N) == (a, b)
 
     exhaustive: list[tuple[int, bool | None]] = []
     flags: list[str] = []
     for p in primes:
-        # the one precondition of the int64 arithmetic: a product of two
-        # matrices with entries in [0, p^N) stays below 2^63
-        if K.size * (p ** N - 1) ** 2 >= 2 ** 63:
+        expected = _count_at_most(p, a, b, cap)
+        if expected is None:
             exhaustive.append((p, None))
-            flags.append(f"{UNVERIFIED}(p={p}, n*(p^N-1)^2 >= 2^63)")
+            flags.append(f"{UNVERIFIED}(p={p}, expected={_count_text(p, a, b)})")
             continue
-        expected = point_count(K, p, N)
-        if expected > cap:
-            exhaustive.append((p, None))
-            flags.append(f"{UNVERIFIED}(p={p}, expected={expected})")
-            continue
-        sets = [_enumerate(cs, p, N, expected) for cs in parts]
-        if (any(s is None for s in sets)
-                or math.prod(map(len, sets)) != expected):
+        grids = [_enumerate(cs, p, N, expected) for cs in parts]
+        if (any(g is None for g in grids)
+                or math.prod(len(v) for g in grids for row in g for v in row)
+                != expected):
             exhaustive.append((p, False))
             continue
-        lo, mid, hi = sets
+        lo, mid, hi = grids
         exhaustive.append((p, _levi_invertible(mid, blocks, p)
-                           and _products_in(K, lo, mid, hi, p, N)))
+                           and _products_in(_constraints(K), lo, mid, hi, p, N)))
     return FactorizationReport(analytic, tuple(exhaustive), tuple(flags))

@@ -44,6 +44,44 @@ def test_threshold_rejects_nonpositive_depth():
         ap.threshold(datum, (1,), [Q(1, 2)], 0)
 
 
+@pytest.mark.parametrize("r", [0, Q(-1, 2)], ids=str)
+def test_heart_check_rejects_nonpositive_depth_when_it_reads_a_threshold(r):
+    # theta = () has no Levi root, so no threshold is read and no depth
+    # is refused; any other theta reads one
+    _, group = setup("GL3")
+    assert ap.heart_condition1_check(group, (0, 0, 0), r, ()).proven
+    for theta in [(0,), (0, 1)]:
+        with pytest.raises(ValueError, match="^depth must be positive$"):
+            ap.heart_condition1_check(group, (0, 0, 0), r, theta)
+
+
+@pytest.mark.parametrize("key", ["A2", "B2", "GL3", "G2"])
+def test_heart_check_thresholds_agree_with_the_fraction_route(key):
+    # the integer thresholds on D x must be ceil(r - a(x)) as computed
+    # over Q by ``threshold``, witness by witness, at every grid point
+    datum, group = setup(key)
+    mismatches = 0
+    for x in ap.alcove_interior_points(datum, 6)[::2]:
+        for r in (Q(1, 2), Q(2, 3), Q(1), Q(3, 2)):
+            for theta in all_subsets(datum):
+                verdict = ap.heart_condition1_check(group, x, r, theta)
+                found = set()
+                for v in group.minimal_coset_representatives(theta):
+                    image = group.act_cocharacter(v, x)
+                    for k in ap.levi_root_indices(datum, theta):
+                        a = datum.roots[k]
+                        pair = (ap.threshold(datum, a, x, r),
+                                ap.threshold(datum, a, image, r))
+                        if pair[0] != pair[1]:
+                            found.add((v, a, *pair))
+                assert {(w.w2, w.root, w.threshold_at_x,
+                         w.threshold_at_image)
+                        for w in verdict.witnesses} == found
+                assert verdict.proven == (not found)
+                mismatches += len(found)
+    assert mismatches
+
+
 def _gl_threshold_matrix(datum, x, r):
     n = datum.ambient_rank
     out = {}

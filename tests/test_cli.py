@@ -372,8 +372,9 @@ def test_spade_check_all_partitions_rank_three(capsys):
     *(["--datum", "gl2", "--x", "0,0", "--r", r] for r in ("20", "30", "40"))])
 def test_spade_check_deep_filtrations_exit_0_cleanly(argv):
     # GL4 at depth 4 has 2^16 points at p = 2, each a 4 x 4 matrix mod
-    # 2^5; GL2 at depth 20 to 40 has entries mod 2^21 to 3^41, where int64
-    # products overflow.  No prime may be refuted, or pass unflagged
+    # 2^5; GL2 at depth 20 to 40 has entries mod 2^21 to 3^41, past the
+    # reach of int64 products, and is verified at both primes.  No prime
+    # may be refuted, or pass unflagged
     proc = subprocess.run(
         [sys.executable, "-m", "heckelab.cli", "spade-check", *argv,
          "--format", "json"],
@@ -389,6 +390,25 @@ def test_spade_check_deep_filtrations_exit_0_cleanly(argv):
     if argv[1] == "gl4":
         assert len(rows) == 7
         assert all(row["exhaustive"][0] == [2, True] for row in rows)
+    else:
+        assert rows[0]["exhaustive"] == [[2, True], [3, True]]
+
+
+def test_spade_check_flags_a_count_too_long_to_print():
+    # at x = (2999, 0), r = 3000 the point counts are 2^12000 and 3^12000;
+    # the second has 5726 digits, past CPython's 4300-digit limit on
+    # int-to-str conversion, and is flagged as a power instead
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckelab.cli", "spade-check", "--datum",
+         "gl2", "--x", "2999,0", "--r", "3000", "--format", "json"],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0 and proc.stderr == ""
+    row, = json.loads(proc.stdout)["data"]["partitions"]
+    assert row["exhaustive"] == [[2, None], [3, None]]
+    assert row["flags"] == [
+        f"UNVERIFIED_EXHAUSTIVELY(p=2, expected={2 ** 12000})",
+        "UNVERIFIED_EXHAUSTIVELY(p=3, expected=3^12000)"]
 
 
 def test_spade_check_work_cap(tmp_path, capsys):
@@ -829,6 +849,11 @@ DATUM_FILES = {
      "--q 1000000007 has q - 1 = 1000000006 residue characters per "
      "coordinate; cap is 50000"),
     (["rootdatum", "--datum", "{wide}"], "ambient rank is 129; cap is 128"),
+    # a bound past padic_groups.MAX_BOUND would reach the sentinel that
+    # stands for a frozen entry, and its counts would treat that entry as
+    # free
+    (["spade-check", "--datum", "gl2", "--x", "99999999,0", "--r",
+      "100000000"], "bound (0,0) must be <= 499999"),
 ])
 def test_malformed_input_exits_2_with_one_line(argv, needle, tmp_path, capsys):
     from heckelab.catalog import catalog_to_json
@@ -1005,10 +1030,12 @@ def loaded_modules(argv):
 
 
 # the gl4 heart-check escalates its mismatches through
-# padic_groups.compare_levi_volumes
+# padic_groups.compare_levi_volumes; spade-check and counterexample run
+# the exhaustive enumeration in exact Python ints
 NO_NUMPY_RUNS = {
-    **{name: SMALL_RUNS[name] for name in ("rootdatum", "torus-center",
-                                           "iwahori-center", "clifford")},
+    **{name: SMALL_RUNS[name] for name in (
+        "rootdatum", "torus-center", "iwahori-center", "clifford",
+        "spade-check", "counterexample")},
     "heart-check": ["heart-check", "--datum", "gl4", "--x",
                     "3/4,1/2,1/4,0", "--r", "3/2"],
 }
@@ -1029,10 +1056,6 @@ def test_subcommand_without_enumeration_loads_no_numpy(subcommand):
     if subcommand in ("iwahori-center", "torus-center"):
         assert not loaded & {"heckelab.catalog", "heckelab.clifford_lab",
                              "heckelab.padic_groups"}
-
-
-def test_spade_check_still_enumerates_with_numpy():
-    assert "numpy" in loaded_modules(SMALL_RUNS["spade-check"])
 
 
 def test_json_output_idempotent(capsys):

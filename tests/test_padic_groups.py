@@ -1,13 +1,16 @@
 """Bound-matrix groups: construction, volumes, factorization.
 
-Numeric oracles: point counts over Z/p^N computed by literal
-enumeration with numpy, and indices in GL_2 computed as exact ratios of
+Numeric oracles: point counts over Z/p^N computed from the literal
+per-entry value lists, and indices in GL_2 computed as exact ratios of
 those counts for p in {2, 3}; the symbolic machinery must reproduce
 them.  The wall-point bound matrices are frozen from a hand evaluation
 of ceil(r - a(x)) entry by entry.  The exhaustive factorization route
-(block-LDU uniqueness) is checked against an exact count of distinct
-products, with factors cut out of the enumerated group itself.
+(block-LDU uniqueness and the entrywise sumset test) is checked against
+an exact count of distinct products, computed with numpy over the
+enumerated group, with factors cut out of that group itself.
 """
+import copy
+import itertools
 import math
 import time
 from fractions import Fraction as Q
@@ -19,13 +22,18 @@ from hypothesis import given, settings, strategies as st
 from heckelab.apartment import base_alcove_closure_grid, threshold
 from heckelab.padic_groups import (
     _INF,
+    DEFAULT_BRUTE_CAP,
+    MAX_BOUND,
     VolumeExponent,
-    _constraint_mask,
     _constraint_values,
+    _constraints,
     _entry_constraint,
     _entry_exponents,
+    _enumerate,
     _factor_constraints,
     _levi_invertible,
+    _meets,
+    _products_in,
     block_of,
     brute_point_count,
     compare_levi_volumes,
@@ -34,7 +42,6 @@ from heckelab.padic_groups import (
     contains,
     count_exponents,
     from_filtration,
-    group_elements,
     intersect_levi,
     iwahori_factorization_check,
     iwahori_scheme,
@@ -58,6 +65,17 @@ WALL = scheme([[1, 1, 1], [2, 1, 1], [2, 1, 1]])
 WALL_SWAP = scheme([[1, 2, 1], [1, 1, 1], [1, 2, 1]])
 
 
+def _elements(K, p, N):
+    """Every matrix over Z/p^N in K, as an int64 array of shape
+    (count, n, n): every choice of one value per entry."""
+    n = K.size
+    values = [np.array(v, dtype=np.int64)
+              for row in _enumerate(_constraints(K), p, N, DEFAULT_BRUTE_CAP)
+              for v in row]
+    grids = np.meshgrid(*values, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1).reshape(-1, n, n)
+
+
 # ---------------------------------------------------------------------------
 # construction and validation
 # ---------------------------------------------------------------------------
@@ -70,6 +88,15 @@ def test_constructor_rejects_non_square():
 def test_constructor_rejects_negative_bound():
     with pytest.raises(ValueError):
         scheme([[1, -1], [1, 1]])
+
+
+def test_constructor_rejects_bound_above_max_bound():
+    # N = largest bound + 1 must stay below the frozen-entry sentinel
+    assert principal_congruence_scheme(2, MAX_BOUND).max_finite_bound() \
+        == MAX_BOUND
+    with pytest.raises(ValueError, match=rf"^bound \(1,0\) must be <= "
+                       rf"{MAX_BOUND}$"):
+        scheme([[1, 0], [MAX_BOUND + 1, 1]])
 
 
 def test_constructor_rejects_pair_violation():
@@ -228,7 +255,7 @@ def test_enumeration_cap_checked_before_any_array_is_built():
         count = point_count(K, p, N)
         assert brute_point_count(K, p, N, cap=count) == count
         assert brute_point_count(K, p, N, cap=count - 1) is None
-        assert len(group_elements(K, p, N, cap=count)) == count
+        assert len(_elements(K, p, N)) == count
 
 
 def _every_entry_constraint():
@@ -251,7 +278,7 @@ def _every_entry_constraint():
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_entry_rules_agree_on_every_constraint(p):
-    # the value list, the membership mask and the count exponents are
+    # the value list, the membership rule and the count exponents are
     # three readings of one constraint; each must give the same residues
     constraints, top = _every_entry_constraint()
     assert {("unit",), ("class", 0, 0), ("class", 0, _INF),
@@ -259,8 +286,8 @@ def test_entry_rules_agree_on_every_constraint(p):
     for c in constraints:
         for N in range(1, top + 3):
             values = _constraint_values(c, p, N)
-            mask = _constraint_mask(c, np.arange(p ** N), p, N)
-            assert values.tolist() == np.flatnonzero(mask).tolist(), (c, N)
+            members = [v for v in range(p ** N) if _meets(c, v, p, N)]
+            assert values == members, (c, N)
             a, b = _entry_exponents(c, N)
             assert len(values) == p ** a * (p - 1) ** b, (c, N)
 
@@ -414,7 +441,7 @@ def _distinct_product_verdict(K, blocks, convention, p):
     of K's own point set, and their products must be exactly that set."""
     N = K.max_finite_bound() + 1
     mod, n = p ** N, K.size
-    elems = group_elements(K, p, N)
+    elems = _elements(K, p, N)
     owner = [b for b, block in enumerate(blocks) for _ in block]
     below = np.array([[owner[i] > owner[j] for j in range(n)]
                       for i in range(n)])
@@ -483,31 +510,65 @@ def test_gl4_depth4_factorization_verified_at_2(blocks):
 
 @pytest.mark.parametrize("r", [20, 30, 40])
 def test_deep_gl2_never_false_and_flags_int64_overflow(r):
-    # entries mod p^N with n (p^N - 1)^2 >= 2^63 would overflow int64
-    # products: those primes are flagged unverified, never refuted
+    # entries mod p^N up to 3^41: the exact route verifies every prime,
+    # and the int64 oracle is compared only where n (p^N - 1)^2 < 2^63,
+    # the primes at which its matrix products cannot overflow
     K = from_filtration(GL2, (0, 0), Q(r))
+    N = K.max_finite_bound() + 1
     rep = iwahori_factorization_check(K, [(0,), (1,)])
-    assert rep.passed
-    for p, verdict in rep.exhaustive:
-        if verdict is None:
-            assert f"UNVERIFIED_EXHAUSTIVELY(p={p}, n*(p^N-1)^2 >= 2^63)" \
-                in rep.flags
-        else:
-            assert verdict is True
-            assert _distinct_product_verdict(K, [(0,), (1,)], "upper", p)
-    assert [p for p, v in rep.exhaustive if v] == ([2] if r < 40 else [])
+    assert rep.exhaustive == ((2, True), (3, True)) and not rep.flags
+    compared = [p for p in (2, 3) if 2 * (p ** N - 1) ** 2 < 2 ** 63]
+    for p in compared:
+        assert _distinct_product_verdict(K, [(0,), (1,)], "upper", p)
+    assert compared == ([2] if r < 40 else [])
 
 
 def test_levi_invertibility_check_catches_a_singular_block():
     blocks = [(0,), (1, 2)]
-    levi = group_elements(intersect_levi(WALL, blocks), 3, 2)
+    levi = _enumerate(_factor_constraints(WALL, blocks, "levi"), 3, 2,
+                      DEFAULT_BRUTE_CAP)
     assert _levi_invertible(levi, blocks, 3)
-    singular = levi.copy()
-    singular[5, 1:, 1:] = [[1, 3], [3, 0]]     # second row zero mod 3
+    singular = copy.deepcopy(levi)
+    # the Levi element with block [[1, 3], [3, 0]]: second row zero mod 3
+    assert 1 in levi[1][1] and 3 in levi[1][2] and 3 in levi[2][1]
+    singular[2][2] = levi[2][2] + [0]
     assert not _levi_invertible(singular, blocks, 3)
-    singular[5, 1:, 1:] = [[1, 0], [0, 1]]
-    singular[7, 0, 0] = 6                      # a 1x1 block divisible by 3
+    singular = copy.deepcopy(levi)
+    singular[0][0] = levi[0][0] + [6]          # a 1x1 block divisible by 3
     assert not _levi_invertible(singular, blocks, 3)
+
+
+def _tightened(c):
+    """The constraint of the same entry with its bound raised by one."""
+    return ("class", 1, 1) if c == ("unit",) else ("class", c[1], c[2] + 1)
+
+
+@pytest.mark.parametrize("K,blocks", [
+    (WALL, [(0,), (1, 2)]), (I2, [(0,), (1,)]),
+    (from_filtration(GL3, (Q(1, 2), Q(1, 2), 0), Q(1, 2)), [(0, 1), (2,)])],
+    ids=["wall", "iwahori", "criterion-3"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_entrywise_product_test_rejects_every_tightened_bound(K, blocks, p):
+    # the factors' products are exactly K, so once one finite bound of
+    # K is raised by one, some product leaves the tightened set and the
+    # entrywise sumset test must find it.  Every bound here is finite;
+    # only the units at p = 2, which are 1 + 2O, lose no residue
+    rep = iwahori_factorization_check(K, blocks, primes=(p,), cap=10 ** 8)
+    assert rep.exhaustive == ((p, True),)
+    N = K.max_finite_bound() + 1
+    lo, mid, hi = (_enumerate(_factor_constraints(K, blocks, part), p, N,
+                              10 ** 8)
+                   for part in ("lower", "levi", "upper"))
+    target = _constraints(K)
+    assert _products_in(target, lo, mid, hi, p, N)
+    for i, j in itertools.product(range(K.size), repeat=2):
+        tight = copy.deepcopy(target)
+        tight[i][j] = _tightened(target[i][j])
+        if (_constraint_values(tight[i][j], p, N)
+                == _constraint_values(target[i][j], p, N)):
+            assert (target[i][j], p) == (("unit",), 2)
+            continue
+        assert not _products_in(tight, lo, mid, hi, p, N), (i, j)
 
 
 def test_factorization_rejects_bad_convention():
@@ -583,8 +644,7 @@ def test_brute_count_matches_formula(x, r):
 
 
 def test_group_elements_are_closed_under_multiplication():
-    import numpy as np
-    mats = group_elements(I1, 2, 2)
+    mats = _elements(I1, 2, 2)
     mod = 4
     prods = np.einsum("aij,bjk->abik", mats, mats).reshape(-1, 2, 2) % mod
     codes = {tuple(m.ravel()) for m in mats}

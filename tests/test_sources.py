@@ -45,6 +45,20 @@ def test_no_unused_import_in_the_package():
     assert not found, found
 
 
+def test_no_numpy_import_in_the_package_or_the_scripts():
+    # every exhaustive check runs in exact Python ints; numpy is a test
+    # dependency of the distinct-product oracle alone
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("scripts/*.py"))]
+    found = [f"{path.parent.name}/{path.name}:{node.lineno}"
+             for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Import) and any(
+                 alias.name.split(".")[0] == "numpy" for alias in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "numpy"]
+    assert not found, found
+
+
 def _unread_private_helpers(trees: dict[str, ast.Module]) -> list[str]:
     """Private functions and classes (``_name``, dunders excepted) that no
     Name, Attribute or import alias of the package reads outside their
