@@ -39,7 +39,7 @@ from .finite_groups import (
     quaternion,
 )
 from .representations import Representation
-from .root_datum import _integer
+from .root_datum import as_integer
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +341,7 @@ def model_to_json(model: FiniteGroupModel) -> dict:
 def _integers(values: list, what: str) -> tuple[int, ...]:
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list, got {values!r}")
-    return tuple(_integer(v, f"every entry of {what}") for v in values)
+    return tuple(as_integer(v, f"every entry of {what}") for v in values)
 
 
 def _elements(group: FiniteGroup, values: list, what: str) -> tuple[int, ...]:
@@ -376,7 +376,7 @@ def model_from_json(data: dict) -> FiniteGroupModel:
     else:
         raise ValueError("group needs a table or permutation generators")
     # every representation of G is realizable over Q(zeta_e), e | |G|
-    cond = _integer(data["conductor"], "conductor")
+    cond = as_integer(data["conductor"], "conductor")
     if not 1 <= cond <= group.order:
         raise ValueError(f"conductor must lie in 1..{group.order}, the "
                          f"group order, got {cond}")

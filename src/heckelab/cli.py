@@ -87,7 +87,8 @@ class CLIError(Exception):
 # exact input parsing
 # ---------------------------------------------------------------------------
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
+# ASCII digits only, as in parse_index_list: \d matches other digits too
+_RATIONAL_RE = re.compile(r"^[+-]?[0-9]+(?:/[1-9][0-9]*)?$")
 
 
 def parse_rational(text: str) -> Q:
@@ -110,7 +111,7 @@ def parse_index_list(text: str) -> tuple[int, ...]:
         p = p.strip()
         if p == "":
             continue
-        if not p.isdigit():
+        if not (p.isascii() and p.isdigit()):
             raise CLIError(f"indices must be non-negative integers: {text!r}")
         out.append(int(p))
     return tuple(sorted(set(out)))
@@ -313,8 +314,11 @@ def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
         return {"status": SKIPPED, "reason": str(exc)}
     per_image = []
     proven = False
-    for w in sorted(dict.fromkeys(wit.w2 for wit in witnesses),
-                    key=lambda w: str(w.cochar_mat)):
+    # ordered by str of w's integer cocharacter matrix (columns: w(e_j))
+    n = datum.ambient_rank
+    basis = [[int(i == j) for i in range(n)] for j in range(n)]
+    for w in sorted(dict.fromkeys(wit.w2 for wit in witnesses), key=lambda w: str(
+            tuple(zip(*(group.act_cocharacter(w, e) for e in basis))))):
         moved = from_filtration(datum, group.act_cocharacter(w, x), r)
         levi = compare_levi_volumes(base, moved, theta)
         proven = proven or levi.status == "DISTINCT_VOLUME"

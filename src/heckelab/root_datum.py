@@ -21,15 +21,15 @@ Cartan matrix or a general-linear size, as a JSON-style dict), and
 
 The Weyl group is enumerated once by the breadth-first ``_closure``,
 which also builds root systems, parabolic subgroups and orbits.  Elements
-are canonicalized by their integer action matrix on cocharacters and
-carry a shortlex-minimal reduced word in the simple reflections.
+are canonicalized by the permutation they induce on the roots and carry
+a shortlex-minimal reduced word in the simple reflections; they act on
+characters and cocharacters one simple reflection per letter.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import factorial, prod
-from operator import mul
 from typing import Iterable, Sequence
 
 from . import _closure, _linalg
@@ -37,8 +37,9 @@ from . import _closure, _linalg
 IVec = tuple[int, ...]
 
 MAX_WEYL_ORDER = 10080
-# ambient rank of a Cartan description; WeylGroup builds n x n integer
-# matrices in O(n^3): A1 + central rank 127 heart-check, 0.9 s on 2 vCPUs
+# ambient rank n of a Cartan description: each Weyl action on a vector
+# costs O(length * n); heart-check of A6 x A1 (|W| = 10080) + central
+# rank 121 takes 0.9 s in-process, and 2.1 s at n = 512, on 2 vCPUs
 MAX_AMBIENT_RANK = 128
 
 
@@ -191,8 +192,7 @@ class RootDatum:
         [i][j] pairs simple root j with simple coroot i."""
         # walk each simple root's nonzero coordinates only: on GL_n a
         # simple root has two of n
-        supports = [[(k, x) for k, x in enumerate(a) if x]
-                    for a in self.simple_roots()]
+        supports = [_support(a) for a in self.simple_roots()]
         return [[sum(x * av[k] for k, x in sup) for sup in supports]
                 for av in self.simple_coroots()]
 
@@ -325,7 +325,7 @@ def datum_general_linear(n: int, max_weyl_order: int | None = None) -> RootDatum
     return RootDatum(n, roots, coroots, simple, f"GL{n}")
 
 
-def _integer(value, what: str) -> int:
+def as_integer(value, what: str) -> int:
     # bool is an int subclass; floats and numeric strings are refused too
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
@@ -357,13 +357,13 @@ def datum_from_config(cfg: dict, max_weyl_order: int | None = None) -> RootDatum
     if extra:
         raise ValueError(f"unexpected keys {extra}")
     if "general_linear" in cfg:
-        return datum_general_linear(_integer(cfg["general_linear"],
-                                             "general_linear"), max_weyl_order)
+        return datum_general_linear(as_integer(cfg["general_linear"],
+                                               "general_linear"), max_weyl_order)
     mat = cfg["cartan"]
     if not isinstance(mat, list) or not all(isinstance(row, list) for row in mat):
         raise ValueError("cartan must be a list of rows")
-    mat = [[_integer(x, "every Cartan entry") for x in row] for row in mat]
-    central = _integer(cfg.get("central_rank", 0), "central_rank")
+    mat = [[as_integer(x, "every Cartan entry") for x in row] for row in mat]
+    central = as_integer(cfg.get("central_rank", 0), "central_rank")
     label = cfg.get("label", "custom")
     if not isinstance(label, str):
         raise ValueError(f"label must be a string, got {label!r}")
@@ -386,22 +386,13 @@ REGISTRY: dict[str, dict] = {
 # Weyl group
 # ---------------------------------------------------------------------------
 
-IMat = tuple[IVec, ...]
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeylElement:
-    """Group element, canonical by its cocharacter action matrix."""
+    """Group element, canonical by the permutation it induces on the
+    roots, on which W acts faithfully: ``w(roots[k]) = roots[perm[k]]``."""
 
-    cochar_mat: IMat
-    char_mat: IMat
-    word: tuple[int, ...]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, WeylElement) and self.cochar_mat == other.cochar_mat
-
-    def __hash__(self) -> int:
-        return hash(self.cochar_mat)
+    perm: tuple[int, ...]
+    word: tuple[int, ...] = field(compare=False)
 
     @property
     def length(self) -> int:
@@ -412,17 +403,19 @@ class WeylElement:
         return f"<{name}>"
 
 
-def _imat_identity(n: int) -> IMat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+def _support(vec: IVec) -> tuple[tuple[int, int], ...]:
+    """The nonzero coordinates of vec, as (index, value) pairs."""
+    return tuple((k, x) for k, x in enumerate(vec) if x)
 
 
-def _imat_mul(a: IMat, b: IMat) -> IMat:
-    bt = list(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
-
-
-def _imat_vec(m: IMat, v: Sequence) -> tuple:
-    return tuple(sum(map(mul, row, v)) for row in m)
+def _reflect(v: Sequence, a: Sequence, av: Sequence) -> tuple:
+    """v - <v, av> a: the reflection in a, with av its dual vector, each
+    given by its support: a root has two nonzero coordinates on GL_n."""
+    c = sum([v[k] * x for k, x in av])
+    out = list(v)
+    for k, y in a:
+        out[k] -= c * y
+    return tuple(out)
 
 
 # Weyl group orders of E6, E7 and E8 by the arm lengths of their branch
@@ -514,38 +507,29 @@ class WeylGroup:
             raise ValueError(f"Weyl group order is at least {bound}; "
                              f"cap is {max_order}")
         self.datum = datum
-        n = datum.ambient_rank
-        self._simple_char: list[IMat] = []
-        self._simple_cochar: list[IMat] = []
-        for k in datum.simple:
-            a = datum.roots[k]
-            av = datum.coroots[k]
-            char = tuple(tuple((1 if r == c else 0) - a[r] * av[c] for c in range(n))
-                         for r in range(n))
-            self._simple_char.append(char)
-            self._simple_cochar.append(tuple(zip(*char)))
+        self._simple_pairs = [(_support(datum.roots[k]),
+                               _support(datum.coroots[k])) for k in datum.simple]
+        # tuple.index raises ValueError on roots not closed under reflection
+        simple_perms = [tuple(datum.roots.index(_reflect(b, a, av))
+                              for b in datum.roots) for a, av in self._simple_pairs]
 
-        self.identity = WeylElement(_imat_identity(n), _imat_identity(n), ())
+        self.identity = WeylElement(tuple(range(len(datum.roots))), ())
+        # (w s)(roots[k]) = w(roots[s.perm[k]])
         tree = _closure.closure(
-            [self.identity.cochar_mat],
-            lambda m: enumerate(_imat_mul(m, s) for s in self._simple_cochar),
+            [self.identity.perm],
+            lambda p: enumerate(tuple(p[j] for j in s) for s in simple_perms),
             limit=max_order)
         if len(tree) > max_order:
             raise ValueError(f"Weyl group order is at least {len(tree)}; "
                              f"cap is {max_order}")
         # breadth-first order puts each parent before its children
-        self._by_mat: dict[IMat, WeylElement] = {}
-        for cochar, (parent, i) in tree.items():
-            up = self._by_mat.get(parent)
-            self._by_mat[cochar] = self.identity if up is None else WeylElement(
-                cochar, _imat_mul(up.char_mat, self._simple_char[i]), up.word + (i,))
-        self.elements: list[WeylElement] = list(self._by_mat.values())
-
-        # the character action is the transpose-inverse of the
-        # cocharacter action, so w^-1 acts on cocharacters by char_mat^T
-        self._inverse: dict[IMat, WeylElement] = {
-            w.cochar_mat: self._by_mat[tuple(zip(*w.char_mat))]
-            for w in self.elements}
+        self._by_perm: dict[tuple[int, ...], WeylElement] = {}
+        for perm, (parent, i) in tree.items():
+            up = self._by_perm.get(parent)
+            self._by_perm[perm] = self.identity if up is None else WeylElement(
+                perm, up.word + (i,))
+        self.elements: list[WeylElement] = list(self._by_perm.values())
+        self._reflections = [self._by_perm[p] for p in simple_perms]
         self._parabolic: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
         self._coset_reps: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
         self._stabilizers: dict[tuple[IVec, int], tuple[WeylElement, ...]] = {}
@@ -554,19 +538,27 @@ class WeylGroup:
         return len(self.elements)
 
     def simple_reflection(self, i: int) -> WeylElement:
-        return self._by_mat[self._simple_cochar[i]]
+        return self._reflections[i]
 
     def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self._by_mat[_imat_mul(a.cochar_mat, b.cochar_mat)]
+        return self._by_perm[tuple(a.perm[j] for j in b.perm)]
 
     def inv(self, w: WeylElement) -> WeylElement:
-        return self._inverse[w.cochar_mat]
+        return self._by_perm[tuple(sorted(range(len(w.perm)),
+                                          key=w.perm.__getitem__))]
 
     def act_character(self, w: WeylElement, x: Sequence) -> tuple:
-        return _imat_vec(w.char_mat, x)
+        """w(x): the word's simple reflections, right to left."""
+        for i in reversed(w.word):
+            x = _reflect(x, *self._simple_pairs[i])
+        return tuple(x)
 
     def act_cocharacter(self, w: WeylElement, lam: Sequence) -> tuple:
-        return _imat_vec(w.cochar_mat, lam)
+        """w(lam): the same, with roots and coroots swapped."""
+        for i in reversed(w.word):
+            a, av = self._simple_pairs[i]
+            lam = _reflect(lam, av, a)
+        return tuple(lam)
 
     def word_element(self, word: Iterable[int]) -> WeylElement:
         acc = self.identity
@@ -607,7 +599,7 @@ class WeylGroup:
         comps = tuple(c % modulus for c in components)
         key = (comps, modulus)
         if key not in self._stabilizers:
-            images = ((w, _imat_vec(w.char_mat, comps)) for w in self.elements)
+            images = ((w, self.act_character(w, comps)) for w in self.elements)
             stab = tuple(w for w, img in images
                          if tuple(c % modulus for c in img) == comps)
             if not self.is_subgroup(stab):
@@ -623,7 +615,8 @@ class WeylGroup:
     def orbit_cocharacter(self, lam: Sequence) -> set[tuple]:
         return set(_closure.closure(
             [tuple(lam)],
-            lambda v: ((s, _imat_vec(s, v)) for s in self._simple_cochar)))
+            lambda v: ((i, _reflect(v, av, a))
+                       for i, (a, av) in enumerate(self._simple_pairs))))
 
     def dominant_in_orbit(self, lam: Sequence) -> tuple:
         doms = [v for v in self.orbit_cocharacter(lam)
@@ -641,18 +634,16 @@ def coset_split_minimal(group: WeylGroup, w: WeylElement,
                         theta: Sequence[int]) -> tuple[WeylElement, WeylElement]:
     """Write ``w = u * v`` with ``u`` in the standard parabolic subgroup
     for ``theta`` (positions into the simple list) and ``v`` the minimal
-    representative of its coset: ``v^{-1}`` sends every theta-simple
-    root to a positive root.  Lengths add up."""
-    datum = group.datum
+    representative of its coset: ``s v`` is longer than ``v`` for every
+    theta-simple ``s``.  Lengths add up."""
     u = group.identity
     v = w
     while True:
-        vinv = group.inv(v)
         for i in theta:
-            a = datum.roots[datum.simple[i]]
-            if not datum.is_positive_root(group.act_character(vinv, a)):
-                s = group.simple_reflection(i)
-                v = group.mul(s, v)
+            s = group.simple_reflection(i)
+            sv = group.mul(s, v)
+            if sv.length < v.length:
+                v = sv
                 u = group.mul(u, s)
                 break
         else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from . import _closure, _linalg
-from .root_datum import RootDatum, WeylElement, WeylGroup, _imat_vec
+from .root_datum import RootDatum, WeylElement, WeylGroup
 
 
 # pure, and asked again for every character the Weyl action builds
@@ -79,15 +79,13 @@ def _orbit_sum(pairs) -> OrbitSum:
 # the Weyl action on pairs
 # ---------------------------------------------------------------------------
 
-def weyl_act_pair(w: WeylElement, pair: Pair) -> Pair:
-    """Simultaneous action: the coweight moves by the cocharacter
-    matrix, the exponent tuple by the character matrix.  The character
-    matrix is the transpose-inverse of the cocharacter action, so this
-    is precomposition of the character with the inverse element."""
+def weyl_act_pair(group: WeylGroup, w: WeylElement, pair: Pair) -> Pair:
+    """Simultaneous action: w moves the coweight as a cocharacter and
+    the exponent tuple as a character.  The two actions are dual, so
+    this is precomposition of the character with the inverse element."""
     lam, chi = pair
-    moved = _imat_vec(w.cochar_mat, lam)
-    comps = _imat_vec(w.char_mat, chi.components)
-    return moved, ResidueCharacter(comps, chi.q)
+    comps = group.act_character(w, chi.components)
+    return group.act_cocharacter(w, lam), ResidueCharacter(comps, chi.q)
 
 
 def enumerate_characters(datum: RootDatum, q: int) -> list[ResidueCharacter]:
@@ -105,7 +103,7 @@ def _full_orbit(group: WeylGroup, pair: Pair) -> set[Pair]:
     # terminates even when members leave any given coordinate box
     gens = [group.simple_reflection(i) for i in range(len(group.datum.simple))]
     return set(_closure.closure(
-        [pair], lambda p: ((s, weyl_act_pair(s, p)) for s in gens)))
+        [pair], lambda p: ((s, weyl_act_pair(group, s, p)) for s in gens)))
 
 
 def orbits(group: WeylGroup, q: int, radius: int) -> list[OrbitSum]:
@@ -129,7 +127,7 @@ def orbits(group: WeylGroup, q: int, radius: int) -> list[OrbitSum]:
             seen |= orb
             for p in orb:
                 for s in gens:
-                    if weyl_act_pair(s, p) not in orb:
+                    if weyl_act_pair(group, s, p) not in orb:
                         raise AssertionError("orbit not closed")
             out.append(_orbit_sum(orb))
     out.sort(key=lambda o: _pair_key(o.orbit[0]))
@@ -179,7 +177,7 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
                 f"block {chi.components}: stabilizer orbit of {seed} has "
                 f"{len(reached)} members, the block has {len(lams)}")
         for w in stab:
-            if {weyl_act_pair(w, (lam, chi)) for lam in lams} != {
+            if {weyl_act_pair(group, w, (lam, chi)) for lam in lams} != {
                     (lam, chi) for lam in lams}:
                 failures.append(
                     f"block {chi.components}: sum is not fixed by {w!r}")
@@ -215,13 +213,13 @@ def invariant_dimension(group: WeylGroup, orbs: Sequence[OrbitSum]) -> int:
     for i in range(len(group.datum.simple)):
         s = group.simple_reflection(i)
         for src, p in enumerate(basis):
-            dst = index[weyl_act_pair(s, p)]
+            dst = index[weyl_act_pair(group, s, p)]
             if dst != src:
                 rows.append({dst: 1, src: -1})
     kernel_dim = npairs - _linalg.mat_rank(rows)
 
     fixed_total = sum(1 for w in group.elements for p in basis
-                      if weyl_act_pair(w, p) == p)
+                      if weyl_act_pair(group, w, p) == p)
     burnside, rem = divmod(fixed_total, len(group))
     if rem:
         raise AssertionError("fixed-pair total not divisible by group order")

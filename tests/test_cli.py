@@ -854,6 +854,14 @@ DATUM_FILES = {
     # free
     (["spade-check", "--datum", "gl2", "--x", "99999999,0", "--r",
       "100000000"], "bound (0,0) must be <= 499999"),
+    # superscript digits pass str.isdigit but not int()
+    (["heart-check", "--datum", "a2", "--x", "1/3,1/3", "--r", "1/2",
+      "--theta", "²"], "indices must be non-negative integers"),
+    (["spade-check", "--datum", "gl2", "--x", "1/2,0", "--r", "1",
+      "--partition", "0|¹"], "indices must be non-negative integers"),
+    # an Arabic-Indic digit passes \d, and Fraction() reads it
+    (["heart-check", "--datum", "a2", "--x", "\u0663/4,0", "--r", "1/2"],
+     "not an exact rational"),
 ])
 def test_malformed_input_exits_2_with_one_line(argv, needle, tmp_path, capsys):
     from heckelab.catalog import catalog_to_json

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from heckelab.catalog import build_catalog, catalog_to_json
 from heckelab.cli import main
+from heckelab.root_datum import cartan_matrix
 
 BUDGET_S = 20
 
@@ -36,6 +37,10 @@ def files(tmp_path_factory):
         "central_bad": '{"cartan": [[2]], "central_rank": -1}',
         "not_json": "{",
         "catalog_bad": '{"entries": [{"name": "x"}]}',
+        "a5_c59": json.dumps({"cartan": cartan_matrix("A", 5),
+                              "central_rank": 59}),
+        "a6_c122": json.dumps({"cartan": cartan_matrix("A", 6),
+                               "central_rank": 122}),
     }
     one_entry = catalog_to_json([m for m in build_catalog()
                                  if m.name == "c4_in_q8"])
@@ -169,3 +174,17 @@ def test_generated_argv_exits_cleanly(argv, files):
         assert err.startswith(("error:", "usage:")), (argv, err)
     else:
         assert err == "", (argv, err)
+
+
+# a semisimple part of rank 5 or 6 beside many central directions, on
+# which W acts trivially: building W must not cost |W| n^3 in the
+# ambient rank n (64 and 128 here)
+@pytest.mark.parametrize("argv", [
+    ["rootdatum", "--datum", "{a5_c59}"],
+    ["iwahori-center", "--datum", "{a5_c59}", "--radius", "0"],
+    ["heart-check", "--datum", "{a5_c59}", "--x", ",".join(["0"] * 64),
+     "--r", "1/2", "--theta", "0"],
+    ["rootdatum", "--datum", "{a6_c122}"],
+], ids=["rootdatum-a5", "iwahori-center-a5", "heart-check-a5", "rootdatum-a6"])
+def test_large_central_rank_runs_within_budget(argv, files):
+    assert run_argv([a.format(**files) for a in argv]) == (0, "")

@@ -10,9 +10,7 @@ from heckelab._closure import closure
 from heckelab.finite_groups import dihedral, heisenberg, quaternion
 from heckelab.root_datum import (
     REGISTRY,
-    WeylElement,
     WeylGroup,
-    _imat_mul,
     datum_from_cartan,
     datum_from_config,
 )
@@ -75,23 +73,36 @@ def test_limit_stops_at_one_past():
     assert len(closure(["a"], graph_step, limit=7)) == 8
 
 
-def reference_weyl_elements(group: WeylGroup) -> list[WeylElement]:
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b))
+                 for row in a)
+
+
+def reference_weyl_elements(datum):
     """The level-by-level enumeration ``WeylGroup`` used before
-    ``closure``: the first discovery of each cocharacter matrix fixes its
-    character matrix and word."""
-    elements = [group.identity]
-    seen = {group.identity.cochar_mat}
-    frontier = [group.identity]
+    ``closure``, on integer matrices built here from the simple pairs:
+    the first discovery of each cocharacter matrix fixes its character
+    matrix and word.  A list of (cocharacter matrix, character matrix,
+    word)."""
+    n = datum.ambient_rank
+    eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    simple = []
+    for k in datum.simple:
+        a, av = datum.roots[k], datum.coroots[k]
+        char = tuple(tuple(int(r == c) - a[r] * av[c] for c in range(n))
+                     for r in range(n))
+        simple.append((tuple(zip(*char)), char))
+    elements = [(eye, eye, ())]
+    seen = {eye}
+    frontier = list(elements)
     while frontier:
         new = []
-        for w in frontier:
-            for i, (cochar_s, char_s) in enumerate(
-                    zip(group._simple_cochar, group._simple_char)):
-                cochar = _imat_mul(w.cochar_mat, cochar_s)
+        for cochar_w, char_w, word in frontier:
+            for i, (cochar_s, char_s) in enumerate(simple):
+                cochar = _mat_mul(cochar_w, cochar_s)
                 if cochar not in seen:
                     seen.add(cochar)
-                    new.append(WeylElement(cochar, _imat_mul(w.char_mat, char_s),
-                                           w.word + (i,)))
+                    new.append((cochar, _mat_mul(char_w, char_s), word + (i,)))
         elements.extend(new)
         frontier = new
     return elements
@@ -99,10 +110,17 @@ def reference_weyl_elements(group: WeylGroup) -> list[WeylElement]:
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_weyl_elements_match_the_frontier_loop(name):
-    group = WeylGroup(datum_from_config(REGISTRY[name]))
-    expected = reference_weyl_elements(group)
-    assert [(w.cochar_mat, w.char_mat, w.word) for w in group.elements] == \
-        [(w.cochar_mat, w.char_mat, w.word) for w in expected]
+    # both actions, read off on the basis vectors as matrix columns
+    datum = datum_from_config(REGISTRY[name])
+    group = WeylGroup(datum)
+    n = datum.ambient_rank
+    basis = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+
+    def matrix(act, w):
+        return tuple(zip(*(act(w, e) for e in basis)))
+
+    assert [(matrix(group.act_cocharacter, w), matrix(group.act_character, w),
+             w.word) for w in group.elements] == reference_weyl_elements(datum)
 
 
 @pytest.mark.parametrize("name", ["a3", "g2"])

@@ -232,6 +232,14 @@ def test_weyl_order_lower_bound_of_no_finite_type():
     assert weyl_order_lower_bound(simple_pairs_only(path)) == 2 ** 5 * 120
 
 
+def test_weyl_group_needs_roots_closed_under_reflection():
+    # the simple pairs of A2 alone: s_0 sends the first simple root to
+    # its negative, which is not listed, so no root permutation exists
+    datum = RootDatum(2, ((1, 0), (0, 1)), ((2, -1), (-1, 2)), (0, 1))
+    with pytest.raises(ValueError):
+        WeylGroup(datum)
+
+
 def test_weyl_cap_enforced_before_enumeration():
     assert weyl_order_lower_bound(datum_general_linear(8)) == 40320
     with pytest.raises(ValueError, match="at least 40320"):
