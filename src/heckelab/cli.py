@@ -214,10 +214,8 @@ class VerificationReport:
 
     @property
     def counts(self) -> tuple[int, int, int]:
-        ps = sum(1 for c in self.checks if c.status == PASS)
-        fs = sum(1 for c in self.checks if c.status == FAIL)
-        ss = sum(1 for c in self.checks if c.status == SKIPPED)
-        return ps, fs, ss
+        statuses = [c.status for c in self.checks]
+        return tuple(statuses.count(s) for s in (PASS, FAIL, SKIPPED))
 
     @property
     def exit_code(self) -> int:
@@ -243,34 +241,25 @@ class RunConfig:
     output_format: str = "text"
 
 
-def _jsonable(value: Any) -> Any:
-    if isinstance(value, Q):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
-
-
 def render_report(report: VerificationReport, fmt: str) -> str:
     if fmt == "json":
         ps, fs, ss = report.counts
         payload = {
             "suite": report.suite,
             "checks": [{"name": c.name, "status": c.status,
-                        "witness": _jsonable(c.witness)}
+                        "witness": c.witness}
                        for c in report.checks],
-            "data": _jsonable(report.data),
+            "data": report.data,
             "summary": {"passed": ps, "failed": fs, "skipped": ss},
             "wall_time_s": round(report.wall_time_s, 6),
         }
-        return json.dumps(payload, indent=2, ensure_ascii=False)
+        # default=str writes each Fraction as "p/q"
+        return json.dumps(payload, indent=2, ensure_ascii=False, default=str)
     lines = [f"suite: {report.suite}"]
     for c in report.checks:
         lines.append(f"{c.status:7s} {c.name}")
         if c.status != PASS and c.witness:
-            packed = json.dumps(_jsonable(c.witness), ensure_ascii=False)
+            packed = json.dumps(c.witness, ensure_ascii=False, default=str)
             lines.append(f"        witness: {packed}")
     for key in ("verdict", "obstruction", "dimension", "center_dimension"):
         if key in report.data:
@@ -287,10 +276,6 @@ def render_report(report: VerificationReport, fmt: str) -> str:
 # ---------------------------------------------------------------------------
 # shared math plumbing
 # ---------------------------------------------------------------------------
-
-def _point_str(x: Sequence[Q]) -> list[str]:
-    return [str(Q(c)) for c in x]
-
 
 def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
                        witnesses) -> dict:
@@ -407,7 +392,7 @@ def _run_heart_check(config: RunConfig) -> VerificationReport:
     checks = []
     data: dict[str, Any] = {
         "datum": datum.label,
-        "x": _point_str(x),
+        "x": list(x),
         "r": str(r),
         "point_kind": classify_point(datum, x).kind,
     }
@@ -528,7 +513,7 @@ def _run_counterexample(config: RunConfig) -> VerificationReport:
     failed = any(c.status == FAIL for c in checks)
     data = {
         "datum": "GL3",
-        "x": _point_str(x),
+        "x": list(x),
         "r": str(r),
         "theta": list(theta),
         "reflection_word": list(s0.word),
@@ -618,7 +603,7 @@ def _run_spade_check(config: RunConfig) -> VerificationReport:
                                      witness))
     data = {
         "datum": datum.label,
-        "x": _point_str(x),
+        "x": list(x),
         "r": str(r),
         "bounds": K.to_lists(),
         "convention": config.convention,
@@ -838,13 +823,13 @@ def _run_verify_all(config: RunConfig) -> VerificationReport:
         "heart-check: wall-point-mismatch-escalates",
         wall.data.get("obstruction") == "DISTINCT_VOLUME"
         and "verdict" in wall.data,
-        {"data": _jsonable(wall.data)}))
+        {"data": wall.data}))
 
     interior = _run_heart_check(RunConfig(
         "heart-check", datum="gl3", x=(Q(2, 3), Q(1, 3), Q(0)), r=Q(1)))
     checks.append(CheckRecord.of(
         "heart-check: alcove-interior-point-proven", interior.exit_code == 0,
-        {"data": _jsonable(interior.data)}))
+        {"data": interior.data}))
 
     absorb("spade-check", _run_spade_check(RunConfig(
         "spade-check", datum="gl2", x=(Q(1, 2), Q(0)), r=Q(1))))

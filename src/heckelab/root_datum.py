@@ -529,6 +529,9 @@ class WeylGroup:
             self._by_perm[perm] = self.identity if up is None else WeylElement(
                 perm, up.word + (i,))
         self.elements: list[WeylElement] = list(self._by_perm.values())
+        # elements[k + 1] = elements[parent] * s_i for (parent, i) = _tree[k]
+        position = {perm: k for k, perm in enumerate(tree)}
+        self._tree = [(position[p], i) for p, i in list(tree.values())[1:]]
         self._reflections = [self._by_perm[p] for p in simple_perms]
         self._parabolic: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
         self._coset_reps: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
@@ -559,6 +562,15 @@ class WeylGroup:
             a, av = self._simple_pairs[i]
             lam = _reflect(lam, av, a)
         return tuple(lam)
+
+    def permutation_action(self, size: int, simple: Sequence) -> list[tuple]:
+        """For a W-stable set p_0..p_{size-1} with s_i(p_j) = p_simple[i][j],
+        the list over ``elements`` of each w's permutation: w(p_j) = p_perm[j].
+        As (u s_i)(p_j) = u(p_simple[i][j]), it costs |W| * size lookups."""
+        perms = [tuple(range(size))]
+        for parent, i in self._tree:
+            perms.append(tuple(map(perms[parent].__getitem__, simple[i])))
+        return perms
 
     def word_element(self, word: Iterable[int]) -> WeylElement:
         acc = self.identity

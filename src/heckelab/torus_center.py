@@ -7,9 +7,11 @@ depth-zero residue torus through a fixed generator of the residue
 field's unit group.  The finite Weyl group acts on both factors at
 once; the invariant subalgebra has the orbit sums as a basis, each
 orbit the breadth-first ``_closure`` of a pair under the simple
-reflections.  All computations here are exact: integer lattice points,
-exponent tuples mod q - 1, and rational linear algebra for the
-independent dimension routes.
+reflections.  The block and Burnside checks act on an indexed set of
+pairs with each simple reflection once and read the whole group off
+``WeylGroup.permutation_action``.  All computations here are exact:
+integer lattice points, exponent tuples mod q - 1, and rational linear
+algebra for the independent dimension routes.
 """
 from __future__ import annotations
 
@@ -114,22 +116,15 @@ def orbits(group: WeylGroup, q: int, radius: int) -> list[OrbitSum]:
         raise ValueError("radius must be >= 0")
     datum = group.datum
     chars = enumerate_characters(datum, q)
-    gens = [group.simple_reflection(i) for i in range(len(datum.simple))]
     out: list[OrbitSum] = []
     seen: set[Pair] = set()
-    for lam in itertools.product(range(-radius, radius + 1),
-                                 repeat=datum.ambient_rank):
-        for chi in chars:
-            pair = (lam, chi)
-            if pair in seen:
-                continue
-            orb = _full_orbit(group, pair)
-            seen |= orb
-            for p in orb:
-                for s in gens:
-                    if weyl_act_pair(group, s, p) not in orb:
-                        raise AssertionError("orbit not closed")
-            out.append(_orbit_sum(orb))
+    box = itertools.product(range(-radius, radius + 1), repeat=datum.ambient_rank)
+    for pair in itertools.product(box, chars):
+        if pair in seen:
+            continue
+        orb = _full_orbit(group, pair)
+        seen |= orb
+        out.append(_orbit_sum(orb))
     out.sort(key=lambda o: _pair_key(o.orbit[0]))
     return out
 
@@ -149,11 +144,21 @@ class RocReport:
     block_sizes: tuple[int, ...]
 
 
+def _simple_permutations(group: WeylGroup, points: Sequence, lookup) -> list:
+    gens = map(group.simple_reflection, range(len(group.datum.simple)))
+    return [[lookup(weyl_act_pair(group, s, p)) for p in points] for s in gens]
+
+
 def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
-    members = set(osum.orbit)
+    members = list(dict.fromkeys(osum.orbit))
     if not members:
         raise ValueError("empty orbit")
-    if _full_orbit(group, osum.orbit[0]) != members:
+    index = {p: j for j, p in enumerate(members)}
+    sigma = _simple_permutations(group, members, index.get)
+    # one orbit: no image is missing, and all are images of member 0
+    perms = {} if any(None in row for row in sigma) else dict(zip(
+        group.elements, group.permutation_action(len(members), sigma)))
+    if len({pi[0] for pi in perms.values()}) != len(members):
         raise ValueError("input is not a single orbit")
     failures: list[str] = []
 
@@ -171,14 +176,15 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
         lams = blocks[chi]
         stab = group.character_stabilizer(chi.components, chi.q - 1)
         seed = min(lams)
-        reached = {group.act_cocharacter(w, seed) for w in stab}
+        # w fixes chi, so w moves (lam, chi) to (w(lam), chi)
+        reached = {members[perms[w][index[seed, chi]]][0] for w in stab}
         if reached != lams:
             failures.append(
                 f"block {chi.components}: stabilizer orbit of {seed} has "
                 f"{len(reached)} members, the block has {len(lams)}")
+        block = {index[lam, chi] for lam in lams}
         for w in stab:
-            if {weyl_act_pair(group, w, (lam, chi)) for lam in lams} != {
-                    (lam, chi) for lam in lams}:
+            if {perms[w][j] for j in block} != block:
                 failures.append(
                     f"block {chi.components}: sum is not fixed by {w!r}")
                 break
@@ -209,17 +215,13 @@ def invariant_dimension(group: WeylGroup, orbs: Sequence[OrbitSum]) -> int:
     index = {p: i for i, p in enumerate(basis)}
     npairs = len(basis)
 
-    rows: list[dict[int, int]] = []
-    for i in range(len(group.datum.simple)):
-        s = group.simple_reflection(i)
-        for src, p in enumerate(basis):
-            dst = index[weyl_act_pair(group, s, p)]
-            if dst != src:
-                rows.append({dst: 1, src: -1})
+    sigma = _simple_permutations(group, basis, index.__getitem__)
+    rows = [{dst: 1, src: -1} for row in sigma
+            for src, dst in enumerate(row) if dst != src]
     kernel_dim = npairs - _linalg.mat_rank(rows)
 
-    fixed_total = sum(1 for w in group.elements for p in basis
-                      if weyl_act_pair(group, w, p) == p)
+    fixed_total = sum(sum(map(int.__eq__, pi, range(npairs)))
+                      for pi in group.permutation_action(npairs, sigma))
     burnside, rem = divmod(fixed_total, len(group))
     if rem:
         raise AssertionError("fixed-pair total not divisible by group order")

@@ -123,6 +123,32 @@ def test_weyl_elements_match_the_frontier_loop(name):
              w.word) for w in group.elements] == reference_weyl_elements(datum)
 
 
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_permutation_action_matches_the_letter_by_letter_action(name):
+    # two W-stable sets: the roots under the character action, and the
+    # orbit of 2 rho-check, a regular coweight, under the cocharacter one
+    datum = datum_from_config(REGISTRY[name])
+    group = WeylGroup(datum)
+    n = datum.ambient_rank
+    rho2 = tuple(sum(datum.coroots[k][c] for k in datum.positive_roots())
+                 for c in range(n))
+    orbit = sorted(group.orbit_cocharacter(rho2))
+    assert len(orbit) == len(group)
+    gens = [group.simple_reflection(i) for i in range(len(datum.simple))]
+    for points, act in ((list(datum.roots), group.act_character),
+                        (orbit, group.act_cocharacter)):
+        index = {p: j for j, p in enumerate(points)}
+        simple = [[index[act(s, p)] for p in points] for s in gens]
+        perms = group.permutation_action(len(points), simple)
+        assert len(perms) == len(group)
+        for w, pi in zip(group.elements, perms):
+            assert list(pi) == [index[act(w, p)] for p in points]
+    # on the roots it is each element's own permutation
+    simple = [list(s.perm) for s in gens]
+    assert group.permutation_action(len(datum.roots), simple) == [
+        w.perm for w in group.elements]
+
+
 @pytest.mark.parametrize("name", ["a3", "g2"])
 def test_each_weyl_word_is_shortlex_least(name):
     group = WeylGroup(datum_from_config(REGISTRY[name]))

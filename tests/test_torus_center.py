@@ -194,11 +194,24 @@ def test_roc_block_structure_oracles():
 
 
 def test_roc_rejects_non_orbit():
-    two = next(o for o in orbits(GL2, 3, 1) if len(o.orbit) == 2)
+    two = [o for o in orbits(GL2, 3, 1) if len(o.orbit) == 2]
     with pytest.raises(ValueError, match="not a single orbit"):
-        roc_decomposition_check(GL2, OrbitSum(two.orbit[:1]))
+        roc_decomposition_check(GL2, OrbitSum(two[0].orbit[:1]))
     with pytest.raises(ValueError, match="empty"):
         roc_decomposition_check(GL2, OrbitSum(()))
+    # closed under the group, but not connected
+    union = OrbitSum(tuple(sorted(two[0].orbit + two[1].orbit,
+                                  key=lambda p: (p[0], p[1].components))))
+    with pytest.raises(ValueError, match="not a single orbit"):
+        roc_decomposition_check(GL2, union)
+    # right size, one member swapped for a pair of another orbit
+    swapped = OrbitSum((two[0].orbit[0], two[1].orbit[1]))
+    with pytest.raises(ValueError, match="not a single orbit"):
+        roc_decomposition_check(GL2, swapped)
+    # a repeated member keeps the member set an orbit; the sum is wrong
+    rep = roc_decomposition_check(
+        GL2, OrbitSum(two[0].orbit + two[0].orbit[-1:]))
+    assert rep.failures == ("block sums do not add up to the orbit sum",)
 
 
 # three-way dimension values, frozen from independent hand counts where
