@@ -338,6 +338,10 @@ def _run_rootdatum(config: RunConfig) -> VerificationReport:
     checks.append(CheckRecord.of("root-coroot-pairing-two", not bad_pairs,
                                  {"root_indices": bad_pairs}))
 
+    # load_group has already built the WeylGroup, whose constructor
+    # raises ValueError (tuple.index) on roots not closed under the
+    # simple reflections, so this check cannot fail on a loaded datum;
+    # it stays as the report's record of closure
     root_set = set(datum.roots)
     broken = []
     for i_pos, i in enumerate(datum.simple):

@@ -12,13 +12,16 @@ it splits as a difference of dominant ones.
 
 ``satake_check`` verifies the truncated center on an orbit-closed set
 of lattice labels.  The commutator matrix M of the finite generators on
-the span of those labels is built once; an orbit sum is central when M
-annihilates it, and the center dimension is proven by the rank over Q
+the span of those labels is built once, each column read straight off
+the Bernstein relation for T_i theta_lam; an orbit sum is central when
+M annihilates it, and the center dimension is proven by the rank over Q
 of the rows of M whose entries are all free of v.  By the Bernstein
 relation the row of T_i at a label (mu, s_i) is e_mu - e_{s_i mu}, so
 these rows already have full rank.  Elimination over Q(v)
 (``laurent.rat_rank``) stays the route whenever that certificate does
-not close.
+not close.  The general product ``bernstein_multiply`` serves
+``is_central`` and the check that the lattice generators commute with
+every label.
 """
 from __future__ import annotations
 
@@ -302,7 +305,13 @@ class CommutatorMatrix:
     """The matrix M of the finite generators acting on a span of lattice
     labels: one column per basis label lam, and row (i, label) holding
     the coefficient at that label of [theta_lam, T_i].  An element z of
-    the span commutes with every T_i exactly when M z = 0."""
+    the span commutes with every T_i exactly when M z = 0.
+
+    Each column is read off the Bernstein relation T_i theta_lam =
+    theta_{s_i lam} T_i + sum_t c_t theta_{nu_t} (``_commute_one``):
+    [theta_lam, T_i] is +1 at (lam, s_i), -1 at (s_i lam, s_i) and -c_t
+    at each (nu_t, e), about |<lam, alpha_i>| entries, and empty when
+    s_i fixes lam."""
 
     def __init__(self, alg: BernsteinAlgebra, basis: list[Coweight]):
         self.column_of = {lam: k for k, lam in enumerate(basis)}
@@ -310,14 +319,18 @@ class CommutatorMatrix:
         # columns[k]: the (row, entry) pairs of column k, for M z
         self.columns: list[list[tuple[tuple[int, Label], LaurentScalar]]] = \
             [[] for _ in basis]
+        e = alg.group.identity
         for i in range(len(alg.datum.simple)):
-            g = alg.t_element(i)
+            s = alg.group.simple_reflection(i)
             for k, lam in enumerate(basis):
-                th = alg.theta(lam)
-                comm = alg.bernstein_multiply(th, g) - alg.bernstein_multiply(g, th)
-                for lab, scal in comm.c.items():
-                    self.rows.setdefault((i, lab), {})[k] = scal
-                    self.columns[k].append(((i, lab), scal))
+                comm = {(lam, s): LaurentScalar.one()}
+                for nu, keeps_gen, c in alg._commute_one(i, lam):
+                    lab = (nu, s if keeps_gen else e)
+                    comm[lab] = comm[lab] - c if lab in comm else -c
+                for lab, scal in comm.items():
+                    if not scal.is_zero:
+                        self.rows.setdefault((i, lab), {})[k] = scal
+                        self.columns[k].append(((i, lab), scal))
 
     def annihilates(self, z: HeckeElement) -> bool:
         """M z = 0, walking only the columns in the support of z, whose

@@ -176,7 +176,11 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
         lams = blocks[chi]
         stab = group.character_stabilizer(chi.components, chi.q - 1)
         seed = min(lams)
-        # w fixes chi, so w moves (lam, chi) to (w(lam), chi)
+        # w fixes chi, so w moves (lam, chi) to (w(lam), chi).  For a true
+        # action the single-orbit test implies this check and the next:
+        # members of one block differ by an element of W_chi, which keeps
+        # chi and so maps the block into itself.  Only a broken
+        # permutation_action reaches their failures.
         reached = {members[perms[w][index[seed, chi]]][0] for w in stab}
         if reached != lams:
             failures.append(
@@ -222,6 +226,8 @@ def invariant_dimension(group: WeylGroup, orbs: Sequence[OrbitSum]) -> int:
 
     fixed_total = sum(sum(map(int.__eq__, pi, range(npairs)))
                       for pi in group.permutation_action(npairs, sigma))
+    # Burnside: a true action's fixed-point total is |W| times its
+    # orbit count, so only a broken permutation_action leaves a remainder
     burnside, rem = divmod(fixed_total, len(group))
     if rem:
         raise AssertionError("fixed-pair total not divisible by group order")

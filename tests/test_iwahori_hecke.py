@@ -233,6 +233,60 @@ def test_commutator_matvec_agrees_with_is_central(name):
     assert not matrix.annihilates(th) and not alg.is_central(th)
 
 
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_commutator_columns_match_the_general_product(name):
+    # second route: [theta_lam, T_i] from two general products, column
+    # by column, against the columns read off the Bernstein relation
+    alg = BernsteinAlgebra(WeylGroup(datum_from_config(REGISTRY[name])))
+    for radius in (1, 2):
+        basis = sorted(lam for orb in label_orbits(alg.group, radius).values()
+                       for lam in orb)
+        matrix = CommutatorMatrix(alg, basis)
+        columns = [[] for _ in basis]
+        for i in range(len(alg.datum.simple)):
+            g = alg.t_element(i)
+            for k, lam in enumerate(basis):
+                th = alg.theta(lam)
+                comm = alg.bernstein_multiply(th, g) - alg.bernstein_multiply(g, th)
+                columns[k] += [((i, lab), scal) for lab, scal in comm.c.items()]
+        assert matrix.columns == columns, (name, radius)
+        rows = {}
+        for k, column in enumerate(columns):
+            for key, scal in column:
+                rows.setdefault(key, {})[k] = scal
+        assert matrix.rows == rows, (name, radius)
+
+
+def test_satake_fails_on_a_tampered_bernstein_relation(monkeypatch):
+    orbit_map = label_orbits(GL2, 1)
+    assert satake_check(GL2, orbit_map).ok
+    real = BernsteinAlgebra._commute_one
+
+    # T_0 theta_(1,0) = theta_(0,1) T_0 + (q - 1) theta_(1,0), with the
+    # remainder coefficient doubled
+    def doubled(alg, i, lam):
+        terms = real(alg, i, lam)
+        if (i, lam) == (0, (1, 0)):
+            nu, keeps_gen, c = terms[-1]
+            terms[-1] = (nu, keeps_gen, c + c)
+        return terms
+    monkeypatch.setattr(BernsteinAlgebra, "_commute_one", doubled)
+    rep = satake_check(GL2, orbit_map)
+    assert not rep.ok
+    assert "orbit sum of (1, 0) is not central" in rep.failures
+
+
+def test_satake_catches_overlapping_orbit_supports():
+    # the orbit of (1, 0) merged into that of (1, 1), and still listed
+    orbit_map = dict(label_orbits(GL2, 1))
+    orbit_map[(1, 1)] = tuple(sorted(orbit_map[(1, 1)] + orbit_map[(1, 0)]))
+    rep = satake_check(GL2, orbit_map)
+    assert not rep.ok
+    assert rep.failures == ("support of the orbit sum of (1, 1) is wrong",
+                            "orbit supports overlap")
+    assert rep.rank_route == "Q(v)"
+
+
 def _count_rat_rank(monkeypatch) -> list[int]:
     calls = [0]
     real = iwahori_hecke.rat_rank

@@ -214,6 +214,75 @@ def test_roc_rejects_non_orbit():
     assert rep.failures == ("block sums do not add up to the orbit sum",)
 
 
+def _gl3_three_blocks() -> OrbitSum:
+    # members, in order: (0,0,1) and (0,1,0) with chi = (0,1,1); (0,0,1)
+    # and (1,0,0) with (1,0,1); (0,1,0) and (1,0,0) with (1,1,0)
+    pair = ((1, 0, 0), ResidueCharacter((1, 1, 0), 3))
+    return next(o for o in orbits(GL3, 3, 1) if pair in o.orbit)
+
+
+def _broken_action(monkeypatch, breaks):
+    # permutation_action with each element's permutation passed through
+    # breaks(w, perm) as a mutable list
+    real = WeylGroup.permutation_action
+
+    def broken(group, size, simple):
+        return [breaks(w, list(pi))
+                for w, pi in zip(group.elements, real(group, size, simple))]
+    monkeypatch.setattr(WeylGroup, "permutation_action", broken)
+
+
+def test_roc_catches_a_stabilizer_that_does_not_reach_its_block(monkeypatch):
+    osum = _gl3_three_blocks()
+    assert roc_decomposition_check(GL3, osum).ok
+    chi = ResidueCharacter((1, 0, 1), 3)
+    stab = set(GL3.character_stabilizer(chi.components, 2))
+    block = [j for j, (_lam, c) in enumerate(osum.orbit) if c == chi]
+    assert block == [1, 4]
+
+    # W_chi acts as the identity on chi's block and truly elsewhere: each
+    # permutation stays a bijection that fixes the block, and member 0
+    # still reaches every member
+    def freeze(w, pi):
+        if w in stab:
+            for j in block:
+                pi[j] = j
+        return pi
+    _broken_action(monkeypatch, freeze)
+    rep = roc_decomposition_check(GL3, osum)
+    assert rep.failures == ("block (1, 0, 1): stabilizer orbit of (0, 0, 1) "
+                            "has 1 members, the block has 2",)
+
+
+def test_roc_catches_a_block_sum_that_is_not_fixed(monkeypatch):
+    osum = _gl3_three_blocks()
+
+    # the identity swaps members 4 and 5, neither a block's seed nor
+    # member 0: their blocks (1,0,1) and (1,1,0) are no longer fixed
+    def swap(w, pi):
+        if w == GL3.identity:
+            pi[4], pi[5] = pi[5], pi[4]
+        return pi
+    _broken_action(monkeypatch, swap)
+    rep = roc_decomposition_check(GL3, osum)
+    assert rep.failures == ("block (1, 0, 1): sum is not fixed by <e>",
+                            "block (1, 1, 0): sum is not fixed by <e>")
+
+
+def test_invariant_dimension_catches_a_fixed_total_off_burnside(monkeypatch):
+    orbs = orbits(GL3, 2, 1)
+    assert invariant_dimension(GL3, orbs) == 10
+
+    # the identity swapping two pairs fixes 2 fewer: 2 is not 0 mod 6
+    def swap(w, pi):
+        if w == GL3.identity:
+            pi[0], pi[1] = pi[1], pi[0]
+        return pi
+    _broken_action(monkeypatch, swap)
+    with pytest.raises(AssertionError, match="not divisible by group order"):
+        invariant_dimension(GL3, orbs)
+
+
 # three-way dimension values, frozen from independent hand counts where
 # feasible (GL2 values also follow from the Burnside formula by hand)
 @pytest.mark.parametrize("group,q,radius,expect", [
