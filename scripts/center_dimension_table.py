@@ -11,7 +11,7 @@ import argparse
 
 from heckelab.iwahori_hecke import label_orbits, satake_check
 from heckelab.root_datum import REGISTRY, WeylGroup, datum_from_config
-from heckelab.torus_center import invariant_dimension, orbits
+from heckelab.torus_center import invariant_dimension, orbits, residue_modulus
 
 NAMES = ("a1", "a2", "gl2", "b2")
 
@@ -21,6 +21,10 @@ def main() -> None:
     ap.add_argument("--max-radius", type=int, default=2)
     ap.add_argument("--q", type=int, nargs="+", default=[2, 3])
     args = ap.parse_args()
+    try:
+        moduli = [residue_modulus(q) for q in args.q]
+    except ValueError as exc:
+        ap.error(str(exc))
     groups = [WeylGroup(datum_from_config(REGISTRY[name])) for name in NAMES]
 
     print(f"{'datum':6} {'radius':6} {'center dim':10} {'dominant orbits'}")
@@ -36,10 +40,10 @@ def main() -> None:
           f"{'orbits':6} {'trivial-character orbits'}")
     for group in groups:
         name = group.datum.label
-        for q in args.q:
+        for q, modulus in zip(args.q, moduli):
             for radius in range(args.max_radius + 1):
-                orbs = orbits(group, q, radius)
-                trivial = sum(1 for o in orbs if o.orbit[0][1].is_trivial)
+                orbs = orbits(group, radius, modulus=modulus)
+                trivial = sum(1 for o in orbs if not any(o.orbit[0][1]))
                 dim = invariant_dimension(group, orbs)
                 print(f"{name:6} {q:3d} {radius:6d} {dim:13d} "
                       f"{len(orbs):6d} {trivial:d}")

@@ -670,7 +670,7 @@ def _run_clifford(config: RunConfig) -> VerificationReport:
 # ---------------------------------------------------------------------------
 
 def _run_torus_center(config: RunConfig) -> VerificationReport:
-    from .torus_center import (invariant_dimension, orbits,
+    from .torus_center import (invariant_dimension, orbits, residue_modulus,
                                roc_decomposition_check)
     group = load_group(config.datum)
     datum = group.datum
@@ -690,9 +690,10 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
         raise CLIError(f"requested truncation enumerates about {pairs} "
                        f"lattice-character pairs; cap is {MAX_TORUS_PAIRS}")
     try:
-        orbit_list = orbits(group, q, radius)
+        modulus = residue_modulus(q)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
+    orbit_list = orbits(group, radius, modulus=modulus)
 
     checks = []
     orbit_rows = []
@@ -700,18 +701,16 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
         lam0, chi0 = osum.orbit[0]
         row = {
             "representative": {"coweight": list(lam0),
-                               "character": list(chi0.components)},
+                               "character": list(chi0)},
             "size": len(osum.orbit),
-            "members": [{"coweight": list(lam), "character": list(ch.components)}
-                        for lam, ch in osum.orbit],
-            "stabilizer_order": len(group.character_stabilizer(
-                chi0.components, chi0.q - 1)),
+            "members": [{"coweight": list(lam), "character": list(chi)}
+                        for lam, chi in osum.orbit],
+            "stabilizer_order": len(group.character_stabilizer(chi0, modulus)),
         }
         if config.check in ("roc", "all"):
             rep = roc_decomposition_check(group, osum)
             row["blocks"] = {
-                "characters": [list(c.components)
-                               for c in rep.block_characters],
+                "characters": [list(c) for c in rep.block_characters],
                 "sizes": list(rep.block_sizes),
             }
             checks.append(CheckRecord.of(

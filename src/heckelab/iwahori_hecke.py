@@ -363,14 +363,17 @@ def satake_check(group: WeylGroup,
     basis = sorted(labels)
     matrix = CommutatorMatrix(alg, basis)
 
-    # lattice generators commute with every lattice label exactly
+    # lattice generators commute with every lattice label exactly.  On
+    # valid input _commute_word((), lam) returns theta_lam, so both
+    # products are theta_(lam + e_j): only a broken _commute_word fails
     lattice_failures: list[str] = []
     for j in range(alg.rank):
         gen = alg.theta(tuple(int(k == j) for k in range(alg.rank)))
         for lam in basis:
             th = alg.theta(lam)
             if alg.bernstein_multiply(th, gen) != alg.bernstein_multiply(gen, th):
-                lattice_failures.append("lattice generators fail to commute")
+                lattice_failures.append(
+                    f"lattice generator {j} fails to commute with {lam}")
                 break
 
     failures: list[str] = []

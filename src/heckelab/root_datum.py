@@ -614,6 +614,9 @@ class WeylGroup:
             images = ((w, self.act_character(w, comps)) for w in self.elements)
             stab = tuple(w for w, img in images
                          if tuple(c % modulus for c in img) == comps)
+            # a stabilizer is a subgroup when act_character is an action,
+            # as words of one root permutation act alike (the roots span
+            # what the reflections move): only a broken one reaches this
             if not self.is_subgroup(stab):
                 raise AssertionError("stabilizer is not closed")
             self._stabilizers[key] = stab

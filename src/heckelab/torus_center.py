@@ -1,131 +1,102 @@
 """Torus-side model of a depth-one Hecke algebra center.
 
 The commutative algebra attached to a maximal split torus is spanned by
-monomials indexed by pairs (coweight, residue character): the coweight
-records a lattice translation, the character a homomorphism from the
-depth-zero residue torus through a fixed generator of the residue
-field's unit group.  The finite Weyl group acts on both factors at
-once; the invariant subalgebra has the orbit sums as a basis, each
-orbit the breadth-first ``_closure`` of a pair under the simple
+monomials indexed by pairs (coweight, exponents) of integer tuples: the
+coweight records a lattice translation, the exponents a character of
+the residue torus through a fixed generator of a cyclic group of order
+m, reduced mod m.  Over F_q, m = q - 1 (``residue_modulus``, the one
+test of q); the functions here take m, so a deeper filtration's
+(p - 1) p^(k - 1) passes unchanged.  The finite Weyl group acts on both
+factors at once; the invariant subalgebra has the orbit sums as a basis,
+each orbit the breadth-first ``_closure`` of a pair under the simple
 reflections.  The block and Burnside checks act on an indexed set of
 pairs with each simple reflection once and read the whole group off
 ``WeylGroup.permutation_action``.  All computations here are exact:
-integer lattice points, exponent tuples mod q - 1, and rational linear
+integer lattice points, exponent tuples mod m, and rational linear
 algebra for the independent dimension routes.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from . import _closure, _linalg
-from .root_datum import RootDatum, WeylElement, WeylGroup
+from .root_datum import WeylElement, WeylGroup
 
 
-# pure, and asked again for every character the Weyl action builds
-@functools.cache
-def _is_prime_power(q: int) -> bool:
-    if q < 2:
-        return False
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    while q % p == 0:
-        q //= p
-    return q == 1
+def residue_modulus(q: int) -> int:
+    """The modulus m = q - 1 of the depth-zero residue characters over
+    F_q; ValueError unless q is a prime power."""
+    # q is a power of its least prime factor p iff q divides p^bits(q)
+    p = next((d for d in range(2, q + 1) if q % d == 0), None)
+    if p is None or p ** q.bit_length() % q:
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
+    return q - 1
 
 
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ResidueCharacter:
-    """Character of the depth-zero residue torus: one exponent per
-    cocharacter-basis vector, each read mod q - 1 through a fixed
-    generator of the residue unit group.  Depth one only."""
-    components: tuple[int, ...]
-    q: int
-
-    def __post_init__(self) -> None:
-        if not _is_prime_power(self.q):
-            raise ValueError("q must be a prime power >= 2")
-        object.__setattr__(self, "components",
-                           tuple(c % (self.q - 1) for c in self.components))
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self.components)
-
-
-Pair = tuple[tuple[int, ...], ResidueCharacter]
+# (coweight, character exponents reduced mod the orbit's modulus)
+Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 @dataclass(frozen=True)
 class OrbitSum:
-    """A full Weyl orbit of pairs, standing for the unit-coefficient sum
-    of its monomials (lattice translation times residue character)."""
+    """A full Weyl orbit of pairs, sorted, standing for the
+    unit-coefficient sum of its monomials (lattice translation times
+    residue character); the exponents are reduced mod ``modulus``."""
     orbit: tuple[Pair, ...]
-
-
-def _pair_key(pair: Pair):
-    lam, chi = pair
-    return (lam, chi.components)
-
-
-def _orbit_sum(pairs) -> OrbitSum:
-    return OrbitSum(tuple(sorted(pairs, key=_pair_key)))
+    modulus: int
 
 
 # ---------------------------------------------------------------------------
 # the Weyl action on pairs
 # ---------------------------------------------------------------------------
 
-def weyl_act_pair(group: WeylGroup, w: WeylElement, pair: Pair) -> Pair:
+def weyl_act_pair(group: WeylGroup, w: WeylElement, pair: Pair,
+                  modulus: int) -> Pair:
     """Simultaneous action: w moves the coweight as a cocharacter and
-    the exponent tuple as a character.  The two actions are dual, so
-    this is precomposition of the character with the inverse element."""
+    the exponent tuple, reduced mod ``modulus``, as a character.  The
+    two actions are dual, so this is precomposition of the character
+    with the inverse element."""
     lam, chi = pair
-    comps = group.act_character(w, chi.components)
-    return group.act_cocharacter(w, lam), ResidueCharacter(comps, chi.q)
+    return (group.act_cocharacter(w, lam),
+            tuple(c % modulus for c in group.act_character(w, chi)))
 
 
-def enumerate_characters(datum: RootDatum, q: int) -> list[ResidueCharacter]:
-    """All (q-1)^rank residue characters, in lexicographic exponent
-    order."""
-    if not _is_prime_power(q):
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
-    rank = datum.ambient_rank
-    return [ResidueCharacter(c, q)
-            for c in itertools.product(range(q - 1), repeat=rank)]
-
-
-def _full_orbit(group: WeylGroup, pair: Pair) -> set[Pair]:
+def _full_orbit(group: WeylGroup, pair: Pair, modulus: int) -> set[Pair]:
     # closure under the simple reflections; orbits are finite, so this
     # terminates even when members leave any given coordinate box
     gens = [group.simple_reflection(i) for i in range(len(group.datum.simple))]
     return set(_closure.closure(
-        [pair], lambda p: ((s, weyl_act_pair(group, s, p)) for s in gens)))
+        [pair],
+        lambda p: ((s, weyl_act_pair(group, s, p, modulus)) for s in gens)))
 
 
-def orbits(group: WeylGroup, q: int, radius: int) -> list[OrbitSum]:
-    """All orbits meeting the sup-norm box of the given radius.  Each
-    orbit is completed even past the box: truncation selects which
-    orbits appear, it never clips one."""
+def orbits(group: WeylGroup, radius: int, *, modulus: int) -> list[OrbitSum]:
+    """All orbits meeting the product of the sup-norm box of the given
+    radius with the modulus^rank characters.  Each orbit is completed
+    even past the box: truncation selects which orbits appear, it never
+    clips one."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    datum = group.datum
-    chars = enumerate_characters(datum, q)
+    if modulus < 1:
+        raise ValueError(f"modulus must be >= 1, got {modulus}")
+    rank = group.datum.ambient_rank
     out: list[OrbitSum] = []
     seen: set[Pair] = set()
-    box = itertools.product(range(-radius, radius + 1), repeat=datum.ambient_rank)
+    box = itertools.product(range(-radius, radius + 1), repeat=rank)
+    chars = itertools.product(range(modulus), repeat=rank)
     for pair in itertools.product(box, chars):
         if pair in seen:
             continue
-        orb = _full_orbit(group, pair)
+        orb = _full_orbit(group, pair, modulus)
         seen |= orb
-        out.append(_orbit_sum(orb))
-    out.sort(key=lambda o: _pair_key(o.orbit[0]))
+        out.append(OrbitSum(tuple(sorted(orb)), modulus))
+    out.sort(key=lambda o: o.orbit[0])
     return out
 
 
@@ -140,13 +111,15 @@ class RocReport:
     must rebuild the sum, and each block sum must be stabilizer-fixed."""
     ok: bool
     failures: tuple[str, ...]
-    block_characters: tuple[ResidueCharacter, ...]
+    block_characters: tuple[tuple[int, ...], ...]
     block_sizes: tuple[int, ...]
 
 
-def _simple_permutations(group: WeylGroup, points: Sequence, lookup) -> list:
+def _simple_permutations(group: WeylGroup, points: Sequence, lookup,
+                         modulus: int) -> list:
     gens = map(group.simple_reflection, range(len(group.datum.simple)))
-    return [[lookup(weyl_act_pair(group, s, p)) for p in points] for s in gens]
+    return [[lookup(weyl_act_pair(group, s, p, modulus)) for p in points]
+            for s in gens]
 
 
 def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
@@ -154,7 +127,8 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
     if not members:
         raise ValueError("empty orbit")
     index = {p: j for j, p in enumerate(members)}
-    sigma = _simple_permutations(group, members, index.get)
+    modulus = osum.modulus
+    sigma = _simple_permutations(group, members, index.get, modulus)
     # one orbit: no image is missing, and all are images of member 0
     perms = {} if any(None in row for row in sigma) else dict(zip(
         group.elements, group.permutation_action(len(members), sigma)))
@@ -162,19 +136,23 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
         raise ValueError("input is not a single orbit")
     failures: list[str] = []
 
-    blocks: dict[ResidueCharacter, set[tuple[int, ...]]] = {}
+    blocks: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
     for lam, chi in members:
         blocks.setdefault(chi, set()).add(lam)
 
-    # the characters that appear must form one orbit of the group
+    # the characters that appear must form one orbit of the group.  The
+    # single-orbit test implies this: the character part of the action
+    # does not read the coweight, so the characters of one orbit of
+    # pairs are the orbit of member 0's character
     zero = (0,) * group.datum.ambient_rank
-    char_orbit = {p[1] for p in _full_orbit(group, (zero, osum.orbit[0][1]))}
+    char_orbit = {p[1] for p in _full_orbit(group, (zero, members[0][1]),
+                                            modulus)}
     if set(blocks) != char_orbit:
         failures.append("character blocks do not form a single group orbit")
 
-    for chi in sorted(blocks, key=lambda c: c.components):
+    for chi in sorted(blocks):
         lams = blocks[chi]
-        stab = group.character_stabilizer(chi.components, chi.q - 1)
+        stab = group.character_stabilizer(chi, modulus)
         seed = min(lams)
         # w fixes chi, so w moves (lam, chi) to (w(lam), chi).  For a true
         # action the single-orbit test implies this check and the next:
@@ -184,21 +162,19 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
         reached = {members[perms[w][index[seed, chi]]][0] for w in stab}
         if reached != lams:
             failures.append(
-                f"block {chi.components}: stabilizer orbit of {seed} has "
+                f"block {chi}: stabilizer orbit of {seed} has "
                 f"{len(reached)} members, the block has {len(lams)}")
         block = {index[lam, chi] for lam in lams}
         for w in stab:
             if {perms[w][j] for j in block} != block:
-                failures.append(
-                    f"block {chi.components}: sum is not fixed by {w!r}")
+                failures.append(f"block {chi}: sum is not fixed by {w!r}")
                 break
 
-    rebuilt = sorted(((lam, chi) for chi in blocks for lam in blocks[chi]),
-                     key=_pair_key)
+    rebuilt = sorted((lam, chi) for chi in blocks for lam in blocks[chi])
     if tuple(rebuilt) != osum.orbit:
         failures.append("block sums do not add up to the orbit sum")
 
-    chars = tuple(sorted(blocks, key=lambda c: c.components))
+    chars = tuple(sorted(blocks))
     return RocReport(not failures, tuple(failures), chars,
                      tuple(len(blocks[c]) for c in chars))
 
@@ -212,14 +188,19 @@ def invariant_dimension(group: WeylGroup, orbs: Sequence[OrbitSum]) -> int:
     ``orbs``, the orbits of a truncation box as ``orbits`` returns them.
     Cross-checked against the kernel dimension of the stacked (w - 1)
     actions on the orbit-closed monomial span, and against the Burnside
-    average of fixed pairs; the three counts must agree exactly."""
+    average of fixed pairs; the three counts must agree exactly.  The
+    orbits must share one modulus; an empty list has dimension 0."""
     count = len(orbs)
+    moduli = {o.modulus for o in orbs} or {1}  # no pairs to act on
+    if len(moduli) > 1:
+        raise ValueError(f"orbits of mixed moduli {sorted(moduli)}")
+    (modulus,) = moduli
 
-    basis = sorted({p for o in orbs for p in o.orbit}, key=_pair_key)
+    basis = sorted({p for o in orbs for p in o.orbit})
     index = {p: i for i, p in enumerate(basis)}
     npairs = len(basis)
 
-    sigma = _simple_permutations(group, basis, index.__getitem__)
+    sigma = _simple_permutations(group, basis, index.__getitem__, modulus)
     rows = [{dst: 1, src: -1} for row in sigma
             for src, dst in enumerate(row) if dst != src]
     kernel_dim = npairs - _linalg.mat_rank(rows)

@@ -33,7 +33,8 @@ from heckelab.root_datum import (
     datum_from_cartan,
     datum_general_linear,
 )
-from heckelab.torus_center import invariant_dimension, orbits, roc_decomposition_check
+from heckelab.torus_center import (invariant_dimension, orbits,
+                                   residue_modulus, roc_decomposition_check)
 
 # the four fixed matrices of the wall-point counterexample
 WALL = ((1, 1, 1), (2, 1, 1), (2, 1, 1))
@@ -332,7 +333,7 @@ def test_criterion_5_residue_orbit_decomposition():
     dims = {}
     for q in (2, 3, 4):
         for radius in (0, 1, 2):
-            orbs = orbits(group, q, radius)
+            orbs = orbits(group, radius, modulus=residue_modulus(q))
             for osum in orbs:
                 orbit_checks += 1
                 rep = roc_decomposition_check(group, osum)
@@ -432,8 +433,8 @@ def test_criterion_7_cross_module_coherence():
         for radius in (0, 1, 2):
             trivial = {
                 frozenset(lam for lam, _chi in osum.orbit)
-                for osum in orbits(SMALL_RANK_GROUPS[name], 3, radius)
-                if osum.orbit[0][1].is_trivial}
+                for osum in orbits(SMALL_RANK_GROUPS[name], radius, modulus=2)
+                if not any(osum.orbit[0][1])}
             supports = {frozenset(o) for o in _satake(name, radius).orbits}
             if trivial != supports:
                 problems.append(

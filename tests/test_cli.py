@@ -562,6 +562,19 @@ def test_script_stdout_matches_golden(script):
     assert proc.stdout == (GOLDEN / f"{script}.txt").read_text()
 
 
+def test_center_dimension_table_refuses_a_q_that_is_not_a_prime_power():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "center_dimension_table.py"),
+         "--q", "3", "6"],
+        capture_output=True, text=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    # a usage error before any table, not a traceback after the first
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == (
+        "center_dimension_table.py: error: q must be a prime power >= 2, "
+        "got 6")
+
+
 def test_clifford_component_modes():
     for mode in ("transfer", "center", "commutativity"):
         checks = _clifford_checks(QUICK_RESULTS, mode)

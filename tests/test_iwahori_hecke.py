@@ -207,7 +207,7 @@ def test_satake_orbits_match_torus_orbits():
     rep = satake_check(GL2, label_orbits(GL2, 2))
     hecke_supports = {frozenset(o) for o in rep.orbits}
     torus_supports = {frozenset(lam for lam, _chi in o.orbit)
-                      for o in orbits(GL2, 2, 2)}
+                      for o in orbits(GL2, 2, modulus=1)}
     assert hecke_supports == torus_supports
 
 
@@ -274,6 +274,25 @@ def test_satake_fails_on_a_tampered_bernstein_relation(monkeypatch):
     rep = satake_check(GL2, orbit_map)
     assert not rep.ok
     assert "orbit sum of (1, 0) is not central" in rep.failures
+
+
+def test_satake_catches_lattice_generators_that_fail_to_commute(monkeypatch):
+    real = BernsteinAlgebra._commute_word
+
+    # commuting a nonzero label past the empty word doubles it: then
+    # theta_0 theta_(e_j) = 2 theta_(e_j), but theta_(e_j) theta_0 is
+    # still theta_(e_j)
+    def doubled(alg, word, lam):
+        out = real(alg, word, lam)
+        if not word and any(lam):
+            out = {k: c + c for k, c in out.items()}
+        return out
+    monkeypatch.setattr(BernsteinAlgebra, "_commute_word", doubled)
+    rep = satake_check(GL2, label_orbits(GL2, 1))
+    assert not rep.ok and rep.rank_route == "Q(v)"
+    assert [f for f in rep.failures if f.startswith("lattice")] == [
+        "lattice generator 0 fails to commute with (0, 0)",
+        "lattice generator 1 fails to commute with (0, 0)"]
 
 
 def test_satake_catches_overlapping_orbit_supports():
