@@ -11,6 +11,10 @@ the runs come in pairs whose order alternates from seed to seed
 Each run's ``machine:`` line and final JSON line are stored verbatim,
 and ``summary`` holds, per workload, trace mode and checkout, the
 median of every metric and the failed invocations summed over runs.
+With two checkouts it also holds, per metric, the gap between their
+medians (second minus first checkout) and the spread, the wider of the
+two interquartile ranges: a gap no wider than the spread is reported
+"unresolved".
 An existing output file is extended, so workloads can be recorded by
 separate invocations.
 """
@@ -63,6 +67,19 @@ def run_order(names: list[str], seeds: list[int]) -> list[tuple[int, str]]:
     return order
 
 
+def compare(first: list[float], second: list[float]) -> dict:
+    """The gap between two checkouts' medians of one metric, set against
+    the spread of their runs; fewer than two runs a side resolve
+    nothing."""
+    gap = statistics.median(second) - statistics.median(first)
+    if min(len(first), len(second)) < 2:
+        return {"gap": gap, "spread": None, "verdict": "unresolved"}
+    spread = max(q[2] - q[0] for q in (statistics.quantiles(first, n=4),
+                                       statistics.quantiles(second, n=4)))
+    return {"gap": gap, "spread": spread,
+            "verdict": "resolved" if abs(gap) > spread else "unresolved"}
+
+
 def summarize(records: list[dict]) -> dict:
     groups: dict[str, dict[str, list[dict]]] = {}
     for rec in records:
@@ -71,19 +88,26 @@ def summarize(records: list[dict]) -> dict:
     summary: dict = {}
     for key, by_checkout in sorted(groups.items()):
         summary[key] = {}
+        values: dict[str, dict[str, list[float]]] = {}
         for name, recs in by_checkout.items():
-            metrics = {}
-            for metric in recs[0]["result"]["metrics"]:
-                values = [r["result"]["metrics"][metric]["value"]
-                          for r in recs if metric in r["result"]["metrics"]]
-                metrics[metric] = statistics.median(values)
+            values[name] = {
+                metric: [r["result"]["metrics"][metric]["value"]
+                         for r in recs if metric in r["result"]["metrics"]]
+                for metric in recs[0]["result"]["metrics"]}
             summary[key][name] = {
                 "runs": len(recs),
                 "seeds": [r["seed"] for r in recs],
                 "failed": sum(r["result"]["failed"] for r in recs),
                 "attempted": sum(r["result"]["attempted"] for r in recs),
-                "median": metrics,
+                "median": {metric: statistics.median(runs)
+                           for metric, runs in values[name].items()},
             }
+        if len(values) == 2:
+            # checkouts in the order of their first run
+            first, second = values.values()
+            summary[key]["comparison"] = {
+                metric: compare(first[metric], second[metric])
+                for metric in first if metric in second}
     return summary
 
 

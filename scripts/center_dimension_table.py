@@ -21,6 +21,8 @@ def main() -> None:
     ap.add_argument("--max-radius", type=int, default=2)
     ap.add_argument("--q", type=int, nargs="+", default=[2, 3])
     args = ap.parse_args()
+    if args.max_radius < 0:
+        ap.error("--max-radius must be >= 0")
     try:
         moduli = [residue_modulus(q) for q in args.q]
     except ValueError as exc:

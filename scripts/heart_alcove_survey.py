@@ -10,13 +10,13 @@ the condition is clean at integer depths and breaks at half-integers.
 import argparse
 import itertools
 from collections import Counter
-from fractions import Fraction as Q
 
 from heckelab.apartment import (
     alcove_interior_points,
     heart_condition1_check,
     key_inequality_report,
 )
+from heckelab.cli import CLIError, parse_rational
 from heckelab.root_datum import REGISTRY, WeylGroup, datum_from_config
 
 NAMES = ("a1", "a2", "gl2", "gl3", "b2")
@@ -30,7 +30,14 @@ def main() -> None:
     ap.add_argument("--witnesses", type=int, default=2,
                     help="failing witnesses to print per datum")
     args = ap.parse_args()
-    depths = [Q(s) for s in args.depths.split(",")]
+    if args.max_denominator < 1:
+        ap.error("--max-denominator must be >= 1")
+    try:
+        depths = [parse_rational(s) for s in args.depths.split(",")]
+    except CLIError as exc:
+        ap.error(str(exc))
+    if any(r <= 0 for r in depths):
+        ap.error("every depth must be positive")
 
     grand_heart = Counter()
     grand_key = 0

@@ -406,11 +406,6 @@ def write_catalog(path: str, models: list[FiniteGroupModel] | None = None
     return len(data["entries"])
 
 
-def read_catalog(path: str) -> list[FiniteGroupModel]:
-    with open(path) as fh:
-        return catalog_from_json(json.load(fh))
-
-
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------

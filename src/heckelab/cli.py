@@ -6,13 +6,15 @@ in text or JSON form.  Reports share one shape: a suite name, a list
 of named checks with status PASS / FAIL / SKIPPED (FAIL always carries
 a witness payload; ``CheckRecord.of`` builds each verdict), optional
 suite data, and a wall time.  The process exits 0 exactly when no
-check failed, 2 on configuration errors.  The mathematics stays in the
-library: heart-check escalates a threshold mismatch through
-``padic_groups.compare_levi_volumes``, the comparison that acceptance
-criterion 2 uses too.  Only ``root_datum`` is imported with this
-module; each subcommand imports its own suite when it runs, so a
-process loads what its subcommand uses.  Every exhaustive check runs in
-exact Python ints: no subcommand loads numpy.
+check failed, 2 on configuration errors.  Each runner takes its
+subcommand's parsed flags as keyword arguments, under their argparse
+names; argparse alone holds their defaults and required flags.  The
+mathematics stays in the library: heart-check escalates a threshold
+mismatch through ``padic_groups.compare_levi_volumes``, the comparison
+that acceptance criterion 2 uses too.  Only ``root_datum`` is imported
+with this module; each subcommand imports its own suite when it runs,
+so a process loads what its subcommand uses.  Every exhaustive check
+runs in exact Python ints: no subcommand loads numpy.
 
 Input schemas (also documented in the README):
   datum        registry name (a1, a2, a3, b2, b3, c2, c3, g2, gl1,
@@ -133,6 +135,17 @@ def parse_partition(text: str) -> tuple[tuple[int, ...], ...]:
 # datum registry and file loading
 # ---------------------------------------------------------------------------
 
+def _read_json(source: str, what: str):
+    try:
+        with open(source) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise CLIError(f"{source}: invalid JSON at line {exc.lineno} "
+                       f"column {exc.colno}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CLIError(f"{source}: cannot read {what} file: {exc}") from exc
+
+
 def load_datum(source: str, max_weyl_order: int | None = None) -> RootDatum:
     """The datum named in the registry, or described by a JSON file; a
     general-linear size above ``max_weyl_order`` is refused before any
@@ -143,14 +156,7 @@ def load_datum(source: str, max_weyl_order: int | None = None) -> RootDatum:
             names = ", ".join(sorted(REGISTRY))
             raise CLIError(f"unknown datum {source!r}; registry names are "
                            f"{names}, or pass a JSON file path")
-        try:
-            with open(source) as fh:
-                cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise CLIError(f"{source}: invalid JSON at line {exc.lineno} "
-                           f"column {exc.colno}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise CLIError(f"{source}: cannot read datum file: {exc}") from exc
+        cfg = _read_json(source, "datum")
     try:
         return datum_from_config(cfg, max_weyl_order)
     except ValueError as exc:
@@ -168,16 +174,12 @@ def load_group(source: str) -> WeylGroup:
 
 
 def load_models(source: str):
-    from .catalog import build_catalog, read_catalog
+    from .catalog import build_catalog, catalog_from_json
     if source == "builtin":
         return build_catalog()
+    data = _read_json(source, "catalog")
     try:
-        return read_catalog(source)
-    except json.JSONDecodeError as exc:
-        raise CLIError(f"{source}: invalid JSON at line {exc.lineno} "
-                       f"column {exc.colno}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CLIError(f"{source}: cannot read catalog file: {exc}") from exc
+        return catalog_from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise CLIError(f"{source}: bad catalog entry: {exc}") from exc
 
@@ -220,25 +222,6 @@ class VerificationReport:
     @property
     def exit_code(self) -> int:
         return 1 if any(c.status == FAIL for c in self.checks) else 0
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    datum: str | None = None
-    x: tuple[Q, ...] | None = None
-    r: Q | None = None
-    field_size: int | None = None
-    radius: int | None = None
-    theta: tuple[int, ...] | None = None
-    partition: tuple[tuple[int, ...], ...] | None = None
-    convention: str = "upper"
-    require_exhaustive: bool = False
-    catalog: str = "builtin"
-    check: str = "all"
-    quick: bool = False
-    emit_catalog: str | None = None
-    output_format: str = "text"
 
 
 def render_report(report: VerificationReport, fmt: str) -> str:
@@ -328,8 +311,8 @@ def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
 # subcommand: rootdatum
 # ---------------------------------------------------------------------------
 
-def _run_rootdatum(config: RunConfig) -> VerificationReport:
-    group = load_group(config.datum)
+def _run_rootdatum(*, datum: str) -> VerificationReport:
+    group = load_group(datum)
     datum = group.datum
     checks = []
 
@@ -372,26 +355,22 @@ def _run_rootdatum(config: RunConfig) -> VerificationReport:
 # subcommand: heart-check
 # ---------------------------------------------------------------------------
 
-def _run_heart_check(config: RunConfig) -> VerificationReport:
+def _run_heart_check(*, datum: str, x: tuple[Q, ...], r: Q,
+                     theta: tuple[int, ...] | None) -> VerificationReport:
     from .apartment import classify_point, heart_condition1_check
-    group = load_group(config.datum)
+    group = load_group(datum)
     datum = group.datum
-    x, r = config.x, config.r
-    if x is None or r is None:
-        raise CLIError("heart-check needs --x and --r")
     if len(x) != datum.ambient_rank:
         raise CLIError(f"--x needs {datum.ambient_rank} coordinates "
                        f"for datum {datum.label}")
     if r <= 0:
         raise CLIError("--r must be positive")
     m = datum.semisimple_rank
-    if config.theta is not None:
-        if any(t >= m for t in config.theta):
-            raise CLIError(f"theta indices must be < {m}")
-        subsets = [config.theta]
-    else:
-        subsets = [tuple(c) for size in range(m + 1)
-                   for c in itertools.combinations(range(m), size)]
+    if theta is not None and any(t >= m for t in theta):
+        raise CLIError(f"theta indices must be < {m}")
+    subsets = [theta] if theta is not None else [
+        tuple(c) for size in range(m + 1)
+        for c in itertools.combinations(range(m), size)]
 
     checks = []
     data: dict[str, Any] = {
@@ -400,9 +379,9 @@ def _run_heart_check(config: RunConfig) -> VerificationReport:
         "r": str(r),
         "point_kind": classify_point(datum, x).kind,
     }
-    for theta in subsets:
-        verdict = heart_condition1_check(group, x, r, theta)
-        name = f"condition-1 theta={list(theta)}"
+    for subset in subsets:
+        verdict = heart_condition1_check(group, x, r, subset)
+        name = f"condition-1 theta={list(subset)}"
         if verdict.proven:
             checks.append(CheckRecord(name, PASS))
             continue
@@ -414,7 +393,7 @@ def _run_heart_check(config: RunConfig) -> VerificationReport:
                 "threshold_at_x": w.threshold_at_x,
                 "threshold_at_image": w.threshold_at_image,
             } for w in verdict.witnesses],
-            "escalation": _escalate_mismatch(group, x, r, theta,
+            "escalation": _escalate_mismatch(group, x, r, subset,
                                              verdict.witnesses),
         }
         checks.append(CheckRecord(name, FAIL, witness))
@@ -439,7 +418,7 @@ _EXPECTED_LEVI = ((1, None, None), (None, 1, 1), (None, 1, 1))
 _EXPECTED_CONJ_LEVI = ((1, None, None), (None, 1, 1), (None, 2, 1))
 
 
-def _run_counterexample(config: RunConfig) -> VerificationReport:
+def _run_counterexample() -> VerificationReport:
     from .apartment import heart_condition1_check
     from .padic_groups import (block_of, brute_point_count,
                                compare_levi_volumes, conjugate_by_permutation,
@@ -556,21 +535,21 @@ def _standard_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return out
 
 
-def _run_spade_check(config: RunConfig) -> VerificationReport:
+def _run_spade_check(*, datum: str, x: tuple[Q, ...], r: Q,
+                     partition: tuple[tuple[int, ...], ...] | None,
+                     convention: str, require_exhaustive: bool
+                     ) -> VerificationReport:
     from .padic_groups import from_filtration, iwahori_factorization_check
-    x, r = config.x, config.r
-    if x is None or r is None:
-        raise CLIError("spade-check needs --x and --r")
     # --x has one coordinate per row, so the work is bounded before the
     # datum, whose roots alone take O(n^3) to build, is loaded
     n = len(x)
-    count = 1 if config.partition is not None else 2 ** (n - 1) - 1
+    count = 1 if partition is not None else 2 ** (n - 1) - 1
     if n * n * (n + count) > MAX_SPADE_WORK:
-        over = ("one partition" if config.partition is not None
+        over = ("one partition" if partition is not None
                 else f"all 2^{n - 1} - 1 partitions")
         raise CLIError(f"spade-check of rank {n} over {over} exceeds the "
                        f"work cap n^2 (n + partitions) <= {MAX_SPADE_WORK}")
-    datum = load_datum(config.datum)
+    datum = load_datum(datum)
     if not datum.is_general_linear:
         raise CLIError("spade-check needs a general-linear datum "
                        "(integral matrix model required)")
@@ -582,21 +561,23 @@ def _run_spade_check(config: RunConfig) -> VerificationReport:
         K = from_filtration(datum, x, r)
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
-    if config.partition is not None:
-        flat = sorted(i for b in config.partition for i in b)
-        if flat != list(range(n)):
+    if partition is not None:
+        rows = [i for b in partition for i in b]
+        if sorted(rows) != list(range(n)):
             raise CLIError(f"partition must cover rows 0..{n - 1} once")
-        partitions = [config.partition]
+        if rows != list(range(n)):
+            raise CLIError("partition blocks must be runs of consecutive "
+                           "rows in increasing order, as in 0|1,2")
+        partitions = [partition]
     else:
         partitions = _standard_partitions(n)
 
     checks = []
     rows = []
     for blocks in partitions:
-        rep = iwahori_factorization_check(K, blocks,
-                                          convention=config.convention)
+        rep = iwahori_factorization_check(K, blocks, convention=convention)
         label = "|".join(",".join(str(i) for i in b) for b in blocks)
-        good = rep.fully_verified if config.require_exhaustive else rep.passed
+        good = rep.fully_verified if require_exhaustive else rep.passed
         witness = {
             "analytic_match": rep.analytic_match,
             "exhaustive": [[p, v] for p, v in rep.exhaustive],
@@ -610,7 +591,7 @@ def _run_spade_check(config: RunConfig) -> VerificationReport:
         "x": list(x),
         "r": str(r),
         "bounds": K.to_lists(),
-        "convention": config.convention,
+        "convention": convention,
         "partitions": rows,
     }
     return VerificationReport("spade-check", tuple(checks), data)
@@ -640,26 +621,27 @@ def _clifford_checks(records, mode: str) -> list[CheckRecord]:
     return checks
 
 
-def _run_clifford(config: RunConfig) -> VerificationReport:
+def _run_clifford(*, catalog: str, check: str, quick: bool,
+                  emit_catalog: str | None) -> VerificationReport:
     from .catalog import evaluate_catalog, write_catalog
-    if config.emit_catalog is not None:
+    if emit_catalog is not None:
         try:
-            n = write_catalog(config.emit_catalog)
+            n = write_catalog(emit_catalog)
         except OSError as exc:
-            raise CLIError(f"{config.emit_catalog}: cannot write catalog "
+            raise CLIError(f"{emit_catalog}: cannot write catalog "
                            f"file: {exc}") from exc
         return VerificationReport(
             "clifford",
             (CheckRecord("catalog-written", PASS),),
-            {"path": config.emit_catalog, "entries": n})
-    models = load_models(config.catalog)
-    if config.quick:
+            {"path": emit_catalog, "entries": n})
+    models = load_models(catalog)
+    if quick:
         models = [m for m in models if m.group.order <= 32]
     records = evaluate_catalog(models)
-    checks = _clifford_checks(records, config.check)
+    checks = _clifford_checks(records, check)
     data = {
-        "catalog": config.catalog,
-        "mode": config.check,
+        "catalog": catalog,
+        "mode": check,
         "entries": records,
     }
     return VerificationReport("clifford", tuple(checks), data)
@@ -669,14 +651,12 @@ def _run_clifford(config: RunConfig) -> VerificationReport:
 # subcommand: torus-center
 # ---------------------------------------------------------------------------
 
-def _run_torus_center(config: RunConfig) -> VerificationReport:
+def _run_torus_center(*, datum: str, q: int, radius: int,
+                      check: str) -> VerificationReport:
     from .torus_center import (invariant_dimension, orbits, residue_modulus,
                                roc_decomposition_check)
-    group = load_group(config.datum)
+    group = load_group(datum)
     datum = group.datum
-    q, radius = config.field_size, config.radius
-    if q is None or radius is None:
-        raise CLIError("torus-center needs --q and --radius")
     if radius < 0:
         raise CLIError("--radius must be >= 0")
     # first: the prime-power test of q trial-divides up to q, and the
@@ -707,7 +687,7 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
                         for lam, chi in osum.orbit],
             "stabilizer_order": len(group.character_stabilizer(chi0, modulus)),
         }
-        if config.check in ("roc", "all"):
+        if check in ("roc", "all"):
             rep = roc_decomposition_check(group, osum)
             row["blocks"] = {
                 "characters": [list(c) for c in rep.block_characters],
@@ -726,7 +706,7 @@ def _run_torus_center(config: RunConfig) -> VerificationReport:
         "orbit_count": len(orbit_list),
         "orbits": orbit_rows,
     }
-    if config.check in ("dimension", "all"):
+    if check in ("dimension", "all"):
         try:
             dim = invariant_dimension(group, orbit_list)
             checks.append(CheckRecord("invariant-dimension-three-way", PASS))
@@ -750,13 +730,10 @@ def _term_label(lam, w) -> str:
     return f"{theta_part}*T[{','.join(str(i) for i in w.word)}]"
 
 
-def _run_iwahori_center(config: RunConfig) -> VerificationReport:
+def _run_iwahori_center(*, datum: str, radius: int) -> VerificationReport:
     from .iwahori_hecke import label_orbits, label_weight, satake_check
-    group = load_group(config.datum)
+    group = load_group(datum)
     datum = group.datum
-    radius = config.radius
-    if radius is None:
-        raise CLIError("iwahori-center needs --radius")
     if radius < 0:
         raise CLIError("--radius must be >= 0")
     # the box is a subset of its orbit closure and each label weighs at
@@ -808,7 +785,7 @@ def _run_iwahori_center(config: RunConfig) -> VerificationReport:
 # subcommand: verify-all
 # ---------------------------------------------------------------------------
 
-def _run_verify_all(config: RunConfig) -> VerificationReport:
+def _run_verify_all(*, quick: bool) -> VerificationReport:
     checks: list[CheckRecord] = []
 
     def absorb(prefix: str, report: VerificationReport) -> None:
@@ -816,50 +793,46 @@ def _run_verify_all(config: RunConfig) -> VerificationReport:
             checks.append(CheckRecord(f"{prefix}: {c.name}", c.status,
                                       c.witness))
 
-    absorb("counterexample", _run_counterexample(
-        RunConfig("counterexample")))
+    absorb("counterexample", _run_counterexample())
 
-    wall = _run_heart_check(RunConfig(
-        "heart-check", datum="gl3", x=(Q(1, 2), Q(0), Q(0)), r=Q(1),
-        theta=(1,)))
+    wall = _run_heart_check(datum="gl3", x=(Q(1, 2), Q(0), Q(0)), r=Q(1),
+                            theta=(1,))
     checks.append(CheckRecord.of(
         "heart-check: wall-point-mismatch-escalates",
         wall.data.get("obstruction") == "DISTINCT_VOLUME"
         and "verdict" in wall.data,
         {"data": wall.data}))
 
-    interior = _run_heart_check(RunConfig(
-        "heart-check", datum="gl3", x=(Q(2, 3), Q(1, 3), Q(0)), r=Q(1)))
+    interior = _run_heart_check(datum="gl3", x=(Q(2, 3), Q(1, 3), Q(0)),
+                                r=Q(1), theta=None)
     checks.append(CheckRecord.of(
         "heart-check: alcove-interior-point-proven", interior.exit_code == 0,
         {"data": interior.data}))
 
-    absorb("spade-check", _run_spade_check(RunConfig(
-        "spade-check", datum="gl2", x=(Q(1, 2), Q(0)), r=Q(1))))
-    absorb("spade-check", _run_spade_check(RunConfig(
-        "spade-check", datum="gl3", x=(Q(1, 2), Q(0), Q(0)), r=Q(1),
-        partition=((0,), (1, 2)))))
+    spade = {"r": Q(1), "convention": "upper", "require_exhaustive": False}
+    absorb("spade-check", _run_spade_check(
+        datum="gl2", x=(Q(1, 2), Q(0)), partition=None, **spade))
+    absorb("spade-check", _run_spade_check(
+        datum="gl3", x=(Q(1, 2), Q(0), Q(0)), partition=((0,), (1, 2)),
+        **spade))
 
-    absorb("clifford", _run_clifford(RunConfig(
-        "clifford", catalog="builtin", check="all", quick=config.quick)))
+    absorb("clifford", _run_clifford(catalog="builtin", check="all",
+                                     quick=quick, emit_catalog=None))
 
-    absorb("torus-center", _run_torus_center(RunConfig(
-        "torus-center", datum="gl2", field_size=3, radius=1, check="all")))
+    absorb("torus-center", _run_torus_center(datum="gl2", q=3, radius=1,
+                                             check="all"))
 
-    absorb("iwahori-center", _run_iwahori_center(RunConfig(
-        "iwahori-center", datum="a1", radius=2)))
-    absorb("iwahori-center", _run_iwahori_center(RunConfig(
-        "iwahori-center", datum="gl2", radius=1)))
+    absorb("iwahori-center", _run_iwahori_center(datum="a1", radius=2))
+    absorb("iwahori-center", _run_iwahori_center(datum="gl2", radius=1))
 
-    return VerificationReport("verify-all", tuple(checks),
-                              {"quick": config.quick})
+    return VerificationReport("verify-all", tuple(checks), {"quick": quick})
 
 
 # ---------------------------------------------------------------------------
 # dispatch, argument parsing, entry point
 # ---------------------------------------------------------------------------
 
-_RUNNERS: dict[str, Callable[[RunConfig], VerificationReport]] = {
+_RUNNERS: dict[str, Callable[..., VerificationReport]] = {
     "rootdatum": _run_rootdatum,
     "heart-check": _run_heart_check,
     "counterexample": _run_counterexample,
@@ -871,12 +844,12 @@ _RUNNERS: dict[str, Callable[[RunConfig], VerificationReport]] = {
 }
 
 
-def run(config: RunConfig) -> VerificationReport:
-    runner = _RUNNERS.get(config.subcommand)
+def run(subcommand: str, **options: Any) -> VerificationReport:
+    runner = _RUNNERS.get(subcommand)
     if runner is None:
-        raise CLIError(f"unknown subcommand {config.subcommand!r}")
+        raise CLIError(f"unknown subcommand {subcommand!r}")
     start = time.perf_counter()
-    report = runner(config)
+    report = runner(**options)
     elapsed = time.perf_counter() - start
     return VerificationReport(report.suite, report.checks, report.data,
                               elapsed)
@@ -974,33 +947,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    kw: dict[str, Any] = {"subcommand": args.subcommand,
-                          "output_format": getattr(args, "format", "text")}
-    for name in ("datum", "convention", "require_exhaustive", "catalog",
-                 "check", "quick", "emit_catalog", "radius"):
-        if hasattr(args, name):
-            kw[name] = getattr(args, name)
-    for name, parse in (("x", parse_rational_vector), ("r", parse_rational),
-                        ("theta", parse_index_list),
-                        ("partition", parse_partition)):
-        if getattr(args, name, None) is not None:
-            kw[name] = parse(getattr(args, name))
-    if args.subcommand == "torus-center":
-        kw["field_size"] = args.q
-    return RunConfig(**kw)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    options = vars(build_parser().parse_args(argv))
+    subcommand, fmt = options.pop("subcommand"), options.pop("format")
     try:
-        config = config_from_args(args)
-        report = run(config)
+        for name, parse in (("x", parse_rational_vector),
+                            ("r", parse_rational), ("theta", parse_index_list),
+                            ("partition", parse_partition)):
+            if options.get(name) is not None:
+                options[name] = parse(options[name])
+        report = run(subcommand, **options)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_report(report, config.output_format))
+    print(render_report(report, fmt))
     return report.exit_code
 
 

@@ -16,7 +16,7 @@ from heckelab.apartment import (
     threshold,
 )
 from heckelab.catalog import build_catalog, evaluate_catalog
-from heckelab.cli import RunConfig, run
+from heckelab.cli import run
 from heckelab.iwahori_hecke import BernsteinAlgebra, label_orbits, satake_check
 from heckelab.laurent import LaurentScalar
 from heckelab.padic_groups import (
@@ -73,7 +73,7 @@ def _satake(name: str, radius: int):
 def test_criterion_1_wall_point_counterexample():
     # full pipeline through the command layer: the four matrices, both
     # symbolic indices, exact point-count cross-checks, and the verdict
-    report = run(RunConfig(subcommand="counterexample"))
+    report = run("counterexample")
     statuses = {c.name: c.status for c in report.checks}
     bad = sorted(name for name, st in statuses.items() if st != "PASS")
     mats = report.data["matrices"]

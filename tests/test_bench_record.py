@@ -68,3 +68,29 @@ def test_summary_takes_medians_per_checkout():
     assert summary["change"]["median"]["wall_s"] == 2.5
     assert summary["change"]["runs"] == 3 and summary["change"]["failed"] == 1
     assert summary["parent"]["seeds"] == [1, 2, 3]
+
+
+def test_summary_compares_two_checkouts_against_their_spread():
+    records = []
+    for name, walls in (("parent", [4.0, 5.0, 4.5]), ("change", [3.0, 2.0, 2.5])):
+        for seed, wall in enumerate(walls, 1):
+            records.append({"checkout": name, "workload": "torus", "seed": seed,
+                            "trace": 0, **bench_record.parse_run(
+                                canned_stdout(wall))})
+    comparison = bench_record.summarize(records)["torus trace 0"]["comparison"]
+    # both sides spread over 1.0 s, the medians 2.0 s apart
+    assert comparison["wall_s"] == {"gap": -2.0, "spread": 1.0,
+                                    "verdict": "resolved"}
+    # equal medians and no spread: nothing is shown
+    assert comparison["peak_rss_mb"]["verdict"] == "unresolved"
+    walls = records[0]["result"]["metrics"]["wall_s"]
+    walls["value"] = 1.0          # parent now spreads over 4.0 s
+    assert bench_record.summarize(records)["torus trace 0"]["comparison"][
+        "wall_s"]["verdict"] == "unresolved"
+    assert "comparison" not in bench_record.summarize(records[:3])[
+        "torus trace 0"]
+
+
+def test_one_run_a_side_resolves_nothing():
+    assert bench_record.compare([1.0], [5.0]) == {
+        "gap": 4.0, "spread": None, "verdict": "unresolved"}

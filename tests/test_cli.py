@@ -6,6 +6,8 @@ dimension counts repeat the independently derived Burnside values from
 the torus tests; everything else checks report structure, error
 handling, and the exit-code contract.
 """
+import argparse
+import inspect
 import io
 import json
 import math
@@ -26,11 +28,11 @@ from heckelab.cli import (
     MAX_HECKE_WEIGHT,
     CheckRecord,
     CLIError,
-    RunConfig,
     VerificationReport,
     _RUNNERS,
     _clifford_checks,
     _standard_partitions,
+    build_parser,
     load_datum,
     load_group,
     main,
@@ -205,7 +207,19 @@ def test_render_text_shows_witness_for_failures():
 
 def test_run_rejects_unknown_subcommand():
     with pytest.raises(CLIError, match="subcommand"):
-        run(RunConfig("frobnicate"))
+        run("frobnicate")
+
+
+def test_each_runner_takes_exactly_its_subcommand_flags():
+    # a flag its runner does not read, or a runner parameter no flag
+    # sets, would fail here; --format is main's own
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(_RUNNERS)
+    for name, sub in subparsers.choices.items():
+        dests = {a.dest for a in sub._actions
+                 if not isinstance(a, argparse._HelpAction)} - {"format"}
+        assert dests == set(inspect.signature(_RUNNERS[name]).parameters), name
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +589,29 @@ def test_center_dimension_table_refuses_a_q_that_is_not_a_prime_power():
         "got 6")
 
 
+@pytest.mark.parametrize("script,args,message", [
+    ("heart_alcove_survey", ["--depths", "abc"],
+     "not an exact rational (use p/q or an integer): 'abc'"),
+    ("heart_alcove_survey", ["--depths", "1/0"],
+     "not an exact rational (use p/q or an integer): '1/0'"),
+    ("heart_alcove_survey", ["--depths", "0.5"],
+     "not an exact rational (use p/q or an integer): '0.5'"),
+    ("heart_alcove_survey", ["--depths", "0"], "every depth must be positive"),
+    ("heart_alcove_survey", ["--max-denominator", "0"],
+     "--max-denominator must be >= 1"),
+    ("center_dimension_table", ["--max-radius", "-1"],
+     "--max-radius must be >= 0"),
+])
+def test_scripts_refuse_malformed_arguments(script, args, message):
+    # each used to end in a traceback or print an empty table
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / f"{script}.py"), *args],
+        capture_output=True, text=True, cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1] == f"{script}.py: error: {message}"
+
+
 def test_clifford_component_modes():
     for mode in ("transfer", "center", "commutativity"):
         checks = _clifford_checks(QUICK_RESULTS, mode)
@@ -875,6 +912,16 @@ DATUM_FILES = {
     # an Arabic-Indic digit passes \d, and Fraction() reads it
     (["heart-check", "--datum", "a2", "--x", "\u0663/4,0", "--r", "1/2"],
      "not an exact rational"),
+    # blocks out of row order used to reach padic_groups._block_owner's
+    # ValueError and end in a traceback
+    (["spade-check", "--datum", "gl3", "--x", "1/2,0,0", "--r", "1",
+      "--partition", "1,2|0"], "partition blocks must be runs of consecutive "
+     "rows in increasing order"),
+    (["spade-check", "--datum", "gl3", "--x", "1/2,0,0", "--r", "1",
+      "--partition", "0,2|1"], "partition blocks must be runs of consecutive "
+     "rows in increasing order"),
+    (["spade-check", "--datum", "gl3", "--x", "1/2,0,0", "--r", "1",
+      "--partition", "0|1"], "partition must cover rows 0..2 once"),
 ])
 def test_malformed_input_exits_2_with_one_line(argv, needle, tmp_path, capsys):
     from heckelab.catalog import catalog_to_json

@@ -61,7 +61,7 @@ DATA = st.sampled_from(sorted(RANKS))
 COORDS = st.sampled_from(["0", "1", "1/2", "-1/3", "1/3", "2/3", "1/4"])
 DEPTHS = st.sampled_from(["1/2", "1", "3/2", "2"])
 BAD = st.sampled_from(["", "x", "0.5", "1/0", "1e3", "--1", "-1", "0", "5",
-                       "99", "0|0", "{gl8}", "{gl40}", "{gl_bad}",
+                       "99", "0|0", "1,2|0", "0,2|1", "{gl8}", "{gl40}", "{gl_bad}",
                        "{cartan_bad}", "{central_bad}", "{not_json}",
                        "{missing}", "{catalog_bad}"])
 
