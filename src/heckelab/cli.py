@@ -562,12 +562,12 @@ def _run_spade_check(*, datum: str, x: tuple[Q, ...], r: Q,
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
     if partition is not None:
-        rows = [i for b in partition for i in b]
-        if sorted(rows) != list(range(n)):
+        order = [i for b in partition for i in b]
+        if sorted(order) != list(range(n)):
             raise CLIError(f"partition must cover rows 0..{n - 1} once")
-        if rows != list(range(n)):
+        if order != list(range(n)):
             raise CLIError("partition blocks must be runs of consecutive "
-                           "rows in increasing order, as in 0|1,2")
+                           "rows in increasing order")
         partitions = [partition]
     else:
         partitions = _standard_partitions(n)

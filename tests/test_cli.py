@@ -603,7 +603,7 @@ def test_center_dimension_table_refuses_a_q_that_is_not_a_prime_power():
      "--max-radius must be >= 0"),
 ])
 def test_scripts_refuse_malformed_arguments(script, args, message):
-    # each used to end in a traceback or print an empty table
+    # a usage error before any output, not a traceback or an empty table
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / f"{script}.py"), *args],
         capture_output=True, text=True, cwd=ROOT,
@@ -912,8 +912,8 @@ DATUM_FILES = {
     # an Arabic-Indic digit passes \d, and Fraction() reads it
     (["heart-check", "--datum", "a2", "--x", "\u0663/4,0", "--r", "1/2"],
      "not an exact rational"),
-    # blocks out of row order used to reach padic_groups._block_owner's
-    # ValueError and end in a traceback
+    # blocks out of row order must be refused before they reach
+    # padic_groups._block_owner, which raises ValueError on them
     (["spade-check", "--datum", "gl3", "--x", "1/2,0,0", "--r", "1",
       "--partition", "1,2|0"], "partition blocks must be runs of consecutive "
      "rows in increasing order"),
