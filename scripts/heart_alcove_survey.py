@@ -39,18 +39,25 @@ def main() -> None:
     if any(r <= 0 for r in depths):
         ap.error("every depth must be positive")
 
+    surveyed = []
+    for key in NAMES:
+        datum = datum_from_config(REGISTRY[key])
+        points = alcove_interior_points(datum, args.max_denominator)
+        if not points:
+            ap.error(f"--max-denominator {args.max_denominator} leaves "
+                     f"{key} with no alcove-interior point")
+        surveyed.append((datum, points))
+
     grand_heart = Counter()
     grand_key = 0
     key_checks = 0
     non_negative = 0
-    for key in NAMES:
-        datum = datum_from_config(REGISTRY[key])
+    for datum, points in surveyed:
         name = datum.label
         group = WeylGroup(datum)
         m = datum.semisimple_rank
         subsets = [tuple(c) for k in range(m + 1)
                    for c in itertools.combinations(range(m), k)]
-        points = alcove_interior_points(datum, args.max_denominator)
         shown = 0
         heart_by_depth = Counter()
         checks = 0

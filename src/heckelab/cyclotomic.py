@@ -5,11 +5,22 @@ the m-th cyclotomic polynomial, with int or Fraction coefficients kept
 as given (an int equals and hashes like the equal Fraction), so
 equality is literal tuple equality and nothing is ever rounded.  The
 constants are ints: ``Cyc.zero``, ``Cyc.one``, ``Cyc.zeta``,
-``Cyc.rational`` of an int and ``cyc_identity`` build no Fraction, so
-products of integral matrices run on ints.  Only the divisions,
-``Cyc.inv`` and ``to_fraction``, yield Fractions.  The conductor is a
-positive integer fixed per element; elements of different conductors do
-not mix.
+``Cyc.rational`` of an int and ``cyc_identity`` build no Fraction.  Only
+the divisions, ``Cyc.inv`` and ``to_fraction``, make new Fractions.  The
+conductor is a positive integer fixed per element; elements of different
+conductors do not mix.
+
+There is one entry product, ``_coeff_mul(m, xc, yc)`` on coefficient
+tuples, memoized by an ``lru_cache`` bounded at ``_COEFF_MUL_CACHE``
+(4096) entries; ``Cyc.__mul__``, ``Cyc.inv`` and every matrix product go
+through it.  Because 1 and Fraction(1) are one key of the memo, a
+product may come back with Fraction coefficients for int inputs or the
+reverse: the values and hashes are the same, so no comparison, hash or
+printed coefficient can tell.  Matrix products work on packed matrices
+(``cyc_pack``): per row, the (column, coefficient tuple) pairs of the
+nonzero entries.  ``cyc_packed_matmul`` multiplies them and drops the
+entries that cancel, so packed products compare with packed targets
+directly; ``cyc_matmul`` is the same product on dense rows of ``Cyc``.
 
 Also provides linear algebra over the field (rank, nullspace, solve,
 column space) for the intertwiner and isotypic computations in
@@ -79,6 +90,30 @@ def _power_table(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(table)
 
 
+# bound on the memo of entry products; a clifford run on the builtin
+# catalog fills under 300 entries
+_COEFF_MUL_CACHE = 4096
+
+
+@lru_cache(maxsize=_COEFF_MUL_CACHE)
+def _coeff_mul(m: int, xc: tuple, yc: tuple) -> tuple:
+    """The product of two elements of Q(zeta_m) given by their
+    coefficient tuples: the one entry product of this module."""
+    table = _power_table(m)
+    out = [0] * len(xc)
+    for i, x in enumerate(xc):
+        if not x:
+            continue
+        for j, y in enumerate(yc):
+            if not y:
+                continue
+            prod = x * y
+            for k, t in enumerate(table[i + j]):
+                if t:
+                    out[k] += prod * t
+    return tuple(out)
+
+
 class Cyc:
     """An element of Q(zeta_m) in the power basis mod Phi_m."""
 
@@ -131,20 +166,7 @@ class Cyc:
         if isinstance(other, (int, Q)):
             return Cyc(self.m, [a * other for a in self.c])
         self._check(other)
-        table = _power_table(self.m)
-        phi = len(self.c)
-        out = [0] * phi
-        for i, x in enumerate(self.c):
-            if not x:
-                continue
-            for j, y in enumerate(other.c):
-                if not y:
-                    continue
-                prod = x * y
-                for k, t in enumerate(table[i + j]):
-                    if t:
-                        out[k] += prod * t
-        return Cyc(self.m, out)
+        return Cyc(self.m, _coeff_mul(self.m, self.c, other.c))
 
     __rmul__ = __mul__
 
@@ -200,17 +222,9 @@ class Cyc:
         if not self:
             raise ZeroDivisionError("cyclotomic zero has no inverse")
         phi = len(self.c)
-        table = _power_table(self.m)
-        cols = []
-        for j in range(phi):
-            col = [0] * phi
-            for i, x in enumerate(self.c):
-                if not x:
-                    continue
-                for k, t in enumerate(table[i + j]):
-                    if t:
-                        col[k] += x * t
-            cols.append(col)
+        # column j is self * x^j, and x^j (j < phi) is the j-th unit vector
+        cols = [_coeff_mul(self.m, self.c, basis)
+                for basis in _power_table(self.m)[:phi]]
         mat = tuple(tuple(cols[j][i] for j in range(phi)) for i in range(phi))
         e = (1,) + (0,) * (phi - 1)
         sol = _linalg.solve(mat, e)
@@ -223,22 +237,49 @@ class Cyc:
 # linear algebra over the field
 # ---------------------------------------------------------------------------
 
+def cyc_pack(rows, m: int) -> tuple:
+    """The packed form of a matrix over Q(zeta_m): per row, the tuple of
+    (column, coefficient tuple) pairs of its nonzero entries, in column
+    order.  Raises ValueError on an entry of another conductor, zero
+    entries included."""
+    packed = []
+    for row in rows:
+        prow = []
+        for j, x in enumerate(row):
+            if x.m != m:
+                raise ValueError(f"conductor mismatch: {m} and {x.m}")
+            if any(x.c):
+                prow.append((j, x.c))
+        packed.append(tuple(prow))
+    return tuple(packed)
+
+
+def cyc_packed_matmul(m: int, a: tuple, b: tuple) -> tuple:
+    """The product of two packed matrices over Q(zeta_m), packed: entries
+    whose terms cancel to zero are dropped, so two packed matrices are
+    equal exactly when their dense forms are."""
+    out = []
+    for arow in a:
+        acc = {}
+        for k, xc in arow:
+            for j, yc in b[k]:
+                term = _coeff_mul(m, xc, yc)
+                prev = acc.get(j)
+                acc[j] = term if prev is None else tuple(
+                    u + v for u, v in zip(prev, term))
+        out.append(tuple(sorted(item for item in acc.items() if any(item[1]))))
+    return tuple(out)
+
+
 def cyc_matmul(a, b):
-    rows, mid, cols = len(a), len(b), len(b[0])
-    zero = Cyc.zero(a[0][0].m)
-    out = [[zero for _ in range(cols)] for _ in range(rows)]
-    for i in range(rows):
-        arow = a[i]
-        orow = out[i]
-        for k in range(mid):
-            x = arow[k]
-            if not x:
-                continue
-            brow = b[k]
-            for j in range(cols):
-                y = brow[j]
-                if y:
-                    orow[j] = orow[j] + x * y
+    m = a[0][0].m
+    zero = Cyc.zero(m)
+    out = []
+    for prow in cyc_packed_matmul(m, cyc_pack(a, m), cyc_pack(b, m)):
+        row = [zero] * len(b[0])
+        for j, coeffs in prow:
+            row[j] = Cyc(m, coeffs)
+        out.append(row)
     return out
 
 

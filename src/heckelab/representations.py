@@ -7,7 +7,13 @@ not sampled, at every domain order: the domain must be the closure of a
 greedy generating set S (at most log2 of its order elements), the
 identity must map to I, and rho(g) rho(s) = rho(gs) must hold for every
 g in the domain and s in S; induction on the length of h as a word in S
-then gives rho(g) rho(h) = rho(gh) for all g, h.  Character arithmetic
+then gives rho(g) rho(h) = rho(gh) for all g, h.  The proof packs each
+matrix of the map once (``cyclotomic.cyc_pack``: the nonzero entries of
+each row, with their columns), refusing any entry whose conductor is not
+the representation's, and compares each packed product rho(g) rho(s)
+(``cyc_packed_matmul``, one memoized product per pair of nonzero entries)
+with the packed rho(gs); for the monomial models that is one entry
+product per row.  Character arithmetic
 (inner products, restriction, conjugation, induction) is exact; the
 number of distinct irreducible constituents of a representation is
 computed by the rank of the span of its class-sum images, which needs
@@ -20,7 +26,8 @@ from fractions import Fraction as Q
 from math import isqrt
 from typing import Mapping, Sequence
 
-from .cyclotomic import Cyc, cyc_identity, cyc_matmul, cyc_rank, cyc_trace
+from .cyclotomic import (Cyc, cyc_identity, cyc_matmul, cyc_pack,
+                         cyc_packed_matmul, cyc_rank, cyc_trace)
 from .finite_groups import FiniteGroup
 
 Char = dict[int, Cyc]
@@ -77,9 +84,13 @@ class Representation:
         if mats[0] != cyc_identity(dim, self.conductor):
             raise ValueError("matrices are not a homomorphism: the identity "
                              "does not map to I")
+        cond = self.conductor
+        packed = {g: cyc_pack(mat, cond) for g, mat in mats.items()}
         for g in dom:
+            left = packed[g]
             for s in gens:
-                if cyc_matmul(mats[g], mats[s]) != mats[group.mul(g, s)]:
+                if (cyc_packed_matmul(cond, left, packed[s])
+                        != packed[group.mul(g, s)]):
                     raise ValueError(
                         f"matrices are not a homomorphism at ({g},{s})")
 

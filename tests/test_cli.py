@@ -601,6 +601,12 @@ def test_center_dimension_table_refuses_a_q_that_is_not_a_prime_power():
      "--max-denominator must be >= 1"),
     ("center_dimension_table", ["--max-radius", "-1"],
      "--max-radius must be >= 0"),
+    # no alcove-interior point of A1 has every coordinate denominator 1,
+    # and none of B2 has them all at most 3
+    ("heart_alcove_survey", ["--max-denominator", "1"],
+     "--max-denominator 1 leaves a1 with no alcove-interior point"),
+    ("heart_alcove_survey", ["--max-denominator", "3"],
+     "--max-denominator 3 leaves b2 with no alcove-interior point"),
 ])
 def test_scripts_refuse_malformed_arguments(script, args, message):
     # a usage error before any output, not a traceback or an empty table
@@ -626,9 +632,19 @@ def test_clifford_catalog_round_trip(tmp_path, capsys):
     names = [e["name"] for e in data["entries"]]
     assert names == [m.name for m in build_catalog()]
     assert len(names) >= 12
-    # the emitted file passes its own --catalog validation and checks
-    assert main(["clifford", "--catalog", str(path)]) == 0
-    capsys.readouterr()
+    # the emitted file passes its own --catalog validation and checks, and
+    # gives the builtin report: its integral coefficients come back as
+    # ints, the others as Fractions, and both share the product memo
+    assert main(["clifford", "--format", "json"]) == 0
+    builtin = json.loads(capsys.readouterr().out)
+    assert main(["clifford", "--catalog", str(path), "--format", "json"]) == 0
+    loaded = json.loads(capsys.readouterr().out)
+    for report in (builtin, loaded):
+        assert isinstance(report.pop("wall_time_s"), float)
+    # the report names its catalog source; everything else must agree
+    assert builtin["data"].pop("catalog") == "builtin"
+    assert loaded["data"].pop("catalog") == str(path)
+    assert loaded == builtin
 
 
 def test_clifford_catalog_errors(tmp_path, capsys):

@@ -2,7 +2,8 @@
 
 Oracles: cyclotomic polynomials and specific field identities checked
 against hand-computed values; linear-algebra routines checked against
-small matrices solved by hand and against each other.
+small matrices solved by hand and against each other; products checked
+against a schoolbook product that reduces by long division by Phi_m.
 """
 from fractions import Fraction as Q
 
@@ -16,6 +17,8 @@ from heckelab.cyclotomic import (
     cyc_identity,
     cyc_matmul,
     cyc_nullspace,
+    cyc_pack,
+    cyc_packed_matmul,
     cyc_rank,
     cyc_solve,
     cyc_solve_matrix,
@@ -218,3 +221,116 @@ def test_nullspace_vectors_annihilate(rows):
                 acc = acc + x * v
             assert acc == Cyc.zero(_M)
     assert cyc_rank(a) + len(cyc_nullspace(a)) == 3
+
+
+# ---------------------------------------------------------------------------
+# products against a schoolbook reference
+# ---------------------------------------------------------------------------
+
+def _reference_mul(m, xc, yc):
+    """Coefficients of x*y: the full polynomial product, then long
+    division by the monic Phi_m from the top degree down."""
+    phi_poly = cyclotomic_polynomial(m)
+    phi = len(phi_poly) - 1
+    prod = [0] * (2 * phi - 1)
+    for i, x in enumerate(xc):
+        for j, y in enumerate(yc):
+            prod[i + j] += x * y
+    for top in range(len(prod) - 1, phi - 1, -1):
+        lead = prod[top]
+        for k, p in enumerate(phi_poly):
+            prod[top - phi + k] -= lead * p
+    return tuple(prod[:phi])
+
+
+def _reference_matmul(a, b):
+    """Dense schoolbook product of matrices over Q(zeta_m)."""
+    m = a[0][0].m
+    phi = len(cyclotomic_polynomial(m)) - 1
+    out = []
+    for arow in a:
+        row = []
+        for j in range(len(b[0])):
+            acc = [0] * phi
+            for x, brow in zip(arow, b):
+                for k, t in enumerate(_reference_mul(m, x.c, brow[j].c)):
+                    acc[k] += t
+            row.append(Cyc(m, acc))
+        out.append(row)
+    return out
+
+
+_CONDUCTORS = (1, 3, 4, 5, 8, 12)
+# int and Fraction coefficients, some of them equal (1 and Q(1), ...)
+_coeff = st.one_of(st.integers(-2, 2),
+                   st.builds(Q, st.integers(-3, 3), st.integers(1, 3)))
+
+
+@st.composite
+def _matrix_pair(draw):
+    m = draw(st.sampled_from(_CONDUCTORS))
+    phi = len(cyclotomic_polynomial(m)) - 1
+    rows, mid, cols = (draw(st.integers(1, 4)) for _ in range(3))
+
+    def entry():
+        if draw(st.booleans()):  # sparse, as the monomial models are
+            return Cyc.zero(m)
+        return Cyc(m, [draw(_coeff) for _ in range(phi)])
+
+    def matrix(r, c):
+        return [[Cyc.zero(m)] * c if draw(st.integers(0, 3)) == 0
+                else [entry() for _ in range(c)] for _ in range(r)]
+
+    return m, matrix(rows, mid), matrix(mid, cols)
+
+
+def _check_products(m, a, b):
+    want = _reference_matmul(a, b)
+    assert cyc_matmul(a, b) == want
+    assert cyc_packed_matmul(m, cyc_pack(a, m), cyc_pack(b, m)) \
+        == cyc_pack(want, m)
+    one = Cyc.one(m).c
+    for arow in a:
+        for x, brow in zip(arow, b):
+            for y in brow:
+                assert (x * y).c == _reference_mul(m, x.c, y.c)
+            if x:
+                assert _reference_mul(m, x.c, x.inv().c) == one
+
+
+@settings(max_examples=80, deadline=None)
+@given(_matrix_pair())
+def test_products_match_the_schoolbook_reference(pair):
+    _check_products(*pair)
+
+
+@pytest.mark.parametrize("m", _CONDUCTORS)
+def test_tall_products_with_zero_rows_match_the_reference(m):
+    # a 4x2 block times 2x2 and 2x4, with a zero row and mixed int and
+    # Fraction coefficients that are equal as numbers
+    phi = len(cyclotomic_polynomial(m)) - 1
+    z = Cyc.zeta(m)
+    half = Cyc.rational(m, Q(1, 2))
+    one_q = Cyc(m, [Q(1)] + [Q(0)] * (phi - 1))
+    zero = Cyc.zero(m)
+    a = [[z, zero], [zero, zero], [half, one_q], [Cyc.one(m), -z]]
+    b = [[one_q, z], [z * z, Cyc.one(m)]]
+    c = [[z, zero, half, Cyc.one(m)], [zero, zero, -one_q, z]]
+    for left, right in ((a, b), (a, c), (c, a)):
+        _check_products(m, left, right)
+
+
+def test_packed_product_drops_cancelled_entries():
+    one, zero = Cyc.one(4), Cyc.zero(4)
+    a = cyc_pack([[one, one], [zero, zero]], 4)
+    b = cyc_pack([[one], [-one]], 4)
+    assert cyc_packed_matmul(4, a, b) == ((), ())
+    assert cyc_matmul([[one, one], [zero, zero]], [[one], [-one]]) \
+        == [[zero], [zero]]
+
+
+def test_pack_refuses_another_conductor():
+    with pytest.raises(ValueError, match="conductor mismatch: 4 and 8"):
+        cyc_pack([[Cyc.one(4), Cyc.one(8)]], 4)
+    with pytest.raises(ValueError, match="conductor mismatch: 4 and 3"):
+        cyc_matmul([[Cyc.one(4)]], [[Cyc.one(3)]])

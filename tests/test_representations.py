@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab.clifford_lab import conjugate_orbit
-from heckelab.cyclotomic import Cyc, cyc_trace
+from heckelab.cyclotomic import (Cyc, cyc_matmul, cyc_pack, cyc_packed_matmul,
+                                 cyc_trace)
 from heckelab.finite_groups import cyclic, dihedral, quaternion
 from heckelab.representations import (
     Representation,
@@ -89,6 +90,59 @@ def test_map_wrong_at_one_element_rejected():
         mats[g] = [[-x for x in row] for row in mats[g]]
         with pytest.raises(ValueError, match="homomorphism"):
             Representation.from_matrices(d16, rep.domain, mats, 8)
+
+
+def test_mixed_conductor_map_rejected():
+    # phi(3) = phi(4) = 2, so the one of Q(zeta_3) has the coefficient
+    # tuple of the one of Q(zeta_4): only the conductor tells them apart.
+    # 1 is a generator, 5 is not
+    for odd in (1, 5):
+        mats = {g: [[Cyc.one(4)]] for g in range(D8.order)}
+        mats[odd] = [[Cyc.one(3)]]
+        with pytest.raises(ValueError, match="conductor mismatch: 4 and 3"):
+            Representation.from_matrices(D8, range(D8.order), mats, 4)
+
+
+def test_entry_of_a_larger_conductor_rejected():
+    rep = _d8_two_dim()
+    mats = dict(rep.matrices)
+    mats[3] = [[Cyc.rational(8, x.to_fraction()) if x else x for x in row]
+               for row in mats[3]]
+    with pytest.raises(ValueError, match="conductor mismatch: 4 and 8"):
+        Representation.from_matrices(D8, rep.domain, mats, 4)
+
+
+def test_cancelling_product_matches_a_zero_target():
+    # the reflection representation of S3 = D6 on the root lattice:
+    # r^2 has a zero entry whose two terms cancel
+    d6 = dihedral(3)
+    r = _cm(1, [[0, -1], [1, -1]])
+    rep = Representation.from_generators(d6, [1, 3],
+                                         [r, _cm(1, [[0, 1], [1, 0]])], 1)
+    assert rep.matrix(2) == _cm(1, [[-1, 1], [-1, 0]])
+    packed = cyc_packed_matmul(1, cyc_pack(r, 1), cyc_pack(r, 1))
+    assert packed == cyc_pack(rep.matrix(2), 1) == (((0, (-1,)), (1, (1,))),
+                                                    ((0, (-1,)),))
+    Representation.from_matrices(d6, rep.domain, rep.matrices, 1)
+
+
+def test_failure_names_the_first_failing_pair():
+    d16 = dihedral(8)
+    z8 = Cyc.zeta(8)
+    rot = [[z8, Cyc.zero(8)], [Cyc.zero(8), z8.galois(7)]]
+    rep = Representation.from_generators(
+        d16, [1, 8], [rot, [[Cyc.zero(8), Cyc.one(8)],
+                            [Cyc.one(8), Cyc.zero(8)]]], 8)
+    gens = d16.generators(rep.domain)
+    for bad in (3, 8, 12):
+        mats = dict(rep.matrices)
+        mats[bad] = [[-x for x in row] for row in mats[bad]]
+        first = next((g, s) for g in rep.domain for s in gens
+                     if cyc_matmul(mats[g], mats[s]) != mats[d16.mul(g, s)])
+        with pytest.raises(ValueError) as err:
+            Representation.from_matrices(d16, rep.domain, mats, 8)
+        assert str(err.value) == (
+            f"matrices are not a homomorphism at ({first[0]},{first[1]})")
 
 
 def test_malformed_matrix_maps_rejected():
