@@ -14,7 +14,9 @@ median of every metric and the failed invocations summed over runs.
 With two checkouts it also holds, per metric, the gap between their
 medians (second minus first checkout) and the spread, the wider of the
 two interquartile ranges: a gap no wider than the spread is reported
-"unresolved".
+"unresolved".  It also pairs the runs of one seed across the two
+checkouts and counts the pairs, and those in which the second checkout
+reads lower and higher; a tie counts for neither.
 An existing output file is extended, so workloads can be recorded by
 separate invocations.
 """
@@ -80,6 +82,17 @@ def compare(first: list[float], second: list[float]) -> dict:
             "verdict": "resolved" if abs(gap) > spread else "unresolved"}
 
 
+def seed_pairs(first: dict[int, list[float]],
+               second: dict[int, list[float]]) -> dict:
+    """The runs of each seed on the two checkouts, paired in run order:
+    how many pairs, and in how many the second checkout reads lower and
+    higher than the first."""
+    diffs = [b - a for seed in first if seed in second
+             for a, b in zip(first[seed], second[seed])]
+    return {"pairs": len(diffs), "lower": sum(d < 0 for d in diffs),
+            "higher": sum(d > 0 for d in diffs)}
+
+
 def summarize(records: list[dict]) -> dict:
     groups: dict[str, dict[str, list[dict]]] = {}
     for rec in records:
@@ -89,11 +102,17 @@ def summarize(records: list[dict]) -> dict:
     for key, by_checkout in sorted(groups.items()):
         summary[key] = {}
         values: dict[str, dict[str, list[float]]] = {}
+        by_seed: dict[str, dict[str, dict[int, list[float]]]] = {}
         for name, recs in by_checkout.items():
             values[name] = {
                 metric: [r["result"]["metrics"][metric]["value"]
                          for r in recs if metric in r["result"]["metrics"]]
                 for metric in recs[0]["result"]["metrics"]}
+            by_seed[name] = {}
+            for r in recs:
+                for metric, m in r["result"]["metrics"].items():
+                    by_seed[name].setdefault(metric, {}).setdefault(
+                        r["seed"], []).append(m["value"])
             summary[key][name] = {
                 "runs": len(recs),
                 "seeds": [r["seed"] for r in recs],
@@ -104,9 +123,10 @@ def summarize(records: list[dict]) -> dict:
             }
         if len(values) == 2:
             # checkouts in the order of their first run
-            first, second = values.values()
+            (a, first), (b, second) = values.items()
             summary[key]["comparison"] = {
-                metric: compare(first[metric], second[metric])
+                metric: {**compare(first[metric], second[metric]),
+                         **seed_pairs(by_seed[a][metric], by_seed[b][metric])}
                 for metric in first if metric in second}
     return summary
 

@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import _linalg
 from .root_datum import IVec, RootDatum, WeylElement, WeylGroup
@@ -75,8 +74,7 @@ def _scaled(values: Sequence[Q]) -> tuple[int, list[int]]:
 # Point classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PointClassification:
+class PointClassification(NamedTuple):
     kind: str  # SPECIAL | ALCOVE_INTERIOR | FACET
     facet_dimension: int
     integral_root_indices: tuple[int, ...]
@@ -116,8 +114,7 @@ def levi_root_indices(datum: RootDatum, theta: Sequence[int]) -> list[int]:
 # Condition-(1) equality certificate
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeartWitness:
+class HeartWitness(NamedTuple):
     theta: tuple[int, ...]
     w2: WeylElement
     root: IVec
@@ -125,8 +122,7 @@ class HeartWitness:
     threshold_at_image: int
 
 
-@dataclass(frozen=True)
-class HeartVerdict:
+class HeartVerdict(NamedTuple):
     status: str  # PROVEN_CONDITION_1 | MISMATCH
     witnesses: tuple[HeartWitness, ...]
 
@@ -169,8 +165,7 @@ def heart_condition1_check(group: WeylGroup, x: Sequence, r,
     return HeartVerdict("PROVEN_CONDITION_1", ())
 
 
-@dataclass(frozen=True)
-class KeyInequalityRecord:
+class KeyInequalityRecord(NamedTuple):
     theta: tuple[int, ...]
     w2: WeylElement
     root: IVec

@@ -44,10 +44,10 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from typing import Any, Callable, Sequence
 
+from ._record import Record, _set
 from .root_datum import (
     MAX_WEYL_ORDER,
     REGISTRY,
@@ -188,17 +188,17 @@ def load_models(source: str):
 # report structures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckRecord:
-    name: str
-    status: str
-    witness: dict | None = None
+class CheckRecord(Record):
+    __slots__ = _compared = ("name", "status", "witness")
 
-    def __post_init__(self):
-        if self.status not in (PASS, FAIL, SKIPPED):
-            raise ValueError(f"bad status {self.status!r}")
-        if self.status == FAIL and self.witness is None:
+    def __init__(self, name: str, status: str, witness: dict | None = None):
+        if status not in (PASS, FAIL, SKIPPED):
+            raise ValueError(f"bad status {status!r}")
+        if status == FAIL and witness is None:
             raise ValueError("FAIL requires a witness")
+        _set(self, "name", name)
+        _set(self, "status", status)
+        _set(self, "witness", witness)
 
     @classmethod
     def of(cls, name: str, ok: bool, witness: dict | None) -> CheckRecord:
@@ -207,12 +207,15 @@ class CheckRecord:
         return cls(name, PASS) if ok else cls(name, FAIL, witness)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    suite: str
-    checks: tuple[CheckRecord, ...]
-    data: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
+class VerificationReport(Record):
+    __slots__ = _compared = ("suite", "checks", "data", "wall_time_s")
+
+    def __init__(self, suite: str, checks: tuple[CheckRecord, ...],
+                 data: dict | None = None, wall_time_s: float = 0.0):
+        _set(self, "suite", suite)
+        _set(self, "checks", checks)
+        _set(self, "data", {} if data is None else data)
+        _set(self, "wall_time_s", wall_time_s)
 
     @property
     def counts(self) -> tuple[int, int, int]:

@@ -25,10 +25,9 @@ hypotheses are reported as SKIPPED with the failing hypothesis named.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _closure
 from .cyclotomic import (
@@ -56,8 +55,7 @@ from .representations import (
 # model container
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteGroupModel:
+class FiniteGroupModel(NamedTuple):
     """G with normal N (abelian quotient), inducing subgroup Jt with an
     irreducible rho_tilde, and an irreducible summand rho of the
     restriction to J = Jt ∩ N."""
@@ -99,8 +97,7 @@ class FiniteGroupModel:
 # restriction to a normal subgroup
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RestrictionReport:
+class RestrictionReport(NamedTuple):
     multiplicity: int
     orbit_size: int
     orbit: tuple  # the constituent's conjugate characters
@@ -169,8 +166,7 @@ def restrict_decompose(group: FiniteGroup, sub: Sequence[int],
 # twists
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TwistReport:
+class TwistReport(NamedTuple):
     order: int
     exponent: int                    # values are zeta_exponent^k
     twists: tuple                    # dicts g -> exponent k

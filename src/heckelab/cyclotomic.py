@@ -20,7 +20,8 @@ printed coefficient can tell.  Matrix products work on packed matrices
 (``cyc_pack``): per row, the (column, coefficient tuple) pairs of the
 nonzero entries.  ``cyc_packed_matmul`` multiplies them and drops the
 entries that cancel, so packed products compare with packed targets
-directly; ``cyc_matmul`` is the same product on dense rows of ``Cyc``.
+directly; ``cyc_unpack`` gives the dense rows of ``Cyc`` back, and
+``cyc_matmul`` is the same product on dense rows.
 
 Also provides linear algebra over the field (rank, nullspace, solve,
 column space) for the intertwiner and isotypic computations in
@@ -271,16 +272,23 @@ def cyc_packed_matmul(m: int, a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def cyc_matmul(a, b):
-    m = a[0][0].m
+def cyc_unpack(m: int, packed: tuple, width: int) -> list:
+    """The dense rows, ``width`` entries each, of a packed matrix over
+    Q(zeta_m)."""
     zero = Cyc.zero(m)
     out = []
-    for prow in cyc_packed_matmul(m, cyc_pack(a, m), cyc_pack(b, m)):
-        row = [zero] * len(b[0])
+    for prow in packed:
+        row = [zero] * width
         for j, coeffs in prow:
             row[j] = Cyc(m, coeffs)
         out.append(row)
     return out
+
+
+def cyc_matmul(a, b):
+    m = a[0][0].m
+    return cyc_unpack(m, cyc_packed_matmul(m, cyc_pack(a, m), cyc_pack(b, m)),
+                      len(b[0]))
 
 
 def cyc_identity(n: int, m: int):

@@ -17,12 +17,12 @@ the breadth-first ``_closure``, in its order of discovery.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from . import _closure
+from ._record import Record, _set
 
 # a table holds order^2 entries; larger groups are refused up front
 MAX_GROUP_ORDER = 4_096
@@ -34,27 +34,25 @@ def _check_order(n: int) -> None:
                          f"cap is {MAX_GROUP_ORDER}")
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    table: tuple[tuple[int, ...], ...]
-    label: str = ""
-    _inverse: tuple[int, ...] = field(init=False, compare=False, repr=False)
+class FiniteGroup(Record):
+    _compared = ("table", "label")
+    __slots__ = (*_compared, "_inverse")
 
-    def __post_init__(self):
-        n = len(self.table)
+    def __init__(self, table: tuple[tuple[int, ...], ...], label: str = ""):
+        _set(self, "table", table)
+        _set(self, "label", label)
+        n = len(table)
         _check_order(n)
         idx = set(range(n))
-        for row in self.table:
+        for row in table:
             if len(row) != n or set(row) != idx:
                 raise ValueError("multiplication table is not a Latin square")
-        if not n or any(self.table[0][g] != g or self.table[g][0] != g
+        if not n or any(table[0][g] != g or table[g][0] != g
                         for g in range(n)):
             raise ValueError("element 0 is not an identity")
-        object.__setattr__(self, "_inverse",
-                           tuple(row.index(0) for row in self.table))
+        _set(self, "_inverse", tuple(row.index(0) for row in table))
         # Light's test, a whole row at a time: (x s) y = x (s y) for all
         # y says that row x s equals row x read through row s
-        table = self.table
         for s in self.generators():
             through_s = itemgetter(*table[s])
             for x, row in enumerate(table):

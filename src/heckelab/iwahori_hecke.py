@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._linalg import mat_rank
 from .laurent import LaurentScalar, RatFunc, rat_rank
@@ -250,8 +250,7 @@ class BernsteinAlgebra:
 # truncated center: orbit sums span the commutant of the generators
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SatakeReport:
+class SatakeReport(NamedTuple):
     """Truncated-center verification: every orbit sum is central, their
     supports partition the orbit-closed label set, and the commutant of
     the generators inside the lattice span has exactly their dimension.

@@ -39,10 +39,10 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
+from ._record import Record, _set
 from .apartment import threshold
 from .root_datum import RootDatum
 
@@ -60,13 +60,13 @@ def _b(x: Bound) -> int:
     return _INF if x is None else x
 
 
-@dataclass(frozen=True)
-class ValuationGroupScheme:
-    bounds: tuple[tuple[Bound, ...], ...]
+class ValuationGroupScheme(Record):
+    __slots__ = _compared = ("bounds",)
 
-    def __post_init__(self):
-        n = len(self.bounds)
-        for row in self.bounds:
+    def __init__(self, bounds: tuple[tuple[Bound, ...], ...]):
+        _set(self, "bounds", bounds)
+        n = len(bounds)
+        for row in bounds:
             if len(row) != n:
                 raise ValueError("bounds matrix must be square")
         for i in range(n):
@@ -227,8 +227,7 @@ def _grid_exponents(constraints: list[list[Constraint]],
 # Volumes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VolumeExponent:
+class VolumeExponent(NamedTuple):
     """Monomial q^a (q-1)^b: a point-count ratio of two bound groups."""
     q_power: int
     unit_power: int
@@ -300,8 +299,7 @@ def conjugacy_obstruction(K1: ValuationGroupScheme,
     return "DISTINCT_VOLUME" if verdicts.pop() else "INCONCLUSIVE"
 
 
-@dataclass(frozen=True)
-class LeviVolumeComparison:
+class LeviVolumeComparison(NamedTuple):
     at_x: ValuationGroupScheme       # theta-Levi intersection of the first model
     at_image: ValuationGroupScheme   # and of the second
     blocks: tuple[tuple[tuple[int, ...], str], ...]  # (block, obstruction)
@@ -479,8 +477,7 @@ def _products_in(target: list[list[Constraint]], lo: list[list[list[int]]],
 UNVERIFIED = "UNVERIFIED_EXHAUSTIVELY"
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
+class FactorizationReport(NamedTuple):
     analytic_match: bool
     exhaustive: tuple[tuple[int, bool | None], ...]  # (p, verdict)
     flags: tuple[str, ...]

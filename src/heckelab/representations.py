@@ -1,8 +1,7 @@
 """Exact matrix representations of small finite groups.
 
 Matrices live over a fixed cyclotomic field; a representation stores a
-full element-to-matrix map, built from generator matrices by spanning
-tree when constructed that way.  The homomorphism property is proven,
+full element-to-matrix map.  The homomorphism property is proven,
 not sampled, at every domain order: the domain must be the closure of a
 greedy generating set S (at most log2 of its order elements), the
 identity must map to I, and rho(g) rho(s) = rho(gs) must hold for every
@@ -10,7 +9,10 @@ g in the domain and s in S; induction on the length of h as a word in S
 then gives rho(g) rho(h) = rho(gh) for all g, h.  The proof packs each
 matrix of the map once (``cyclotomic.cyc_pack``: the nonzero entries of
 each row, with their columns), refusing any entry whose conductor is not
-the representation's, and compares each packed product rho(g) rho(s)
+the representation's; ``from_generators`` builds the map along a
+spanning tree of packed products, so its packed forms are at hand and
+each product is unpacked once for the map.  The proof compares each
+packed product rho(g) rho(s)
 (``cyc_packed_matmul``, one memoized product per pair of nonzero entries)
 with the packed rho(gs); for the monomial models that is one entry
 product per row.  Character arithmetic
@@ -21,37 +23,48 @@ no character table of the ambient group.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import isqrt
 from typing import Mapping, Sequence
 
-from .cyclotomic import (Cyc, cyc_identity, cyc_matmul, cyc_pack,
-                         cyc_packed_matmul, cyc_rank, cyc_trace)
+from ._record import Record, _set
+from .cyclotomic import (Cyc, cyc_identity, cyc_pack, cyc_packed_matmul,
+                         cyc_rank, cyc_trace, cyc_unpack)
 from .finite_groups import FiniteGroup
 
 Char = dict[int, Cyc]
 
 
-@dataclass(frozen=True)
-class Representation:
-    group: FiniteGroup
-    domain: tuple[int, ...]
-    matrices: Mapping[int, list]
-    conductor: int
-    _char: dict = field(default_factory=dict, compare=False, repr=False)
+class Representation(Record):
+    _compared = ("group", "domain", "matrices", "conductor")
+    __slots__ = (*_compared, "_char")
+
+    def __init__(self, group: FiniteGroup, domain: tuple[int, ...],
+                 matrices: Mapping[int, list], conductor: int):
+        _set(self, "group", group)
+        _set(self, "domain", domain)
+        _set(self, "matrices", matrices)
+        _set(self, "conductor", conductor)
+        _set(self, "_char", {})
 
     @staticmethod
     def from_generators(group: FiniteGroup, gens: Sequence[int],
                         mats: Sequence, conductor: int) -> "Representation":
         domain = group.closure(gens)
-        dim = len(mats[0])
-        full: dict[int, list] = {0: cyc_identity(dim, conductor)}
-        gen_map = dict(zip(gens, [list(map(list, m)) for m in mats]))
+        full: dict[int, list] = {0: cyc_identity(len(mats[0]), conductor)}
+        packed = {0: cyc_pack(full[0], conductor)}
+        gen_map = dict(zip(gens, mats))
+        # each generator is packed, and its conductor checked, when the
+        # tree first multiplies by it
+        gen_packed: dict[int, tuple] = {}
         for elem, parent, g in group.generation_tree(list(gens)):
-            full[elem] = cyc_matmul(full[parent], gen_map[g])
+            if g not in gen_packed:
+                gen_packed[g] = cyc_pack(gen_map[g], conductor)
+            packed[elem] = cyc_packed_matmul(conductor, packed[parent],
+                                             gen_packed[g])
+            full[elem] = cyc_unpack(conductor, packed[elem], len(gen_map[g][0]))
         rep = Representation(group, domain, full, conductor)
-        rep._verify()
+        rep._verify(packed)
         return rep
 
     @staticmethod
@@ -70,7 +83,9 @@ class Representation:
     def matrix(self, g: int) -> list:
         return self.matrices[g]
 
-    def _verify(self):
+    def _verify(self, packed: dict[int, tuple] | None = None):
+        """Prove the map a homomorphism; ``packed`` holds the packed form
+        of every matrix when the caller has it already."""
         dom, mats, group = self.domain, self.matrices, self.group
         if set(dom) != set(mats):
             raise ValueError("matrix map does not cover the domain")
@@ -85,7 +100,8 @@ class Representation:
             raise ValueError("matrices are not a homomorphism: the identity "
                              "does not map to I")
         cond = self.conductor
-        packed = {g: cyc_pack(mat, cond) for g, mat in mats.items()}
+        if packed is None:
+            packed = {g: cyc_pack(mat, cond) for g, mat in mats.items()}
         for g in dom:
             left = packed[g]
             for s in gens:

@@ -27,12 +27,12 @@ characters and cocharacters one simple reflection per letter.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from math import factorial, prod
 from typing import Iterable, Sequence
 
 from . import _closure, _linalg
+from ._record import Record, _set
 
 IVec = tuple[int, ...]
 
@@ -104,21 +104,27 @@ def validate_cartan(mat: Sequence[Sequence[int]]) -> None:
 # Root datum
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RootDatum:
+class RootDatum(Record):
     """Roots and coroots in dual integer lattices of a common rank.
 
     ``roots[k]`` and ``coroots[k]`` form a pair; ``simple`` lists the
     indices of the simple pairs.  The pairing of a character with a
-    cocharacter is the dot product of coordinate tuples.
+    cocharacter is the dot product of coordinate tuples.  The memo of
+    ``simple_coefficients`` takes no part in equality.
     """
 
-    ambient_rank: int
-    roots: tuple[IVec, ...]
-    coroots: tuple[IVec, ...]
-    simple: tuple[int, ...]
-    label: str = "custom"
-    _coeff_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _compared = ("ambient_rank", "roots", "coroots", "simple", "label")
+    __slots__ = (*_compared, "_coeff_cache")
+
+    def __init__(self, ambient_rank: int, roots: tuple[IVec, ...],
+                 coroots: tuple[IVec, ...], simple: tuple[int, ...],
+                 label: str = "custom"):
+        _set(self, "ambient_rank", ambient_rank)
+        _set(self, "roots", roots)
+        _set(self, "coroots", coroots)
+        _set(self, "simple", simple)
+        _set(self, "label", label)
+        _set(self, "_coeff_cache", {})
 
     # -- basic queries ------------------------------------------------
 
@@ -386,13 +392,26 @@ REGISTRY: dict[str, dict] = {
 # Weyl group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(Record):
     """Group element, canonical by the permutation it induces on the
-    roots, on which W acts faithfully: ``w(roots[k]) = roots[perm[k]]``."""
+    roots, on which W acts faithfully: ``w(roots[k]) = roots[perm[k]]``.
+    Equal elements may carry different words."""
 
-    perm: tuple[int, ...]
-    word: tuple[int, ...] = field(compare=False)
+    __slots__ = ("perm", "word")
+    _compared = ("perm",)
+
+    def __init__(self, perm: tuple[int, ...], word: tuple[int, ...]):
+        _set(self, "perm", perm)
+        _set(self, "word", word)
+
+    # spelled out: Hecke labels hash and compare elements in inner loops
+    def __eq__(self, other):
+        if other.__class__ is not WeylElement:
+            return NotImplemented
+        return self.perm == other.perm
+
+    def __hash__(self) -> int:
+        return hash((self.perm,))
 
     @property
     def length(self) -> int:

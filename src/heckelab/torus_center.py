@@ -18,8 +18,7 @@ algebra for the independent dimension routes.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import _closure, _linalg
 from .root_datum import WeylElement, WeylGroup
@@ -43,8 +42,7 @@ def residue_modulus(q: int) -> int:
 Pair = tuple[tuple[int, ...], tuple[int, ...]]
 
 
-@dataclass(frozen=True)
-class OrbitSum:
+class OrbitSum(NamedTuple):
     """A full Weyl orbit of pairs, sorted, standing for the
     unit-coefficient sum of its monomials (lattice translation times
     residue character); the exponents are reduced mod ``modulus``."""
@@ -104,8 +102,7 @@ def orbits(group: WeylGroup, radius: int, *, modulus: int) -> list[OrbitSum]:
 # block decomposition of an orbit sum by residue character
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RocReport:
+class RocReport(NamedTuple):
     """Decomposition of one orbit sum into character blocks: each block
     must be a single orbit of that character's stabilizer, the blocks
     must rebuild the sum, and each block sum must be stabilizer-fixed."""

@@ -80,7 +80,8 @@ def test_summary_compares_two_checkouts_against_their_spread():
     comparison = bench_record.summarize(records)["torus trace 0"]["comparison"]
     # both sides spread over 1.0 s, the medians 2.0 s apart
     assert comparison["wall_s"] == {"gap": -2.0, "spread": 1.0,
-                                    "verdict": "resolved"}
+                                    "verdict": "resolved", "pairs": 3,
+                                    "lower": 3, "higher": 0}
     # equal medians and no spread: nothing is shown
     assert comparison["peak_rss_mb"]["verdict"] == "unresolved"
     walls = records[0]["result"]["metrics"]["wall_s"]
@@ -94,3 +95,22 @@ def test_summary_compares_two_checkouts_against_their_spread():
 def test_one_run_a_side_resolves_nothing():
     assert bench_record.compare([1.0], [5.0]) == {
         "gap": 4.0, "spread": None, "verdict": "unresolved"}
+
+
+def test_comparison_counts_the_seed_pairs_each_side_wins():
+    records = []
+    # seed 4 runs on the parent only, seed 2 twice on each side
+    runs = {"parent": [(1, 4.0), (2, 5.0), (2, 3.0), (3, 2.0), (4, 9.0)],
+            "change": [(1, 3.0), (2, 6.0), (2, 3.0), (3, 1.0)]}
+    for name, seeded in runs.items():
+        for seed, wall in seeded:
+            records.append({"checkout": name, "workload": "torus", "seed": seed,
+                            "trace": 0, **bench_record.parse_run(
+                                canned_stdout(wall))})
+    comparison = bench_record.summarize(records)["torus trace 0"]["comparison"]
+    # pairs (4, 3), (5, 6), (3, 3), (2, 1): the tie counts for neither side
+    assert {k: comparison["wall_s"][k] for k in ("pairs", "lower", "higher")} \
+        == {"pairs": 4, "lower": 2, "higher": 1}
+    assert {k: comparison["peak_rss_mb"][k]
+            for k in ("pairs", "lower", "higher")} == {
+        "pairs": 4, "lower": 0, "higher": 0}

@@ -1129,7 +1129,7 @@ def test_importing_the_cli_loads_only_root_datum():
     loaded = loaded_modules([])
     assert {m for m in loaded if m.startswith("heckelab")} == {
         "heckelab", "heckelab.cli", "heckelab.root_datum", "heckelab._linalg",
-        "heckelab._closure"}
+        "heckelab._closure", "heckelab._record"}
     assert "numpy" not in loaded
 
 
@@ -1140,6 +1140,19 @@ def test_subcommand_without_enumeration_loads_no_numpy(subcommand):
     if subcommand in ("iwahori-center", "torus-center"):
         assert not loaded & {"heckelab.catalog", "heckelab.clifford_lab",
                              "heckelab.padic_groups"}
+
+
+# the modules a bare interpreter holds before any heckelab import
+BARE_MODULES = "import json, sys; print(json.dumps(sorted(sys.modules)))"
+
+
+@pytest.mark.parametrize("subcommand", sorted(SMALL_RUNS))
+def test_subcommand_loads_neither_dataclasses_nor_inspect(subcommand):
+    bare = set(json.loads(subprocess.run(
+        [sys.executable, "-c", BARE_MODULES], capture_output=True,
+        text=True, check=True).stdout))
+    added = loaded_modules(SMALL_RUNS[subcommand]) - bare
+    assert not added & {"dataclasses", "inspect"}
 
 
 def test_json_output_idempotent(capsys):

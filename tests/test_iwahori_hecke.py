@@ -1,6 +1,5 @@
 """Lattice-presentation algebra: finite relations, commutation rules,
 central orbit sums, and the truncated-center dimension check."""
-import dataclasses
 import itertools
 from fractions import Fraction as Q
 
@@ -363,7 +362,7 @@ def test_satake_falls_back_to_rat_rank(name, monkeypatch):
     fallback = satake_check(group, orbit_map)
     assert calls == [1]
     assert fallback.rank_route == "Q(v)"
-    assert fallback == dataclasses.replace(certified, rank_route="Q(v)")
+    assert fallback == certified._replace(rank_route="Q(v)")
 
 
 def test_satake_failed_checks_take_the_q_v_route(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heckelab import representations
 from heckelab.clifford_lab import conjugate_orbit
 from heckelab.cyclotomic import (Cyc, cyc_matmul, cyc_pack, cyc_packed_matmul,
                                  cyc_trace)
@@ -110,6 +111,32 @@ def test_entry_of_a_larger_conductor_rejected():
                for row in mats[3]]
     with pytest.raises(ValueError, match="conductor mismatch: 4 and 8"):
         Representation.from_matrices(D8, rep.domain, mats, 4)
+
+
+def test_generator_map_is_packed_once_and_matches_dense_products(
+        monkeypatch):
+    packs = []
+
+    def counting_pack(rows, m):
+        packs.append(len(rows))
+        return cyc_pack(rows, m)
+
+    monkeypatch.setattr(representations, "cyc_pack", counting_pack)
+    rep = _d8_two_dim()
+    # the identity and the two generators; the proof packs nothing again
+    assert packs == [2, 2, 2]
+    gens = dict(zip([1, 4], [_cm(4, [[0, -1], [1, 0]]),
+                             _cm(4, [[1, 0], [0, -1]])]))
+    for elem, parent, g in D8.generation_tree([1, 4]):
+        assert rep.matrix(elem) == cyc_matmul(rep.matrix(parent), gens[g])
+    Representation.from_matrices(D8, rep.domain, rep.matrices, 4)
+
+
+def test_generator_of_another_conductor_rejected():
+    with pytest.raises(ValueError, match="conductor mismatch: 4 and 8"):
+        Representation.from_generators(
+            D8, [1, 4], [_cm(4, [[0, -1], [1, 0]]), _cm(8, [[1, 0], [0, -1]])],
+            4)
 
 
 def test_cancelling_product_matches_a_zero_target():

@@ -45,17 +45,31 @@ def test_no_unused_import_in_the_package():
     assert not found, found
 
 
+def _imports_of(module: str) -> list[str]:
+    """Where the package or a script imports ``module`` or one of its
+    submodules, as ``dir/file:line``."""
+    paths = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("scripts/*.py"))]
+    return [f"{path.parent.name}/{path.name}:{node.lineno}"
+            for path in paths
+            for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Import) and any(
+                alias.name.split(".")[0] == module for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == module]
+
+
 def test_no_numpy_import_in_the_package_or_the_scripts():
     # every exhaustive check runs in exact Python ints; numpy is a test
     # dependency of the distinct-product oracle alone
-    paths = [*sorted(PACKAGE.glob("*.py")), *sorted(ROOT.glob("scripts/*.py"))]
-    found = [f"{path.parent.name}/{path.name}:{node.lineno}"
-             for path in paths
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Import) and any(
-                 alias.name.split(".")[0] == "numpy" for alias in node.names)
-             or isinstance(node, ast.ImportFrom)
-             and (node.module or "").split(".")[0] == "numpy"]
+    found = _imports_of("numpy")
+    assert not found, found
+
+
+def test_no_dataclasses_import_in_the_package_or_the_scripts():
+    # importing dataclasses loads inspect, ast, dis and tokenize, and each
+    # decorated class compiles its methods: start-up cost on every CLI
+    # process.  Records are NamedTuples or subclasses of _record.Record
+    found = _imports_of("dataclasses")
     assert not found, found
 
 
