@@ -12,11 +12,22 @@ Each run's ``machine:`` line and final JSON line are stored verbatim,
 and ``summary`` holds, per workload, trace mode and checkout, the
 median of every metric and the failed invocations summed over runs.
 With two checkouts it also holds, per metric, the gap between their
-medians (second minus first checkout) and the spread, the wider of the
-two interquartile ranges: a gap no wider than the spread is reported
-"unresolved".  It also pairs the runs of one seed across the two
-checkouts and counts the pairs, and those in which the second checkout
-reads lower and higher; a tie counts for neither.
+medians (second minus first checkout) and the spread, the interquartile
+range of the first (parent) checkout's runs: a gap no wider than the
+spread is reported "unresolved".  It also pairs the runs of one seed
+across the two checkouts and counts the pairs, and those in which the
+second checkout reads lower and higher; a tie counts for neither.
+Two verdicts follow the benchmark's rules, with each metric's better
+direction and bound read from ``BENCHMARK.json`` at the root of this
+checkout (lower is better for a metric it does not list):
+
+- ``claim`` is "met" when at least ten pairs ran, the second checkout
+  reads better in at least nine tenths of them, and its median is
+  better by more than the spread; otherwise "not met";
+- ``regressed``, for each end-to-end metric, is true when the second
+  checkout's median is worse than the first's by more than the metric's
+  bound, a fraction of the first checkout's median.
+
 An existing output file is extended, so workloads can be recorded by
 separate invocations.
 """
@@ -30,6 +41,10 @@ import sys
 from pathlib import Path
 
 RUN_TIMEOUT_S = 600
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+# a claimed gain needs this many pairs, this share of them won
+CLAIM_PAIRS = 10
+CLAIM_SHARE = 0.9
 
 
 def parse_run(stdout: str) -> dict:
@@ -69,17 +84,43 @@ def run_order(names: list[str], seeds: list[int]) -> list[tuple[int, str]]:
     return order
 
 
+def load_rules(path: Path = BENCHMARK) -> dict[str, dict]:
+    """Each metric's ``better`` direction, and for an end-to-end metric
+    its ``bound``, as the benchmark file declares them."""
+    spec = json.loads(path.read_text())
+    rules = {m["name"]: {"better": m["better"]} for m in spec["per_layer"]}
+    rules.update({m["name"]: {"better": m["better"], "bound": m["bound"]}
+                  for m in spec["end_to_end"]})
+    return rules
+
+
 def compare(first: list[float], second: list[float]) -> dict:
     """The gap between two checkouts' medians of one metric, set against
-    the spread of their runs; fewer than two runs a side resolve
-    nothing."""
+    the spread of the first checkout's runs; fewer than two runs a side
+    resolve nothing."""
     gap = statistics.median(second) - statistics.median(first)
     if min(len(first), len(second)) < 2:
         return {"gap": gap, "spread": None, "verdict": "unresolved"}
-    spread = max(q[2] - q[0] for q in (statistics.quantiles(first, n=4),
-                                       statistics.quantiles(second, n=4)))
+    q1, _, q3 = statistics.quantiles(first, n=4)
+    spread = q3 - q1
     return {"gap": gap, "spread": spread,
             "verdict": "resolved" if abs(gap) > spread else "unresolved"}
+
+
+def verdicts(first: list[float], comparison: dict, rule: dict) -> dict:
+    """``claim`` and, given a bound, ``regressed`` for one metric, from
+    the first checkout's runs, the comparison and seed pairs of the two
+    checkouts and the metric's rule."""
+    sign = 1 if rule["better"] == "lower" else -1
+    won = comparison["lower" if sign == 1 else "higher"]
+    spread, gain = comparison["spread"], -sign * comparison["gap"]
+    met = (comparison["pairs"] >= CLAIM_PAIRS
+           and won >= CLAIM_SHARE * comparison["pairs"]
+           and spread is not None and gain > spread)
+    out = {"claim": "met" if met else "not met"}
+    if "bound" in rule:
+        out["regressed"] = -gain > rule["bound"] * abs(statistics.median(first))
+    return out
 
 
 def seed_pairs(first: dict[int, list[float]],
@@ -98,6 +139,7 @@ def summarize(records: list[dict]) -> dict:
     for rec in records:
         key = f"{rec['workload']} trace {rec['trace']}"
         groups.setdefault(key, {}).setdefault(rec["checkout"], []).append(rec)
+    rules = load_rules()
     summary: dict = {}
     for key, by_checkout in sorted(groups.items()):
         summary[key] = {}
@@ -124,10 +166,15 @@ def summarize(records: list[dict]) -> dict:
         if len(values) == 2:
             # checkouts in the order of their first run
             (a, first), (b, second) = values.items()
-            summary[key]["comparison"] = {
-                metric: {**compare(first[metric], second[metric]),
-                         **seed_pairs(by_seed[a][metric], by_seed[b][metric])}
-                for metric in first if metric in second}
+            comparison = summary[key]["comparison"] = {}
+            for metric in first:
+                if metric not in second:
+                    continue
+                result = comparison[metric] = {
+                    **compare(first[metric], second[metric]),
+                    **seed_pairs(by_seed[a][metric], by_seed[b][metric])}
+                result.update(verdicts(first[metric], result, rules.get(
+                    metric, {"better": "lower"})))
     return summary
 
 

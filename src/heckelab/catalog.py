@@ -39,7 +39,6 @@ from .finite_groups import (
     quaternion,
 )
 from .representations import Representation
-from .root_datum import as_integer
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +308,16 @@ def _rep_to_json(rep: Representation, gens: list[int]) -> dict:
     }
 
 
-def _rep_from_json(group: FiniteGroup, data: dict, cond: int
+def _rep_from_json(group: FiniteGroup, data: dict, cond: int, where: str
                    ) -> Representation:
+    matrices = _field(data, "matrices", where, list)
+    if not all(isinstance(m, list) and all(isinstance(row, list) for row in m)
+               for m in matrices):
+        raise ValueError(f"{where}: 'matrices' must be a JSON list of "
+                         f"matrices, each a list of rows")
     mats = [[[_coeffs_from_json(cond, e) for e in row] for row in m]
-            for m in data["matrices"]]
-    gens = _elements(group, data["generators"], "generators")
+            for m in matrices]
+    gens = _elements(group, _field(data, "generators", where), "generators")
     dim = len(mats[0]) if mats else 0
     if not dim or len(mats) != len(gens) or any(
             {len(m), *map(len, m)} != {dim} for m in mats):
@@ -339,6 +343,8 @@ def model_to_json(model: FiniteGroupModel) -> dict:
 
 
 def _integers(values: list, what: str) -> tuple[int, ...]:
+    # the JSON reader alone needs root_datum; the builtin catalog does not
+    from .root_datum import as_integer
     if not isinstance(values, list):
         raise ValueError(f"{what} must be a list, got {values!r}")
     return tuple(as_integer(v, f"every entry of {what}") for v in values)
@@ -352,23 +358,41 @@ def _elements(group: FiniteGroup, values: list, what: str) -> tuple[int, ...]:
     return out
 
 
+_JSON_KINDS = {dict: "object", list: "list"}
+
+
+def _field(data: dict, key: str, where: str, kind: type | None = None):
+    """data[key], refused with its place in the catalog when the key is
+    missing or, given ``kind``, holds another JSON kind."""
+    if key not in data:
+        raise ValueError(f"{where}: missing key {key!r}")
+    value = data[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(f"{where}: {key!r} must be a JSON "
+                         f"{_JSON_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def _string(value, what: str) -> str:
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {value!r}")
     return value
 
 
-def model_from_json(data: dict) -> FiniteGroupModel:
-    name = _string(data["name"], "name")
-    gsrc = data["group"]
+def model_from_json(data: dict, where: str = "entry") -> FiniteGroupModel:
+    """The model of one catalog entry; ``where`` names the entry in the
+    messages of a missing or mistyped key."""
+    name = _string(_field(data, "name", where), "name")
+    gsrc = _field(data, "group", where)
     if not isinstance(gsrc, dict):
         raise ValueError("group must be a JSON object")
     label = _string(gsrc.get("label", ""), "group label")
     if "table" in gsrc:
-        group = FiniteGroup(
-            tuple(_integers(r, "table") for r in gsrc["table"]), label)
+        rows = _field(gsrc, "table", f"{where} group", list)
+        group = FiniteGroup(tuple(_integers(r, "table") for r in rows), label)
     elif "permutations" in gsrc:
-        perms = [_integers(p, "permutations") for p in gsrc["permutations"]]
+        perms = [_integers(p, "permutations")
+                 for p in _field(gsrc, "permutations", f"{where} group", list)]
         if not perms or any(sorted(p) != list(range(len(perms[0])))
                             for p in perms):
             raise ValueError("permutations must rearrange one set 0..k-1")
@@ -376,15 +400,17 @@ def model_from_json(data: dict) -> FiniteGroupModel:
     else:
         raise ValueError("group needs a table or permutation generators")
     # every representation of G is realizable over Q(zeta_e), e | |G|
-    cond = as_integer(data["conductor"], "conductor")
+    from .root_datum import as_integer
+    cond = as_integer(_field(data, "conductor", where), "conductor")
     if not 1 <= cond <= group.order:
         raise ValueError(f"conductor must lie in 1..{group.order}, the "
                          f"group order, got {cond}")
     model = FiniteGroupModel(
-        name, group, _elements(group, data["normal"], "normal"),
-        _elements(group, data["j_tilde"], "j_tilde"),
-        _rep_from_json(group, data["rho_tilde"], cond),
-        _rep_from_json(group, data["rho"], cond))
+        name, group, _elements(group, _field(data, "normal", where), "normal"),
+        _elements(group, _field(data, "j_tilde", where), "j_tilde"),
+        *(_rep_from_json(group, _field(data, key, where, dict), cond,
+                         f"{where} {key}")
+          for key in ("rho_tilde", "rho")))
     model.validate()
     return model
 
@@ -394,7 +420,13 @@ def catalog_to_json(models: list[FiniteGroupModel]) -> dict:
 
 
 def catalog_from_json(data: dict) -> list[FiniteGroupModel]:
-    return [model_from_json(e) for e in data["entries"]]
+    """The models of a catalog file's entries, in order; an empty,
+    missing or mistyped ``entries`` is refused."""
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not (isinstance(entries, list) and entries
+            and all(isinstance(e, dict) for e in entries)):
+        raise ValueError("`entries` must be a non-empty JSON list of objects")
+    return [model_from_json(e, f"entry {k}") for k, e in enumerate(entries)]
 
 
 def write_catalog(path: str, models: list[FiniteGroupModel] | None = None

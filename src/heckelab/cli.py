@@ -11,9 +11,10 @@ subcommand's parsed flags as keyword arguments, under their argparse
 names; argparse alone holds their defaults and required flags.  The
 mathematics stays in the library: heart-check escalates a threshold
 mismatch through ``padic_groups.compare_levi_volumes``, the comparison
-that acceptance criterion 2 uses too.  Only ``root_datum`` is imported
-with this module; each subcommand imports its own suite when it runs,
-so a process loads what its subcommand uses.  Every exhaustive check
+that acceptance criterion 2 uses too.  No suite and not ``root_datum``
+is imported with this module: the datum loaders and each subcommand
+import what they use when they run, so a process loads what its
+subcommand uses, and ``clifford`` loads no root datum.  Every exhaustive check
 runs in exact Python ints: no subcommand loads numpy.
 
 Input schemas (also documented in the README):
@@ -45,17 +46,12 @@ import re
 import sys
 import time
 from fractions import Fraction as Q
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ._record import Record, _set
-from .root_datum import (
-    MAX_WEYL_ORDER,
-    REGISTRY,
-    RootDatum,
-    WeylGroup,
-    datum_from_config,
-    datum_general_linear,
-)
+
+if TYPE_CHECKING:
+    from .root_datum import RootDatum, WeylGroup
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -150,6 +146,7 @@ def load_datum(source: str, max_weyl_order: int | None = None) -> RootDatum:
     """The datum named in the registry, or described by a JSON file; a
     general-linear size above ``max_weyl_order`` is refused before any
     root is built."""
+    from .root_datum import REGISTRY, datum_from_config
     cfg = REGISTRY.get(source.lower())
     if cfg is None:
         if not os.path.exists(source):
@@ -166,6 +163,7 @@ def load_datum(source: str, max_weyl_order: int | None = None) -> RootDatum:
 def load_group(source: str) -> WeylGroup:
     """The Weyl group of the datum at ``source``, built once for the
     whole run; a group above the order cap is an input error."""
+    from .root_datum import MAX_WEYL_ORDER, WeylGroup
     datum = load_datum(source, MAX_WEYL_ORDER)
     try:
         return WeylGroup(datum)
@@ -427,6 +425,7 @@ def _run_counterexample() -> VerificationReport:
                                compare_levi_volumes, conjugate_by_permutation,
                                from_filtration, iwahori_scheme, log_volume,
                                point_count)
+    from .root_datum import WeylGroup, datum_general_linear
     datum = datum_general_linear(3)
     group = WeylGroup(datum)
     x = (Q(1, 2), Q(0), Q(0))

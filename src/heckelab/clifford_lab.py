@@ -18,6 +18,9 @@ the model's catalog record, keyed as the JSON report prints it.
 The stabilizer search reads the action of an inertia element on the
 multiplicity space Hom_J(rho, rho_tilde) off the left Kronecker factor of
 its matrix B_g (x) A_g on C^m (x) C^d, checked exactly on every entry.
+Its candidate subgroups between the twist kernel and the inertia group
+come from a walk that extends each subgroup s by one x per left coset
+x s, since s and x h generate the same subgroup for every h in s.
 
 All arithmetic is exact over a fixed cyclotomic field.  Nothing here
 assumes the statements under test; checks that depend on unverified
@@ -76,7 +79,7 @@ class FiniteGroupModel(NamedTuple):
             raise ValueError("N must be a normal subgroup")
         if not g.is_subgroup(self.j_tilde):
             raise ValueError("inducing set must be a subgroup")
-        if not set(g.commutator_subgroup()) <= set(self.normal):
+        if not g.quotient_is_abelian(self.normal):
             raise ValueError("G/N must be abelian")
         if self.rho_tilde.domain != tuple(sorted(self.j_tilde)):
             raise ValueError("rho_tilde must live on the inducing subgroup")
@@ -203,11 +206,15 @@ def _subgroups_between(group: FiniteGroup, lower: Sequence[int],
                        upper: Sequence[int]) -> list[tuple[int, ...]]:
     upper_set = set(upper)
 
-    # s is a subgroup, so its generators and x generate the span of s and x
+    # s is a subgroup, so its generators and x generate the span of s and
+    # x, and so does x h for every h in s: one x per left coset x s
     def step(s: tuple[int, ...]):
         gens = group.generators(s)
+        covered = set(s)
         for x in upper_set.difference(s):
-            yield x, group.closure(gens + [x])
+            if x not in covered:
+                covered.update(map(group.table[x].__getitem__, s))
+                yield x, group.closure(gens + [x])
 
     found = _closure.closure([group.closure(lower)], step)
     return sorted(found, key=lambda s: (-len(s), s))
@@ -421,7 +428,11 @@ class ModelAnalysis:
     @cached_property
     def multiplicity_over_normal(self) -> int:
         """Common multiplicity of the restriction of pi to N."""
-        return common_multiplicity(self.induced_from_jt, self.model.normal)[0]
+        pi = self.induced_from_jt
+        if pi is self.model.rho_tilde:
+            # Jt = G, so N = J and this is the restriction's multiplicity
+            return self.restriction.multiplicity
+        return common_multiplicity(pi, self.model.normal)[0]
 
     @cached_property
     def induced_from_j(self) -> Representation:

@@ -8,7 +8,9 @@ constants are ints: ``Cyc.zero``, ``Cyc.one``, ``Cyc.zeta``,
 ``Cyc.rational`` of an int and ``cyc_identity`` build no Fraction.  Only
 the divisions, ``Cyc.inv`` and ``to_fraction``, make new Fractions.  The
 conductor is a positive integer fixed per element; elements of different
-conductors do not mix.
+conductors do not mix.  The cyclotomic polynomials come from exact
+integer division of x^m - 1 by the monic product of the smaller ones,
+so the module does not import ``laurent``.
 
 There is one entry product, ``_coeff_mul(m, xc, yc)`` on coefficient
 tuples, memoized by an ``lru_cache`` bounded at ``_COEFF_MUL_CACHE``
@@ -35,7 +37,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import _linalg
-from .laurent import _poly_divmod
 
 
 def _poly_mul(a: tuple, b: tuple) -> tuple:
@@ -55,15 +56,22 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
         raise ValueError(f"conductor must be a positive integer, got {m}")
     if m == 1:
         return (-1, 1)
-    num = [Q(-1)] + [Q(0)] * (m - 1) + [Q(1)]  # x^m - 1
+    rem = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     den = (1,)
     for d in range(1, m):
         if m % d == 0:
             den = _poly_mul(den, cyclotomic_polynomial(d))
-    q, r = _poly_divmod(num, den)
-    if r:
+    # den is monic with integer coefficients, so long division stays in ints
+    top = len(den) - 1
+    quot = [0] * (m - top + 1)
+    for k in range(m - top, -1, -1):
+        c = quot[k] = rem[k + top]
+        if c:
+            for i, b in enumerate(den):
+                rem[k + i] -= c * b
+    if any(rem):
         raise AssertionError("cyclotomic division left a remainder")
-    return tuple(int(c) for c in q)
+    return tuple(quot)
 
 
 @lru_cache(maxsize=None)
@@ -258,9 +266,16 @@ def cyc_pack(rows, m: int) -> tuple:
 def cyc_packed_matmul(m: int, a: tuple, b: tuple) -> tuple:
     """The product of two packed matrices over Q(zeta_m), packed: entries
     whose terms cancel to zero are dropped, so two packed matrices are
-    equal exactly when their dense forms are."""
+    equal exactly when their dense forms are.  Packed entries are nonzero,
+    as ``cyc_pack`` and this product leave them, so a row with one entry
+    gives one nonzero product per entry of the row it selects."""
     out = []
     for arow in a:
+        if len(arow) == 1:
+            # one term per entry, and a product of nonzeros is nonzero
+            (k, xc), = arow
+            out.append(tuple([(j, _coeff_mul(m, xc, yc)) for j, yc in b[k]]))
+            continue
         acc = {}
         for k, xc in arow:
             for j, yc in b[k]:

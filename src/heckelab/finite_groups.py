@@ -156,6 +156,15 @@ class FiniteGroup(Record):
             seen |= {self.mul(self.mul(a, g), b) for a in s for b in s}
         return reps
 
+    def quotient_is_abelian(self, normal: Iterable[int]) -> bool:
+        """Whether G/N is abelian, for N normal: G/N is generated by the
+        images of G's generators, so it is abelian exactly when their
+        commutators lie in N."""
+        n = set(normal)
+        gens = self.generators()
+        return all(self.mul(self.mul(a, b), self.inv(self.mul(b, a))) in n
+                   for a in gens for b in gens)
+
     def commutator_subgroup(self) -> tuple[int, ...]:
         comms = {self.mul(self.mul(a, b),
                           self.inv(self.mul(b, a)))
@@ -223,13 +232,13 @@ def heisenberg(p: int) -> FiniteGroup:
 
 
 def direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
-    coords = [(a, b) for a in range(g1.order) for b in range(g2.order)]
-
-    def op(x, y):
-        return (g1.mul(x[0], y[0]), g2.mul(x[1], y[1]))
-
-    grp = _table_from_coords(coords, op, f"{g1.label}x{g2.label}")
-    return grp
+    """(a, b) is element a * |g2| + b, so the row of (a, b) is read off
+    row a of g1 and row b of g2."""
+    n2 = g2.order
+    scaled = [[u * n2 for u in row] for row in g1.table]
+    table = tuple(tuple(u + v for u in scaled[a] for v in row2)
+                  for a in range(g1.order) for row2 in g2.table)
+    return FiniteGroup(table, f"{g1.label}x{g2.label}")
 
 
 def from_permutations(gens: Sequence[Sequence[int]], label: str = "") -> FiniteGroup:

@@ -1,35 +1,41 @@
 """Exact matrix representations of small finite groups.
 
 Matrices live over a fixed cyclotomic field; a representation stores a
-full element-to-matrix map.  The homomorphism property is proven,
-not sampled, at every domain order: the domain must be the closure of a
-greedy generating set S (at most log2 of its order elements), the
-identity must map to I, and rho(g) rho(s) = rho(gs) must hold for every
-g in the domain and s in S; induction on the length of h as a word in S
-then gives rho(g) rho(h) = rho(gh) for all g, h.  The proof packs each
-matrix of the map once (``cyclotomic.cyc_pack``: the nonzero entries of
-each row, with their columns), refusing any entry whose conductor is not
-the representation's; ``from_generators`` builds the map along a
-spanning tree of packed products, so its packed forms are at hand and
-each product is unpacked once for the map.  The proof compares each
-packed product rho(g) rho(s)
-(``cyc_packed_matmul``, one memoized product per pair of nonzero entries)
-with the packed rho(gs); for the monomial models that is one entry
-product per row.  Character arithmetic
-(inner products, restriction, conjugation, induction) is exact; the
-number of distinct irreducible constituents of a representation is
-computed by the rank of the span of its class-sum images, which needs
-no character table of the ambient group.
+full element-to-matrix map, packed (``cyclotomic.cyc_pack``: per row,
+the nonzero entries with their columns).  The homomorphism property is
+proven, not sampled, at every domain order: the domain must be the
+closure of a greedy generating set S (at most log2 of its order
+elements), the identity must map to I, and rho(g) rho(s) = rho(gs) must
+hold for every g in the domain and s in S; induction on the length of h
+as a word in S then gives rho(g) rho(h) = rho(gh) for all g, h.  The
+proof compares each packed product rho(g) rho(s) (``cyc_packed_matmul``,
+one memoized product per pair of nonzero entries) with the packed
+rho(gs); for the monomial models that is one entry product per row.
+
+The packed map the proof reads is the one the representation keeps.
+``from_matrices`` packs dense input once, refusing any entry whose
+conductor is not the representation's; ``from_generators`` builds the
+map along a spanning tree of packed products; ``induced_representation``
+writes the block-monomial rows straight from the packed blocks of the
+induced representation, and returns a representation of the whole
+ambient group as it is.  A dense matrix is unpacked when it is first
+read, and equality compares the dense maps.  Characters sum the packed
+diagonals.  Character arithmetic (inner products, restriction,
+conjugation, induction) is exact; the number of distinct irreducible
+constituents of a representation is computed by the rank of the span of
+its class-sum images, accumulated on the packed matrices, which needs no
+character table of the ambient group.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Q
 from math import isqrt
+from operator import add
 from typing import Mapping, Sequence
 
 from ._record import Record, _set
 from .cyclotomic import (Cyc, cyc_identity, cyc_pack, cyc_packed_matmul,
-                         cyc_rank, cyc_trace, cyc_unpack)
+                         cyc_rank, cyc_unpack)
 from .finite_groups import FiniteGroup
 
 Char = dict[int, Cyc]
@@ -37,22 +43,27 @@ Char = dict[int, Cyc]
 
 class Representation(Record):
     _compared = ("group", "domain", "matrices", "conductor")
-    __slots__ = (*_compared, "_char")
+    __slots__ = ("group", "domain", "packed", "conductor", "_dense", "_char")
 
     def __init__(self, group: FiniteGroup, domain: tuple[int, ...],
-                 matrices: Mapping[int, list], conductor: int):
+                 packed: Mapping[int, tuple], conductor: int,
+                 dense: Mapping[int, list] | None = None):
         _set(self, "group", group)
         _set(self, "domain", domain)
-        _set(self, "matrices", matrices)
+        _set(self, "packed", packed)
         _set(self, "conductor", conductor)
+        _set(self, "_dense", {} if dense is None else dense)
         _set(self, "_char", {})
 
     @staticmethod
     def from_generators(group: FiniteGroup, gens: Sequence[int],
                         mats: Sequence, conductor: int) -> "Representation":
+        dim = len(mats[0])
+        if any(len(m) != dim or any(len(row) != dim for row in m)
+               for m in mats):
+            raise ValueError("matrices are not all square of one size")
         domain = group.closure(gens)
-        full: dict[int, list] = {0: cyc_identity(len(mats[0]), conductor)}
-        packed = {0: cyc_pack(full[0], conductor)}
+        packed = {0: cyc_pack(cyc_identity(dim, conductor), conductor)}
         gen_map = dict(zip(gens, mats))
         # each generator is packed, and its conductor checked, when the
         # tree first multiplies by it
@@ -62,46 +73,65 @@ class Representation(Record):
                 gen_packed[g] = cyc_pack(gen_map[g], conductor)
             packed[elem] = cyc_packed_matmul(conductor, packed[parent],
                                              gen_packed[g])
-            full[elem] = cyc_unpack(conductor, packed[elem], len(gen_map[g][0]))
-        rep = Representation(group, domain, full, conductor)
-        rep._verify(packed)
+        rep = Representation(group, domain, packed, conductor)
+        rep._verify()
         return rep
 
     @staticmethod
     def from_matrices(group: FiniteGroup, domain: Sequence[int],
-                      mats: Mapping[int, list], conductor: int
+                      mats: Mapping[int, list] | None, conductor: int,
+                      packed: Mapping[int, tuple] | None = None
                       ) -> "Representation":
-        rep = Representation(group, tuple(sorted(domain)), dict(mats),
-                             conductor)
-        rep._verify()
+        """The representation with the dense matrices ``mats``, or, when
+        the caller has built them packed, with the matrices ``packed``
+        (``mats`` None); either way the map is proven a homomorphism."""
+        dense = None if mats is None else dict(mats)
+        rep = Representation(group, tuple(sorted(domain)),
+                             {} if packed is None else packed, conductor,
+                             dense)
+        rep._verify(dense)
         return rep
 
     @property
     def dim(self) -> int:
-        return len(self.matrices[0])
+        return len(self.packed[0])
 
     def matrix(self, g: int) -> list:
-        return self.matrices[g]
+        """The dense matrix of g, unpacked when first read."""
+        mat = self._dense.get(g)
+        if mat is None:
+            mat = self._dense[g] = cyc_unpack(self.conductor, self.packed[g],
+                                              self.dim)
+        return mat
 
-    def _verify(self, packed: dict[int, tuple] | None = None):
-        """Prove the map a homomorphism; ``packed`` holds the packed form
-        of every matrix when the caller has it already."""
-        dom, mats, group = self.domain, self.matrices, self.group
-        if set(dom) != set(mats):
+    @property
+    def matrices(self) -> dict[int, list]:
+        return {g: self.matrix(g) for g in self.packed}
+
+    def _verify(self, dense: Mapping[int, list] | None = None):
+        """Prove the map a homomorphism.  Dense input is checked for
+        shape and identity, then packed into ``packed``."""
+        dom, packed, group = self.domain, self.packed, self.group
+        if set(dom) != set(packed if dense is None else dense):
             raise ValueError("matrix map does not cover the domain")
         gens = group.generators(dom)
         if gens is None or len(set(dom)) != len(dom):
             raise ValueError("domain is not a subgroup")
-        dim = self.dim
-        if any(len(m) != dim or any(len(row) != dim for row in m)
-               for m in mats.values()):
-            raise ValueError("matrices are not all square of one size")
-        if mats[0] != cyc_identity(dim, self.conductor):
-            raise ValueError("matrices are not a homomorphism: the identity "
-                             "does not map to I")
         cond = self.conductor
-        if packed is None:
-            packed = {g: cyc_pack(mat, cond) for g, mat in mats.items()}
+        if dense is None:
+            one = Cyc.one(cond).c
+            if packed[0] != tuple(((i, one),) for i in range(self.dim)):
+                raise ValueError("matrices are not a homomorphism: the "
+                                 "identity does not map to I")
+        else:
+            dim = len(dense[0])
+            if any(len(m) != dim or any(len(row) != dim for row in m)
+                   for m in dense.values()):
+                raise ValueError("matrices are not all square of one size")
+            if dense[0] != cyc_identity(dim, cond):
+                raise ValueError("matrices are not a homomorphism: the "
+                                 "identity does not map to I")
+            packed.update((g, cyc_pack(mat, cond)) for g, mat in dense.items())
         for g in dom:
             left = packed[g]
             for s in gens:
@@ -111,9 +141,18 @@ class Representation(Record):
                         f"matrices are not a homomorphism at ({g},{s})")
 
     def character(self) -> Char:
+        """The trace of every matrix, summed on its packed diagonal."""
         if not self._char:
-            self._char.update({g: cyc_trace(m)
-                               for g, m in self.matrices.items()})
+            cond = self.conductor
+            zero = Cyc.zero(cond).c
+            for g, mat in self.packed.items():
+                acc = zero
+                for i, prow in enumerate(mat):
+                    for j, coeffs in prow:
+                        if j == i:
+                            acc = tuple(map(add, acc, coeffs))
+                            break
+                self._char[g] = Cyc(cond, acc)
         return self._char
 
 
@@ -164,51 +203,62 @@ def induced_representation(group: FiniteGroup, sub: Sequence[int],
                            ambient: Sequence[int] | None = None
                            ) -> Representation:
     """Block-monomial model of Ind from the subgroup to the ambient
-    subgroup (default: the whole group)."""
+    subgroup (default: the whole group); Ind_G^G rho is rho itself.
+    Block (i, j) of g is rho(t_i^-1 g t_j) when that lies in the
+    subgroup, built packed from the packed blocks of rho."""
     amb = tuple(sorted(ambient)) if ambient is not None else tuple(range(group.order))
     sub_set = set(sub)
+    if rep.domain == amb and sub_set == set(amb):
+        return rep
     reps = group.transversal(sub_set, amb)
-    r, d = len(reps), rep.dim
-    zero = Cyc.zero(rep.conductor)
-    mats: dict[int, list] = {}
+    d = rep.dim
+    # x = t_i h with h in the subgroup: x lies in coset i
+    coset = {group.mul(t, h): i for i, t in enumerate(reps) for h in sub_set}
+    inverse = [group.inv(t) for t in reps]
+    blocks = rep.packed
+    packed: dict[int, tuple] = {}
     for g in amb:
-        big = [[zero for _ in range(r * d)] for _ in range(r * d)]
+        rows: list = [None] * (len(reps) * d)
         for j, tj in enumerate(reps):
             target = group.mul(g, tj)
-            for i, ti in enumerate(reps):
-                h = group.mul(group.inv(ti), target)
-                if h in sub_set:
-                    block = rep.matrix(h)
-                    for k in range(d):
-                        for l in range(d):
-                            big[i * d + k][j * d + l] = block[k][l]
-                    break
-            else:
+            i = coset.get(target)
+            if i is None:
                 raise AssertionError("transversal does not cover")
-        mats[g] = big
-    return Representation.from_matrices(group, amb, mats, rep.conductor)
+            off = j * d
+            for k, prow in enumerate(blocks[group.mul(inverse[i], target)]):
+                rows[i * d + k] = tuple((off + l, c) for l, c in prow)
+        packed[g] = tuple(rows)
+    return Representation.from_matrices(group, amb, None, rep.conductor,
+                                        packed)
+
+
+def class_sums(rep: Representation, sub: Sequence[int]) -> list[list[Cyc]]:
+    """The image of each class sum of the subgroup, over its classes
+    under its own conjugation, as a dense row-major vector; each sum is
+    accumulated on the packed matrices."""
+    cond, dim = rep.conductor, rep.dim
+    zero = Cyc.zero(cond)
+    vecs = []
+    for cls in rep.group.conjugacy_classes(tuple(sub)):
+        acc: dict[int, tuple] = {}
+        for x in cls:
+            for i, prow in enumerate(rep.packed[x]):
+                for j, coeffs in prow:
+                    prev = acc.get(i * dim + j)
+                    acc[i * dim + j] = (coeffs if prev is None
+                                        else tuple(map(add, prev, coeffs)))
+        vec = [zero] * (dim * dim)
+        for cell, coeffs in acc.items():
+            vec[cell] = Cyc(cond, coeffs)
+        vecs.append(vec)
+    return vecs
 
 
 def constituent_count(rep: Representation, sub: Sequence[int]) -> int:
     """Number of distinct irreducible constituents of the restriction
     of rep to the subgroup: rank of the span of its class-sum images
     (class sums act by distinct central-character tuples)."""
-    classes = rep.group.conjugacy_classes(tuple(sub))
-    zero = Cyc.zero(rep.conductor)
-    vecs = []
-    for cls in classes:
-        dim = rep.dim
-        acc = [[zero for _ in range(dim)] for _ in range(dim)]
-        for x in cls:
-            mat = rep.matrix(x)
-            for i in range(dim):
-                row = mat[i]
-                arow = acc[i]
-                for j in range(dim):
-                    if row[j]:
-                        arow[j] = arow[j] + row[j]
-        vecs.append([acc[i][j] for i in range(dim) for j in range(dim)])
-    return cyc_rank(vecs)
+    return cyc_rank(class_sums(rep, sub))
 
 
 def common_multiplicity(rep: Representation, sub: Sequence[int]) -> tuple[int, int]:

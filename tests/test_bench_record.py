@@ -78,10 +78,12 @@ def test_summary_compares_two_checkouts_against_their_spread():
                             "trace": 0, **bench_record.parse_run(
                                 canned_stdout(wall))})
     comparison = bench_record.summarize(records)["torus trace 0"]["comparison"]
-    # both sides spread over 1.0 s, the medians 2.0 s apart
+    # both sides spread over 1.0 s, the medians 2.0 s apart; three pairs
+    # are too few for a claim, and a lower wall time regresses nothing
     assert comparison["wall_s"] == {"gap": -2.0, "spread": 1.0,
                                     "verdict": "resolved", "pairs": 3,
-                                    "lower": 3, "higher": 0}
+                                    "lower": 3, "higher": 0,
+                                    "claim": "not met", "regressed": False}
     # equal medians and no spread: nothing is shown
     assert comparison["peak_rss_mb"]["verdict"] == "unresolved"
     walls = records[0]["result"]["metrics"]["wall_s"]
@@ -114,3 +116,69 @@ def test_comparison_counts_the_seed_pairs_each_side_wins():
     assert {k: comparison["peak_rss_mb"][k]
             for k in ("pairs", "lower", "higher")} == {
         "pairs": 4, "lower": 0, "higher": 0}
+
+
+BENCHMARK = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())
+
+
+def _records(parent_walls, change_walls, rss=35.0):
+    """One run per seed and side, seeds 1, 2, ... in order."""
+    records = []
+    for name, walls in (("parent", parent_walls), ("change", change_walls)):
+        for seed, wall in enumerate(walls, 1):
+            run = bench_record.parse_run(canned_stdout(wall))
+            run["result"]["metrics"]["peak_rss_mb"]["value"] = (
+                rss if name == "parent" else rss * wall / parent_walls[0])
+            records.append({"checkout": name, "workload": "catalog",
+                            "seed": seed, "trace": 0, **run})
+    return bench_record.summarize(records)["catalog trace 0"]["comparison"]
+
+
+def test_spread_is_the_parent_interquartile_range():
+    # the parent spreads over 0.2 s and the change over 3.0 s: the gap of
+    # 1.6 s is resolved against the parent's spread alone
+    assert bench_record.compare([4.0, 4.1, 4.2], [1.0, 2.5, 4.0]) == {
+        "gap": pytest.approx(-1.6), "spread": pytest.approx(0.2),
+        "verdict": "resolved"}
+
+
+def test_rules_are_read_from_the_benchmark_file():
+    rules = bench_record.load_rules()
+    for metric in BENCHMARK["end_to_end"]:
+        assert rules[metric["name"]] == {"better": metric["better"],
+                                         "bound": metric["bound"]}
+    for metric in BENCHMARK["per_layer"]:
+        assert rules[metric["name"]] == {"better": metric["better"]}
+
+
+def test_claim_needs_nine_tenths_of_ten_pairs_and_a_gap_past_the_spread():
+    parent = [1.00, 1.02, 0.98, 1.01, 0.99, 1.00, 1.03, 0.97, 1.00, 1.01]
+    faster = [w - 0.2 for w in parent]
+    assert _records(parent, faster)["wall_s"]["claim"] == "met"
+    # nine wins and a tie still meet it; eight wins do not
+    nine = faster[:9] + [parent[9]]
+    assert _records(parent, nine)["wall_s"]["claim"] == "met"
+    eight = faster[:8] + parent[8:]
+    assert _records(parent, eight)["wall_s"]["lower"] == 8
+    assert _records(parent, eight)["wall_s"]["claim"] == "not met"
+    # every pair won, but inside the parent's spread
+    barely = [w - 0.001 for w in parent]
+    assert _records(parent, barely)["wall_s"]["lower"] == 10
+    assert _records(parent, barely)["wall_s"]["claim"] == "not met"
+    # nine pairs are too few, however clear the gain
+    assert _records(parent[:9], faster[:9])["wall_s"]["claim"] == "not met"
+
+
+def test_regressed_reads_the_bound_of_each_end_to_end_metric():
+    bound = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
+    parent = [1.0, 1.0, 1.0]
+    within = [1.0 + 0.9 * bound["wall_s"]] * 3
+    beyond = [1.0 + 1.1 * bound["wall_s"]] * 3
+    assert _records(parent, within)["wall_s"]["regressed"] is False
+    comparison = _records(parent, beyond)
+    assert comparison["wall_s"]["regressed"] is True
+    # peak_rss_mb scales with the wall here and has its own bound
+    assert comparison["peak_rss_mb"]["regressed"] is (
+        1.1 * bound["wall_s"] > bound["peak_rss_mb"])
+    assert _records(parent, [0.5] * 3)["wall_s"]["regressed"] is False
+

@@ -751,6 +751,87 @@ def test_clifford_catalog_json_numbers_exit_2(mutate, needle, tmp_path,
     assert "bad catalog entry" in captured.err and needle in captured.err
 
 
+ENTRIES_REFUSAL = "`entries` must be a non-empty JSON list of objects"
+
+
+@pytest.mark.parametrize("payload", [
+    {"entries": []}, {"entries": {}}, [], {}, {"entries": [5]},
+    {"entries": [{"name": "x"}, []]}, {"entries": "d8"}],
+    ids=["empty_list", "empty_object", "top_level_list", "no_entries",
+         "int_entry", "list_entry", "string_entries"])
+def test_clifford_catalog_without_entries_exit_2(payload, tmp_path, capsys):
+    # an empty catalog used to print "0 passed, 0 failed, 0 skipped" and
+    # exit 0
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(payload))
+    assert main(["clifford", "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and ENTRIES_REFUSAL in captured.err
+
+
+def _drop(*path):
+    def mutate(entry):
+        *parents, last = path
+        for key in parents:
+            entry = entry[key]
+        del entry[last]
+    return mutate
+
+
+def _set_path(value, *path):
+    def mutate(entry):
+        *parents, last = path
+        for key in parents:
+            entry = entry[key]
+        entry[last] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate,needle", [
+    (_drop("name"), "entry 1: missing key 'name'"),
+    (_drop("group"), "entry 1: missing key 'group'"),
+    (_drop("conductor"), "entry 1: missing key 'conductor'"),
+    (_drop("normal"), "entry 1: missing key 'normal'"),
+    (_drop("j_tilde"), "entry 1: missing key 'j_tilde'"),
+    (_drop("rho_tilde"), "entry 1: missing key 'rho_tilde'"),
+    (_drop("rho"), "entry 1: missing key 'rho'"),
+    (_drop("rho", "matrices"), "entry 1 rho: missing key 'matrices'"),
+    (_drop("rho_tilde", "generators"),
+     "entry 1 rho_tilde: missing key 'generators'"),
+    (_set_path(5, "rho_tilde"),
+     "entry 1: 'rho_tilde' must be a JSON object, got 5"),
+    (_set_path([], "rho"), "entry 1: 'rho' must be a JSON object, got []"),
+    (_set_path(5, "rho", "matrices"),
+     "entry 1 rho: 'matrices' must be a JSON list, got 5"),
+    (_set_path([5], "rho", "matrices"),
+     "entry 1 rho: 'matrices' must be a JSON list of matrices"),
+    (_set_path([[5]], "rho", "matrices"),
+     "entry 1 rho: 'matrices' must be a JSON list of matrices"),
+    (_set_path(5, "group", "table"),
+     "entry 1 group: 'table' must be a JSON list, got 5"),
+    (_set_path({"permutations": 5}, "group"),
+     "entry 1 group: 'permutations' must be a JSON list, got 5"),
+], ids=["no_name", "no_group", "no_conductor", "no_normal", "no_j_tilde",
+        "no_rho_tilde", "no_rho", "no_rho_matrices",
+        "no_rho_tilde_generators", "int_rho_tilde", "list_rho",
+        "int_matrices", "int_matrix", "int_row", "int_table",
+        "int_permutations"])
+def test_clifford_catalog_names_the_entry_and_key(mutate, needle, tmp_path,
+                                                  capsys):
+    # the second entry is broken; the message names it and the key,
+    # where it used to print the raw KeyError or TypeError text
+    from heckelab.catalog import catalog_to_json
+    payload = catalog_to_json(QUICK_MODELS[:2])
+    mutate(payload["entries"][1])
+    path = tmp_path / "catalog.json"
+    path.write_text(json.dumps(payload))
+    assert main(["clifford", "--catalog", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and needle in captured.err
+
+
 def test_clifford_group_order_cap(tmp_path, capsys, monkeypatch):
     # a catalog whose group exceeds the cap is refused up front
     from heckelab.catalog import catalog_to_json
@@ -1125,12 +1206,17 @@ NO_NUMPY_RUNS = {
 }
 
 
-def test_importing_the_cli_loads_only_root_datum():
+def test_importing_the_cli_loads_no_suite_and_no_root_datum():
     loaded = loaded_modules([])
     assert {m for m in loaded if m.startswith("heckelab")} == {
-        "heckelab", "heckelab.cli", "heckelab.root_datum", "heckelab._linalg",
-        "heckelab._closure", "heckelab._record"}
+        "heckelab", "heckelab.cli", "heckelab._record"}
     assert "numpy" not in loaded
+
+
+def test_clifford_loads_neither_root_datum_nor_laurent():
+    loaded = loaded_modules(["clifford"])
+    assert "heckelab.catalog" in loaded
+    assert not loaded & {"heckelab.root_datum", "heckelab.laurent"}
 
 
 @pytest.mark.parametrize("subcommand", sorted(NO_NUMPY_RUNS))

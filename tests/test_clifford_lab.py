@@ -36,7 +36,8 @@ from heckelab.clifford_lab import (
     twist_group,
 )
 from heckelab.cyclotomic import Cyc
-from heckelab.finite_groups import FiniteGroup, cyclic, dihedral
+from heckelab.finite_groups import (FiniteGroup, cyclic, dihedral, heisenberg,
+                                    quaternion)
 from heckelab.representations import (
     Representation,
     char_key,
@@ -406,29 +407,32 @@ def test_maximal_stabilizer_orders_at_higher_multiplicity(name):
 def test_one_evaluation_shares_multiplicity_and_double_cosets(monkeypatch):
     # on an m = 2 entry the stabilizer search needs (m, k) of the
     # restriction of rho_tilde to J, and the hypothesis and commutativity
-    # checks both need the double cosets of J: each is computed once
+    # checks both need the double cosets of J: each is computed once.
+    # On d8q8_mixed Jt = G, so pi is rho_tilde itself and N = J: one
+    # (representation, subgroup) pair; on q8xd8 Jt < G: two
     import heckelab.clifford_lab as lab
-    model = MODELS["d8q8_mixed"]
-    pairs, walks = [], []
     multiplicity = lab.common_multiplicity
     double_cosets = FiniteGroup.double_coset_reps
+    for name, distinct in (("d8q8_mixed", 1), ("q8xd8", 2)):
+        model = MODELS[name]
+        pairs, walks = [], []
 
-    def counted_multiplicity(rep, sub):
-        pairs.append((id(rep), tuple(sorted(sub))))
-        return multiplicity(rep, sub)
+        def counted_multiplicity(rep, sub):
+            pairs.append((id(rep), tuple(sorted(sub))))
+            return multiplicity(rep, sub)
 
-    def counted_double_cosets(self, j):
-        j = tuple(j)
-        walks.append(j)
-        return double_cosets(self, j)
+        def counted_double_cosets(self, j):
+            j = tuple(j)
+            walks.append(j)
+            return double_cosets(self, j)
 
-    monkeypatch.setattr(lab, "common_multiplicity", counted_multiplicity)
-    monkeypatch.setattr(FiniteGroup, "double_coset_reps",
-                        counted_double_cosets)
-    result = evaluate_entry(model)
-    assert result["multiplicity"] == 2 and result["passed"]
-    assert len(pairs) == len(set(pairs)) >= 2
-    assert walks.count(model.j) == 1
+        monkeypatch.setattr(lab, "common_multiplicity", counted_multiplicity)
+        monkeypatch.setattr(FiniteGroup, "double_coset_reps",
+                            counted_double_cosets)
+        result = evaluate_entry(model)
+        assert result["multiplicity"] == 2 and result["passed"]
+        assert len(pairs) == len(set(pairs)) == distinct
+        assert walks.count(model.j) == 1
 
 
 def test_model_validation_rejects_bad_inputs():
@@ -441,6 +445,54 @@ def test_model_validation_rejects_bad_inputs():
                             good.rho_tilde, good.rho)
     with pytest.raises(ValueError, match="inducing"):
         bad2.validate()
+
+
+def test_model_validation_refuses_a_nonabelian_quotient():
+    # D8 over its trivial subgroup: N is normal and Jt a subgroup, but
+    # G/N = D8 is not abelian
+    good = MODELS["d8_rho2"]
+    bad = FiniteGroupModel("bad", good.group, (0,), good.j_tilde,
+                           good.rho_tilde, good.rho)
+    with pytest.raises(ValueError, match="G/N must be abelian"):
+        bad.validate()
+
+
+def _subgroups_between_by_elements(group, lower, upper):
+    """The walk that tries every x in upper outside s, the oracle of the
+    coset walk."""
+    from heckelab import _closure
+
+    def step(s):
+        for x in set(upper).difference(s):
+            yield x, group.closure(list(s) + [x])
+
+    found = _closure.closure([group.closure(lower)], step)
+    return sorted(found, key=lambda s: (-len(s), s))
+
+
+def test_coset_walk_matches_the_element_walk_on_every_model():
+    from heckelab.clifford_lab import _subgroups_between
+    for model in MODELS.values():
+        analysis = ModelAnalysis(model)
+        dagger, inertia = analysis.twists.dagger, analysis.restriction.inertia
+        assert (_subgroups_between(model.group, dagger, inertia)
+                == _subgroups_between_by_elements(model.group, dagger,
+                                                  inertia))
+
+
+@pytest.mark.parametrize("group", [dihedral(4), quaternion(8), heisenberg(3)],
+                         ids=["D8", "Q8", "He3"])
+def test_coset_walk_matches_the_element_walk_on_every_subgroup_pair(group):
+    from heckelab.clifford_lab import _subgroups_between
+    subgroups = _subgroups_between_by_elements(group, (0,), range(group.order))
+    assert len(subgroups) == {8: 10 if group.label == "D8" else 6,
+                              27: 19}[group.order]
+    for lower in subgroups:
+        for upper in subgroups:
+            if set(lower) <= set(upper):
+                assert (_subgroups_between(group, lower, upper)
+                        == _subgroups_between_by_elements(group, lower,
+                                                          upper))
 
 
 # ---------------------------------------------------------------------------

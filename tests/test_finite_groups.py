@@ -162,6 +162,37 @@ def test_direct_product_indexing():
     assert g.element_order(1) == 3
 
 
+def test_direct_product_table_matches_the_coordinate_table():
+    # the table read off the factor tables equals the one built from
+    # pairs (a, b) and the componentwise product
+    for g1, g2 in ((Q8, dihedral(4)), (D8, Q8), (Q8, cyclic(3)),
+                   (cyclic(2), HE3)):
+        coords = [(a, b) for a in range(g1.order) for b in range(g2.order)]
+        index = {c: i for i, c in enumerate(coords)}
+        table = tuple(tuple(index[(g1.mul(a, c), g2.mul(b, d))]
+                            for c, d in coords) for a, b in coords)
+        product = direct_product(g1, g2)
+        assert product.table == table
+        assert product.label == f"{g1.label}x{g2.label}"
+
+
+def test_quotient_is_abelian_matches_the_commutator_subgroup():
+    # the generator commutators decide G/N abelian as [G, G] <= N does,
+    # on every normal subgroup of every group of the builtin catalog
+    from heckelab.catalog import build_catalog
+    from heckelab.clifford_lab import _subgroups_between
+    groups = {m.group.table: m.group for m in build_catalog()}.values()
+    for g in groups:
+        derived = set(g.commutator_subgroup())
+        normals = [s for s in _subgroups_between(g, (0,), range(g.order))
+                   if g.is_normal(s)]
+        assert {(0,), tuple(range(g.order))} <= set(normals)
+        for n in normals:
+            assert g.quotient_is_abelian(n) == (derived <= set(n))
+        # G over its trivial subgroup is abelian only for abelian G
+        assert g.quotient_is_abelian((0,)) == (derived == {0})
+
+
 def test_from_permutations_s3():
     s3 = from_permutations([(1, 0, 2), (0, 2, 1)])
     assert s3.order == 6

@@ -294,3 +294,84 @@ def test_conjugation_preserves_inner_products():
         assert set(moved) == {0, 1, 2, 3}
         assert inner_product(moved, moved, (0, 1, 2, 3)) \
             == inner_product(chi, chi, (0, 1, 2, 3))
+
+
+# ---------------------------------------------------------------------------
+# packed characters and class sums against the dense routes
+# ---------------------------------------------------------------------------
+
+def _dense_class_sums(rep, sub):
+    """The class sums accumulated entry by entry on the dense matrices."""
+    dim, zero = rep.dim, Cyc.zero(rep.conductor)
+    vecs = []
+    for cls in rep.group.conjugacy_classes(tuple(sub)):
+        acc = [[zero] * dim for _ in range(dim)]
+        for x in cls:
+            for i, row in enumerate(rep.matrix(x)):
+                for j, entry in enumerate(row):
+                    acc[i][j] = acc[i][j] + entry
+        vecs.append([acc[i][j] for i in range(dim) for j in range(dim)])
+    return vecs
+
+
+def _catalog_representations():
+    """(rep, subgroups of its domain) for rho_tilde and rho of every
+    builtin model and both induced representations its evaluation
+    builds."""
+    from heckelab.catalog import build_catalog
+    from heckelab.clifford_lab import ModelAnalysis
+    out = []
+    for model in build_catalog():
+        analysis = ModelAnalysis(model)
+        out += [(model.rho_tilde, [model.j_tilde, model.j]),
+                (model.rho, [model.j]),
+                (analysis.induced_from_jt, [analysis.induced_from_jt.domain,
+                                            model.normal]),
+                (analysis.induced_from_j, [analysis.induced_from_j.domain])]
+    return out
+
+
+def test_packed_characters_and_class_sums_match_the_dense_routes():
+    reps = _catalog_representations()
+    assert len(reps) == 4 * 19
+    for rep, subs in reps:
+        assert rep.character() == {g: cyc_trace(m)
+                                   for g, m in rep.matrices.items()}
+        for sub in subs:
+            assert representations.class_sums(rep, sub) \
+                == _dense_class_sums(rep, sub)
+
+
+def test_induction_from_the_whole_group_returns_its_argument():
+    rep = _d8_two_dim()
+    assert induced_representation(D8, range(8), rep) is rep
+    assert induced_representation(D8, rep.domain, rep, rep.domain) is rep
+    # a proper subgroup, or a smaller ambient group, builds a new map
+    c4 = Representation.from_matrices(
+        D8, (0, 1, 2, 3), {g: rep.matrix(g) for g in (0, 1, 2, 3)}, 4)
+    ind = induced_representation(D8, c4.domain, c4)
+    assert ind is not c4 and ind.dim == 4
+    assert induced_representation(D8, (0, 2), c4, c4.domain) is not c4
+
+
+def test_induced_packed_map_unpacks_to_the_block_monomial_matrices():
+    # block (i, j) of g is rho(t_i^-1 g t_j) when that lies in the subgroup
+    rep = _q8_two_dim()
+    sub = (0, 1, 2, 3)
+    c4 = Representation.from_matrices(
+        Q8, sub, {g: rep.matrix(g) for g in sub}, 4)
+    ind = induced_representation(Q8, sub, c4)
+    reps = Q8.transversal(sub)
+    zero = Cyc.zero(4)
+    for g in range(8):
+        want = [[zero] * 4 for _ in range(4)]
+        for i, ti in enumerate(reps):
+            for j, tj in enumerate(reps):
+                h = Q8.mul(Q8.inv(ti), Q8.mul(g, tj))
+                if h in sub:
+                    for k in range(2):
+                        for l in range(2):
+                            want[2 * i + k][2 * j + l] = c4.matrix(h)[k][l]
+        assert ind.matrix(g) == want
+        assert ind.packed[g] == cyc_pack(want, 4)
+
