@@ -11,17 +11,17 @@ length-rescaled translation and a general label is independent of how
 it splits as a difference of dominant ones.
 
 ``satake_check`` verifies the truncated center on an orbit-closed set
-of lattice labels.  The commutator matrix M of the finite generators on
-the span of those labels is built once, each column read straight off
-the Bernstein relation for T_i theta_lam; an orbit sum is central when
-M annihilates it, and the center dimension is proven by the rank over Q
-of the rows of M whose entries are all free of v.  By the Bernstein
-relation the row of T_i at a label (mu, s_i) is e_mu - e_{s_i mu}, so
-these rows already have full rank.  Elimination over Q(v)
-(``laurent.rat_rank``) stays the route whenever that certificate does
-not close.  The general product ``bernstein_multiply`` serves
-``is_central`` and the check that the lattice generators commute with
-every label.
+of lattice labels from the rewriting rules alone.  The commutator
+matrix M of the finite generators on the span of those labels is built
+once, each column read off the Bernstein relation for T_i theta_lam
+(``_commute_one``); an orbit sum is central when M annihilates it.
+Lattice labels commute by the rule ``_commute_word((), lam) = theta_lam``.
+The center dimension is proven by the rank over Q of the rows of M
+whose entries are all free of v.  By the Bernstein relation the row of
+T_i at a label (mu, s_i) is e_mu - e_{s_i mu}, so these rows already
+have full rank.  Elimination over Q(v) (``laurent.rat_rank``) stays the
+route whenever that certificate does not close.  ``bernstein_multiply``
+and ``is_central`` are independent oracles for the tests.
 """
 from __future__ import annotations
 
@@ -347,56 +347,49 @@ def satake_check(group: WeylGroup,
     """Verify the truncated center on the orbit-closed label set of
     ``orbit_map`` (as ``label_orbits`` returns it).
 
-    Centrality of an orbit sum is M z = 0 for the commutator matrix M,
-    given that the lattice generators commute with every basis label;
-    an orbit sum off that ground goes through ``is_central``.  The
-    dimension is proven without elimination over Q(v) when every check
-    passed and the rank over Q of the v-free rows of M equals
-    |basis| - #orbits: the disjoint central orbit sums bound the kernel
-    from below, and a minor of those rows is a minor of M, so their rank
-    bounds the rank of M from below.  Otherwise ``rat_rank`` computes
-    the rank over Q(v)."""
+    Centrality of an orbit sum is M z = 0 for the commutator matrix M;
+    an orbit sum whose support is not its ``orbit_map`` entry fails on
+    that count alone.  The lattice generators commute with every label
+    by the rule ``_commute_word((), lam) = theta_lam``, checked at each
+    basis label and each lattice generator.  The dimension is proven
+    without elimination over Q(v) when every check passed and the rank
+    over Q of the v-free rows of M equals |basis| - #orbits: the
+    disjoint central orbit sums bound the kernel from below, and a minor
+    of those rows is a minor of M, so their rank bounds the rank of M
+    from below.  Otherwise ``rat_rank`` computes the rank over Q(v)."""
     alg = BernsteinAlgebra(group)
     labels = {lam for orb in orbit_map.values() for lam in orb}
     reps = sorted(orbit_map)
     basis = sorted(labels)
     matrix = CommutatorMatrix(alg, basis)
 
-    # lattice generators commute with every lattice label exactly.  On
-    # valid input _commute_word((), lam) returns theta_lam, so both
-    # products are theta_(lam + e_j): only a broken _commute_word fails
-    lattice_failures: list[str] = []
-    for j in range(alg.rank):
-        gen = alg.theta(tuple(int(k == j) for k in range(alg.rank)))
-        for lam in basis:
-            th = alg.theta(lam)
-            if alg.bernstein_multiply(th, gen) != alg.bernstein_multiply(gen, th):
-                lattice_failures.append(
-                    f"lattice generator {j} fails to commute with {lam}")
-                break
-
+    e = group.identity
     failures: list[str] = []
-    # the kernel bound counts orbit sums proven to lie in the kernel of M
-    all_in_kernel = True
     central = tuple(alg.central_element(rep) for rep in reps)
     for rep, z in zip(reps, central):
-        if tuple(sorted(lam for lam, _w in z.c)) != orbit_map[rep]:
+        if z.support != [(lam, e) for lam in orbit_map[rep]]:
             failures.append(f"support of the orbit sum of {rep} is wrong")
-        on_basis = not lattice_failures and all(
-            w == group.identity and lam in matrix.column_of for lam, w in z.c)
-        all_in_kernel &= on_basis
-        if not (matrix.annihilates(z) if on_basis else alg.is_central(z)):
+        elif not matrix.annihilates(z):
             failures.append(f"orbit sum of {rep} is not central")
 
     if sum(len(o) for o in orbit_map.values()) != len(labels):
         failures.append("orbit supports overlap")
-    failures += lattice_failures
+
+    # a product theta_mu theta_lam is rewritten through
+    # _commute_word((), lam); where that is theta_lam at every basis
+    # label and every lattice generator e_j, theta_lam theta_(e_j) =
+    # theta_(e_j) theta_lam = theta_(lam + e_j)
+    units = [tuple(int(k == j) for k in range(alg.rank))
+             for j in range(alg.rank)]
+    for lam in sorted(labels.union(units)):
+        if alg._commute_word((), lam) != alg.theta(lam).c:
+            failures.append(
+                f"lattice label {lam} does not pass the empty word unchanged")
 
     rows = list(matrix.rows.values())
     free = [{k: x.c[0] for k, x in row.items()} for row in rows
             if all(x.c.keys() == {0} for x in row.values())]
-    if (all_in_kernel and not failures
-            and len(basis) - mat_rank(free) == len(reps)):
+    if not failures and len(basis) - mat_rank(free) == len(reps):
         kdim, route = len(reps), "Q (v-free rows)"
     else:
         kdim = len(basis) - rat_rank(

@@ -4,12 +4,12 @@ LaurentScalar is a sparse Laurent polynomial over Q in a formal v whose
 square plays the role of the residue cardinality q; half-integral
 normalizations live here as odd v-powers.  RatFunc is its fraction
 field, canonical by gcd reduction, used for exact kernel computations:
-``rat_rank`` eliminates with the field-generic ``_linalg.echelon``.  The
-polynomial division here also serves ``cyclotomic``.  Coefficients are
-ints or Fractions, kept as given: the two mix exactly under +, - and *,
-so the Hecke algebra's scalars stay in Z[v, v^-1].  Division happens
-only in ``_poly_divmod`` and ``_poly_gcd``, on Fraction lists:
-``RatFunc`` reaches them through ``_to_poly``, which makes the lists.
+``rat_rank`` eliminates with the field-generic ``_linalg.echelon``.
+Coefficients are ints or Fractions, kept as given: the two mix exactly
+under +, - and *, so the Hecke algebra's scalars stay in Z[v, v^-1].
+Division happens only in ``_poly_divmod`` and ``_poly_gcd``, on
+Fraction lists: ``RatFunc`` reaches them through ``_to_poly``, which
+makes the lists.
 """
 from __future__ import annotations
 

@@ -12,11 +12,13 @@ proof compares each packed product rho(g) rho(s) (``cyc_packed_matmul``,
 one memoized product per pair of nonzero entries) with the packed
 rho(gs); for the monomial models that is one entry product per row.
 
-The packed map the proof reads is the one the representation keeps.
-``from_matrices`` packs dense input once, refusing any entry whose
-conductor is not the representation's; ``from_generators`` builds the
-map along a spanning tree of packed products; ``induced_representation``
-writes the block-monomial rows straight from the packed blocks of the
+The packed map the proof reads is the one the representation keeps
+from construction on.  ``from_generators``, the route for outside
+input, checks the generator matrices square and packs each once,
+refusing any entry whose conductor is not the representation's, then
+builds the map along a spanning tree of packed products.
+``from_matrices`` takes a packed map as built: ``induced_representation``
+writes its block-monomial rows straight from the packed blocks of the
 induced representation, and returns a representation of the whole
 ambient group as it is.  A dense matrix is unpacked when it is first
 read, and equality compares the dense maps.  Characters sum the packed
@@ -46,13 +48,12 @@ class Representation(Record):
     __slots__ = ("group", "domain", "packed", "conductor", "_dense", "_char")
 
     def __init__(self, group: FiniteGroup, domain: tuple[int, ...],
-                 packed: Mapping[int, tuple], conductor: int,
-                 dense: Mapping[int, list] | None = None):
+                 packed: Mapping[int, tuple], conductor: int):
         _set(self, "group", group)
         _set(self, "domain", domain)
         _set(self, "packed", packed)
         _set(self, "conductor", conductor)
-        _set(self, "_dense", {} if dense is None else dense)
+        _set(self, "_dense", {})
         _set(self, "_char", {})
 
     @staticmethod
@@ -79,17 +80,12 @@ class Representation(Record):
 
     @staticmethod
     def from_matrices(group: FiniteGroup, domain: Sequence[int],
-                      mats: Mapping[int, list] | None, conductor: int,
-                      packed: Mapping[int, tuple] | None = None
+                      packed: Mapping[int, tuple], conductor: int
                       ) -> "Representation":
-        """The representation with the dense matrices ``mats``, or, when
-        the caller has built them packed, with the matrices ``packed``
-        (``mats`` None); either way the map is proven a homomorphism."""
-        dense = None if mats is None else dict(mats)
-        rep = Representation(group, tuple(sorted(domain)),
-                             {} if packed is None else packed, conductor,
-                             dense)
-        rep._verify(dense)
+        """The representation with the packed matrices ``packed``
+        (``cyc_pack``), once the map is proven a homomorphism."""
+        rep = Representation(group, tuple(sorted(domain)), packed, conductor)
+        rep._verify()
         return rep
 
     @property
@@ -108,30 +104,19 @@ class Representation(Record):
     def matrices(self) -> dict[int, list]:
         return {g: self.matrix(g) for g in self.packed}
 
-    def _verify(self, dense: Mapping[int, list] | None = None):
-        """Prove the map a homomorphism.  Dense input is checked for
-        shape and identity, then packed into ``packed``."""
+    def _verify(self):
+        """Prove the packed map a homomorphism."""
         dom, packed, group = self.domain, self.packed, self.group
-        if set(dom) != set(packed if dense is None else dense):
+        if set(dom) != set(packed):
             raise ValueError("matrix map does not cover the domain")
         gens = group.generators(dom)
         if gens is None or len(set(dom)) != len(dom):
             raise ValueError("domain is not a subgroup")
         cond = self.conductor
-        if dense is None:
-            one = Cyc.one(cond).c
-            if packed[0] != tuple(((i, one),) for i in range(self.dim)):
-                raise ValueError("matrices are not a homomorphism: the "
-                                 "identity does not map to I")
-        else:
-            dim = len(dense[0])
-            if any(len(m) != dim or any(len(row) != dim for row in m)
-                   for m in dense.values()):
-                raise ValueError("matrices are not all square of one size")
-            if dense[0] != cyc_identity(dim, cond):
-                raise ValueError("matrices are not a homomorphism: the "
-                                 "identity does not map to I")
-            packed.update((g, cyc_pack(mat, cond)) for g, mat in dense.items())
+        one = Cyc.one(cond).c
+        if packed[0] != tuple(((i, one),) for i in range(self.dim)):
+            raise ValueError("matrices are not a homomorphism: the "
+                             "identity does not map to I")
         for g in dom:
             left = packed[g]
             for s in gens:
@@ -228,8 +213,7 @@ def induced_representation(group: FiniteGroup, sub: Sequence[int],
             for k, prow in enumerate(blocks[group.mul(inverse[i], target)]):
                 rows[i * d + k] = tuple((off + l, c) for l, c in prow)
         packed[g] = tuple(rows)
-    return Representation.from_matrices(group, amb, None, rep.conductor,
-                                        packed)
+    return Representation.from_matrices(group, amb, packed, rep.conductor)
 
 
 def class_sums(rep: Representation, sub: Sequence[int]) -> list[list[Cyc]]:

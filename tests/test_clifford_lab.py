@@ -35,7 +35,7 @@ from heckelab.clifford_lab import (
     restrict_decompose,
     twist_group,
 )
-from heckelab.cyclotomic import Cyc
+from heckelab.cyclotomic import Cyc, cyc_pack
 from heckelab.finite_groups import (FiniteGroup, cyclic, dihedral, heisenberg,
                                     quaternion)
 from heckelab.representations import (
@@ -244,7 +244,8 @@ def test_restrict_decompose_rejects_reducible():
     zero = Cyc.zero(4)
     mats = {h: [[one, zero], [zero, (one if h in (0, 1, 2, 3) else -one)]]
             for h in range(8)}
-    rep = Representation.from_matrices(g, tuple(range(8)), mats, 4)
+    rep = Representation.from_matrices(
+        g, tuple(range(8)), {h: cyc_pack(m, 4) for h, m in mats.items()}, 4)
     with pytest.raises(ValueError, match="reducible"):
         restrict_decompose(g, (0, 1, 2, 3), rep, rep.character())
 

@@ -280,7 +280,8 @@ def test_satake_catches_lattice_generators_that_fail_to_commute(monkeypatch):
 
     # commuting a nonzero label past the empty word doubles it: then
     # theta_0 theta_(e_j) = 2 theta_(e_j), but theta_(e_j) theta_0 is
-    # still theta_(e_j)
+    # still theta_(e_j).  The check names every label that breaks the
+    # rule _commute_word((), lam) = theta_lam
     def doubled(alg, word, lam):
         out = real(alg, word, lam)
         if not word and any(lam):
@@ -289,9 +290,26 @@ def test_satake_catches_lattice_generators_that_fail_to_commute(monkeypatch):
     monkeypatch.setattr(BernsteinAlgebra, "_commute_word", doubled)
     rep = satake_check(GL2, label_orbits(GL2, 1))
     assert not rep.ok and rep.rank_route == "Q(v)"
-    assert [f for f in rep.failures if f.startswith("lattice")] == [
-        "lattice generator 0 fails to commute with (0, 0)",
-        "lattice generator 1 fails to commute with (0, 0)"]
+    assert rep.failures == tuple(
+        f"lattice label {lam} does not pass the empty word unchanged"
+        for lam in itertools.product((-1, 0, 1), repeat=2) if any(lam))
+    assert rep.center_dimension == 6
+
+
+def test_satake_names_the_one_label_that_breaks_the_empty_word_rule(
+        monkeypatch):
+    real = BernsteinAlgebra._commute_word
+
+    def doubled(alg, word, lam):
+        out = real(alg, word, lam)
+        if not word and lam == (1, 1):
+            out = {k: c + c for k, c in out.items()}
+        return out
+    monkeypatch.setattr(BernsteinAlgebra, "_commute_word", doubled)
+    rep = satake_check(GL2, label_orbits(GL2, 1))
+    assert not rep.ok and rep.rank_route == "Q(v)"
+    assert rep.failures == (
+        "lattice label (1, 1) does not pass the empty word unchanged",)
 
 
 def test_satake_catches_overlapping_orbit_supports():

@@ -9,7 +9,9 @@ of ``satake_check`` does not close.  Deleting or moving one would break
 the traced benchmark run; this test fails first.
 The probe file is loaded, not imported as a package, and nothing in it
 is patched.  A traced ``clifford`` run, in a child process, must also
-still call each Clifford probe once per catalog entry.
+still call each Clifford probe once per catalog entry, and a traced
+``iwahori-center`` run must prove its center with no general product
+and no elimination over Q(v).
 """
 import importlib
 import importlib.util
@@ -58,15 +60,15 @@ CLIFFORD_CALLS = {
 }
 
 
-def test_traced_clifford_run_reaches_every_clifford_probe():
-    # a refactor that routes around a probed function leaves the name
-    # resolvable but its count at 0; the traced run shows it
+def _traced(*argv: str) -> dict:
+    """The probe summary of one traced ``heckelab`` call in a child
+    process, which must exit 0."""
     root = LAYERS.parent.parent
     read_end, write_end = os.pipe()
     try:
         proc = subprocess.run(
             [sys.executable, str(root / "perfbench" / "child.py"), "trace",
-             "heckelab", "clifford", "--format", "json"],
+             "heckelab", *argv],
             capture_output=True, text=True, cwd=root, pass_fds=(write_end,),
             env={**os.environ, "PYTHONPATH": str(root / "src"),
                  "PERFBENCH_TRACE_FD": str(write_end)})
@@ -75,4 +77,26 @@ def test_traced_clifford_run_reaches_every_clifford_probe():
     with os.fdopen(read_end) as fh:
         summary = json.load(fh)
     assert proc.returncode == 0, proc.stderr
+    return summary
+
+
+def test_traced_clifford_run_reaches_every_clifford_probe():
+    # a refactor that routes around a probed function leaves the name
+    # resolvable but its count at 0; the traced run shows it
+    summary = _traced("clifford", "--format", "json")
     assert {k: summary[k] for k in CLIFFORD_CALLS} == CLIFFORD_CALLS
+
+
+# a traced iwahori-center run proves its center from the rewriting
+# rules alone: no general product and no elimination over Q(v)
+SATAKE_CALLS = {
+    "iwahori_hecke.BernsteinAlgebra.bernstein_multiply.calls": 0,
+    "laurent.rat_rank.calls": 0,
+    "iwahori_hecke.satake_check.calls": 1,
+}
+
+
+def test_traced_satake_run_takes_the_single_route():
+    summary = _traced("iwahori-center", "--datum", "a3", "--radius", "1",
+                      "--format", "json")
+    assert {k: summary[k] for k in SATAKE_CALLS} == SATAKE_CALLS
