@@ -4,12 +4,15 @@
 of its elements; ``kernel_basis`` and ``one_solution`` are derived from
 it.  Q (here), Q(zeta_m) (``cyclotomic``) and Q(v) (``laurent``) all
 eliminate through them.  The Q entry points take int or Fraction
-entries as they are: the two mix exactly under +, - and *, and the one
-division, ``_q_inv``, makes a Fraction, so pivot rows, kernel vectors
-and solutions hold Fractions.  The large matrices (the Satake
-commutator matrix, its v-free rows over Q, the torus rows e_dst - e_src)
-hold a few nonzero entries per row, so ``echelon`` keeps rows as
-{column: entry} dicts of nonzero entries and never touches a zero.
+entries as they are: the two mix exactly under +, - and *, and only a
+division makes a Fraction.  ``nullspace`` and ``solve`` divide by
+``_q_inv``, so their pivot rows, kernel vectors and solutions hold
+Fractions.  ``mat_rank`` returns only a count, so it keeps a +-1 pivot
+as it is (1/x = x there), and rows whose pivots are units eliminate in
+ints.  The large matrices (the Satake commutator matrix, its v-free
+rows over Q, the torus rows e_dst - e_src) hold a few nonzero entries
+per row, so ``echelon`` keeps rows as {column: entry} dicts of nonzero
+entries and never touches a zero.
 """
 from __future__ import annotations
 
@@ -114,9 +117,14 @@ def _q_inv(x: Q) -> Q:
     return Q(1) / x
 
 
+def _unit_inv(x: Q) -> Q:
+    # 1/x = x on a +-1 pivot, so int rows of unit pivots stay int
+    return x if x == 1 or x == -1 else Q(1, x)
+
+
 def mat_rank(m: Sequence[Sequence | Mapping]) -> int:
     """Rank over Q of dense or {column: entry} rows."""
-    return len(echelon(m, _q_inv)[1])
+    return len(echelon(m, _unit_inv)[1])
 
 
 def nullspace(m: Sequence[Sequence]) -> list[tuple[Q, ...]]:

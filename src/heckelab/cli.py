@@ -225,6 +225,52 @@ class VerificationReport(Record):
         return 1 if any(c.status == FAIL for c in self.checks) else 0
 
 
+def _json_text(value: Any) -> str:
+    """``json.dumps(value, indent=2, ensure_ascii=False, default=str)``,
+    which runs CPython's pure-Python encoder when indenting.  Exact str,
+    int, None, list, tuple and str-keyed dict are written here; every
+    other value goes to ``json.dumps`` and its newlines are re-indented,
+    which is exact because JSON escapes every newline inside a string."""
+    quote = json.encoder.encode_basestring
+    out: list[str] = []
+
+    def emit(o: Any, pad: str) -> None:  # pad: newline and indent
+        t = type(o)
+        if t is str:
+            out.append(quote(o))
+        elif t is int:
+            out.append(str(o))
+        elif o is None:
+            out.append("null")
+        elif t is list or t is tuple:
+            inner = pad + "  "
+            if not o:
+                out.append("[]")
+            elif all(type(x) is int for x in o):
+                out.append(f"[{inner}{f',{inner}'.join(map(str, o))}{pad}]")
+            else:
+                sep = "[" + inner
+                for x in o:
+                    out.append(sep)
+                    emit(x, inner)
+                    sep = "," + inner
+                out.append(pad + "]")
+        elif t is dict and all(type(k) is str for k in o):
+            inner = pad + "  "
+            sep = "{" + inner
+            for k, x in o.items():
+                out.append(f"{sep}{quote(k)}: ")
+                emit(x, inner)
+                sep = "," + inner
+            out.append(pad + "}" if o else "{}")
+        else:
+            out.append(json.dumps(o, indent=2, ensure_ascii=False,
+                                  default=str).replace("\n", pad))
+
+    emit(value, "\n")
+    return "".join(out)
+
+
 def render_report(report: VerificationReport, fmt: str) -> str:
     if fmt == "json":
         ps, fs, ss = report.counts
@@ -238,7 +284,7 @@ def render_report(report: VerificationReport, fmt: str) -> str:
             "wall_time_s": round(report.wall_time_s, 6),
         }
         # default=str writes each Fraction as "p/q"
-        return json.dumps(payload, indent=2, ensure_ascii=False, default=str)
+        return _json_text(payload)
     lines = [f"suite: {report.suite}"]
     for c in report.checks:
         lines.append(f"{c.status:7s} {c.name}")
@@ -573,6 +619,10 @@ def _run_spade_check(*, datum: str, x: tuple[Q, ...], r: Q,
         partitions = [partition]
     else:
         partitions = _standard_partitions(n)
+    # a one-block partition factors through trivial L and U: vacuous
+    if not partitions or len(partitions[0]) < 2:
+        raise CLIError("spade-check needs a partition with at least two "
+                       "blocks")
 
     checks = []
     rows = []

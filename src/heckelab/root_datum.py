@@ -516,8 +516,9 @@ class WeylGroup:
     A run builds one group, so the sets derived from it are memoised on
     the instance, each filled on first use and held as a tuple: the
     standard parabolic subgroups and the minimal coset representatives,
-    keyed by the sorted simple subset, and the character stabilizers,
-    keyed by the reduced exponent tuple and its modulus.
+    keyed by the sorted simple subset, and the character stabilizers and
+    the simple-reflection images of (coweight, exponents) pairs, keyed by
+    the exponent tuple or pair and the modulus.
     """
 
     def __init__(self, datum: RootDatum, max_order: int = MAX_WEYL_ORDER):
@@ -555,6 +556,7 @@ class WeylGroup:
         self._parabolic: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
         self._coset_reps: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
         self._stabilizers: dict[tuple[IVec, int], tuple[WeylElement, ...]] = {}
+        self._pair_images: dict[tuple[tuple, int], tuple] = {}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -640,6 +642,21 @@ class WeylGroup:
                 raise AssertionError("stabilizer is not closed")
             self._stabilizers[key] = stab
         return self._stabilizers[key]
+
+    def simple_pair_images(self, pair: tuple[Sequence, Sequence], modulus: int
+                           ) -> tuple[tuple[IVec, IVec], ...]:
+        """The image of (coweight, exponents) under each simple reflection,
+        the exponents reduced mod ``modulus``: ``act_cocharacter`` and
+        ``act_character`` of each one-letter word; memoised."""
+        key = (pair, modulus)
+        images = self._pair_images.get(key)
+        if images is None:
+            lam, chi = pair
+            images = self._pair_images[key] = tuple(
+                (_reflect(lam, av, a),
+                 tuple(c % modulus for c in _reflect(chi, a, av)))
+                for a, av in self._simple_pairs)
+        return images
 
     def is_subgroup(self, subset: Iterable[WeylElement]) -> bool:
         """Whether ``subset`` is a subgroup, proven on a greedy

@@ -68,10 +68,8 @@ def weyl_act_pair(group: WeylGroup, w: WeylElement, pair: Pair,
 def _full_orbit(group: WeylGroup, pair: Pair, modulus: int) -> set[Pair]:
     # closure under the simple reflections; orbits are finite, so this
     # terminates even when members leave any given coordinate box
-    gens = [group.simple_reflection(i) for i in range(len(group.datum.simple))]
     return set(_closure.closure(
-        [pair],
-        lambda p: ((s, weyl_act_pair(group, s, p, modulus)) for s in gens)))
+        [pair], lambda p: enumerate(group.simple_pair_images(p, modulus))))
 
 
 def orbits(group: WeylGroup, radius: int, *, modulus: int) -> list[OrbitSum]:
@@ -114,9 +112,9 @@ class RocReport(NamedTuple):
 
 def _simple_permutations(group: WeylGroup, points: Sequence, lookup,
                          modulus: int) -> list:
-    gens = map(group.simple_reflection, range(len(group.datum.simple)))
-    return [[lookup(weyl_act_pair(group, s, p, modulus)) for p in points]
-            for s in gens]
+    images = [group.simple_pair_images(p, modulus) for p in points]
+    return [[lookup(img[i]) for img in images]
+            for i in range(len(group.datum.simple))]
 
 
 def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -31,6 +32,7 @@ from heckelab.cli import (
     VerificationReport,
     _RUNNERS,
     _clifford_checks,
+    _json_text,
     _standard_partitions,
     build_parser,
     load_datum,
@@ -203,6 +205,36 @@ def test_render_text_shows_witness_for_failures():
                                                   {"value": Q(1, 2)}),))
     text = render_report(rep, "text")
     assert "FAIL" in text and "broke" in text and '"1/2"' in text
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+_encoder_leaf = st.one_of(
+    st.text(), st.sampled_from(["", "é∉", "\n\t\"\\", "\x00\u2028", "\ud800"]),
+    st.integers(), st.integers(-10 ** 40, 10 ** 40), st.booleans(), st.none(),
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.fractions(), st.builds(_Int, st.integers()),
+    st.builds(_Str, st.text(max_size=3)))
+_encoder_key = st.one_of(st.text(max_size=3), st.integers(), st.booleans(),
+                         st.none(), st.floats(), st.builds(_Str, st.text(max_size=2)))
+_encoder_value = st.recursive(_encoder_leaf, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(st.integers(), max_size=4),
+    st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    st.dictionaries(_encoder_key, inner, max_size=3)), max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_encoder_value)
+def test_report_encoder_writes_the_bytes_of_json_dumps(value):
+    assert _json_text(value) == json.dumps(
+        value, indent=2, ensure_ascii=False, default=str)
 
 
 def test_run_rejects_unknown_subcommand():
@@ -479,12 +511,14 @@ def test_clifford_quick_table(capsys):
 
 
 def assert_matches_golden(golden, argv, capsys, exit_code=0):
-    # the reports, apart from wall_time_s, are fixed byte for byte
-    code, payload = run_json(argv, capsys)
+    # the raw stdout, apart from the wall_time_s member, is fixed byte
+    # for byte, so the goldens see the encoder as well as the data
+    code = main(argv + ["--format", "json"])
     assert code == exit_code
-    payload.pop("wall_time_s")
-    text = (GOLDEN / f"{golden}.json").read_text()
-    assert json.dumps(payload, indent=2, ensure_ascii=False) + "\n" == text
+    out, members = re.subn(r',\n  "wall_time_s": [^\n]*(?=\n}\n\Z)', "",
+                           capsys.readouterr().out)
+    assert members == 1
+    assert out == (GOLDEN / f"{golden}.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("golden,extra", [("clifford", []),
@@ -1019,6 +1053,12 @@ DATUM_FILES = {
      "rows in increasing order"),
     (["spade-check", "--datum", "gl3", "--x", "1/2,0,0", "--r", "1",
       "--partition", "0|1"], "partition must cover rows 0..2 once"),
+    # rank 1 has no proper partition, and one block factors trivially
+    (["spade-check", "--datum", "gl1", "--x", "0", "--r", "1"],
+     "spade-check needs a partition with at least two blocks"),
+    (["spade-check", "--datum", "gl2", "--x", "1/2,0", "--r", "1",
+      "--partition", "0,1"],
+     "spade-check needs a partition with at least two blocks"),
 ])
 def test_malformed_input_exits_2_with_one_line(argv, needle, tmp_path, capsys):
     from heckelab.catalog import catalog_to_json

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab._linalg import (
+    _q_inv,
     echelon,
     kernel_basis,
     mat_rank,
@@ -142,6 +143,34 @@ def test_sparse_and_dense_rows_reduce_alike(system, field):
     if ref is not None:
         assert [sum((Q(a) * ref[c] for c, a in row.items()), Q(0))
                 for row in dicts] == rhs
+
+
+@st.composite
+def _rank_rows(draw):
+    """Int, Fraction or mixed rows, dense or {column: entry}, with unit
+    entries frequent so that both unit and non-unit pivots occur."""
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    ints = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-5, 5))
+    fracs = st.one_of(ints.map(Q), st.fractions(-3, 3, max_denominator=4))
+    entry = draw(st.sampled_from([ints, fracs, st.one_of(ints, fracs)]))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    if draw(st.booleans()):
+        rows = [dict(enumerate(row)) for row in rows]
+    return rows
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_rank_rows())
+def test_rank_on_unit_pivots_is_the_fraction_rank(rows):
+    # mat_rank keeps +-1 pivots integral; the count must not move
+    assert mat_rank(rows) == len(echelon(rows, _q_inv)[1])
+    dense = [[row[c] for c in range(len(row))] for row in rows]
+    basis = nullspace(dense)
+    x = solve(dense, [1] * len(dense))
+    assert all(type(a) is Q for v in basis for a in v)
+    assert x is None or all(type(a) is Q for a in x)
 
 
 # -- exactness at the division sites -------------------------------------

@@ -11,7 +11,8 @@ The probe file is loaded, not imported as a package, and nothing in it
 is patched.  A traced ``clifford`` run, in a child process, must also
 still call each Clifford probe once per catalog entry, and a traced
 ``iwahori-center`` run must prove its center with no general product
-and no elimination over Q(v).
+and no elimination over Q(v), and a traced ``torus-center`` run must
+build its group, its orbits, its kernel rank and its report once each.
 """
 import importlib
 import importlib.util
@@ -60,9 +61,9 @@ CLIFFORD_CALLS = {
 }
 
 
-def _traced(*argv: str) -> dict:
-    """The probe summary of one traced ``heckelab`` call in a child
-    process, which must exit 0."""
+def _traced(*argv: str) -> tuple[dict, str]:
+    """The probe summary and the stdout of one traced ``heckelab`` call
+    in a child process, which must exit 0."""
     root = LAYERS.parent.parent
     read_end, write_end = os.pipe()
     try:
@@ -77,13 +78,13 @@ def _traced(*argv: str) -> dict:
     with os.fdopen(read_end) as fh:
         summary = json.load(fh)
     assert proc.returncode == 0, proc.stderr
-    return summary
+    return summary, proc.stdout
 
 
 def test_traced_clifford_run_reaches_every_clifford_probe():
     # a refactor that routes around a probed function leaves the name
     # resolvable but its count at 0; the traced run shows it
-    summary = _traced("clifford", "--format", "json")
+    summary, _ = _traced("clifford", "--format", "json")
     assert {k: summary[k] for k in CLIFFORD_CALLS} == CLIFFORD_CALLS
 
 
@@ -97,6 +98,25 @@ SATAKE_CALLS = {
 
 
 def test_traced_satake_run_takes_the_single_route():
-    summary = _traced("iwahori-center", "--datum", "a3", "--radius", "1",
-                      "--format", "json")
+    summary, _ = _traced("iwahori-center", "--datum", "a3", "--radius", "1",
+                         "--format", "json")
     assert {k: summary[k] for k in SATAKE_CALLS} == SATAKE_CALLS
+
+
+# a traced torus-center run builds one group, enumerates its orbits
+# once, ranks its kernel rows once and renders one report
+TORUS_CALLS = {
+    "root_datum.WeylGroup.calls": 1,
+    "torus_center.orbits.calls": 1,
+    "linalg.mat_rank.calls": 1,
+    "cli.render_report.calls": 1,
+}
+
+
+def test_traced_torus_run_computes_each_result_once():
+    summary, out = _traced("torus-center", "--datum", "gl2", "--q", "3",
+                           "--radius", "1", "--format", "json")
+    assert {k: summary[k] for k in TORUS_CALLS} == TORUS_CALLS
+    # one block check per orbit of the report
+    assert (summary["torus_center.roc_decomposition_check.calls"]
+            == json.loads(out)["data"]["orbit_count"])

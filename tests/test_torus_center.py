@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab.root_datum import (
+    REGISTRY,
     WeylGroup,
     cartan_matrix,
     datum_from_cartan,
+    datum_from_config,
     datum_general_linear,
 )
 from heckelab.torus_center import (
@@ -383,3 +385,20 @@ def test_orbit_sums_are_invariant(tag, data):
     o = data.draw(st.sampled_from(orbits(group, 1, modulus=q - 1)))
     w = data.draw(st.sampled_from(group.elements))
     assert {weyl_act_pair(group, w, p, q - 1) for p in o.orbit} == set(o.orbit)
+
+
+@pytest.mark.parametrize("name,q,radius", [("gl2", 7, 2), ("g2", 3, 2),
+                                           ("gl4", 3, 1)])
+def test_simple_pair_images_are_the_one_letter_actions(name, q, radius):
+    # the memoised table behind orbits, the block check and the kernel
+    # rows returns what the general action returns, and is built once
+    group = WeylGroup(datum_from_config(REGISTRY[name]))
+    m = residue_modulus(q)
+    gens = [group.simple_reflection(i)
+            for i in range(len(group.datum.simple))]
+    for o in orbits(group, radius, modulus=m):
+        for p in o.orbit:
+            images = group.simple_pair_images(p, m)
+            assert list(images) == [weyl_act_pair(group, s, p, m)
+                                    for s in gens]
+            assert group.simple_pair_images(p, m) is images
