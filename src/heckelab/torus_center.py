@@ -9,9 +9,11 @@ test of q); the functions here take m, so a deeper filtration's
 (p - 1) p^(k - 1) passes unchanged.  The finite Weyl group acts on both
 factors at once; the invariant subalgebra has the orbit sums as a basis,
 each orbit the breadth-first ``_closure`` of a pair under the simple
-reflections.  The block and Burnside checks act on an indexed set of
-pairs with each simple reflection once and read the whole group off
-``WeylGroup.permutation_action``.  All computations here are exact:
+reflections.  Each pair's simple-reflection images are computed once,
+in ``WeylGroup.simple_pair_images``, and the orbits, the block check
+and the kernel rows all read them.  The block and Burnside checks act
+on an indexed set of pairs with each simple reflection once and read
+the whole group off ``WeylGroup.permutation_action``.  All computations here are exact:
 integer lattice points, exponent tuples mod m, and rational linear
 algebra for the independent dimension routes.
 """
