@@ -16,7 +16,7 @@ from heckelab.apartment import (
     heart_condition1_check,
     key_inequality_report,
 )
-from heckelab.cli import CLIError, parse_rational
+from heckelab.cli_common import CLIError, parse_rational
 from heckelab.root_datum import REGISTRY, WeylGroup, datum_from_config
 
 NAMES = ("a1", "a2", "gl2", "gl3", "b2")

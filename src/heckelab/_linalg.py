@@ -12,12 +12,22 @@ as it is (1/x = x there), and rows whose pivots are units eliminate in
 ints.  The large matrices (the Satake commutator matrix, its v-free
 rows over Q, the torus rows e_dst - e_src) hold a few nonzero entries
 per row, so ``echelon`` keeps rows as {column: entry} dicts of nonzero
-entries and never touches a zero.
+entries and never touches a zero.  ``scaled`` puts rationals on their
+least common denominator as ints, so that thresholds are read off
+integer floor division (``apartment``, ``padic_groups.from_filtration``).
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
 from typing import Callable, Iterable, Mapping, Sequence
+
+
+def scaled(values: Sequence) -> tuple[int, list[int]]:
+    """(D, [D v for v in values]) for D the least common denominator of
+    the int or Fraction values, every entry an int."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
 
 
 def _items(row: Sequence | Mapping) -> Iterable[tuple[int, object]]:

@@ -20,6 +20,22 @@ verdict is an equality certificate, not a conjugacy decision: a
 MISMATCH only says the certificate failed and must be escalated to the
 valuation-matrix obstruction before drawing any conclusion.
 
+The certificate and ``key_inequality_report`` read every root value off
+one integer table.  On X = D x (D the least common denominator of x,
+and of r for the thresholds), vals[k] = <roots[k], X> is computed once
+per call.  The value of roots[k] at the image v(X) is then vals[p[k]],
+where p is the permutation of v^-1 on the roots (``WeylElement.perm``,
+which comes from the same ``_reflect`` calls as the Weyl action):
+<a, v X> = <v^-1 a, X>, because the pairing is W-invariant.  A simple
+reflection acts by s(chi) = chi - <chi, a^v> a on characters and by
+s(lam) = lam - <a, lam> a^v on cocharacters, so
+<s chi, s lam> = <chi, lam> + <chi, a^v> <a, lam> (<a, a^v> - 2), which
+is <chi, lam> because <a, a^v> = 2 (``heckelab rootdatum`` checks it
+for every pair).  The Levi root indices and each coset
+representative's inverse permutation are memoised per Levi subset on
+the group.  The alcove grids walk one integer scale as well and make
+Fractions only for the points they return.
+
 ``levi_profile_translation_witness`` implements the repaired form of
 the claim: even when the equality certificate fails, the two Levi
 threshold profiles are usually identified by an integral cocharacter
@@ -36,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction as Q
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,8 +64,13 @@ ApartmentPoint = tuple[Q, ...]
 LEVEL_GAP = 1  # e_a for every root in the split convention
 
 
+def _exact(value) -> Q:
+    """The value as a Fraction; a Fraction is kept as it is."""
+    return value if type(value) is Q else Q(value)
+
+
 def as_point(coords: Iterable) -> ApartmentPoint:
-    return tuple(Q(c) for c in coords)
+    return tuple(map(_exact, coords))
 
 
 def root_value(datum: RootDatum, root: Sequence[int], x: Sequence) -> Q:
@@ -61,13 +83,6 @@ def threshold(datum: RootDatum, root: Sequence[int], x: Sequence, r) -> int:
     if r <= 0:
         raise ValueError("depth must be positive")
     return math.ceil(r - root_value(datum, root, x))
-
-
-def _scaled(values: Sequence[Q]) -> tuple[int, list[int]]:
-    """(D, [D v for v in values]) for D the least common denominator of
-    the values, every entry an int."""
-    D = math.lcm(*(v.denominator for v in values))
-    return D, [v.numerator * (D // v.denominator) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +125,29 @@ def levi_root_indices(datum: RootDatum, theta: Sequence[int]) -> list[int]:
     return out
 
 
+def _levi_table(group: WeylGroup, theta: tuple[int, ...]) -> tuple:
+    """(Levi root indices, positive Levi root indices, ((v, p), ...)) for
+    the sorted subset theta, with v running over the minimal coset
+    representatives in their order and p the permutation of v^-1 on the
+    roots: v^-1(roots[k]) = roots[p[k]].  Memoised on the group."""
+    table = group._levi_tables.get(theta)
+    if table is None:
+        datum = group.datum
+        levi = levi_root_indices(datum, theta)
+        positive = [k for k in levi if datum.is_positive_root(datum.roots[k])]
+        cosets = tuple((v, group.inv(v).perm)
+                       for v in group.minimal_coset_representatives(theta))
+        table = group._levi_tables[theta] = (levi, positive, cosets)
+    return table
+
+
+def _root_values(datum: RootDatum, X: Sequence[int]) -> list[int]:
+    """<a, X> for every root a, in root order."""
+    if len(X) != datum.ambient_rank:
+        raise ValueError(f"point needs {datum.ambient_rank} coordinates")
+    return [sum(map(operator.mul, a, X)) for a in datum.roots]
+
+
 # ---------------------------------------------------------------------------
 # Condition-(1) equality certificate
 # ---------------------------------------------------------------------------
@@ -138,28 +176,23 @@ def heart_condition1_check(group: WeylGroup, x: Sequence, r,
 
     On X = D x and R = D r, D the least common denominator of x and r,
     the threshold ceil(r - a(x)) is ceil((R - a(X)) / D), read off
-    integer floor division."""
+    integer floor division.  The root values at an image come from one
+    table: a(v X) = (v^-1 a)(X), and v^-1 permutes the roots."""
     datum = group.datum
     x = as_point(x)
-    r = Q(r)
+    r = _exact(r)
     theta = tuple(sorted(theta))
-    levi = [datum.roots[k] for k in levi_root_indices(datum, theta)]
-    if levi and r <= 0:
+    levi, _, cosets = _levi_table(group, theta)
+    if not levi:
+        return HeartVerdict("PROVEN_CONDITION_1", ())
+    if r <= 0:
         raise ValueError("depth must be positive")
-    D, (*X, R) = _scaled((*x, r))
-
-    def level(a: IVec, point: Sequence[int]) -> int:
-        return -((datum.pairing(a, point) - R) // D)
-
-    # the thresholds at x do not depend on the coset factor
-    at_x = [(a, level(a, X)) for a in levi]
-    witnesses: list[HeartWitness] = []
-    for v in group.minimal_coset_representatives(theta):
-        image = group.act_cocharacter(v, X)
-        for a, t_x in at_x:
-            t_img = level(a, image)
-            if t_x != t_img:
-                witnesses.append(HeartWitness(theta, v, a, t_x, t_img))
+    D, (*X, R) = _linalg.scaled((*x, r))
+    # the threshold of every root at x; roots[k] at v(x) has the one of
+    # roots[p[k]] at x
+    level = [-((val - R) // D) for val in _root_values(datum, X)]
+    witnesses = [HeartWitness(theta, v, datum.roots[k], level[k], level[p[k]])
+                 for v, p in cosets for k in levi if level[k] != level[p[k]]]
     if witnesses:
         return HeartVerdict("MISMATCH", tuple(witnesses))
     return HeartVerdict("PROVEN_CONDITION_1", ())
@@ -179,21 +212,22 @@ def key_inequality_report(group: WeylGroup, x: Sequence,
     root, the positivity-plus-gap inequality that the one-alcove
     argument leans on.  Reported verbatim; see the decision notes for
     where it genuinely fails.  The shifts are evaluated on X = D x, D
-    the least common denominator of x, as the ints D delta."""
+    the least common denominator of x, as the ints D delta, from the
+    table of root values that ``heart_condition1_check`` reads."""
     datum = group.datum
-    D, X = _scaled(as_point(x))
+    D, X = _linalg.scaled(as_point(x))
     theta = tuple(sorted(theta))
-    pos_levi = [k for k in levi_root_indices(datum, theta)
-                if datum.is_positive_root(datum.roots[k])]
+    _, positive, cosets = _levi_table(group, theta)
+    if not positive:
+        return []
+    vals = _root_values(datum, X)
     out: list[KeyInequalityRecord] = []
-    for v in group.minimal_coset_representatives(theta):
-        vinv = group.inv(v)
-        for k in pos_levi:
-            a = datum.roots[k]
-            pulled = group.act_character(vinv, a)
-            shift = datum.pairing(pulled, X) - datum.pairing(a, X)
+    for v, p in cosets:
+        for k in positive:
+            shift = vals[p[k]] - vals[k]
             out.append(KeyInequalityRecord(
-                theta, v, a, Q(shift, D), 0 <= shift < LEVEL_GAP * D))
+                theta, v, datum.roots[k], Q(shift, D),
+                0 <= shift < LEVEL_GAP * D))
     return out
 
 
@@ -206,9 +240,12 @@ def _alcove_grid(datum: RootDatum, max_denominator: int,
     """Grid points whose coordinates are fractions with denominator at
     most ``max_denominator`` (central coordinates normalized to zero)
     and whose positive root values lie in [0, 1] when ``closed``, in
-    (0, 1) otherwise."""
-    inside = (lambda v: 0 <= v <= 1) if closed else (lambda v: 0 < v < 1)
-    vals = sorted(v for v in {Q(k, d) for d in range(1, max_denominator + 1)
+    (0, 1) otherwise.  The walk runs on one integer scale, L the lcm of
+    1..max_denominator, and makes Fractions only for the points kept."""
+    L = math.lcm(*range(1, max_denominator + 1))
+    inside = (lambda v: 0 <= v <= L) if closed else (lambda v: 0 < v < L)
+    # each coordinate k/d, 0 <= k <= d, as the int k (L/d)
+    vals = sorted(v for v in {k * (L // d) for d in range(1, max_denominator + 1)
                               for k in range(d + 1)} if inside(v))
     # general-linear data are normalized by setting the last coordinate
     # to zero (root values ignore the central direction); Cartan-style
@@ -216,23 +253,18 @@ def _alcove_grid(datum: RootDatum, max_denominator: int,
     free = (datum.ambient_rank - 1 if datum.is_general_linear
             else datum.semisimple_rank)
     pad = (Q(0),) * (datum.ambient_rank - free)
-    pos = [datum.roots[k] for k in datum.positive_roots()]
+    pos = [datum.roots[k][:free] for k in datum.positive_roots()]
+    coordinate = {v: Q(v, L) for v in vals}
     out = []
     for coords in itertools.product(vals, repeat=free):
-        x = coords + pad
-        if all(inside(root_value(datum, a, x)) for a in pos):
-            out.append(x)
+        if all(inside(datum.pairing(a, coords)) for a in pos):
+            out.append(tuple(map(coordinate.__getitem__, coords)) + pad)
     return out
 
 
 def alcove_interior_points(datum: RootDatum, max_denominator: int) -> list[ApartmentPoint]:
     """All base-alcove interior points of the grid (strict inequalities)."""
     return _alcove_grid(datum, max_denominator, closed=False)
-
-
-def base_alcove_closure_grid(datum: RootDatum, max_denominator: int) -> list[ApartmentPoint]:
-    """All base-alcove closure points of the grid (weak inequalities)."""
-    return _alcove_grid(datum, max_denominator, closed=True)
 
 
 def depth_regular_point(datum: RootDatum, x: Sequence, r) -> bool:

@@ -443,8 +443,9 @@ def write_catalog(path: str, models: list[FiniteGroupModel] | None = None
 # ---------------------------------------------------------------------------
 
 def evaluate_entry(model: FiniteGroupModel) -> dict:
-    """The catalog record of one model; a skipped entry passes."""
-    model.validate()
+    """The catalog record of one validated model (``model_from_json``
+    validates each model it reads, the ``clifford`` runner each builtin
+    one it evaluates); a skipped entry passes."""
     analysis = ModelAnalysis(model)
     rest, tw = analysis.restriction, analysis.twists
     stab, m = analysis.stabilizer, rest.multiplicity

@@ -311,13 +311,6 @@ def cyc_identity(n: int, m: int):
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def cyc_trace(a) -> Cyc:
-    out = Cyc.zero(a[0][0].m)
-    for i in range(len(a)):
-        out = out + a[i][i]
-    return out
-
-
 def cyc_rank(rows) -> int:
     return len(_linalg.echelon(rows, Cyc.inv)[1])
 

@@ -36,7 +36,7 @@ def _check_order(n: int) -> None:
 
 class FiniteGroup(Record):
     _compared = ("table", "label")
-    __slots__ = (*_compared, "_inverse")
+    __slots__ = (*_compared, "_inverse", "_generating_sets")
 
     def __init__(self, table: tuple[tuple[int, ...], ...], label: str = ""):
         _set(self, "table", table)
@@ -51,6 +51,7 @@ class FiniteGroup(Record):
                         for g in range(n)):
             raise ValueError("element 0 is not an identity")
         _set(self, "_inverse", tuple(row.index(0) for row in table))
+        _set(self, "_generating_sets", {})
         # Light's test, a whole row at a time: (x s) y = x (s y) for all
         # y says that row x s equals row x read through row s
         for s in self.generators():
@@ -76,13 +77,6 @@ class FiniteGroup(Record):
         """g x g^{-1}"""
         return self.table[self.table[g][x]][self._inverse[g]]
 
-    def element_order(self, a: int) -> int:
-        k, cur = 1, a
-        while cur != 0:
-            cur = self.mul(cur, a)
-            k += 1
-        return k
-
     # subgroup machinery -------------------------------------------------
     def closure(self, gens: Iterable[int]) -> tuple[int, ...]:
         return tuple(sorted(self._closure_tree(list(gens))))
@@ -97,10 +91,16 @@ class FiniteGroup(Record):
         """Greedy generating set of the subset (default: the group) in
         increasing order, or None if it is not a subgroup.  Each kept
         element at least doubles the closure, so at most log2 of the
-        subset's size are kept."""
-        return _closure.generators(
-            range(self.order) if subset is None else sorted(subset),
-            self.mul, 0)
+        subset's size are kept.  Memoised per subset, None included; each
+        call returns a fresh list."""
+        key = None if subset is None else tuple(sorted(subset))
+        memo = self._generating_sets
+        if key not in memo:
+            gens = _closure.generators(
+                range(self.order) if key is None else key, self.mul, 0)
+            memo[key] = None if gens is None else tuple(gens)
+        gens = memo[key]
+        return None if gens is None else list(gens)
 
     def generation_tree(self, gens: Sequence[int]) -> list[tuple[int, int, int]]:
         """Spanning tree of the closure: (element, parent, generator)
@@ -109,7 +109,7 @@ class FiniteGroup(Record):
                 if x is not None]
 
     def is_subgroup(self, subset: Iterable[int]) -> bool:
-        return _closure.generators(subset, self.mul, 0) is not None
+        return self.generators(subset) is not None
 
     def is_normal(self, subset: Iterable[int],
                   ambient: Iterable[int] | None = None) -> bool:
@@ -164,12 +164,6 @@ class FiniteGroup(Record):
         gens = self.generators()
         return all(self.mul(self.mul(a, b), self.inv(self.mul(b, a))) in n
                    for a in gens for b in gens)
-
-    def commutator_subgroup(self) -> tuple[int, ...]:
-        comms = {self.mul(self.mul(a, b),
-                          self.inv(self.mul(b, a)))
-                 for a in range(self.order) for b in range(self.order)}
-        return self.closure(comms)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ The center dimension is proven by the rank over Q of the rows of M
 whose entries are all free of v.  By the Bernstein relation the row of
 T_i at a label (mu, s_i) is e_mu - e_{s_i mu}, so these rows already
 have full rank.  Elimination over Q(v) (``laurent.rat_rank``) stays the
-route whenever that certificate does not close.  ``bernstein_multiply``
-and ``is_central`` are independent oracles for the tests.
+route whenever that certificate does not close.  The general product
+``bernstein_multiply`` is an independent oracle for the tests.
 """
 from __future__ import annotations
 
@@ -104,16 +104,6 @@ class BernsteinAlgebra:
         return HeckeElement({(self._zero, self.group.identity):
                              LaurentScalar.one()})
 
-    def t_element(self, i: int) -> HeckeElement:
-        return HeckeElement({(self._zero, self.group.simple_reflection(i)):
-                             LaurentScalar.one()})
-
-    def t_word(self, word) -> HeckeElement:
-        out = self.one()
-        for i in word:
-            out = self.finite_hecke_multiply(out, self.t_element(i))
-        return out
-
     def theta(self, lam) -> HeckeElement:
         """Lattice label: for dominant input it stands for the
         length-rescaled translation, in general for the difference of
@@ -195,23 +185,6 @@ class BernsteinAlgebra:
 
     # -- products ----------------------------------------------------------
 
-    def finite_hecke_multiply(self, x: HeckeElement, y: HeckeElement
-                              ) -> HeckeElement:
-        """Word-by-word product route for elements with no lattice part;
-        independent of the commutation rewriting."""
-        for lam, _w in itertools.chain(x.c, y.c):
-            if lam != self._zero:
-                raise ValueError(
-                    "finite multiplication needs elements supported on the "
-                    "finite part")
-        out: dict[Label, LaurentScalar] = {}
-        for (_z1, w1), c1 in x.c.items():
-            for (_z2, w2), c2 in y.c.items():
-                for w, d in self._t_word_mul(w1, w2).items():
-                    k = (self._zero, w)
-                    out[k] = out.get(k, LaurentScalar.zero()) + c1 * c2 * d
-        return HeckeElement(out)
-
     def bernstein_multiply(self, x: HeckeElement, y: HeckeElement
                            ) -> HeckeElement:
         out: dict[Label, LaurentScalar] = {}
@@ -235,15 +208,6 @@ class BernsteinAlgebra:
             mu = self.group.dominant_in_orbit(mu)
         return HeckeElement({(lam, self.group.identity): LaurentScalar.one()
                              for lam in self.group.orbit_cocharacter(mu)})
-
-    def is_central(self, z: HeckeElement) -> bool:
-        # the finite generators and the lattice basis directions generate
-        # the algebra, and commuting passes to inverses, so this suffices
-        gens = [self.t_element(i) for i in range(len(self.datum.simple))]
-        for j in range(self.rank):
-            gens.append(self.theta(tuple(int(k == j) for k in range(self.rank))))
-        return all(self.bernstein_multiply(z, g) == self.bernstein_multiply(g, z)
-                   for g in gens)
 
 
 # ---------------------------------------------------------------------------

@@ -37,10 +37,6 @@ class LaurentScalar:
         return cls({0: 1})
 
     @classmethod
-    def v_power(cls, k: int, coeff=1) -> "LaurentScalar":
-        return cls({k: coeff})
-
-    @classmethod
     def q_power(cls, k: int, coeff=1) -> "LaurentScalar":
         return cls({2 * k: coeff})
 
@@ -89,10 +85,6 @@ class LaurentScalar:
     @property
     def is_zero(self) -> bool:
         return not self.c
-
-    def evaluate(self, v_value) -> Q:
-        v = Q(v_value)
-        return sum((x * v ** k for k, x in self.c.items()), Q(0))
 
     def __repr__(self) -> str:
         if not self.c:

@@ -42,8 +42,8 @@ import operator
 from fractions import Fraction as Q
 from typing import NamedTuple, Sequence
 
+from . import _linalg
 from ._record import Record, _set
-from .apartment import threshold
 from .root_datum import RootDatum
 
 Bound = int | None  # None = entry frozen to 0
@@ -117,27 +117,29 @@ def iwahori_scheme(n: int) -> ValuationGroupScheme:
     return scheme([[0 if j >= i else 1 for j in range(n)] for i in range(n)])
 
 
-def principal_congruence_scheme(n: int, level: int) -> ValuationGroupScheme:
-    if level < 1:
-        raise ValueError("level must be >= 1")
-    return scheme([[level] * n for _ in range(n)])
-
-
 # ---------------------------------------------------------------------------
 # Bridges and transforms
 # ---------------------------------------------------------------------------
 
 def from_filtration(datum: RootDatum, x: Sequence, r) -> ValuationGroupScheme:
     """Bound matrix of the depth-r filtration group at the point x, for
-    a general-linear datum: entry (i, j), i != j, is the threshold of
-    the root e_i - e_j, and every diagonal entry is ceil(r)."""
+    a general-linear datum: entry (i, j), i != j, is the threshold
+    ceil(r - x_i + x_j) of the root e_i - e_j (``apartment.threshold``),
+    and every diagonal entry is ceil(r).  On X = D x and R = D r, D the
+    least common denominator, a threshold is ceil((R - X_i + X_j) / D),
+    read off integer floor division."""
     if not datum.is_general_linear:
         raise ValueError("filtration bridge needs a general-linear datum")
     n = datum.ambient_rank
-    diag = math.ceil(Q(r))
-    # the root e_i - e_j has coordinates (k == i) - (k == j)
-    rows = [[diag if i == j else threshold(
-                datum, [(k == i) - (k == j) for k in range(n)], x, r)
+    r = Q(r)
+    if len(x) != n:
+        raise ValueError(f"point needs {n} coordinates")
+    # no off-diagonal root when n = 1
+    if n > 1 and r <= 0:
+        raise ValueError("depth must be positive")
+    D, (*X, R) = _linalg.scaled((*x, r))
+    diag = math.ceil(r)
+    rows = [[diag if i == j else -((X[i] - X[j] - R) // D)
              for j in range(n)] for i in range(n)]
     if min(b for row in rows for b in row) < 0:
         raise ValueError("negative bound: the point is too far from the "
@@ -240,9 +242,6 @@ class VolumeExponent(NamedTuple):
             parts.append("(q-1)" if self.unit_power == 1
                          else f"(q-1)^{self.unit_power}")
         return "*".join(parts) or "1"
-
-    def evaluate(self, q: int) -> Q:
-        return Q(q) ** self.q_power * Q(q - 1) ** self.unit_power
 
 
 def count_exponents(K: ValuationGroupScheme, N: int) -> tuple[int, int]:

@@ -167,22 +167,6 @@ def is_irreducible(rep: Representation) -> bool:
     return inner_product(chi, chi, rep.domain) == 1
 
 
-def induced_character(group: FiniteGroup, sub: Sequence[int], chi: Char,
-                      ambient: Sequence[int] | None = None) -> Char:
-    amb = tuple(ambient) if ambient is not None else tuple(range(group.order))
-    sub_set = set(sub)
-    m = next(iter(chi.values())).m
-    out: Char = {}
-    for g in amb:
-        acc = Cyc.zero(m)
-        for x in amb:
-            y = group.conj(x, g)
-            if y in sub_set:
-                acc = acc + chi[y]
-        out[g] = acc * Q(1, len(sub))
-    return out
-
-
 def induced_representation(group: FiniteGroup, sub: Sequence[int],
                            rep: Representation,
                            ambient: Sequence[int] | None = None

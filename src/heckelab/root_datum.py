@@ -207,38 +207,6 @@ class RootDatum(Record):
         positions into ``simple``."""
         return _dynkin_components(self.simple_pairings())
 
-    def highest_root_marks(self, component: list[int]) -> dict[int, Q]:
-        """Simple-root coefficients of the highest root of a component."""
-        best: tuple[Q, dict[int, Q]] | None = None
-        for a in self.roots:
-            coeffs = self.simple_coefficients(a)
-            if coeffs is None or any(c < 0 for c in coeffs):
-                continue
-            support = {i for i, c in enumerate(coeffs) if c != 0}
-            if not support or not support.issubset(set(component)):
-                continue
-            total = sum(coeffs)
-            if best is None or total > best[0]:
-                best = (total, {i: coeffs[i] for i in component})
-        if best is None:
-            raise ValueError("component has no roots")
-        return best[1]
-
-    def base_alcove_barycenter(self) -> tuple[Q, ...]:
-        """Interior point of the fundamental alcove: average of the
-        alcove vertices (origin and fundamental coweights scaled by the
-        inverse highest-root marks), taken per Dynkin component."""
-        omegas = self.fundamental_coweights()
-        x = [Q(0)] * self.ambient_rank
-        for comp in self.dynkin_components():
-            marks = self.highest_root_marks(comp)
-            acc = [Q(0)] * self.ambient_rank
-            for i in comp:
-                acc = [s + w / marks[i] for s, w in zip(acc, omegas[i], strict=True)]
-            x = [s + a / (len(comp) + 1) for s, a in zip(x, acc, strict=True)]
-        return tuple(x)
-
-
 # ---------------------------------------------------------------------------
 # Construction
 # ---------------------------------------------------------------------------
@@ -515,10 +483,12 @@ class WeylGroup:
 
     A run builds one group, so the sets derived from it are memoised on
     the instance, each filled on first use and held as a tuple: the
-    standard parabolic subgroups and the minimal coset representatives,
-    keyed by the sorted simple subset, and the character stabilizers and
-    the simple-reflection images of (coweight, exponents) pairs, keyed by
-    the exponent tuple or pair and the modulus.
+    standard parabolic subgroups, the minimal coset representatives and
+    the Levi tables of ``apartment``'s threshold certificates
+    (``apartment._levi_table``), keyed by the sorted simple subset, and
+    the character stabilizers and the simple-reflection images of
+    (coweight, exponents) pairs, keyed by the exponent tuple or pair and
+    the modulus.
     """
 
     def __init__(self, datum: RootDatum, max_order: int = MAX_WEYL_ORDER):
@@ -555,6 +525,7 @@ class WeylGroup:
         self._reflections = [self._by_perm[p] for p in simple_perms]
         self._parabolic: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
         self._coset_reps: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
+        self._levi_tables: dict[tuple[int, ...], tuple] = {}
         self._stabilizers: dict[tuple[IVec, int], tuple[WeylElement, ...]] = {}
         self._pair_images: dict[tuple[tuple, int], tuple] = {}
 
@@ -593,12 +564,6 @@ class WeylGroup:
             perms.append(tuple(map(perms[parent].__getitem__, simple[i])))
         return perms
 
-    def word_element(self, word: Iterable[int]) -> WeylElement:
-        acc = self.identity
-        for i in word:
-            acc = self.mul(acc, self.simple_reflection(i))
-        return acc
-
     def subgroup_elements(self, simple_subset: Iterable[int]
                           ) -> tuple[WeylElement, ...]:
         """All elements of the standard parabolic subgroup generated by
@@ -614,13 +579,18 @@ class WeylGroup:
 
     def minimal_coset_representatives(self, theta: Iterable[int]
                                       ) -> tuple[WeylElement, ...]:
-        """The minimal representatives ``v`` of the cosets ``W_theta v``
-        (``coset_split_minimal`` of every element), by length and then
-        word; memoised.  The minimal representative of a coset is
-        unique, so the order of ``theta`` does not matter."""
+        """The minimal representatives ``v`` of the cosets ``W_theta v``,
+        by length and then word; memoised.  ``v`` is the shortest element
+        of its coset exactly when ``s v`` is longer than ``v`` for every
+        theta-simple ``s`` (Humphreys, Reflection Groups and Coxeter
+        Groups, 1990, 1.10), so one pass over the elements finds them.
+        The minimal representative of a coset is unique, so the order of
+        ``theta`` does not matter."""
         key = tuple(sorted(set(theta)))
         if key not in self._coset_reps:
-            reps = {coset_split_minimal(self, w, key)[1] for w in self.elements}
+            gens = [self._reflections[i] for i in key]
+            reps = [v for v in self.elements
+                    if all(self.mul(s, v).length > v.length for s in gens)]
             self._coset_reps[key] = tuple(sorted(reps, key=_length_word))
         return self._coset_reps[key]
 
@@ -679,23 +649,3 @@ class WeylGroup:
 
 def _length_word(w: WeylElement) -> tuple[int, tuple[int, ...]]:
     return w.length, w.word
-
-
-def coset_split_minimal(group: WeylGroup, w: WeylElement,
-                        theta: Sequence[int]) -> tuple[WeylElement, WeylElement]:
-    """Write ``w = u * v`` with ``u`` in the standard parabolic subgroup
-    for ``theta`` (positions into the simple list) and ``v`` the minimal
-    representative of its coset: ``s v`` is longer than ``v`` for every
-    theta-simple ``s``.  Lengths add up."""
-    u = group.identity
-    v = w
-    while True:
-        for i in theta:
-            s = group.simple_reflection(i)
-            sv = group.mul(s, v)
-            if sv.length < v.length:
-                v = sv
-                u = group.mul(u, s)
-                break
-        else:
-            return u, v

@@ -23,7 +23,7 @@ import itertools
 from typing import NamedTuple, Sequence
 
 from . import _closure, _linalg
-from .root_datum import WeylElement, WeylGroup
+from .root_datum import WeylGroup
 
 
 def residue_modulus(q: int) -> int:
@@ -55,17 +55,6 @@ class OrbitSum(NamedTuple):
 # ---------------------------------------------------------------------------
 # the Weyl action on pairs
 # ---------------------------------------------------------------------------
-
-def weyl_act_pair(group: WeylGroup, w: WeylElement, pair: Pair,
-                  modulus: int) -> Pair:
-    """Simultaneous action: w moves the coweight as a cocharacter and
-    the exponent tuple, reduced mod ``modulus``, as a character.  The
-    two actions are dual, so this is precomposition of the character
-    with the inverse element."""
-    lam, chi = pair
-    return (group.act_cocharacter(w, lam),
-            tuple(c % modulus for c in group.act_character(w, chi)))
-
 
 def _full_orbit(group: WeylGroup, pair: Pair, modulus: int) -> set[Pair]:
     # closure under the simple reflections; orbits are finite, so this

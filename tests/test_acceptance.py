@@ -7,7 +7,6 @@ from functools import lru_cache
 
 from heckelab.apartment import (
     alcove_interior_points,
-    base_alcove_closure_grid,
     depth_regular_point,
     heart_condition1_check,
     key_inequality_report,
@@ -35,6 +34,13 @@ from heckelab.root_datum import (
 )
 from heckelab.torus_center import (invariant_dimension, orbits,
                                    residue_modulus, roc_decomposition_check)
+
+from oracles import (
+    base_alcove_barycenter,
+    base_alcove_closure_grid,
+    is_central,
+    t_element,
+)
 
 # the four fixed matrices of the wall-point counterexample
 WALL = ((1, 1, 1), (2, 1, 1), (2, 1, 1))
@@ -132,9 +138,10 @@ def test_criterion_2_heart_condition_interior_sweep():
     # factor v must be explained: repaired by a translation witness, or
     # obstructed (no witness, x depth-critical, pair sums moved by v);
     # on GL data the volume route must agree.  Integer depths must be
-    # clean.  Every coset shift (v^-1 a - a)(x) must have v^-1 a positive
-    # (the contract of coset_split_minimal), hence -1 < shift < 1; the
-    # one-sided inequality 0 <= shift is counted, not required
+    # clean.  Every coset shift (v^-1 a - a)(x) must have v^-1 a
+    # positive (the contract of minimal_coset_representatives), hence
+    # -1 < shift < 1; the one-sided inequality 0 <= shift is counted,
+    # not required
     depths = (Q(1, 2), Q(1), Q(3, 2), Q(2))
     heart_total = heart_bad = key_total = key_bad = 0
     heart_bad_r = {}
@@ -222,7 +229,7 @@ def test_criterion_2_heart_condition_interior_sweep():
     if sweep != (2288, 1276):
         problems.append(f"sweep shrank or grew: {sweep} != (2288, 1276)")
     b2 = SMALL_RANK_DATA["B2"]
-    barycenter = b2.base_alcove_barycenter()
+    barycenter = base_alcove_barycenter(b2)
     barycenter_depths = [str(r) for r in depths
                          if ("B2", barycenter, r, (1,)) in obstructed_cases]
     ok = not problems
@@ -370,7 +377,7 @@ def test_criterion_6_truncated_center():
     for name in ("A1", "GL2"):
         alg = BernsteinAlgebra(SMALL_RANK_GROUPS[name])
         one = alg.theta((0,) * alg.rank)
-        t = alg.t_element(0)
+        t = t_element(alg, 0)
         # single generator, so the braid relations are vacuous here
         if alg.bernstein_multiply(t, t) != t.scale(q_minus_1) + one.scale(qvar):
             problems.append(f"{name}: quadratic relation")
@@ -392,7 +399,7 @@ def test_criterion_6_truncated_center():
                     f"{name} R={radius}: dimension {rep.center_dimension} "
                     f"vs {len(rep.representatives)} orbits, pinned "
                     f"{frozen[name][radius]}")
-            if not all(alg.is_central(alg.central_element(mu_rep))
+            if not all(is_central(alg, alg.central_element(mu_rep))
                        for mu_rep in rep.representatives):
                 problems.append(f"{name} R={radius}: non-central orbit sum")
     ok = not problems

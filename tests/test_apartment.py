@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction as Q
 
 import pytest
@@ -8,6 +9,14 @@ from hypothesis import strategies as st
 
 from heckelab import apartment as ap
 from heckelab.root_datum import REGISTRY, WeylGroup, datum_from_config
+
+from oracles import (
+    base_alcove_barycenter,
+    base_alcove_closure_grid,
+    fraction_alcove_grid,
+    heart_condition1_by_reflection,
+    key_inequality_by_reflection,
+)
 
 _CACHE: dict[str, tuple] = {}
 
@@ -130,7 +139,7 @@ def test_classify_base_point_special():
 
 def test_classify_barycenter_interior():
     datum, _ = setup("A2")
-    cls = ap.classify_point(datum, datum.base_alcove_barycenter())
+    cls = ap.classify_point(datum, base_alcove_barycenter(datum))
     assert cls.kind == "ALCOVE_INTERIOR"
     assert cls.facet_dimension == 2
     assert cls.integral_root_indices == ()
@@ -165,7 +174,7 @@ def all_subsets(datum):
 def test_heart_a2_barycenter_depth_one_all_proven():
     for key in ["A2", "GL3"]:
         datum, group = setup(key)
-        x = datum.base_alcove_barycenter()
+        x = base_alcove_barycenter(datum)
         for theta in all_subsets(datum):
             verdict = ap.heart_condition1_check(group, x, 1, theta)
             assert verdict.proven, (key, theta)
@@ -196,7 +205,7 @@ def test_heart_half_integer_depth_fails_even_at_barycenter():
     # the equality certificate is strictly stronger than profile
     # conjugacy: at depth 1/2 it already fails at the barycenter
     datum, group = setup("A2")
-    x = datum.base_alcove_barycenter()
+    x = base_alcove_barycenter(datum)
     verdict = ap.heart_condition1_check(group, x, Q(1, 2), (0,))
     assert verdict.status == "MISMATCH"
     s1 = group.simple_reflection(1)
@@ -235,7 +244,7 @@ def test_inequality_alone_does_not_certify_threshold_equality():
     # the depth-1/2 thresholds still differ: the inequality is not a
     # sufficient certificate at non-integer depths
     datum, group = setup("A2")
-    x = datum.base_alcove_barycenter()
+    x = base_alcove_barycenter(datum)
     recs = ap.key_inequality_report(group, x, (0,))
     s1 = group.simple_reflection(1)
     rec = next(r for r in recs if r.w2 == s1 and r.root == (1, 0))
@@ -298,7 +307,7 @@ def test_interior_volume_obstruction_at_critical_depth():
 
 def test_translation_witness_values_at_barycenter_failure():
     datum, group = setup("A2")
-    x = datum.base_alcove_barycenter()
+    x = base_alcove_barycenter(datum)
     s1 = group.simple_reflection(1)
     wp, nu = ap.levi_profile_translation_witness(
         group, x, Q(1, 2), (0,), s1)
@@ -329,7 +338,7 @@ def test_alcove_interior_point_counts():
 
 def test_closure_grid_contains_vertices():
     datum, _ = setup("GL3")
-    grid = ap.base_alcove_closure_grid(datum, 2)
+    grid = base_alcove_closure_grid(datum, 2)
     assert (Q(0), Q(0), Q(0)) in grid
     assert (Q(1, 2), Q(0), Q(0)) in grid
     assert (Q(1), Q(0), Q(0)) in grid
@@ -337,7 +346,48 @@ def test_closure_grid_contains_vertices():
     # several, and each lies in the closure grid of the same denominators
     interior = ap.alcove_interior_points(datum, 6)
     assert interior
-    assert set(interior) < set(ap.base_alcove_closure_grid(datum, 6))
+    assert set(interior) < set(base_alcove_closure_grid(datum, 6))
+
+
+# -- second routes ------------------------------------------------------------
+
+def test_threshold_table_matches_the_reflection_route():
+    # the table route reads a(v x) as (v^-1 a)(x) off one list of root
+    # values; the oracle reflects x along v's word and pairs each root:
+    # full witness tuples agree on every registry datum (semisimple rank
+    # at most 3), every interior point of denominator at most 4 and the
+    # barycenter, every Levi subset and depths 1/2 to 2
+    verdicts = mismatches = records = 0
+    for key in sorted(REGISTRY):
+        datum, group = setup(key.upper())
+        m = datum.semisimple_rank
+        assert m <= 3
+        thetas = [c for k in range(m + 1)
+                  for c in itertools.combinations(range(m), k)]
+        points = [*ap.alcove_interior_points(datum, 4),
+                  base_alcove_barycenter(datum)]
+        for x in points:
+            for theta in thetas:
+                for r in (Q(1, 2), Q(1), Q(3, 2), Q(2)):
+                    verdict = ap.heart_condition1_check(group, x, r, theta)
+                    assert verdict == heart_condition1_by_reflection(
+                        group, x, r, theta), (key, x, r, theta)
+                    verdicts += 1
+                    mismatches += not verdict.proven
+                report = ap.key_inequality_report(group, x, theta)
+                assert report == key_inequality_by_reflection(group, x, theta)
+                records += len(report)
+    assert verdicts > 1000 and mismatches > 100 and records > 1000
+
+
+@pytest.mark.parametrize("key", sorted(REGISTRY))
+def test_integer_alcove_grid_matches_the_fraction_walk(key):
+    datum, _ = setup(key.upper())
+    for max_denominator in range(1, 8):
+        for closed in (False, True):
+            grid = ap._alcove_grid(datum, max_denominator, closed)
+            assert grid == fraction_alcove_grid(datum, max_denominator, closed)
+            assert all(type(c) is Q for x in grid for c in x)
 
 
 # -- properties ---------------------------------------------------------------
@@ -349,7 +399,7 @@ KEYS = ["A1", "A2", "B2", "GL2", "GL3"]
 @given(key=st.sampled_from(KEYS), data=st.data())
 def test_threshold_weyl_equivariance(key, data):
     datum, group = setup(key)
-    pts = ap.base_alcove_closure_grid(datum, 4)
+    pts = base_alcove_closure_grid(datum, 4)
     x = data.draw(st.sampled_from(pts))
     w = data.draw(st.sampled_from(group.elements))
     r = data.draw(st.sampled_from([Q(1, 2), Q(1), Q(3, 2), Q(2)]))
@@ -363,7 +413,7 @@ def test_threshold_weyl_equivariance(key, data):
 @given(key=st.sampled_from(KEYS), data=st.data())
 def test_threshold_monotone_in_depth(key, data):
     datum, _ = setup(key)
-    pts = ap.base_alcove_closure_grid(datum, 3)
+    pts = base_alcove_closure_grid(datum, 3)
     x = data.draw(st.sampled_from(pts))
     r1 = data.draw(st.sampled_from([Q(1, 2), Q(1), Q(3, 2)]))
     r2 = r1 + data.draw(st.sampled_from([Q(0), Q(1, 2), Q(1)]))
@@ -376,7 +426,7 @@ def test_threshold_monotone_in_depth(key, data):
 def test_opposite_threshold_sum_bound(key, data):
     import math
     datum, _ = setup(key)
-    pts = ap.base_alcove_closure_grid(datum, 3)
+    pts = base_alcove_closure_grid(datum, 3)
     x = data.draw(st.sampled_from(pts))
     r = data.draw(st.sampled_from([Q(1, 2), Q(1), Q(3, 2), Q(2)]))
     for a in datum.roots:

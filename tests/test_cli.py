@@ -7,6 +7,7 @@ the torus tests; everything else checks report structure, error
 handling, and the exit-code contract.
 """
 import argparse
+import importlib
 import inspect
 import io
 import json
@@ -26,25 +27,27 @@ from hypothesis import strategies as st
 
 from heckelab.catalog import build_catalog, evaluate_catalog
 from heckelab.cli import (
+    _RUNNERS,
+    _json_text,
+    build_parser,
+    load_datum,
+    main,
+    render_report,
+    run,
+)
+from heckelab.cli_clifford import _clifford_checks
+from heckelab.cli_common import (
     MAX_HECKE_WEIGHT,
     CheckRecord,
     CLIError,
     VerificationReport,
-    _RUNNERS,
-    _clifford_checks,
-    _json_text,
-    _standard_partitions,
-    build_parser,
-    load_datum,
     load_group,
-    main,
     parse_index_list,
     parse_partition,
     parse_rational,
     parse_rational_vector,
-    render_report,
-    run,
 )
+from heckelab.cli_spade_check import _standard_partitions
 from heckelab.iwahori_hecke import label_orbits, label_weight
 from heckelab.root_datum import REGISTRY, WeylGroup, cartan_matrix
 
@@ -251,7 +254,36 @@ def test_each_runner_takes_exactly_its_subcommand_flags():
     for name, sub in subparsers.choices.items():
         dests = {a.dest for a in sub._actions
                  if not isinstance(a, argparse._HelpAction)} - {"format"}
-        assert dests == set(inspect.signature(_RUNNERS[name]).parameters), name
+        runner = importlib.import_module(_RUNNERS[name]).run
+        assert dests == set(inspect.signature(runner).parameters), name
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+@pytest.mark.parametrize("subcommand", sorted(_RUNNERS))
+def test_parser_built_for_one_subcommand_matches_the_full_parser(subcommand):
+    # main adds only the chosen subcommand's flags: the top-level help
+    # and the chosen subcommand's help and parse are the full parser's
+    full, lazy = build_parser(), build_parser(subcommand)
+    assert lazy.format_help() == full.format_help()
+    assert lazy.format_usage() == full.format_usage()
+    for name, sub in _subparsers(lazy).items():
+        if name == subcommand:
+            assert sub.format_help() == _subparsers(full)[name].format_help()
+        else:
+            assert [type(a) for a in sub._actions] == [argparse._HelpAction]
+    argv = {"rootdatum": ["--datum", "a2"], "counterexample": [],
+            "heart-check": ["--datum", "a2", "--x", "1/3,1/5", "--r", "1"],
+            "spade-check": ["--datum", "gl2", "--x", "1/2,0", "--r", "1"],
+            "clifford": ["--quick"], "verify-all": ["--quick"],
+            "torus-center": ["--datum", "gl2", "--q", "3", "--radius", "1"],
+            "iwahori-center": ["--datum", "a1", "--radius", "1"]}[subcommand]
+    argv = [subcommand, *argv, "--format", "json"]
+    assert lazy.parse_args(argv) == full.parse_args(argv)
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +688,31 @@ def test_clifford_component_modes():
     for mode in ("transfer", "center", "commutativity"):
         checks = _clifford_checks(QUICK_RESULTS, mode)
         assert all(c.status in ("PASS", "SKIPPED") for c in checks)
+
+
+def test_each_catalog_model_is_validated_once(tmp_path, monkeypatch, capsys):
+    # the builtin models the run evaluates, and every model of a file as
+    # it is read; evaluating a model does not validate it again
+    from heckelab.clifford_lab import FiniteGroupModel
+    seen = []
+    validate = FiniteGroupModel.validate
+
+    def counted(model):
+        seen.append(model.name)
+        validate(model)
+
+    monkeypatch.setattr(FiniteGroupModel, "validate", counted)
+    path = tmp_path / "catalog.json"
+    assert main(["clifford", "--emit-catalog", str(path)]) == 0
+    names = sorted(m.name for m in build_catalog())
+    quick = sorted(m.name for m in QUICK_MODELS)
+    for argv, validated in ((["clifford", "--quick"], quick),
+                            (["clifford", "--quick", "--catalog", str(path)],
+                             names)):
+        seen.clear()
+        assert main(argv) == 0
+        assert sorted(seen) == validated
+    capsys.readouterr()
 
 
 def test_clifford_catalog_round_trip(tmp_path, capsys):
@@ -1249,7 +1306,7 @@ NO_NUMPY_RUNS = {
 def test_importing_the_cli_loads_no_suite_and_no_root_datum():
     loaded = loaded_modules([])
     assert {m for m in loaded if m.startswith("heckelab")} == {
-        "heckelab", "heckelab.cli", "heckelab._record"}
+        "heckelab", "heckelab.cli", "heckelab.cli_common", "heckelab._record"}
     assert "numpy" not in loaded
 
 
@@ -1266,6 +1323,66 @@ def test_subcommand_without_enumeration_loads_no_numpy(subcommand):
     if subcommand in ("iwahori-center", "torus-center"):
         assert not loaded & {"heckelab.catalog", "heckelab.clifford_lab",
                              "heckelab.padic_groups"}
+
+
+# run ``python -m heckelab.cli ARGS`` as the benchmark does (the CLI file
+# runs as __main__), or a script, in a fresh interpreter, then print
+# every module it holds
+MAIN_MODULES = """
+import contextlib, io, json, runpy, sys
+target, sys.argv = sys.argv[1], sys.argv[1:]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        if target.endswith(".py"):
+            runpy.run_path(target, run_name="__main__")
+        else:
+            runpy.run_module(target, run_name="__main__", alter_sys=True)
+    except SystemExit:
+        pass
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+def main_modules(target, argv):
+    proc = subprocess.run([sys.executable, "-c", MAIN_MODULES, target, *argv],
+                          capture_output=True, text=True, check=True)
+    return set(json.loads(proc.stdout))
+
+
+RUNNER_MODULES = set(_RUNNERS.values())
+B3_HEART_CHECK = ["heart-check", "--datum", "b3", "--x", "1/4,1/8,1/16",
+                  "--r", "3/2"]
+
+
+@pytest.mark.parametrize("subcommand", sorted(_RUNNERS))
+def test_each_subcommand_loads_its_own_runner_and_never_the_cli_module(
+        subcommand):
+    argv = SMALL_RUNS.get(subcommand, ["verify-all", "--quick"])
+    loaded = main_modules("heckelab.cli", argv)
+    # importing heckelab.cli by name would compile and run it a second
+    # time, next to the __main__ copy
+    assert "heckelab.cli" not in loaded
+    own = {_RUNNERS[subcommand]}
+    if subcommand == "verify-all":
+        own |= {_RUNNERS[name] for name in (
+            "counterexample", "heart-check", "spade-check", "clifford",
+            "torus-center", "iwahori-center")}
+    assert loaded & RUNNER_MODULES == own
+    if subcommand == "spade-check":
+        assert "heckelab.apartment" not in loaded
+
+
+def test_heart_check_without_a_matrix_model_loads_no_padic_groups():
+    loaded = main_modules("heckelab.cli", B3_HEART_CHECK)
+    assert "heckelab.apartment" in loaded
+    assert "heckelab.padic_groups" not in loaded
+
+
+def test_the_survey_loads_no_cli_module():
+    loaded = main_modules(str(ROOT / "scripts" / "heart_alcove_survey.py"),
+                          ["--max-denominator", "3"])
+    assert "heckelab.apartment" in loaded
+    assert not loaded & (RUNNER_MODULES | {"heckelab.cli"})
 
 
 # the modules a bare interpreter holds before any heckelab import

@@ -41,11 +41,12 @@ from heckelab.finite_groups import (FiniteGroup, cyclic, dihedral, heisenberg,
 from heckelab.representations import (
     Representation,
     char_key,
-    induced_character,
     induced_representation,
     inner_product,
     restrict_character,
 )
+
+from oracles import induced_character
 
 MODELS = {m.name: m for m in build_catalog()}
 _RESULTS: dict = {}

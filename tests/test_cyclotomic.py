@@ -22,9 +22,10 @@ from heckelab.cyclotomic import (
     cyc_rank,
     cyc_solve,
     cyc_solve_matrix,
-    cyc_trace,
     cyclotomic_polynomial,
 )
+
+from oracles import cyc_trace
 
 
 # hand-checked minimal polynomials (lowest degree first)

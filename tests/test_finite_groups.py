@@ -20,6 +20,8 @@ from heckelab.finite_groups import (
     quotient_characters,
 )
 
+from oracles import commutator_subgroup, element_order
+
 D8 = dihedral(4)
 Q8 = quaternion(8)
 HE3 = heisenberg(3)
@@ -64,6 +66,30 @@ def test_greedy_generators():
         assert all(x not in g.closure(gens[:i]) for i, x in enumerate(gens))
 
 
+def test_generating_sets_are_memoised(monkeypatch):
+    from heckelab import _closure
+    calls = []
+    greedy = _closure.generators
+
+    def counted(*args):
+        calls.append(args)
+        return greedy(*args)
+
+    monkeypatch.setattr(_closure, "generators", counted)
+    g = dihedral(4)
+    calls.clear()  # the constructor's own generating set
+    first = g.generators((0, 2, 4, 6))
+    first.append(99)  # each call hands out its own list
+    assert g.generators([6, 4, 2, 0]) == [2, 4]
+    assert g.generators() == [1, 4]
+    assert g.is_subgroup((4, 2, 0, 6))
+    assert len(calls) == 1
+    # a non-subgroup is memoised as None and still refused
+    assert not g.is_subgroup((0, 1))
+    assert g.generators((1, 0)) is None and not g.is_subgroup((0, 1))
+    assert len(calls) == 2
+
+
 def test_inverse_table():
     for g in (D8, Q8, HE3):
         assert [g.inv(x) for x in range(g.order)] == \
@@ -80,17 +106,17 @@ def test_rejects_shifted_identity():
 
 def test_dihedral_element_orders():
     # r has order 4, every reflection has order 2
-    assert D8.element_order(1) == 4
-    assert D8.element_order(2) == 2
+    assert element_order(D8, 1) == 4
+    assert element_order(D8, 2) == 2
     for k in range(4, 8):
-        assert D8.element_order(k) == 2
+        assert element_order(D8, k) == 2
 
 
 def test_quaternion_structure():
     # b^2 = a^2 is the unique central involution
     assert Q8.mul(4, 4) == 2
-    assert Q8.element_order(2) == 2
-    assert all(Q8.element_order(x) == 4 for x in (1, 3, 4, 5, 6, 7))
+    assert element_order(Q8, 2) == 2
+    assert all(element_order(Q8, x) == 4 for x in (1, 3, 4, 5, 6, 7))
     assert Q8.conj(4, 1) == 3  # b a b^-1 = a^-1
 
 
@@ -100,13 +126,13 @@ def test_heisenberg_center_and_commutator():
     a, b = 9, 3
     comm = HE3.mul(HE3.mul(a, b), HE3.inv(HE3.mul(b, a)))
     assert comm == 1
-    assert HE3.commutator_subgroup() == (0, 1, 2)
+    assert commutator_subgroup(HE3) == (0, 1, 2)
 
 
 def test_commutator_subgroups():
-    assert D8.commutator_subgroup() == (0, 2)
-    assert Q8.commutator_subgroup() == (0, 2)
-    assert cyclic(6).commutator_subgroup() == (0,)
+    assert commutator_subgroup(D8) == (0, 2)
+    assert commutator_subgroup(Q8) == (0, 2)
+    assert commutator_subgroup(cyclic(6)) == (0,)
 
 
 def test_closure_and_subgroups():
@@ -158,8 +184,8 @@ def test_direct_product_indexing():
     assert g.order == 24
     # index arithmetic: (x, c) lives at 3 x + c
     assert g.mul(3 * 1 + 0, 3 * 0 + 1) == 3 * 1 + 1
-    assert g.element_order(3 * 2 + 0) == 2
-    assert g.element_order(1) == 3
+    assert element_order(g, 3 * 2 + 0) == 2
+    assert element_order(g, 1) == 3
 
 
 def test_direct_product_table_matches_the_coordinate_table():
@@ -183,7 +209,7 @@ def test_quotient_is_abelian_matches_the_commutator_subgroup():
     from heckelab.clifford_lab import _subgroups_between
     groups = {m.group.table: m.group for m in build_catalog()}.values()
     for g in groups:
-        derived = set(g.commutator_subgroup())
+        derived = set(commutator_subgroup(g))
         normals = [s for s in _subgroups_between(g, (0,), range(g.order))
                    if g.is_normal(s)]
         assert {(0,), tuple(range(g.order))} <= set(normals)
@@ -196,7 +222,7 @@ def test_quotient_is_abelian_matches_the_commutator_subgroup():
 def test_from_permutations_s3():
     s3 = from_permutations([(1, 0, 2), (0, 2, 1)])
     assert s3.order == 6
-    assert sorted(s3.element_order(x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
+    assert sorted(element_order(s3, x) for x in range(6)) == [1, 2, 2, 2, 3, 3]
 
 
 def test_quotient_characters_oracles():

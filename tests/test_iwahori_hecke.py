@@ -25,6 +25,14 @@ from heckelab.root_datum import (
     datum_general_linear,
 )
 
+from oracles import (
+    finite_hecke_multiply,
+    is_central,
+    scalar_value,
+    t_element,
+    t_word,
+)
+
 A1 = WeylGroup(datum_from_cartan(cartan_matrix("A", 1)))
 A2 = WeylGroup(datum_from_cartan(cartan_matrix("A", 2)))
 B2 = WeylGroup(datum_from_cartan(cartan_matrix("B", 2)))
@@ -46,24 +54,24 @@ def alg_for(name: str) -> BernsteinAlgebra:
 def bword(alg: BernsteinAlgebra, word) -> HeckeElement:
     out = alg.one()
     for i in word:
-        out = alg.bernstein_multiply(out, alg.t_element(i))
+        out = alg.bernstein_multiply(out, t_element(alg, i))
     return out
 
 
 def test_identity_is_neutral():
     alg = alg_for("GL2")
-    x = alg.bernstein_multiply(alg.t_element(0), alg.theta((1, -2)))
+    x = alg.bernstein_multiply(t_element(alg, 0), alg.theta((1, -2)))
     assert alg.bernstein_multiply(x, alg.one()) == x
     assert alg.bernstein_multiply(alg.one(), x) == x
-    assert alg.finite_hecke_multiply(alg.one(), alg.t_element(0)) == \
-        alg.t_element(0)
+    assert finite_hecke_multiply(alg, alg.one(), t_element(alg, 0)) == \
+        t_element(alg, 0)
 
 
 def test_quadratic_relation_both_routes():
     alg = alg_for("A1")
-    ts = alg.t_element(0)
+    ts = t_element(alg, 0)
     expect = ts.scale(Q_MINUS_1) + alg.one().scale(LaurentScalar.q_power(1))
-    assert alg.finite_hecke_multiply(ts, ts) == expect
+    assert finite_hecke_multiply(alg, ts, ts) == expect
     assert alg.bernstein_multiply(ts, ts) == expect
 
 
@@ -74,9 +82,9 @@ def test_quadratic_relation_both_routes():
 ])
 def test_braid_relations_both_routes(name, w1, w2):
     alg = alg_for(name)
-    assert alg.t_word(w1) == alg.t_word(w2)
+    assert t_word(alg, w1) == t_word(alg, w2)
     assert bword(alg, w1) == bword(alg, w2)
-    assert alg.t_word(w1) == bword(alg, w1)
+    assert t_word(alg, w1) == bword(alg, w1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -84,14 +92,14 @@ def test_braid_relations_both_routes(name, w1, w2):
        st.lists(st.integers(0, 1), max_size=5))
 def test_finite_routes_agree_on_random_words(wa, wb):
     alg = alg_for("A2")
-    x, y = alg.t_word(wa), alg.t_word(wb)
-    assert alg.finite_hecke_multiply(x, y) == alg.bernstein_multiply(x, y)
+    x, y = t_word(alg, wa), t_word(alg, wb)
+    assert finite_hecke_multiply(alg, x, y) == alg.bernstein_multiply(x, y)
 
 
 def test_finite_multiply_rejects_lattice_support():
     alg = alg_for("GL2")
     with pytest.raises(ValueError, match="finite part"):
-        alg.finite_hecke_multiply(alg.theta((1, 0)), alg.t_element(0))
+        finite_hecke_multiply(alg, alg.theta((1, 0)), t_element(alg, 0))
 
 
 def test_theta_zero_is_identity():
@@ -115,21 +123,21 @@ def test_commutation_rule_oracle():
     # moving the swap generator past a one-step lattice label leaves an
     # exact single-term remainder with coefficient q - 1
     alg = alg_for("GL2")
-    ts, th = alg.t_element(0), alg.theta
+    ts, th = t_element(alg, 0), alg.theta
     lhs = alg.bernstein_multiply(th((1, 0)), ts) - \
         alg.bernstein_multiply(ts, th((0, 1)))
     assert lhs == th((1, 0)).scale(Q_MINUS_1)
     # pairing value two leaves a two-term geometric remainder
     alg1 = alg_for("A1")
-    lhs = alg1.bernstein_multiply(alg1.theta((2,)), alg1.t_element(0)) - \
-        alg1.bernstein_multiply(alg1.t_element(0), alg1.theta((-2,)))
+    lhs = alg1.bernstein_multiply(alg1.theta((2,)), t_element(alg1, 0)) - \
+        alg1.bernstein_multiply(t_element(alg1, 0), alg1.theta((-2,)))
     assert lhs == (alg1.theta((2,)) + alg1.theta((0,))).scale(Q_MINUS_1)
 
 
 def _candidates(alg: BernsteinAlgebra, rank: int) -> list[HeckeElement]:
     lam1 = (1,) + (0,) * (rank - 1)
     lam2 = (-1, 1) + (0,) * (rank - 2) if rank >= 2 else (-2,)
-    base = [alg.t_element(i) for i in range(len(alg.datum.simple))]
+    base = [t_element(alg, i) for i in range(len(alg.datum.simple))]
     base += [alg.theta(lam1), alg.theta(lam2)]
     base.append(alg.bernstein_multiply(base[0], base[-1]))
     return base
@@ -161,14 +169,14 @@ def test_central_element_normalizes_with_notice():
 
 def test_is_central_oracles():
     alg = alg_for("GL2")
-    assert alg.is_central(alg.one())
-    assert alg.is_central(alg.central_element((1, 0)))
-    assert alg.is_central(alg.central_element((2, -1)))
-    assert not alg.is_central(alg.t_element(0))
-    assert not alg.is_central(alg.theta((1, 0)))
+    assert is_central(alg, alg.one())
+    assert is_central(alg, alg.central_element((1, 0)))
+    assert is_central(alg, alg.central_element((2, -1)))
+    assert not is_central(alg, t_element(alg, 0))
+    assert not is_central(alg, alg.theta((1, 0)))
     alg1 = alg_for("A1")
-    assert not alg1.is_central(alg1.t_element(0))
-    assert alg1.is_central(alg1.central_element((2,)))
+    assert not is_central(alg1, t_element(alg1, 0))
+    assert is_central(alg1, alg1.central_element((2,)))
 
 
 @pytest.mark.parametrize("name,radius,dim", [
@@ -224,12 +232,12 @@ def test_commutator_matvec_agrees_with_is_central(name):
         alg, sorted(lam for orb in orbit_map.values() for lam in orb))
     for rep in orbit_map:
         z = alg.central_element(rep)
-        assert matrix.annihilates(z) and alg.is_central(z)
+        assert matrix.annihilates(z) and is_central(alg, z)
         if len(z.c) > 1:
             bad = _tampered(z)
-            assert not matrix.annihilates(bad) and not alg.is_central(bad)
+            assert not matrix.annihilates(bad) and not is_central(alg, bad)
     th = alg.theta((1, 0))
-    assert not matrix.annihilates(th) and not alg.is_central(th)
+    assert not matrix.annihilates(th) and not is_central(alg, th)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
@@ -243,7 +251,7 @@ def test_commutator_columns_match_the_general_product(name):
         matrix = CommutatorMatrix(alg, basis)
         columns = [[] for _ in basis]
         for i in range(len(alg.datum.simple)):
-            g = alg.t_element(i)
+            g = t_element(alg, i)
             for k, lam in enumerate(basis):
                 th = alg.theta(lam)
                 comm = alg.bernstein_multiply(th, g) - alg.bernstein_multiply(g, th)
@@ -410,17 +418,17 @@ def test_specialization_coherence():
     x = bword(alg, (0, 1, 0))
     y = bword(alg, (1, 0, 1))
     for lab in x.support:
-        assert x.c[lab].evaluate(2) == y.c[lab].evaluate(2)
-    prod = alg.bernstein_multiply(alg.theta((1, 0)), alg.t_element(0))
-    again = alg.bernstein_multiply(alg.theta((1, 0)), alg.t_element(0))
+        assert scalar_value(x.c[lab], 2) == scalar_value(y.c[lab], 2)
+    prod = alg.bernstein_multiply(alg.theta((1, 0)), t_element(alg, 0))
+    again = alg.bernstein_multiply(alg.theta((1, 0)), t_element(alg, 0))
     for lab in prod.support:
-        assert prod.c[lab].evaluate(3) == again.c[lab].evaluate(3)
+        assert scalar_value(prod.c[lab], 3) == scalar_value(again.c[lab], 3)
 
 
 def test_element_arithmetic_and_repr():
     alg = alg_for("GL2")
-    x = alg.t_element(0) + alg.theta((1, 0)).scale(LaurentScalar.q_power(1))
+    x = t_element(alg, 0) + alg.theta((1, 0)).scale(LaurentScalar.q_power(1))
     assert x.coefficient((1, 0), alg.group.identity) == LaurentScalar.q_power(1)
     assert (x - x).is_zero
-    assert "T[s0]" in repr(alg.t_element(0))
+    assert "T[s0]" in repr(t_element(alg, 0))
     assert repr(HeckeElement()) == "0"

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckelab.apartment import base_alcove_closure_grid, threshold
+from heckelab.apartment import threshold
 from heckelab.padic_groups import (
     _INF,
     DEFAULT_BRUTE_CAP,
@@ -47,11 +47,16 @@ from heckelab.padic_groups import (
     iwahori_scheme,
     log_volume,
     point_count,
-    principal_congruence_scheme,
     scheme,
     theta_blocks,
 )
 from heckelab.root_datum import datum_from_cartan, datum_general_linear
+
+from oracles import (
+    base_alcove_closure_grid,
+    principal_congruence_scheme,
+    volume_value,
+)
 
 GL2 = datum_general_linear(2)
 GL3 = datum_general_linear(3)
@@ -133,11 +138,14 @@ def test_from_filtration_half_depth_origin():
     assert from_filtration(GL2, (0, 0), Q(1, 2)).bounds == ((1, 1), (1, 1))
 
 
-@pytest.mark.parametrize("datum", [GL2, GL3], ids=["gl2", "gl3"])
+@pytest.mark.parametrize("datum", [GL2, GL3, datum_general_linear(4)],
+                         ids=["gl2", "gl3", "gl4"])
 @pytest.mark.parametrize("r", [Q(1, 2), Q(1), Q(3, 2), Q(2)], ids=str)
 def test_from_filtration_is_the_threshold_matrix(datum, r):
     # entry (i, j) off the diagonal is the threshold of e_i - e_j, every
-    # diagonal entry is ceil(r), at every point of the closure grid
+    # diagonal entry is ceil(r), at every point of the closure grid: the
+    # per-root route against from_filtration's floor division on D x.
+    # The grid holds criterion 3's (denominator 2, depths 1/2 and 1)
     n = datum.ambient_rank
     for x in base_alcove_closure_grid(datum, 4):
         expected = tuple(tuple(
@@ -161,6 +169,11 @@ def test_from_filtration_rejects_far_away_points():
 def test_from_filtration_rejects_nonpositive_depth(r):
     with pytest.raises(ValueError, match="^depth must be positive$"):
         from_filtration(GL3, (0, 0, 0), r)
+
+
+def test_from_filtration_refuses_a_point_of_the_wrong_length():
+    with pytest.raises(ValueError, match="^point needs 3 coordinates$"):
+        from_filtration(GL3, (Q(1, 2), 0), Q(1))
 
 
 def test_from_filtration_needs_general_linear_datum():
@@ -320,8 +333,8 @@ def test_indices_cross_checked_by_enumeration(p):
     # exact integer ratio of enumerated group orders in GL_2(Z/p^2)
     ratio_k1 = Q(brute_point_count(I2, p, 2), brute_point_count(K1, p, 2))
     ratio_i1 = Q(brute_point_count(I2, p, 2), brute_point_count(I1, p, 2))
-    assert ratio_k1 == log_volume(K1, I2).evaluate(p)
-    assert ratio_i1 == log_volume(I1, I2).evaluate(p)
+    assert ratio_k1 == volume_value(log_volume(K1, I2), p)
+    assert ratio_i1 == volume_value(log_volume(I1, I2), p)
 
 
 def test_log_volume_requires_containment():

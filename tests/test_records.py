@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from heckelab.cli import CheckRecord, VerificationReport
+from heckelab.cli_common import CheckRecord, VerificationReport
 from heckelab.cyclotomic import Cyc
 from heckelab.finite_groups import FiniteGroup, dihedral
 from heckelab.padic_groups import iwahori_scheme

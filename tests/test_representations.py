@@ -13,20 +13,20 @@ from hypothesis import strategies as st
 
 from heckelab import representations
 from heckelab.clifford_lab import conjugate_orbit
-from heckelab.cyclotomic import (Cyc, cyc_matmul, cyc_pack, cyc_packed_matmul,
-                                 cyc_trace)
+from heckelab.cyclotomic import Cyc, cyc_matmul, cyc_pack, cyc_packed_matmul
 from heckelab.finite_groups import cyclic, dihedral, quaternion
 from heckelab.representations import (
     Representation,
     char_key,
     common_multiplicity,
     constituent_count,
-    induced_character,
     induced_representation,
     inner_product,
     is_irreducible,
     restrict_character,
 )
+
+from oracles import cyc_trace, induced_character
 
 D8 = dihedral(4)
 Q8 = quaternion(8)

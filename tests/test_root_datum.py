@@ -14,12 +14,13 @@ from heckelab.root_datum import (
     RootDatum,
     WeylGroup,
     cartan_matrix,
-    coset_split_minimal,
     datum_from_cartan,
     datum_from_config,
     datum_general_linear,
     weyl_order_lower_bound,
 )
+
+from oracles import base_alcove_barycenter, coset_split_minimal, word_element
 
 # groups are immutable; build each configuration once
 _CACHE: dict[str, tuple] = {}
@@ -330,6 +331,21 @@ def test_memoised_parabolic_sets_match_a_fresh_computation():
                 theta[::-1])
 
 
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_minimal_coset_representatives_match_the_coset_split(name):
+    # one pass by the exchange condition against peeling reflections off
+    # each element, for every Levi subset of every registry datum
+    datum = datum_from_config(REGISTRY[name])
+    group = WeylGroup(datum)
+    for size in range(datum.semisimple_rank + 1):
+        for theta in itertools.combinations(range(datum.semisimple_rank),
+                                            size):
+            split = {coset_split_minimal(group, w, theta)[1]
+                     for w in group.elements}
+            assert (group.minimal_coset_representatives(theta)
+                    == _by_length_word(split))
+
+
 def test_closure_proof_rejects_a_non_subgroup():
     _, group = setup("A2")
     e, s0, s1 = (group.identity, group.simple_reflection(0),
@@ -384,17 +400,17 @@ def test_gl3_fundamental_coweights_values():
 
 def test_barycenters():
     a2 = setup("A2")[0]
-    assert a2.base_alcove_barycenter() == (Q(1, 3), Q(1, 3))
+    assert base_alcove_barycenter(a2) == (Q(1, 3), Q(1, 3))
     b2 = setup("B2")[0]
-    assert b2.base_alcove_barycenter() == (Q(1, 3), Q(1, 6))
+    assert base_alcove_barycenter(b2) == (Q(1, 3), Q(1, 6))
     gl3 = setup("GL3")[0]
-    assert gl3.base_alcove_barycenter() == (Q(2, 3), Q(1, 3), Q(0))
+    assert base_alcove_barycenter(gl3) == (Q(2, 3), Q(1, 3), Q(0))
 
 
 def test_barycenter_is_alcove_interior():
     for key in ["A2", "B2", "B3", "C3", "G2", "GL2", "GL3", "A1A1"]:
         datum, _ = setup(key)
-        x = datum.base_alcove_barycenter()
+        x = base_alcove_barycenter(datum)
         for k in datum.positive_roots():
             val = datum.pairing(datum.roots[k], x)
             assert 0 < val < 1
@@ -431,7 +447,7 @@ def test_group_axioms_spotcheck(key, data):
     b = data.draw(st.sampled_from(group.elements))
     assert group.mul(group.inv(a), a) == group.identity
     assert group.inv(group.mul(a, b)) == group.mul(group.inv(b), group.inv(a))
-    assert group.word_element(a.word) == a
+    assert word_element(group, a.word) == a
 
 
 @settings(max_examples=40, deadline=None)

@@ -20,8 +20,9 @@ from heckelab.torus_center import (
     orbits,
     residue_modulus,
     roc_decomposition_check,
-    weyl_act_pair,
 )
+
+from oracles import weyl_act_pair
 
 GL2 = WeylGroup(datum_general_linear(2))
 GL3 = WeylGroup(datum_general_linear(3))
