@@ -24,7 +24,7 @@ The certificate and ``key_inequality_report`` read every root value off
 one integer table.  On X = D x (D the least common denominator of x,
 and of r for the thresholds), vals[k] = <roots[k], X> is computed once
 per call.  The value of roots[k] at the image v(X) is then vals[p[k]],
-where p is the permutation of v^-1 on the roots (``WeylElement.perm``,
+where p is the permutation of v^-1 on the roots (``WeylGroup.perms``,
 which comes from the same ``_reflect`` calls as the Weyl action):
 <a, v X> = <v^-1 a, X>, because the pairing is W-invariant.  A simple
 reflection acts by s(chi) = chi - <chi, a^v> a on characters and by
@@ -57,7 +57,7 @@ from fractions import Fraction as Q
 from typing import Iterable, NamedTuple, Sequence
 
 from . import _linalg
-from .root_datum import IVec, RootDatum, WeylElement, WeylGroup
+from .root_datum import IVec, RootDatum, WeylGroup
 
 ApartmentPoint = tuple[Q, ...]
 
@@ -135,7 +135,7 @@ def _levi_table(group: WeylGroup, theta: tuple[int, ...]) -> tuple:
         datum = group.datum
         levi = levi_root_indices(datum, theta)
         positive = [k for k in levi if datum.is_positive_root(datum.roots[k])]
-        cosets = tuple((v, group.inv(v).perm)
+        cosets = tuple((v, group.perms[group.inv(v)])
                        for v in group.minimal_coset_representatives(theta))
         table = group._levi_tables[theta] = (levi, positive, cosets)
     return table
@@ -154,7 +154,7 @@ def _root_values(datum: RootDatum, X: Sequence[int]) -> list[int]:
 
 class HeartWitness(NamedTuple):
     theta: tuple[int, ...]
-    w2: WeylElement
+    w2: int
     root: IVec
     threshold_at_x: int
     threshold_at_image: int
@@ -200,7 +200,7 @@ def heart_condition1_check(group: WeylGroup, x: Sequence, r,
 
 class KeyInequalityRecord(NamedTuple):
     theta: tuple[int, ...]
-    w2: WeylElement
+    w2: int
     root: IVec
     delta: Q  # (w2^{-1}(a) - a)(x)
     inequality_holds: bool  # 0 <= delta < LEVEL_GAP
@@ -283,8 +283,8 @@ def depth_regular_point(datum: RootDatum, x: Sequence, r) -> bool:
 # ---------------------------------------------------------------------------
 
 def levi_profile_translation_witness(group: WeylGroup, x: Sequence, r,
-                                     theta: Sequence[int], v: WeylElement
-                                     ) -> tuple[WeylElement, IVec] | None:
+                                     theta: Sequence[int], v: int
+                                     ) -> tuple[int, IVec] | None:
     """Search for (w', nu) with w' in the theta-parabolic subgroup and
     nu an integral cocharacter such that conjugating the x-profile by
     them matches the v(x)-profile on every Levi root:

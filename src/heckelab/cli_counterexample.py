@@ -95,7 +95,7 @@ def run() -> VerificationReport:
         "x": list(x),
         "r": str(r),
         "theta": list(theta),
-        "reflection_word": list(s0.word),
+        "reflection_word": list(group.words[s0]),
         "permutation": [1, 0, 2],
         "matrices": {
             "filtration_group": base.to_lists(),

@@ -15,7 +15,7 @@ from .root_datum import WeylGroup
 
 
 def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
-                       witnesses) -> dict:
+                       witnesses, models: dict) -> dict:
     """Upgrade a threshold mismatch to a volume obstruction: compare the
     theta-Levi block volumes of the integral models at x and at each
     mismatching Weyl image.  DISTINCT_VOLUME on any block proves the
@@ -24,14 +24,23 @@ def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
     Only the model at x can be refused.  On general-linear data a Weyl
     element permutes the coordinates, so the model at its image of x is
     the model at x conjugated by a permutation matrix: the same bounds,
-    permuted, and none of them negative when none at x is."""
+    permuted, and none of them negative when none at x is.
+
+    ``models`` holds the model at w(x) per element w, so one run builds
+    each once."""
     datum = group.datum
     if not datum.is_general_linear:
         return {"status": SKIPPED,
                 "reason": "no integral matrix model for this datum"}
     from .padic_groups import compare_levi_volumes, from_filtration
+
+    def model(w: int):
+        if w not in models:
+            models[w] = from_filtration(datum, group.act_cocharacter(w, x), r)
+        return models[w]
+
     try:
-        base = from_filtration(datum, x, r)
+        base = model(group.identity)
     except ValueError as exc:
         return {"status": SKIPPED, "reason": str(exc)}
     per_image = []
@@ -41,11 +50,10 @@ def _escalate_mismatch(group: WeylGroup, x, r, theta: Sequence[int],
     basis = [[int(i == j) for i in range(n)] for j in range(n)]
     for w in sorted(dict.fromkeys(wit.w2 for wit in witnesses), key=lambda w: str(
             tuple(zip(*(group.act_cocharacter(w, e) for e in basis))))):
-        moved = from_filtration(datum, group.act_cocharacter(w, x), r)
-        levi = compare_levi_volumes(base, moved, theta)
+        levi = compare_levi_volumes(base, model(w), theta)
         proven = proven or levi.status == "DISTINCT_VOLUME"
         per_image.append({
-            "weyl_word": list(w.word),
+            "weyl_word": list(group.words[w]),
             "levi_intersection_at_x": levi.at_x.to_lists(),
             "levi_intersection_at_image": levi.at_image.to_lists(),
             "blocks": [{"block": list(b), "obstruction": v}
@@ -84,6 +92,7 @@ def run(*, datum: str, x: tuple[Q, ...], r: Q,
         "r": str(r),
         "point_kind": classify_point(datum, x).kind,
     }
+    models: dict = {}
     for subset in subsets:
         verdict = heart_condition1_check(group, x, r, subset)
         name = f"condition-1 theta={list(subset)}"
@@ -93,13 +102,13 @@ def run(*, datum: str, x: tuple[Q, ...], r: Q,
         witness = {
             "status": verdict.status,
             "mismatches": [{
-                "weyl_word": list(w.w2.word),
+                "weyl_word": list(group.words[w.w2]),
                 "root": list(w.root),
                 "threshold_at_x": w.threshold_at_x,
                 "threshold_at_image": w.threshold_at_image,
             } for w in verdict.witnesses],
             "escalation": _escalate_mismatch(group, x, r, subset,
-                                             verdict.witnesses),
+                                             verdict.witnesses, models),
         }
         checks.append(CheckRecord(name, FAIL, witness))
         esc = witness["escalation"]

@@ -7,13 +7,13 @@ from .cli_common import (MAX_HECKE_WEIGHT, CheckRecord, CLIError,
 from .iwahori_hecke import label_orbits, label_weight, satake_check
 
 
-def _term_label(lam, w) -> str:
-    if all(c == 0 for c in lam) and not w.word:
+def _term_label(lam, word) -> str:
+    if all(c == 0 for c in lam) and not word:
         return "T_e"
     theta_part = f"th({','.join(str(c) for c in lam)})"
-    if not w.word:
+    if not word:
         return theta_part
-    return f"{theta_part}*T[{','.join(str(i) for i in w.word)}]"
+    return f"{theta_part}*T[{','.join(str(i) for i in word)}]"
 
 
 def run(*, datum: str, radius: int) -> VerificationReport:
@@ -45,13 +45,13 @@ def run(*, datum: str, radius: int) -> VerificationReport:
 
     basis = []
     for mu, z in zip(report.representatives, report.central_elements):
-        terms = [{"coweight": list(lam), "word": list(w.word),
+        terms = [{"coweight": list(lam), "word": list(group.words[w]),
                   "coefficient": repr(z.coefficient(lam, w))}
                  for lam, w in z.support]
         basis.append({"label": f"z({','.join(str(c) for c in mu)})",
                       "dominant_coweight": list(mu),
                       "terms": terms,
-                      "term_labels": [_term_label(lam, w)
+                      "term_labels": [_term_label(lam, group.words[w])
                                       for lam, w in z.support]})
     if len(report.representatives) == 1 \
             and all(c == 0 for c in report.representatives[0]):

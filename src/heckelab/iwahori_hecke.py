@@ -31,17 +31,18 @@ from typing import NamedTuple
 
 from ._linalg import mat_rank
 from .laurent import LaurentScalar, RatFunc, rat_rank
-from .root_datum import RootDatum, WeylElement, WeylGroup
+from .root_datum import RootDatum, WeylGroup
 
 Coweight = tuple[int, ...]
-Label = tuple[Coweight, WeylElement]
+Label = tuple[Coweight, int]
 
 _Q_MINUS_ONE = LaurentScalar({2: 1, 0: -1})
 
 
 class HeckeElement:
-    """Finite scalar combination of (coweight, finite Weyl) labels.
-    Zero coefficients are pruned; equality is label-wise."""
+    """Finite scalar combination of (coweight, finite Weyl) labels, the
+    Weyl part an element index of the algebra's group.  Zero
+    coefficients are pruned; equality is label-wise."""
     __slots__ = ("c",)
 
     def __init__(self, coeffs: dict[Label, LaurentScalar] | None = None):
@@ -62,12 +63,12 @@ class HeckeElement:
     def scale(self, s: LaurentScalar) -> "HeckeElement":
         return HeckeElement({k: v * s for k, v in self.c.items()})
 
-    def coefficient(self, lam, w: WeylElement) -> LaurentScalar:
+    def coefficient(self, lam, w: int) -> LaurentScalar:
         return self.c.get((tuple(lam), w), LaurentScalar.zero())
 
     @property
     def support(self) -> list[Label]:
-        return sorted(self.c, key=lambda k: (k[0], k[1].word))
+        return sorted(self.c)
 
     @property
     def is_zero(self) -> bool:
@@ -81,8 +82,7 @@ class HeckeElement:
             return "0"
         bits = []
         for lam, w in self.support:
-            word = "*".join(f"s{i}" for i in w.word) or "e"
-            bits.append(f"({self.c[(lam, w)]!r})*th{lam}*T[{word}]")
+            bits.append(f"({self.c[(lam, w)]!r})*th{lam}*T[w{w}]")
         return " + ".join(bits)
 
 
@@ -120,11 +120,10 @@ class BernsteinAlgebra:
     def _coroot(self, i: int) -> Coweight:
         return self.datum.coroots[self.datum.simple[i]]
 
-    def _t_times_s(self, u: WeylElement, i: int
-                   ) -> dict[WeylElement, LaurentScalar]:
-        s = self.group.simple_reflection(i)
-        us = self.group.mul(u, s)
-        if us.length == u.length + 1:
+    def _t_times_s(self, u: int, i: int) -> dict[int, LaurentScalar]:
+        group = self.group
+        us = group.mul(u, group.simple_reflection(i))
+        if group.length(us) == group.length(u) + 1:
             return {us: LaurentScalar.one()}
         return {u: _Q_MINUS_ONE, us: LaurentScalar.q_power(1)}
 
@@ -172,11 +171,10 @@ class BernsteinAlgebra:
         self._commute_cache[key] = out
         return out
 
-    def _t_word_mul(self, u: WeylElement, w: WeylElement
-                    ) -> dict[WeylElement, LaurentScalar]:
+    def _t_word_mul(self, u: int, w: int) -> dict[int, LaurentScalar]:
         acc = {u: LaurentScalar.one()}
-        for i in w.word:
-            nxt: dict[WeylElement, LaurentScalar] = {}
+        for i in self.group.words[w]:
+            nxt: dict[int, LaurentScalar] = {}
             for x, c in acc.items():
                 for y, d in self._t_times_s(x, i).items():
                     nxt[y] = nxt.get(y, LaurentScalar.zero()) + c * d
@@ -188,10 +186,11 @@ class BernsteinAlgebra:
     def bernstein_multiply(self, x: HeckeElement, y: HeckeElement
                            ) -> HeckeElement:
         out: dict[Label, LaurentScalar] = {}
+        words = self.group.words
         for (lam1, w1), c1 in x.c.items():
             for (lam2, w2), c2 in y.c.items():
                 c12 = c1 * c2
-                for (mu, u), c in self._commute_word(w1.word, lam2).items():
+                for (mu, u), c in self._commute_word(words[w1], lam2).items():
                     shifted = tuple(a + b for a, b in zip(lam1, mu))
                     for w, d in self._t_word_mul(u, w2).items():
                         k = (shifted, w)

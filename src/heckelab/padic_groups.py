@@ -134,8 +134,7 @@ def from_filtration(datum: RootDatum, x: Sequence, r) -> ValuationGroupScheme:
     r = Q(r)
     if len(x) != n:
         raise ValueError(f"point needs {n} coordinates")
-    # no off-diagonal root when n = 1
-    if n > 1 and r <= 0:
+    if r <= 0:
         raise ValueError("depth must be positive")
     D, (*X, R) = _linalg.scaled((*x, r))
     diag = math.ceil(r)

@@ -20,10 +20,10 @@ Cartan matrix or a general-linear size, as a JSON-style dict), and
 ``REGISTRY`` names the built-in data in that same form.
 
 The Weyl group is enumerated once by the breadth-first ``_closure``,
-which also builds root systems, parabolic subgroups and orbits.  Elements
-are canonicalized by the permutation they induce on the roots and carry
-a shortlex-minimal reduced word in the simple reflections; they act on
-characters and cocharacters one simple reflection per letter.
+which also builds root systems, parabolic subgroups and orbits.  Its
+elements are the ints 0..|W|-1, 0 the identity, as in ``FiniteGroup``;
+each acts on characters and cocharacters one simple reflection per
+letter of its shortlex-least reduced word.
 """
 from __future__ import annotations
 
@@ -360,36 +360,6 @@ REGISTRY: dict[str, dict] = {
 # Weyl group
 # ---------------------------------------------------------------------------
 
-class WeylElement(Record):
-    """Group element, canonical by the permutation it induces on the
-    roots, on which W acts faithfully: ``w(roots[k]) = roots[perm[k]]``.
-    Equal elements may carry different words."""
-
-    __slots__ = ("perm", "word")
-    _compared = ("perm",)
-
-    def __init__(self, perm: tuple[int, ...], word: tuple[int, ...]):
-        _set(self, "perm", perm)
-        _set(self, "word", word)
-
-    # spelled out: Hecke labels hash and compare elements in inner loops
-    def __eq__(self, other):
-        if other.__class__ is not WeylElement:
-            return NotImplemented
-        return self.perm == other.perm
-
-    def __hash__(self) -> int:
-        return hash((self.perm,))
-
-    @property
-    def length(self) -> int:
-        return len(self.word)
-
-    def __repr__(self) -> str:
-        name = "*".join(f"s{i}" for i in self.word) or "e"
-        return f"<{name}>"
-
-
 def _support(vec: IVec) -> tuple[tuple[int, int], ...]:
     """The nonzero coordinates of vec, as (index, value) pairs."""
     return tuple((k, x) for k, x in enumerate(vec) if x)
@@ -481,6 +451,12 @@ class WeylGroup:
     library targets small-rank exact checks, not large-scale Coxeter
     combinatorics.
 
+    Element k is the k-th found: ``perms[k]`` is its permutation of the
+    roots, on which W acts faithfully, and ``words[k]`` its
+    shortlex-least reduced word.  Breadth-first discovery meets each
+    length in lex order of the words, so index order is (length, word)
+    order.
+
     A run builds one group, so the sets derived from it are memoised on
     the instance, each filled on first use and held as a tuple: the
     standard parabolic subgroups, the minimal coset representatives and
@@ -503,54 +479,57 @@ class WeylGroup:
         simple_perms = [tuple(datum.roots.index(_reflect(b, a, av))
                               for b in datum.roots) for a, av in self._simple_pairs]
 
-        self.identity = WeylElement(tuple(range(len(datum.roots))), ())
-        # (w s)(roots[k]) = w(roots[s.perm[k]])
+        # (w s)(roots[k]) = w(roots[s[k]]) for the permutation s of s_i
         tree = _closure.closure(
-            [self.identity.perm],
+            [tuple(range(len(datum.roots)))],
             lambda p: enumerate(tuple(p[j] for j in s) for s in simple_perms),
             limit=max_order)
         if len(tree) > max_order:
             raise ValueError(f"Weyl group order is at least {len(tree)}; "
                              f"cap is {max_order}")
-        # breadth-first order puts each parent before its children
-        self._by_perm: dict[tuple[int, ...], WeylElement] = {}
-        for perm, (parent, i) in tree.items():
-            up = self._by_perm.get(parent)
-            self._by_perm[perm] = self.identity if up is None else WeylElement(
-                perm, up.word + (i,))
-        self.elements: list[WeylElement] = list(self._by_perm.values())
-        # elements[k + 1] = elements[parent] * s_i for (parent, i) = _tree[k]
-        position = {perm: k for k, perm in enumerate(tree)}
-        self._tree = [(position[p], i) for p, i in list(tree.values())[1:]]
-        self._reflections = [self._by_perm[p] for p in simple_perms]
-        self._parabolic: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
-        self._coset_reps: dict[tuple[int, ...], tuple[WeylElement, ...]] = {}
+        # breadth-first order puts each parent before its children:
+        # perms[k + 1] = perms[parent] * s_i for (parent, i) = _tree[k]
+        self.perms = tuple(tree)
+        self._index = {perm: k for k, perm in enumerate(self.perms)}
+        self._tree = [(self._index[p], i) for p, i in list(tree.values())[1:]]
+        words = [()]
+        for parent, i in self._tree:
+            words.append(words[parent] + (i,))
+        self.words = tuple(words)
+        self.elements = range(len(self.perms))
+        self.identity = 0
+        self._reflections = [self._index[p] for p in simple_perms]
+        self._parabolic: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._coset_reps: dict[tuple[int, ...], tuple[int, ...]] = {}
         self._levi_tables: dict[tuple[int, ...], tuple] = {}
-        self._stabilizers: dict[tuple[IVec, int], tuple[WeylElement, ...]] = {}
+        self._stabilizers: dict[tuple[IVec, int], tuple[int, ...]] = {}
         self._pair_images: dict[tuple[tuple, int], tuple] = {}
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.perms)
 
-    def simple_reflection(self, i: int) -> WeylElement:
+    def length(self, w: int) -> int:
+        return len(self.words[w])
+
+    def simple_reflection(self, i: int) -> int:
         return self._reflections[i]
 
-    def mul(self, a: WeylElement, b: WeylElement) -> WeylElement:
-        return self._by_perm[tuple(a.perm[j] for j in b.perm)]
+    def mul(self, a: int, b: int) -> int:
+        return self._index[tuple(map(self.perms[a].__getitem__, self.perms[b]))]
 
-    def inv(self, w: WeylElement) -> WeylElement:
-        return self._by_perm[tuple(sorted(range(len(w.perm)),
-                                          key=w.perm.__getitem__))]
+    def inv(self, w: int) -> int:
+        p = self.perms[w]
+        return self._index[tuple(sorted(range(len(p)), key=p.__getitem__))]
 
-    def act_character(self, w: WeylElement, x: Sequence) -> tuple:
+    def act_character(self, w: int, x: Sequence) -> tuple:
         """w(x): the word's simple reflections, right to left."""
-        for i in reversed(w.word):
+        for i in reversed(self.words[w]):
             x = _reflect(x, *self._simple_pairs[i])
         return tuple(x)
 
-    def act_cocharacter(self, w: WeylElement, lam: Sequence) -> tuple:
+    def act_cocharacter(self, w: int, lam: Sequence) -> tuple:
         """w(lam): the same, with roots and coroots swapped."""
-        for i in reversed(w.word):
+        for i in reversed(self.words[w]):
             a, av = self._simple_pairs[i]
             lam = _reflect(lam, av, a)
         return tuple(lam)
@@ -564,38 +543,38 @@ class WeylGroup:
             perms.append(tuple(map(perms[parent].__getitem__, simple[i])))
         return perms
 
-    def subgroup_elements(self, simple_subset: Iterable[int]
-                          ) -> tuple[WeylElement, ...]:
+    def subgroup_elements(self, simple_subset: Iterable[int]) -> tuple[int, ...]:
         """All elements of the standard parabolic subgroup generated by
-        the simple reflections at the given positions, by length and
-        then word; memoised."""
+        the simple reflections at the given positions, in index order,
+        which is by length and then word; memoised."""
         key = tuple(sorted(set(simple_subset)))
         if key not in self._parabolic:
-            gens = [self.simple_reflection(i) for i in key]
+            gens = [self._reflections[i] for i in key]
             seen = _closure.closure(
                 [self.identity], lambda w: ((g, self.mul(w, g)) for g in gens))
-            self._parabolic[key] = tuple(sorted(seen, key=_length_word))
+            self._parabolic[key] = tuple(sorted(seen))
         return self._parabolic[key]
 
     def minimal_coset_representatives(self, theta: Iterable[int]
-                                      ) -> tuple[WeylElement, ...]:
+                                      ) -> tuple[int, ...]:
         """The minimal representatives ``v`` of the cosets ``W_theta v``,
-        by length and then word; memoised.  ``v`` is the shortest element
-        of its coset exactly when ``s v`` is longer than ``v`` for every
-        theta-simple ``s`` (Humphreys, Reflection Groups and Coxeter
-        Groups, 1990, 1.10), so one pass over the elements finds them.
-        The minimal representative of a coset is unique, so the order of
-        ``theta`` does not matter."""
+        in index order, which is by length and then word; memoised.
+        ``v`` is the shortest element of its coset exactly when ``s v``
+        is longer than ``v`` for every theta-simple ``s`` (Humphreys,
+        Reflection Groups and Coxeter Groups, 1990, 1.10), so one pass
+        over the elements finds them.  The minimal representative of a
+        coset is unique, so the order of ``theta`` does not matter."""
         key = tuple(sorted(set(theta)))
         if key not in self._coset_reps:
             gens = [self._reflections[i] for i in key]
-            reps = [v for v in self.elements
-                    if all(self.mul(s, v).length > v.length for s in gens)]
-            self._coset_reps[key] = tuple(sorted(reps, key=_length_word))
+            self._coset_reps[key] = tuple(
+                v for v in self.elements
+                if all(self.length(self.mul(s, v)) > self.length(v)
+                       for s in gens))
         return self._coset_reps[key]
 
     def character_stabilizer(self, components: Sequence[int], modulus: int
-                             ) -> tuple[WeylElement, ...]:
+                             ) -> tuple[int, ...]:
         """Elements whose character action fixes the exponent tuple mod
         ``modulus``, in enumeration order; memoised.  Closure is proven
         by ``is_subgroup`` when the set is first built."""
@@ -628,7 +607,7 @@ class WeylGroup:
                 for a, av in self._simple_pairs)
         return images
 
-    def is_subgroup(self, subset: Iterable[WeylElement]) -> bool:
+    def is_subgroup(self, subset: Iterable[int]) -> bool:
         """Whether ``subset`` is a subgroup, proven on a greedy
         generating set by ``_closure.generators``."""
         return _closure.generators(subset, self.mul, self.identity) is not None
@@ -646,6 +625,3 @@ class WeylGroup:
             raise AssertionError("orbit must contain exactly one dominant point")
         return doms[0]
 
-
-def _length_word(w: WeylElement) -> tuple[int, tuple[int, ...]]:
-    return w.length, w.word

@@ -116,9 +116,9 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
     modulus = osum.modulus
     sigma = _simple_permutations(group, members, index.get, modulus)
     # one orbit: no image is missing, and all are images of member 0
-    perms = {} if any(None in row for row in sigma) else dict(zip(
-        group.elements, group.permutation_action(len(members), sigma)))
-    if len({pi[0] for pi in perms.values()}) != len(members):
+    perms = [] if any(None in row for row in sigma) else (
+        group.permutation_action(len(members), sigma))
+    if len({pi[0] for pi in perms}) != len(members):
         raise ValueError("input is not a single orbit")
     failures: list[str] = []
 
@@ -153,7 +153,8 @@ def roc_decomposition_check(group: WeylGroup, osum: OrbitSum) -> RocReport:
         block = {index[lam, chi] for lam in lams}
         for w in stab:
             if {perms[w][j] for j in block} != block:
-                failures.append(f"block {chi}: sum is not fixed by {w!r}")
+                name = "*".join(f"s{i}" for i in group.words[w]) or "e"
+                failures.append(f"block {chi}: sum is not fixed by <{name}>")
                 break
 
     rebuilt = sorted((lam, chi) for chi in blocks for lam in blocks[chi])

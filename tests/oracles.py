@@ -24,7 +24,7 @@ from heckelab.cyclotomic import Cyc
 from heckelab.iwahori_hecke import BernsteinAlgebra, HeckeElement
 from heckelab.laurent import LaurentScalar
 from heckelab.padic_groups import ValuationGroupScheme, VolumeExponent, scheme
-from heckelab.root_datum import RootDatum, WeylElement, WeylGroup
+from heckelab.root_datum import RootDatum, WeylGroup
 
 # ---------------------------------------------------------------------------
 # apartment: the reflection route of the certificates, the Fraction grid
@@ -145,15 +145,15 @@ def base_alcove_barycenter(datum: RootDatum) -> tuple[Q, ...]:
 # Weyl groups and the torus action
 # ---------------------------------------------------------------------------
 
-def word_element(group: WeylGroup, word: Iterable[int]) -> WeylElement:
+def word_element(group: WeylGroup, word: Iterable[int]) -> int:
     acc = group.identity
     for i in word:
         acc = group.mul(acc, group.simple_reflection(i))
     return acc
 
 
-def coset_split_minimal(group: WeylGroup, w: WeylElement,
-                        theta: Sequence[int]) -> tuple[WeylElement, WeylElement]:
+def coset_split_minimal(group: WeylGroup, w: int,
+                        theta: Sequence[int]) -> tuple[int, int]:
     """Write ``w = u * v`` with ``u`` in the standard parabolic subgroup
     for ``theta`` (positions into the simple list) and ``v`` the minimal
     representative of its coset, by peeling off theta-simple reflections
@@ -164,7 +164,7 @@ def coset_split_minimal(group: WeylGroup, w: WeylElement,
         for i in theta:
             s = group.simple_reflection(i)
             sv = group.mul(s, v)
-            if sv.length < v.length:
+            if group.length(sv) < group.length(v):
                 v = sv
                 u = group.mul(u, s)
                 break
@@ -172,7 +172,7 @@ def coset_split_minimal(group: WeylGroup, w: WeylElement,
             return u, v
 
 
-def weyl_act_pair(group: WeylGroup, w: WeylElement, pair, modulus: int):
+def weyl_act_pair(group: WeylGroup, w: int, pair, modulus: int):
     """Simultaneous action: w moves the coweight as a cocharacter and
     the exponent tuple, reduced mod ``modulus``, as a character."""
     lam, chi = pair

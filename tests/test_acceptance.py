@@ -178,7 +178,7 @@ def test_criterion_2_heart_condition_interior_sweep():
                                 or w.threshold_at_x == w.threshold_at_image:
                             problems.append(
                                 f"{where}: spurious mismatch on {w.root} "
-                                f"after word {w.w2.word}")
+                                f"after word {group.words[w.w2]}")
                     sums_x = _pair_sums(datum, x, r, theta)
                     kinds = set()
                     for v in dict.fromkeys(w.w2 for w in verdict.witnesses):
@@ -193,11 +193,11 @@ def test_criterion_2_heart_condition_interior_sweep():
                             obstructed_cases.add((name, x, r, theta))
                             if len(obstructed_samples) < 2:
                                 obstructed_samples.append(
-                                    f"{where} v={v.word}: pair sums "
+                                    f"{where} v={group.words[v]}: pair sums "
                                     f"{sums_x} vs {sums_image}")
                         else:
                             kind = "unexplained"
-                            problems.append(f"{where} v={v.word}: no "
+                            problems.append(f"{where} v={group.words[v]}: no "
                                             f"witness, regular={regular}")
                         factors[kind] += 1
                         kinds.add(kind)
@@ -208,7 +208,7 @@ def test_criterion_2_heart_condition_interior_sweep():
                             if (volume == "DISTINCT_VOLUME") \
                                     != (witness is None):
                                 problems.append(
-                                    f"{where} v={v.word}: witness "
+                                    f"{where} v={group.words[v]}: witness "
                                     f"{witness}, volume {volume}")
                     if "obstructed" in kinds:
                         verdicts_obstructed += 1
@@ -223,7 +223,7 @@ def test_criterion_2_heart_condition_interior_sweep():
                             and -1 < rec.delta < 1):
                         problems.append(
                             f"{name} x={tuple(map(str, x))} theta={theta}: "
-                            f"shift of {rec.root} along word {rec.w2.word} "
+                            f"shift of {rec.root} along word {group.words[rec.w2]} "
                             f"is {rec.delta} via root {pulled}")
     sweep = (heart_total, key_total)
     if sweep != (2288, 1276):

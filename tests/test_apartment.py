@@ -235,7 +235,7 @@ def test_key_inequality_failure_is_reproducible():
     _, group = setup("A2")
     recs = ap.key_inequality_report(group, (Q(3, 5), Q(1, 5)), (0,))
     bad = [rec for rec in recs if not rec.inequality_holds]
-    assert any(rec.w2.word == (1, 0) and rec.root == (1, 0)
+    assert any(group.words[rec.w2] == (1, 0) and rec.root == (1, 0)
                and rec.delta == Q(-2, 5) for rec in bad)
 
 

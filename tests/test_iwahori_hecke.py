@@ -430,5 +430,6 @@ def test_element_arithmetic_and_repr():
     x = t_element(alg, 0) + alg.theta((1, 0)).scale(LaurentScalar.q_power(1))
     assert x.coefficient((1, 0), alg.group.identity) == LaurentScalar.q_power(1)
     assert (x - x).is_zero
-    assert "T[s0]" in repr(t_element(alg, 0))
+    s0 = alg.group.simple_reflection(0)
+    assert f"*T[w{s0}]" in repr(t_element(alg, 0))
     assert repr(HeckeElement()) == "0"

@@ -50,7 +50,8 @@ from heckelab.padic_groups import (
     scheme,
     theta_blocks,
 )
-from heckelab.root_datum import datum_from_cartan, datum_general_linear
+from heckelab.root_datum import (REGISTRY, datum_from_cartan, datum_from_config,
+                                 datum_general_linear)
 
 from oracles import (
     base_alcove_closure_grid,
@@ -167,8 +168,11 @@ def test_from_filtration_rejects_far_away_points():
 
 @pytest.mark.parametrize("r", [Q(0), Q(-1, 2)], ids=str)
 def test_from_filtration_rejects_nonpositive_depth(r):
-    with pytest.raises(ValueError, match="^depth must be positive$"):
-        from_filtration(GL3, (0, 0, 0), r)
+    # gl1 too, which has no off-diagonal root
+    gl1 = datum_from_config(REGISTRY["gl1"])
+    for datum in (GL3, gl1):
+        with pytest.raises(ValueError, match="^depth must be positive$"):
+            from_filtration(datum, (0,) * datum.ambient_rank, r)
 
 
 def test_from_filtration_refuses_a_point_of_the_wrong_length():

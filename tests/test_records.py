@@ -10,19 +10,7 @@ from heckelab.cyclotomic import Cyc
 from heckelab.finite_groups import FiniteGroup, dihedral
 from heckelab.padic_groups import iwahori_scheme
 from heckelab.representations import Representation
-from heckelab.root_datum import WeylElement, WeylGroup, datum_general_linear
-
-
-def test_weyl_elements_compare_and_hash_on_perm_alone():
-    group = WeylGroup(datum_general_linear(3))
-    longest = max(group.elements, key=lambda w: w.length)
-    assert len(longest.word) == 3
-    # s0 s1 s0 = s1 s0 s1: another reduced word of the same element
-    other = WeylElement(longest.perm, tuple(1 - i for i in longest.word))
-    assert other.word != longest.word
-    assert other == longest and hash(other) == hash(longest)
-    assert len({longest, other}) == 1
-    assert longest != group.identity
+from heckelab.root_datum import WeylGroup, datum_general_linear
 
 
 def test_root_datum_equality_ignores_its_coefficient_memo():
@@ -50,8 +38,6 @@ def _records():
     return {
         "RootDatum": (group.datum, "label"),
         "RootDatum memo": (group.datum, "_coeff_cache"),
-        "WeylElement": (group.identity, "perm"),
-        "WeylElement word": (group.identity, "word"),
         "FiniteGroup": (dihedral(4), "table"),
         "FiniteGroup inverse": (dihedral(4), "_inverse"),
         "CheckRecord": (CheckRecord("x", "PASS"), "status"),

@@ -66,7 +66,7 @@ def test_root_count(key):
 @pytest.mark.parametrize("key", sorted(LONGEST_LENGTH))
 def test_longest_element_length(key):
     _, group = setup(key)
-    assert max(w.length for w in group.elements) == LONGEST_LENGTH[key]
+    assert max(map(group.length, group.elements)) == LONGEST_LENGTH[key]
 
 
 def test_b2_positive_roots_in_simple_coordinates():
@@ -258,6 +258,24 @@ def test_enumeration_backstop_still_caps(monkeypatch):
         WeylGroup(setup("B3")[0], max_order=47)
 
 
+# -- elements are indices ---------------------------------------------------
+
+def test_two_reduced_words_give_one_element():
+    _, group = setup("GL3")
+    # s0 s1 s0 = s1 s0 s1 is the longest element
+    longest = word_element(group, (0, 1, 0))
+    assert word_element(group, (1, 0, 1)) == longest
+    assert group.words[longest] == (0, 1, 0) and longest != group.identity
+
+
+def test_element_tables_are_tuples():
+    _, group = setup("B3")
+    assert type(group.perms) is tuple and type(group.words) is tuple
+    assert all(type(p) is tuple for p in group.perms)
+    assert all(type(w) is tuple for w in group.words)
+    assert group.identity == 0 and list(group.elements) == list(range(48))
+
+
 # -- coset decomposition ----------------------------------------------------
 
 def test_coset_split_a2_examples():
@@ -285,7 +303,7 @@ def test_coset_split_properties(key, theta):
         u, v = coset_split_minimal(group, w, theta)
         assert group.mul(u, v) == w
         assert u in sub
-        assert u.length + v.length == w.length
+        assert group.length(u) + group.length(v) == group.length(w)
         vinv = group.inv(v)
         for i in theta:
             img = group.act_character(vinv, datum.roots[datum.simple[i]])
@@ -306,8 +324,9 @@ def _fresh_parabolic(group, theta):
     return seen
 
 
-def _by_length_word(elements):
-    return tuple(sorted(elements, key=lambda w: (w.length, w.word)))
+def _by_length_word(group, elements):
+    return tuple(sorted(elements, key=lambda w: (group.length(w),
+                                                 group.words[w])))
 
 
 def test_memoised_parabolic_sets_match_a_fresh_computation():
@@ -316,10 +335,10 @@ def test_memoised_parabolic_sets_match_a_fresh_computation():
     group = WeylGroup(datum)
     for size in range(4):
         for theta in itertools.combinations(range(3), size):
-            reps = _by_length_word(
+            reps = _by_length_word(group,
                 {coset_split_minimal(group, w, theta)[1]
                  for w in group.elements})
-            sub = _by_length_word(_fresh_parabolic(group, theta))
+            sub = _by_length_word(group, _fresh_parabolic(group, theta))
             for order in itertools.permutations(theta):
                 assert group.minimal_coset_representatives(order) == reps
                 assert group.subgroup_elements(list(order)) == sub
@@ -343,7 +362,7 @@ def test_minimal_coset_representatives_match_the_coset_split(name):
             split = {coset_split_minimal(group, w, theta)[1]
                      for w in group.elements}
             assert (group.minimal_coset_representatives(theta)
-                    == _by_length_word(split))
+                    == _by_length_word(group, split))
 
 
 def test_closure_proof_rejects_a_non_subgroup():
@@ -447,7 +466,7 @@ def test_group_axioms_spotcheck(key, data):
     b = data.draw(st.sampled_from(group.elements))
     assert group.mul(group.inv(a), a) == group.identity
     assert group.inv(group.mul(a, b)) == group.mul(group.inv(b), group.inv(a))
-    assert word_element(group, a.word) == a
+    assert word_element(group, group.words[a]) == a
 
 
 @settings(max_examples=40, deadline=None)

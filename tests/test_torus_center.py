@@ -140,7 +140,7 @@ def test_stabilizer_oracles():
     assert len(GL2.character_stabilizer((0, 0), 2)) == 2
     assert len(GL2.character_stabilizer((1, 1), 2)) == 2
     stab = GL2.character_stabilizer((1, 0), 2)
-    assert len(stab) == 1 and stab[0].word == ()
+    assert len(stab) == 1 and GL2.words[stab[0]] == ()
     assert len(GL3.character_stabilizer((0, 0, 0), 2)) == 6
     assert len(GL3.character_stabilizer((1, 1, 0), 2)) == 2
 
