@@ -13,8 +13,9 @@ it splits as a difference of dominant ones.
 ``satake_check`` verifies the truncated center on an orbit-closed set
 of lattice labels from the rewriting rules alone.  The commutator
 matrix M of the finite generators on the span of those labels is built
-once, each column read off the Bernstein relation for T_i theta_lam
-(``_commute_one``); an orbit sum is central when M annihilates it.
+once as sparse rows keyed by label, each read off the Bernstein relation
+for T_i theta_lam (``_commute_one``); one pass over the rows sums each
+over every orbit, the entries of M z for the unit orbit sums z.
 Lattice labels commute by the rule ``_commute_word((), lam) = theta_lam``.
 The center dimension is proven by the rank over Q of the rows of M
 whose entries are all free of v.  By the Bernstein relation the row of
@@ -204,7 +205,6 @@ class BernsteinAlgebra:
         if not self.datum.is_dominant_coweight(mu):
             warnings.warn("coweight is not dominant; "
                           "using its dominant representative")
-            mu = self.group.dominant_in_orbit(mu)
         return HeckeElement({(lam, self.group.identity): LaurentScalar.one()
                              for lam in self.group.orbit_cocharacter(mu)})
 
@@ -254,7 +254,8 @@ def label_orbits(group: WeylGroup, radius: int, cap: int | None = None
         if lam in labels:
             continue
         orb = tuple(sorted(group.orbit_cocharacter(lam)))
-        orbit_map[group.dominant_in_orbit(lam)] = orb
+        [dominant] = [mu for mu in orb if group.datum.is_dominant_coweight(mu)]
+        orbit_map[dominant] = orb
         labels |= set(orb)
         if cap is not None:
             weight += sum(label_weight(group.datum, mu) for mu in orb)
@@ -263,45 +264,32 @@ def label_orbits(group: WeylGroup, radius: int, cap: int | None = None
     return orbit_map
 
 
-class CommutatorMatrix:
-    """The matrix M of the finite generators acting on a span of lattice
-    labels: one column per basis label lam, and row (i, label) holding
-    the coefficient at that label of [theta_lam, T_i].  An element z of
-    the span commutes with every T_i exactly when M z = 0.
+def commutator_rows(alg: BernsteinAlgebra, basis: list[Coweight]
+                    ) -> dict[tuple[int, Label], dict[Coweight, LaurentScalar]]:
+    """The matrix M of the finite generators acting on the span of the
+    lattice labels ``basis``, as sparse rows: row (i, label) maps each
+    basis label lam to the coefficient at that label of [theta_lam, T_i].
+    An element z of the span commutes with every T_i exactly when
+    M z = 0.
 
-    Each column is read off the Bernstein relation T_i theta_lam =
+    Each entry is read off the Bernstein relation T_i theta_lam =
     theta_{s_i lam} T_i + sum_t c_t theta_{nu_t} (``_commute_one``):
     [theta_lam, T_i] is +1 at (lam, s_i), -1 at (s_i lam, s_i) and -c_t
     at each (nu_t, e), about |<lam, alpha_i>| entries, and empty when
     s_i fixes lam."""
-
-    def __init__(self, alg: BernsteinAlgebra, basis: list[Coweight]):
-        self.column_of = {lam: k for k, lam in enumerate(basis)}
-        self.rows: dict[tuple[int, Label], dict[int, LaurentScalar]] = {}
-        # columns[k]: the (row, entry) pairs of column k, for M z
-        self.columns: list[list[tuple[tuple[int, Label], LaurentScalar]]] = \
-            [[] for _ in basis]
-        e = alg.group.identity
-        for i in range(len(alg.datum.simple)):
-            s = alg.group.simple_reflection(i)
-            for k, lam in enumerate(basis):
-                comm = {(lam, s): LaurentScalar.one()}
-                for nu, keeps_gen, c in alg._commute_one(i, lam):
-                    lab = (nu, s if keeps_gen else e)
-                    comm[lab] = comm[lab] - c if lab in comm else -c
-                for lab, scal in comm.items():
-                    if not scal.is_zero:
-                        self.rows.setdefault((i, lab), {})[k] = scal
-                        self.columns[k].append(((i, lab), scal))
-
-    def annihilates(self, z: HeckeElement) -> bool:
-        """M z = 0, walking only the columns in the support of z, whose
-        labels must all be basis labels with the identity Weyl part."""
-        acc: dict[tuple[int, Label], LaurentScalar] = {}
-        for (lam, _w), c in z.c.items():
-            for key, entry in self.columns[self.column_of[lam]]:
-                acc[key] = acc.get(key, LaurentScalar.zero()) + c * entry
-        return all(x.is_zero for x in acc.values())
+    rows: dict[tuple[int, Label], dict[Coweight, LaurentScalar]] = {}
+    e = alg.group.identity
+    for i in range(len(alg.datum.simple)):
+        s = alg.group.simple_reflection(i)
+        for lam in basis:
+            comm = {(lam, s): LaurentScalar.one()}
+            for nu, keeps_gen, c in alg._commute_one(i, lam):
+                lab = (nu, s if keeps_gen else e)
+                comm[lab] = comm[lab] - c if lab in comm else -c
+            for lab, scal in comm.items():
+                if not scal.is_zero:
+                    rows.setdefault((i, lab), {})[lam] = scal
+    return rows
 
 
 def satake_check(group: WeylGroup,
@@ -310,30 +298,46 @@ def satake_check(group: WeylGroup,
     """Verify the truncated center on the orbit-closed label set of
     ``orbit_map`` (as ``label_orbits`` returns it).
 
-    Centrality of an orbit sum is M z = 0 for the commutator matrix M;
-    an orbit sum whose support is not its ``orbit_map`` entry fails on
-    that count alone.  The lattice generators commute with every label
-    by the rule ``_commute_word((), lam) = theta_lam``, checked at each
-    basis label and each lattice generator.  The dimension is proven
-    without elimination over Q(v) when every check passed and the rank
-    over Q of the v-free rows of M equals |basis| - #orbits: the
-    disjoint central orbit sums bound the kernel from below, and a minor
-    of those rows is a minor of M, so their rank bounds the rank of M
-    from below.  Otherwise ``rat_rank`` computes the rank over Q(v)."""
+    Centrality of an orbit sum z is M z = 0 for the commutator matrix M.
+    An orbit sum that is not the unit sum over its ``orbit_map`` entry
+    fails on that count alone; for the others an entry of M z is a row's
+    sum over the orbit, all taken in one pass over the rows of M.  The
+    lattice generators commute with every label by the rule
+    ``_commute_word((), lam) = theta_lam``, checked at each basis label
+    and each lattice generator.  The dimension is proven without
+    elimination over Q(v) when every check passed and the rank over Q of
+    the v-free rows of M equals |basis| - #orbits: the disjoint central
+    orbit sums bound the kernel from below, and a minor of those rows is
+    a minor of M, so their rank bounds the rank of M from below.
+    Otherwise ``rat_rank`` computes the rank over Q(v)."""
     alg = BernsteinAlgebra(group)
     labels = {lam for orb in orbit_map.values() for lam in orb}
     reps = sorted(orbit_map)
     basis = sorted(labels)
-    matrix = CommutatorMatrix(alg, basis)
+    rows = list(commutator_rows(alg, basis).values())
 
     e = group.identity
-    failures: list[str] = []
+    one = LaurentScalar.one()
     central = tuple(alg.central_element(rep) for rep in reps)
+    wrong: dict[Coweight, str] = {}
+    owners: dict[Coweight, list[Coweight]] = {}  # unit orbit sums at lam
     for rep, z in zip(reps, central):
         if z.support != [(lam, e) for lam in orbit_map[rep]]:
-            failures.append(f"support of the orbit sum of {rep} is wrong")
-        elif not matrix.annihilates(z):
-            failures.append(f"orbit sum of {rep} is not central")
+            wrong[rep] = f"support of the orbit sum of {rep} is wrong"
+        elif any(c != one for c in z.c.values()):
+            wrong[rep] = f"orbit sum of {rep} has a coefficient other than 1"
+        else:
+            for lam in orbit_map[rep]:
+                owners.setdefault(lam, []).append(rep)
+    # each row's sums over the orbits are entries of M z: no multiplication
+    for row in rows:
+        sums: dict[Coweight, LaurentScalar] = {}
+        for lam, x in row.items():
+            for rep in owners.get(lam, ()):
+                sums[rep] = sums[rep] + x if rep in sums else x
+        wrong.update((rep, f"orbit sum of {rep} is not central")
+                     for rep, total in sums.items() if not total.is_zero)
+    failures = [wrong[rep] for rep in reps if rep in wrong]
 
     if sum(len(o) for o in orbit_map.values()) != len(labels):
         failures.append("orbit supports overlap")
@@ -349,7 +353,6 @@ def satake_check(group: WeylGroup,
             failures.append(
                 f"lattice label {lam} does not pass the empty word unchanged")
 
-    rows = list(matrix.rows.values())
     free = [{k: x.c[0] for k, x in row.items()} for row in rows
             if all(x.c.keys() == {0} for x in row.values())]
     if not failures and len(basis) - mat_rank(free) == len(reps):

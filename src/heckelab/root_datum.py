@@ -617,11 +617,3 @@ class WeylGroup:
             [tuple(lam)],
             lambda v: ((i, _reflect(v, av, a))
                        for i, (a, av) in enumerate(self._simple_pairs))))
-
-    def dominant_in_orbit(self, lam: Sequence) -> tuple:
-        doms = [v for v in self.orbit_cocharacter(lam)
-                if self.datum.is_dominant_coweight(v)]
-        if len(doms) != 1:
-            raise AssertionError("orbit must contain exactly one dominant point")
-        return doms[0]
-

@@ -288,3 +288,18 @@ def is_central(alg: BernsteinAlgebra, z: HeckeElement) -> bool:
         gens.append(alg.theta(tuple(int(k == j) for k in range(alg.rank))))
     return all(alg.bernstein_multiply(z, g) == alg.bernstein_multiply(g, z)
                for g in gens)
+
+
+def commutator_matvec(rows: dict, z: HeckeElement) -> dict:
+    """M z for the sparse rows {key: {lam: entry}} of a commutator
+    matrix and an element z of the lattice span, by a multiply-and-add
+    over each row; only the nonzero entries are kept."""
+    out = {}
+    for key, row in rows.items():
+        acc = LaurentScalar.zero()
+        for (lam, _w), c in z.c.items():
+            if lam in row:
+                acc = acc + row[lam] * c
+        if not acc.is_zero:
+            out[key] = acc
+    return out

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from heckelab import iwahori_hecke
 from heckelab.iwahori_hecke import (
     BernsteinAlgebra,
-    CommutatorMatrix,
     HeckeElement,
+    commutator_rows,
     label_orbits,
     satake_check,
 )
@@ -26,6 +26,7 @@ from heckelab.root_datum import (
 )
 
 from oracles import (
+    commutator_matvec,
     finite_hecke_multiply,
     is_central,
     scalar_value,
@@ -228,40 +229,35 @@ def _tampered(z: HeckeElement) -> HeckeElement:
 def test_commutator_matvec_agrees_with_is_central(name):
     alg = alg_for(name)
     orbit_map = label_orbits(alg.group, 1)
-    matrix = CommutatorMatrix(
+    rows = commutator_rows(
         alg, sorted(lam for orb in orbit_map.values() for lam in orb))
     for rep in orbit_map:
         z = alg.central_element(rep)
-        assert matrix.annihilates(z) and is_central(alg, z)
+        assert commutator_matvec(rows, z) == {} and is_central(alg, z)
         if len(z.c) > 1:
             bad = _tampered(z)
-            assert not matrix.annihilates(bad) and not is_central(alg, bad)
+            assert commutator_matvec(rows, bad) and not is_central(alg, bad)
     th = alg.theta((1, 0))
-    assert not matrix.annihilates(th) and not is_central(alg, th)
+    assert commutator_matvec(rows, th) and not is_central(alg, th)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_commutator_columns_match_the_general_product(name):
-    # second route: [theta_lam, T_i] from two general products, column
-    # by column, against the columns read off the Bernstein relation
+    # second route: [theta_lam, T_i] from two general products, label
+    # by label, against the rows read off the Bernstein relation
     alg = BernsteinAlgebra(WeylGroup(datum_from_config(REGISTRY[name])))
     for radius in (1, 2):
         basis = sorted(lam for orb in label_orbits(alg.group, radius).values()
                        for lam in orb)
-        matrix = CommutatorMatrix(alg, basis)
-        columns = [[] for _ in basis]
+        rows = {}
         for i in range(len(alg.datum.simple)):
             g = t_element(alg, i)
-            for k, lam in enumerate(basis):
+            for lam in basis:
                 th = alg.theta(lam)
                 comm = alg.bernstein_multiply(th, g) - alg.bernstein_multiply(g, th)
-                columns[k] += [((i, lab), scal) for lab, scal in comm.c.items()]
-        assert matrix.columns == columns, (name, radius)
-        rows = {}
-        for k, column in enumerate(columns):
-            for key, scal in column:
-                rows.setdefault(key, {})[k] = scal
-        assert matrix.rows == rows, (name, radius)
+                for lab, scal in comm.c.items():
+                    rows.setdefault((i, lab), {})[lam] = scal
+        assert commutator_rows(alg, basis) == rows, (name, radius)
 
 
 def test_satake_fails_on_a_tampered_bernstein_relation(monkeypatch):
@@ -279,7 +275,7 @@ def test_satake_fails_on_a_tampered_bernstein_relation(monkeypatch):
         return terms
     monkeypatch.setattr(BernsteinAlgebra, "_commute_one", doubled)
     rep = satake_check(GL2, orbit_map)
-    assert not rep.ok
+    assert not rep.ok and rep.rank_route == "Q(v)"
     assert "orbit sum of (1, 0) is not central" in rep.failures
 
 
@@ -347,12 +343,12 @@ def _count_rat_rank(monkeypatch) -> list[int]:
 def test_satake_certifies_from_the_v_free_rows(name, radius, monkeypatch):
     group = WeylGroup(datum_from_config(REGISTRY[name]))
     built = []
+    real = iwahori_hecke.commutator_rows
 
-    class Recorded(CommutatorMatrix):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-    monkeypatch.setattr(iwahori_hecke, "CommutatorMatrix", Recorded)
+    def recorded(*args):
+        built.append(real(*args))
+        return built[-1]
+    monkeypatch.setattr(iwahori_hecke, "commutator_rows", recorded)
     calls = _count_rat_rank(monkeypatch)
     rep = satake_check(group, label_orbits(group, radius))
     assert rep.ok, rep.failures
@@ -360,18 +356,17 @@ def test_satake_certifies_from_the_v_free_rows(name, radius, monkeypatch):
     assert rep.center_dimension == len(rep.representatives)
     # the Bernstein relation: the row of T_i at (mu, s_i) is e_mu - e_{s_i mu}
     # at every basis label mu that s_i moves
-    matrix, = built
-    col = matrix.column_of
+    rows, = built
+    basis = {lam for orb in rep.orbits for lam in orb}
     one = LaurentScalar.one()
     keys = set()
-    for (i, (mu, w)), row in matrix.rows.items():
+    for (i, (mu, w)), row in rows.items():
         s = group.simple_reflection(i)
         if w == s:
-            assert row == {col[mu]: one,
-                           col[group.act_cocharacter(s, mu)]: -one}
+            assert row == {mu: one, group.act_cocharacter(s, mu): -one}
             keys.add((i, mu))
     assert keys == {(i, mu) for i in range(len(group.datum.simple))
-                    for mu in col
+                    for mu in basis
                     if group.act_cocharacter(group.simple_reflection(i), mu) != mu}
 
 
@@ -399,16 +394,44 @@ def test_satake_failed_checks_take_the_q_v_route(monkeypatch):
     rep = satake_check(GL2, orbit_map)
     assert "support of the orbit sum of (1, 0) is wrong" in rep.failures
     assert rep.rank_route == "Q(v)" and calls == [1]
-    # an orbit sum that is not central
+    # an orbit sum with a coefficient other than 1
     real = BernsteinAlgebra.central_element
     monkeypatch.setattr(
         BernsteinAlgebra, "central_element",
         lambda alg, mu: _tampered(real(alg, mu)) if tuple(mu) == (1, 0)
         else real(alg, mu))
     rep = satake_check(GL2, label_orbits(GL2, 1))
-    assert rep.failures == ("orbit sum of (1, 0) is not central",)
+    assert rep.failures == ("orbit sum of (1, 0) has a coefficient other than 1",)
     assert rep.rank_route == "Q(v)" and calls == [2]
     assert rep.center_dimension == 6
+
+
+def test_satake_refuses_a_scaled_orbit_sum(monkeypatch):
+    # 2 z is central whenever z is, but it is not the unit orbit sum
+    # that the row pass checks
+    calls = _count_rat_rank(monkeypatch)
+    real = BernsteinAlgebra.central_element
+    two = LaurentScalar({0: 2})
+    monkeypatch.setattr(
+        BernsteinAlgebra, "central_element",
+        lambda alg, mu: real(alg, mu).scale(two) if tuple(mu) == (1, 1)
+        else real(alg, mu))
+    rep = satake_check(GL2, label_orbits(GL2, 1))
+    assert rep.failures == ("orbit sum of (1, 1) has a coefficient other than 1",)
+    assert rep.rank_route == "Q(v)" and calls == [1]
+    assert rep.center_dimension == 6
+
+
+def test_label_orbits_closes_each_orbit_once(monkeypatch):
+    calls = [0]
+    real = WeylGroup.orbit_cocharacter
+
+    def counted(group, lam):
+        calls[0] += 1
+        return real(group, lam)
+    monkeypatch.setattr(WeylGroup, "orbit_cocharacter", counted)
+    orbit_map = label_orbits(GL3, 2)
+    assert len(orbit_map) == 35 and calls == [35]
 
 
 def test_specialization_coherence():

@@ -10,8 +10,8 @@ the traced benchmark run; this test fails first.
 The probe file is loaded, not imported as a package, and nothing in it
 is patched.  A traced ``clifford`` run, in a child process, must also
 still call each Clifford probe once per catalog entry, and a traced
-``iwahori-center`` run must prove its center with no general product
-and no elimination over Q(v), and a traced ``torus-center`` run must
+``iwahori-center`` run must prove its center with no general product,
+no scalar multiplication and no elimination over Q(v), and a traced ``torus-center`` run must
 build its group, its orbits, its kernel rank and its report once each.
 """
 import importlib
@@ -89,10 +89,12 @@ def test_traced_clifford_run_reaches_every_clifford_probe():
 
 
 # a traced iwahori-center run proves its center from the rewriting
-# rules alone: no general product and no elimination over Q(v)
+# rules alone: no general product, no scalar multiplication (the orbit
+# sums are checked by adding row entries) and no elimination over Q(v)
 SATAKE_CALLS = {
     "iwahori_hecke.BernsteinAlgebra.bernstein_multiply.calls": 0,
     "laurent.rat_rank.calls": 0,
+    "laurent.LaurentScalar.mul.calls": 0,
     "iwahori_hecke.satake_check.calls": 1,
 }
 

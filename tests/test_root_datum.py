@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heckelab import root_datum
+from heckelab.iwahori_hecke import label_orbits
 from heckelab.root_datum import (
     REGISTRY,
     RootDatum,
@@ -396,8 +397,11 @@ def test_gl3_orbits():
     assert len(group.orbit_cocharacter((1, 0, 0))) == 3
     assert len(group.orbit_cocharacter((2, 1, 0))) == 6
     assert len(group.orbit_cocharacter((1, 1, 1))) == 1
-    assert group.dominant_in_orbit((0, 1, 0)) == (1, 0, 0)
-    assert group.dominant_in_orbit((0, 2, 1)) == (2, 1, 0)
+    # each orbit is keyed by its one dominant point
+    key_of = {lam: rep for rep, orb in label_orbits(group, 2).items()
+              for lam in orb}
+    assert key_of[(0, 1, 0)] == (1, 0, 0)
+    assert key_of[(0, 2, 1)] == (2, 1, 0)
 
 
 def test_fundamental_coweights_pairings():
@@ -477,7 +481,10 @@ def test_orbit_stabilizer_count(key, data):
     orbit = group.orbit_cocharacter(lam)
     stab = sum(1 for w in group.elements if group.act_cocharacter(w, lam) == lam)
     assert len(orbit) * stab == len(group)
-    assert group.dominant_in_orbit(lam) in orbit
+    orbit_map = label_orbits(group, max(map(abs, lam), default=0))
+    [rep] = [rep for rep, orb in orbit_map.items() if lam in orb]
+    assert rep in orbit and set(orbit_map[rep]) == orbit
+    assert datum.is_dominant_coweight(rep)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import heckelab
@@ -152,3 +153,21 @@ def test_unread_public_function_is_found():
         "class Kept:\n    def method(self):\n        return used()\n"
         "Kept().method()\n")
     assert _unread_helpers({"m.py": tree}, public=True) == ["dead (m.py:1)"]
+
+
+def test_every_pinned_mutant_text_occurs_once_in_src():
+    # scripts/mutation_check.py replaces each mutant's old text in a copy
+    # of the sources; an edit that moves or duplicates that text must
+    # update the pin, or the mutant would mutate nothing or the wrong line
+    path = ROOT / "scripts" / "mutation_check.py"
+    spec = importlib.util.spec_from_file_location("mutation_check", path)
+    mutation_check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutation_check)
+    mutants = mutation_check.MUTANTS
+    assert len(mutants) >= 5
+    assert len({m.name for m in mutants}) == len(mutants)
+    assert all(m.path.startswith("src/") and m.old != m.new and m.tests
+               and all((ROOT / t).is_file() for t in m.tests)
+               for m in mutants)
+    assert {m.name: mutation_check.occurrences(m) for m in mutants} == \
+        {m.name: 1 for m in mutants}
