@@ -1,7 +1,6 @@
 """Pinned mutants of the Satake proof path; the named tests must kill each.
 
-    python3 scripts/mutation_check.py            # every mutant
-    python3 scripts/mutation_check.py row-pass-skips-an-orbit
+    python3 scripts/mutation_check.py
 
 A mutant is (name, file, exact old text, new text, test files), the
 file and test files relative to the repository root.  The script copies
@@ -94,14 +93,8 @@ def tests_pass(copy: Path, tests: tuple[str, ...]) -> bool:
     return proc.returncode == 0
 
 
-def main(argv: list[str]) -> int:
-    names = {m.name for m in MUTANTS}
-    unknown = sorted(set(argv) - names)
-    if unknown:
-        print(f"unknown mutant(s): {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    bad = [m.name for m in chosen if occurrences(m) != 1]
+def main() -> int:
+    bad = [m.name for m in MUTANTS if occurrences(m) != 1]
     if bad:
         print(f"old text not found exactly once: {', '.join(bad)}",
               file=sys.stderr)
@@ -111,12 +104,12 @@ def main(argv: list[str]) -> int:
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part,
                             ignore=shutil.ignore_patterns("__pycache__"))
-        baseline = sorted({t for m in chosen for t in m.tests})
+        baseline = sorted({t for m in MUTANTS for t in m.tests})
         if not tests_pass(copy, tuple(baseline)):
             print("baseline tests fail on the unmutated copy", file=sys.stderr)
             return 2
         survived = 0
-        for m in chosen:
+        for m in MUTANTS:
             target = copy / m.path
             original = target.read_text()
             target.write_text(original.replace(m.old, m.new))
@@ -126,9 +119,9 @@ def main(argv: list[str]) -> int:
                 target.write_text(original)
             survived += not killed
             print(f"{'killed  ' if killed else 'SURVIVED'} {m.name}")
-    print(f"{len(chosen) - survived} killed, {survived} survived")
+    print(f"{len(MUTANTS) - survived} killed, {survived} survived")
     return 1 if survived else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -203,8 +203,7 @@ class BernsteinAlgebra:
     def central_element(self, mu) -> HeckeElement:
         mu = tuple(int(x) for x in mu)
         if not self.datum.is_dominant_coweight(mu):
-            warnings.warn("coweight is not dominant; "
-                          "using its dominant representative")
+            warnings.warn("coweight is not dominant; using its orbit")
         return HeckeElement({(lam, self.group.identity): LaurentScalar.one()
                              for lam in self.group.orbit_cocharacter(mu)})
 
@@ -254,8 +253,10 @@ def label_orbits(group: WeylGroup, radius: int, cap: int | None = None
         if lam in labels:
             continue
         orb = tuple(sorted(group.orbit_cocharacter(lam)))
-        [dominant] = [mu for mu in orb if group.datum.is_dominant_coweight(mu)]
-        orbit_map[dominant] = orb
+        doms = [mu for mu in orb if group.datum.is_dominant_coweight(mu)]
+        if len(doms) != 1:
+            raise AssertionError("orbit must contain exactly one dominant point")
+        orbit_map[doms[0]] = orb
         labels |= set(orb)
         if cap is not None:
             weight += sum(label_weight(group.datum, mu) for mu in orb)
@@ -278,13 +279,12 @@ def commutator_rows(alg: BernsteinAlgebra, basis: list[Coweight]
     at each (nu_t, e), about |<lam, alpha_i>| entries, and empty when
     s_i fixes lam."""
     rows: dict[tuple[int, Label], dict[Coweight, LaurentScalar]] = {}
-    e = alg.group.identity
     for i in range(len(alg.datum.simple)):
         s = alg.group.simple_reflection(i)
         for lam in basis:
             comm = {(lam, s): LaurentScalar.one()}
             for nu, keeps_gen, c in alg._commute_one(i, lam):
-                lab = (nu, s if keeps_gen else e)
+                lab = (nu, s if keeps_gen else alg.group.identity)
                 comm[lab] = comm[lab] - c if lab in comm else -c
             for lab, scal in comm.items():
                 if not scal.is_zero:

@@ -394,32 +394,22 @@ def test_satake_failed_checks_take_the_q_v_route(monkeypatch):
     rep = satake_check(GL2, orbit_map)
     assert "support of the orbit sum of (1, 0) is wrong" in rep.failures
     assert rep.rank_route == "Q(v)" and calls == [1]
-    # an orbit sum with a coefficient other than 1
-    real = BernsteinAlgebra.central_element
-    monkeypatch.setattr(
-        BernsteinAlgebra, "central_element",
-        lambda alg, mu: _tampered(real(alg, mu)) if tuple(mu) == (1, 0)
-        else real(alg, mu))
-    rep = satake_check(GL2, label_orbits(GL2, 1))
-    assert rep.failures == ("orbit sum of (1, 0) has a coefficient other than 1",)
-    assert rep.rank_route == "Q(v)" and calls == [2]
-    assert rep.center_dimension == 6
-
-
-def test_satake_refuses_a_scaled_orbit_sum(monkeypatch):
-    # 2 z is central whenever z is, but it is not the unit orbit sum
-    # that the row pass checks
-    calls = _count_rat_rank(monkeypatch)
+    # an orbit sum with a coefficient other than 1; 2 z is central
+    # whenever z is, but it is not the unit orbit sum that the row pass
+    # checks
     real = BernsteinAlgebra.central_element
     two = LaurentScalar({0: 2})
-    monkeypatch.setattr(
-        BernsteinAlgebra, "central_element",
-        lambda alg, mu: real(alg, mu).scale(two) if tuple(mu) == (1, 1)
-        else real(alg, mu))
-    rep = satake_check(GL2, label_orbits(GL2, 1))
-    assert rep.failures == ("orbit sum of (1, 1) has a coefficient other than 1",)
-    assert rep.rank_route == "Q(v)" and calls == [1]
-    assert rep.center_dimension == 6
+    for n, (bad_rep, tamper) in enumerate(
+            [((1, 0), _tampered), ((1, 1), lambda z: z.scale(two))], start=2):
+        monkeypatch.setattr(
+            BernsteinAlgebra, "central_element",
+            lambda alg, mu: tamper(real(alg, mu)) if tuple(mu) == bad_rep
+            else real(alg, mu))
+        rep = satake_check(GL2, label_orbits(GL2, 1))
+        assert rep.failures == (
+            f"orbit sum of {bad_rep} has a coefficient other than 1",)
+        assert rep.rank_route == "Q(v)" and calls == [n]
+        assert rep.center_dimension == 6
 
 
 def test_label_orbits_closes_each_orbit_once(monkeypatch):
